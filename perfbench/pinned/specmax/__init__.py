@@ -1,0 +1,45 @@
+"""specmax: extremal nonregular graphs of near-maximal degree.
+
+Constructions of the extremal families, exact quotient characteristic
+polynomials, Perron eigenpairs, local-switching certificates, exhaustive
+small-order searches, and the verification suites tying them together.
+"""
+
+from .graphs import (
+    CapabilityError,
+    Graph,
+    Graph6ParseError,
+    canonical_form,
+    graph6_decode,
+    graph6_encode,
+)
+from .intpoly import (
+    IntPolynomial,
+    RootBracket,
+    char_poly,
+    compare_max_real_roots,
+    count_roots,
+    isolate_max_real_root,
+    max_real_root,
+    max_real_root_value,
+    poly_dominates,
+    shifted_root_bound,
+)
+from .spectral import ConvergenceError, PerronPair, perron, perron_component_bound, spectral_radius
+from .partition import PropertyViolation, QuotientSpec, loop_shift_check, quotient, quotient_bound_check
+from .families import (
+    ComplementProfile,
+    FamilyId,
+    NamedQuotient,
+    build_case2,
+    build_from_profile,
+    build_g,
+    build_g2_1,
+    build_h1,
+    build_h2,
+    named_quotient,
+)
+from .switching import SwitchCertificate, SwitchMove, apply, ls_certificate
+from .enumeration import EnumSpec, ExtremalReport, enumerate_graphs, extremal_search, structure_audit
+
+__version__ = "0.1.0"

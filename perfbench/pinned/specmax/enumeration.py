@@ -1,0 +1,212 @@
+"""Exhaustive generation of connected nonregular graphs with prescribed
+order and maximum degree, extremal search, and structural audits of the
+maximizers.
+
+Generation proceeds by vertex augmentation: level k holds one canonical
+representative per isomorphism class of connected k-vertex graphs with
+max degree <= the target.  Every connected graph has a non-cut vertex, so
+each class at level k arises from some class at level k-1; duplicates are
+removed through canonical forms, which keeps the level sets small (about
+10^4 classes at n=8) and the memory flat.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterator
+
+from .graphs import CapabilityError, Graph, canonical_form, graph6_decode
+from .intpoly import char_poly, compare_max_real_roots
+from .spectral import perron, spectral_radius
+
+EXHAUSTIVE_MAX_N = 9
+
+
+@dataclass(frozen=True)
+class EnumSpec:
+    n: int
+    max_degree: int
+    require_connected: bool = True
+    require_nonregular: bool = True
+
+    def __post_init__(self):
+        if not 2 <= self.max_degree <= self.n - 1:
+            raise ValueError(
+                f"max_degree {self.max_degree} outside [2, n-1] for n={self.n}"
+            )
+        if self.n > EXHAUSTIVE_MAX_N:
+            raise CapabilityError(
+                f"exhaustive enumeration capped at n={EXHAUSTIVE_MAX_N}"
+            )
+
+
+@dataclass
+class ExtremalReport:
+    maximizers: list[Graph]
+    rho_max: float
+    degree_sequences: list[list[int]]
+    total_classes: int
+
+    def to_json(self) -> dict:
+        from .graphs import graph6_encode
+
+        return {
+            "maximizers": [graph6_encode(g) for g in self.maximizers],
+            "rho_max": self.rho_max,
+            "degree_sequences": self.degree_sequences,
+            "total_classes": self.total_classes,
+        }
+
+
+def _level_up(codes: list[bytes], cap: int, connected_only: bool) -> list[bytes]:
+    """Extend every canonical k-vertex class by one attached vertex.
+
+    With connected_only the new vertex must attach somewhere (every
+    connected graph has a non-cut vertex, so connected predecessors
+    suffice); otherwise the empty attachment is allowed and every graph
+    arises by deleting an arbitrary vertex.
+    """
+    out: set[bytes] = set()
+    seen_rows: set[tuple[int, ...]] = set()
+    lowest_mask = 1 if connected_only else 0
+    for code in codes:
+        g = graph6_decode(code.decode("ascii"))
+        k = g.n
+        degs = [g.rows[v].bit_count() for v in range(k)]
+        # subsets that keep every degree within the cap
+        blocked = sum(1 << v for v in range(k) if degs[v] + 1 > cap)
+        for mask in range(lowest_mask, 1 << k):
+            if mask & blocked:
+                continue
+            if mask.bit_count() > cap:
+                continue
+            rows = list(g.rows) + [mask]
+            for v in range(k):
+                if (mask >> v) & 1:
+                    rows[v] |= 1 << k
+            key = tuple(rows)
+            if key in seen_rows:
+                continue
+            seen_rows.add(key)
+            out.add(canonical_form(Graph(k + 1, tuple(rows))))
+    return sorted(out)
+
+
+def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[Graph]:
+    """Yield one canonical representative per isomorphism class.
+
+    Emits connected graphs whose maximum degree equals spec.max_degree
+    exactly (nonregular unless the flag is off), in a deterministic order.
+    A checkpoint file, when given, persists the per-level frontier so an
+    interrupted run resumes at the completed level.
+    """
+    start_level = 1
+    codes = [canonical_form(Graph.build(1, []))]
+    if checkpoint:
+        path = Path(checkpoint)
+        if path.exists():
+            state = json.loads(path.read_text())
+            if (
+                state.get("n") == spec.n
+                and state.get("max_degree") == spec.max_degree
+                and state.get("connected", True) == spec.require_connected
+            ):
+                start_level = state["level"]
+                codes = [c.encode("ascii") for c in state["codes"]]
+    for level in range(start_level, spec.n):
+        codes = _level_up(codes, spec.max_degree, spec.require_connected)
+        if checkpoint:
+            Path(checkpoint).write_text(
+                json.dumps(
+                    {
+                        "n": spec.n,
+                        "max_degree": spec.max_degree,
+                        "connected": spec.require_connected,
+                        "level": level + 1,
+                        "codes": [c.decode("ascii") for c in codes],
+                    }
+                )
+            )
+    for code in codes:
+        g = graph6_decode(code.decode("ascii"))
+        degs = g.degrees()
+        if max(degs) != spec.max_degree:
+            continue
+        if spec.require_nonregular and min(degs) == max(degs):
+            continue
+        if spec.require_connected and not g.is_connected():
+            continue
+        yield g
+
+
+def extremal_search(spec: EnumSpec, tol: float = 1e-12) -> ExtremalReport:
+    """All isomorphism classes attaining the maximum spectral radius.
+
+    Apparent ties at 1e-9 are re-examined exactly through the integer
+    characteristic polynomials of the adjacency matrices, so the reported
+    maximizer set contains exactly the classes whose spectral radius
+    equals the maximum as a real algebraic number.
+    """
+    best: list[tuple[float, Graph]] = []
+    rho_max = float("-inf")
+    total = 0
+    for g in enumerate_graphs(spec):
+        total += 1
+        rho = spectral_radius(g, tol)
+        if rho > rho_max:
+            rho_max = rho
+        best.append((rho, g))
+    if not best:
+        return ExtremalReport([], float("nan"), [], 0)
+    shortlist = [(r, g) for r, g in best if r >= rho_max - 1e-7]
+    anchor = max(shortlist, key=lambda item: item[0])[1]
+    anchor_poly = char_poly(anchor.adjacency())
+    maximizers = []
+    for _, g in shortlist:
+        if g == anchor or compare_max_real_roots(char_poly(g.adjacency()), anchor_poly) == 0:
+            maximizers.append(g)
+    maximizers.sort(key=canonical_form)
+    return ExtremalReport(
+        maximizers,
+        rho_max,
+        [g.degree_sequence() for g in maximizers],
+        total,
+    )
+
+
+def structure_audit(g: Graph, tol: float = 1e-10) -> dict:
+    """Structural facts about a maximizer: the sub-maximal vertices induce a
+    clique, their Perron components order by neighborhood containment, and
+    every sub-maximal component sits below every full-degree component."""
+    degs = g.degrees()
+    top = max(degs)
+    low = [v for v, d in enumerate(degs) if d < top]
+    high = [v for v, d in enumerate(degs) if d == top]
+    pair = perron(g, tol)
+    x = pair.vector
+    clique = all(g.has_edge(a, b) for i, a in enumerate(low) for b in low[i + 1 :])
+    ordering_ok = True
+    for a in low:
+        for b in low:
+            if a == b:
+                continue
+            na = {w for w in g.neighbors(a) if degs[w] == top}
+            nb = {w for w in g.neighbors(b) if degs[w] == top}
+            if nb <= na and not x[b] <= x[a] + 1e-9:
+                ordering_ok = False
+            if x[b] <= x[a] - 1e-9 and not nb <= na:
+                ordering_ok = False
+    separated = (
+        not low
+        or not high
+        or max(float(x[v]) for v in low) < min(float(x[w]) for w in high) - 1e-12
+    )
+    return {
+        "low_degree_vertices": low,
+        "low_set_is_clique": clique,
+        "component_order_matches_neighborhoods": ordering_ok,
+        "low_below_high_components": separated,
+        "rho": pair.rho,
+    }

@@ -1,0 +1,467 @@
+"""Constructors for the extremal graph families and their named quotient
+matrices with closed-form integer characteristic polynomials.
+
+Labeling conventions (documented per constructor) put each family's
+canonical partition on contiguous index ranges.  Matchings deleted from a
+complete block always pair consecutive labels: (first, second),
+(third, fourth), ...
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .graphs import Graph
+from .intpoly import IntPolynomial, char_poly
+
+NAMED_QUOTIENTS = ("A_delta", "B1", "B2", "B_delta", "B_n5", "B_dd", "B_d1")
+
+
+@dataclass(frozen=True)
+class ComplementProfile:
+    """Multiset of components of the complement of G-u (or G-u-v).
+
+    type1: number of components that are a single edge with both ends
+           among the full-degree vertices outside N(u).
+    type2: per-path interior vertex counts (each >= 1); a path has two
+           endpoint vertices outside N(u) and its interior inside N(u).
+    type3: cycle lengths (each >= 3), all vertices inside N(u).
+    """
+
+    type1: int = 0
+    type2: tuple[int, ...] = ()
+    type3: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "type2", tuple(int(k) for k in self.type2))
+        object.__setattr__(self, "type3", tuple(int(k) for k in self.type3))
+        if self.type1 < 0:
+            raise ValueError("type1 count must be nonnegative")
+        if any(k < 1 for k in self.type2):
+            raise ValueError("type2 paths need at least one interior vertex")
+        if any(k < 3 for k in self.type3):
+            raise ValueError("type3 cycles need length >= 3")
+
+    @property
+    def inner_vertices(self) -> int:
+        return sum(self.type2) + sum(self.type3)
+
+    @property
+    def outer_vertices(self) -> int:
+        return 2 * (self.type1 + len(self.type2))
+
+    def to_json(self) -> dict:
+        return {
+            "type1": self.type1,
+            "type2": list(self.type2),
+            "type3": list(self.type3),
+        }
+
+    @staticmethod
+    def from_json(data) -> "ComplementProfile":
+        return ComplementProfile(
+            int(data.get("type1", 0)),
+            tuple(data.get("type2", ())),
+            tuple(data.get("type3", ())),
+        )
+
+
+@dataclass(frozen=True)
+class NamedQuotient:
+    """Integer quotient matrix with its closed-form characteristic polynomial."""
+
+    which: str
+    n: int
+    delta: int | None
+    matrix: tuple[tuple[int, ...], ...]
+    closed_form: IntPolynomial
+
+
+FAMILY_TAGS = ("g", "h1", "h2", "g21", "profile", "gdd", "gd1")
+
+
+@dataclass(frozen=True)
+class FamilyId:
+    """Serializable identifier of a constructible family instance."""
+
+    family: str
+    n: int
+    delta: int | None = None
+    profile: "ComplementProfile | None" = None
+
+    def __post_init__(self):
+        if self.family not in FAMILY_TAGS:
+            raise ValueError(f"unknown family tag {self.family!r}; use one of {FAMILY_TAGS}")
+
+    def build(self) -> Graph:
+        if self.family == "g":
+            return build_g(self.n, _require(self.delta, "g needs delta"))
+        if self.family == "h1":
+            return build_h1(self.n)
+        if self.family == "h2":
+            return build_h2(self.n)
+        if self.family == "g21":
+            return build_g2_1(self.n)
+        if self.family == "profile":
+            return build_from_profile(
+                self.n,
+                _require(self.delta, "profile needs delta"),
+                _require(self.profile, "profile needs a complement profile"),
+            )
+        if self.family == "gdd":
+            d = _require(self.delta, "gdd needs delta")
+            prof = self.profile or ComplementProfile(type3=(d - 1,))
+            return build_case2(self.n, d, d, prof)
+        d = _require(self.delta, "gd1 needs delta")
+        prof = self.profile or ComplementProfile(type1=(d - 1) // 2)
+        return build_case2(self.n, d, 1, prof)
+
+    def to_json(self) -> dict:
+        data = {"family": self.family, "n": self.n}
+        if self.delta is not None:
+            data["delta"] = self.delta
+        if self.profile is not None:
+            data["profile"] = self.profile.to_json()
+        return data
+
+    @staticmethod
+    def from_json(data) -> "FamilyId":
+        prof = data.get("profile")
+        return FamilyId(
+            data["family"],
+            int(data["n"]),
+            int(data["delta"]) if "delta" in data else None,
+            ComplementProfile.from_json(prof) if prof is not None else None,
+        )
+
+
+def _require(value, message):
+    if value is None:
+        raise ValueError(message)
+    return value
+
+
+def _matched_clique_edges(labels: list[int]) -> list[tuple[int, int]]:
+    """Edges of a complete graph on `labels` minus the consecutive matching."""
+    edges = []
+    for i, u in enumerate(labels):
+        for v in labels[i + 1 :]:
+            edges.append((u, v))
+    matching = {(labels[i], labels[i + 1]) for i in range(0, len(labels) - 1, 2)}
+    return [e for e in edges if e not in matching]
+
+
+def _clique_edges(labels) -> list[tuple[int, int]]:
+    labels = list(labels)
+    return [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]]
+
+
+def _join_edges(a, b) -> list[tuple[int, int]]:
+    return [(u, v) for u in a for v in b]
+
+
+# -- single low-degree-vertex family for maximum degree n-2 --------------
+
+
+def build_g(n: int, t: int) -> Graph:
+    """Family graph with degree sequence (n-2, ..., n-2, t).
+
+    Labels: 0 = the low-degree vertex u; 1..t = complete block minus a
+    perfect matching, fully joined to u; t+1..n-1 = complete block, fully
+    joined to the middle block.
+    """
+    if n < 5:
+        raise ValueError(f"build_g needs n >= 5, got {n}")
+    if t % 2 != 0:
+        raise ValueError(f"matched-block size t={t} must be even")
+    if not 2 <= t <= n - 3:
+        raise ValueError(f"t={t} outside [2, n-3] for n={n}")
+    mid = list(range(1, t + 1))
+    right = list(range(t + 1, n))
+    edges = _matched_clique_edges(mid) + _clique_edges(right)
+    edges += _join_edges([0], mid) + _join_edges(mid, right)
+    return Graph.build(n, edges)
+
+
+def g_partition(n: int, t: int) -> list[list[int]]:
+    return [[0], list(range(1, t + 1)), list(range(t + 1, n))]
+
+
+# -- families for maximum degree n-3 --------------------------------------
+
+
+def build_h1(n: int) -> Graph:
+    """Even-order family with degree sequence (n-3, ..., n-3, 1).
+
+    Labels: u=0 (degree 1), v=1, pair block {2,3}, big matched block
+    4..n-1.  u-v edge; v adjacent to the big block; {2,3} is an edge fully
+    joined to the big block.
+    """
+    if n % 2 != 0:
+        raise ValueError(f"build_h1 needs even n, got {n}")
+    if n < 8:
+        raise ValueError(f"build_h1 needs n >= 8, got {n}")
+    big = list(range(4, n))
+    edges = [(0, 1), (2, 3)]
+    edges += _matched_clique_edges(big)
+    edges += _join_edges([1], big)
+    edges += _join_edges([2, 3], big)
+    return Graph.build(n, edges)
+
+
+def h1_partition(n: int) -> list[list[int]]:
+    return [[0], [1], [2, 3], list(range(4, n))]
+
+
+def build_h2(n: int) -> Graph:
+    """Odd-order family with degree sequence (n-3, ..., n-3, 2).
+
+    Labels: u=0 adjacent to exactly v1=1 and v2=2; v1-v2 edge; {3,4,5,6}
+    induces K4 with v1 adjacent to {5,6} and v2 adjacent to {3,4}; the
+    matched block 7..n-1 is adjacent to everything except u and the
+    matched partner.
+    """
+    if n % 2 == 0:
+        raise ValueError(f"build_h2 needs odd n, got {n}")
+    if n < 9:
+        raise ValueError(f"build_h2 needs n >= 9, got {n}")
+    big = list(range(7, n))
+    edges = [(0, 1), (0, 2), (1, 2)]
+    edges += _clique_edges([3, 4, 5, 6])
+    edges += [(1, 5), (1, 6), (2, 3), (2, 4)]
+    edges += _matched_clique_edges(big)
+    edges += _join_edges([1, 2, 3, 4, 5, 6], big)
+    return Graph.build(n, edges)
+
+
+def h2_partition(n: int) -> list[list[int]]:
+    return [[0], [1, 2], [3, 4, 5, 6], list(range(7, n))]
+
+
+def build_g2_1(n: int) -> Graph:
+    """Odd-order family with nonadjacent low-vertex neighbors.
+
+    Labels: u=0 adjacent to exactly v1=1 and v2=2 with v1,v2 nonadjacent;
+    v3=3 adjacent to everything except u,v1; v4=4 adjacent to everything
+    except u,v2; matched block 5..n-1 adjacent to 1..4 and within itself
+    minus the matching.  Degree sequence (n-3, ..., n-3, 2).
+    """
+    if n % 2 == 0:
+        raise ValueError(f"build_g2_1 needs odd n, got {n}")
+    if n < 9:
+        raise ValueError(f"build_g2_1 needs n >= 9, got {n}")
+    big = list(range(5, n))
+    edges = [(0, 1), (0, 2)]
+    edges += [(1, 4), (2, 3), (3, 4)]
+    edges += _matched_clique_edges(big)
+    edges += _join_edges([1, 2, 3, 4], big)
+    return Graph.build(n, edges)
+
+
+def g2_1_partition(n: int) -> list[list[int]]:
+    return [[0], [1, 2], [3, 4], list(range(5, n))]
+
+
+# -- complement-profile constructions --------------------------------------
+
+
+def build_from_profile(n: int, delta: int, profile: ComplementProfile) -> Graph:
+    """Graph with one vertex of degree delta, all others of degree n-3,
+    whose complement of G-u realizes exactly the given profile.
+
+    Labels: u=0; N(u)=1..delta holds path interiors first (in profile
+    order) then cycles; the rest delta+1..n-1 holds type-1 edge pairs
+    first, then path endpoint pairs in profile order.
+    """
+    if n % 2 == 0:
+        if delta % 2 == 0:
+            raise ValueError(f"delta must be odd for even n (got {delta}, n={n})")
+    elif delta % 2 != 0:
+        raise ValueError(f"delta must be even for odd n (got {delta}, n={n})")
+    if not 1 <= delta <= n - 5:
+        raise ValueError(f"delta={delta} outside [1, n-5] for n={n}")
+    if profile.inner_vertices != delta:
+        raise ValueError(
+            f"profile consumes {profile.inner_vertices} interior vertices, "
+            f"needs delta={delta}"
+        )
+    if profile.outer_vertices != n - delta - 1:
+        raise ValueError(
+            f"profile consumes {profile.outer_vertices} outer vertices, "
+            f"needs n-delta-1={n - delta - 1}"
+        )
+    inner = list(range(1, delta + 1))
+    outer = list(range(delta + 1, n))
+    anti = _profile_complement_edges(profile, inner, outer)
+    base = Graph.build(n, _clique_edges(range(1, n)) + _join_edges([0], inner))
+    return base.with_edges(remove=anti)
+
+
+def _profile_complement_edges(profile, inner, outer):
+    """Complement edges realizing the profile on given label pools."""
+    anti = []
+    oi = 0
+    for _ in range(profile.type1):
+        anti.append((outer[oi], outer[oi + 1]))
+        oi += 2
+    ii = 0
+    for k in profile.type2:
+        path = [outer[oi]] + inner[ii : ii + k] + [outer[oi + 1]]
+        oi += 2
+        ii += k
+        anti += list(zip(path, path[1:]))
+    for k in profile.type3:
+        cyc = inner[ii : ii + k]
+        ii += k
+        anti += list(zip(cyc, cyc[1:])) + [(cyc[-1], cyc[0])]
+    return anti
+
+
+def profile_partition(n: int, delta: int) -> list[list[int]]:
+    return [[0], list(range(1, delta + 1)), list(range(delta + 1, n))]
+
+
+def build_case2(n: int, du: int, dv: int, profile: ComplementProfile) -> Graph:
+    """Graph with two low-degree vertices u, v and all others of degree n-3.
+
+    Labels: u=0, v=1 (adjacent); common neighborhood 2..dv holds the
+    profile's interior vertices; u-only neighbors and non-neighbors follow.
+    The complement of G-u-v realizes the profile: type-1 edges and path
+    endpoints sit on u-only/non-common vertices, interiors and cycles in
+    the common neighborhood.  Requires du - dv even (degree-sum parity).
+    """
+    if (du - dv) % 2 != 0:
+        raise ValueError(f"du-dv={du - dv} must be even")
+    if not 1 <= dv <= du <= n - 4:
+        raise ValueError(f"(du, dv)=({du},{dv}) outside 1 <= dv <= du <= n-4")
+    t1 = dv - 1
+    t2 = du - dv
+    t3 = n - 2 - t1 - t2
+    if t3 < 3:
+        raise ValueError(f"requires at least 3 full-degree non-neighbors, got {t3}")
+    if profile.inner_vertices != t1:
+        raise ValueError(
+            f"profile consumes {profile.inner_vertices} interior vertices, "
+            f"needs dv-1={t1}"
+        )
+    if profile.outer_vertices != t2:
+        raise ValueError(
+            f"profile consumes {profile.outer_vertices} outer vertices, "
+            f"needs du-dv={t2}"
+        )
+    common = list(range(2, 2 + t1))
+    uonly = list(range(2 + t1, 2 + t1 + t2))
+    rest = list(range(2 + t1 + t2, n))
+    edges = _clique_edges(range(2, n))
+    edges += [(0, 1)]
+    edges += _join_edges([0], common + uonly)
+    edges += _join_edges([1], common)
+    base = Graph.build(n, edges)
+    anti = _profile_complement_edges(profile, common, uonly)
+    return base.with_edges(remove=anti)
+
+
+def case2_partition(n: int, du: int, dv: int) -> list[list[int]]:
+    """Documented partition for the two named shapes (du=dv, or dv=1)."""
+    if du == dv:
+        return [[0, 1], list(range(2, du + 1)), list(range(du + 1, n))]
+    if dv == 1:
+        return [[1], [0], list(range(2, du + 1)), list(range(du + 1, n))]
+    raise ValueError("documented partitions exist for du=dv or dv=1 only")
+
+
+# -- named quotient matrices ------------------------------------------------
+
+
+def named_quotient(which: str, n: int, delta: int | None = None) -> NamedQuotient:
+    """Integer quotient matrix plus its closed-form characteristic polynomial.
+
+    The construction asserts that char_poly(matrix) equals the closed form
+    exactly, so a successful return certifies the printed formula at (n, delta).
+    """
+    if which == "A_delta":
+        d = _need_delta(which, delta)
+        if not (2 <= d <= n - 3 and d % 2 == 0):
+            raise ValueError(f"A_delta needs even delta in [2, n-3], got {d}, n={n}")
+        matrix = ((0, d, 0), (1, d - 2, n - d - 1), (0, d, n - d - 2))
+        poly = IntPolynomial((-(d * d + 2 * d - n * d), 4 - 2 * n, 4 - n, 1))
+    elif which == "B1":
+        if n % 2 != 0 or n < 6:
+            raise ValueError(f"B1 needs even n >= 6, got {n}")
+        matrix = ((0, 1, 0, 0), (1, 0, 0, n - 4), (0, 0, 1, n - 4), (0, 1, 2, n - 6))
+        poly = IntPolynomial((n - 2, 2 * n - 9, 5 - 2 * n, 5 - n, 1))
+    elif which == "B2":
+        if n % 2 == 0 or n < 9:
+            raise ValueError(f"B2 needs odd n >= 9, got {n}")
+        matrix = ((0, 2, 0, 0), (1, 1, 2, n - 7), (0, 1, 3, n - 7), (0, 2, 4, n - 9))
+        poly = IntPolynomial((2 * n - 2, 3 * n - 17, 5 - 2 * n, 5 - n, 1))
+    elif which == "B_delta":
+        d = _need_delta(which, delta)
+        if not 3 <= d <= n - 5:
+            raise ValueError(f"B_delta needs delta in [3, n-5], got {d}, n={n}")
+        matrix = ((0, d, 0), (1, d - 3, n - d - 1), (0, d, n - d - 3))
+        poly = IntPolynomial((-d * d + (n - 3) * d, 9 - 3 * n, 6 - n, 1))
+    elif which == "B_n5":
+        if n < 10:
+            raise ValueError(f"B_n5 needs n >= 10, got {n}")
+        matrix = (
+            (0, n - 7, 2, 0),
+            (1, n - 10, 2, 4),
+            (1, n - 7, 1, 2),
+            (0, n - 7, 1, 3),
+        )
+        poly = IntPolynomial((5 * n - 17, 3 * n - 18, 8 - 3 * n, 6 - n, 1))
+        delta = n - 5
+    elif which == "B_dd":
+        d = _need_delta(which, delta)
+        if not 4 <= d <= n - 4:
+            raise ValueError(f"B_dd needs delta in [4, n-4], got {d}, n={n}")
+        matrix = ((1, d - 1, 0), (2, d - 4, n - d - 1), (0, d - 1, n - d - 2))
+        poly = IntPolynomial(
+            (-2 * d * d + (2 * n - 4) * d + n - 3, 3 - 2 * n, 5 - n, 1)
+        )
+    elif which == "B_d1":
+        d = _need_delta(which, delta)
+        if not 3 <= d <= n - 4:
+            raise ValueError(f"B_d1 needs delta in [3, n-4], got {d}, n={n}")
+        matrix = (
+            (0, 1, 0, 0),
+            (1, 0, d - 1, 0),
+            (0, 1, d - 3, n - d - 1),
+            (0, 0, d - 1, n - d - 2),
+        )
+        poly = IntPolynomial(
+            (2 * n - d - 5, -d * d + d * n - d - 3, 5 - 2 * n, 5 - n, 1)
+        )
+    else:
+        raise ValueError(f"unknown quotient name {which!r}; use one of {NAMED_QUOTIENTS}")
+    computed = char_poly(matrix)
+    if computed != poly:
+        raise AssertionError(
+            f"closed-form mismatch for {which}(n={n}, delta={delta}): "
+            f"{computed.coeffs} != {poly.coeffs}"
+        )
+    return NamedQuotient(which, n, delta, matrix, poly)
+
+
+def _need_delta(which: str, delta) -> int:
+    if delta is None:
+        raise ValueError(f"{which} requires delta")
+    return int(delta)
+
+
+def admissible_deltas(which: str, n: int) -> list[int]:
+    """Parity-correct parameter values for a named quotient at order n."""
+    if which == "A_delta":
+        return [d for d in range(2, n - 2) if d % 2 == 0]
+    if which == "B_delta":
+        # the single-low-vertex degree is odd for even n, even for odd n
+        want = 1 if n % 2 == 0 else 0
+        return [d for d in range(3, n - 4) if d % 2 == want]
+    if which == "B_dd":
+        return list(range(4, n - 3))
+    if which == "B_d1":
+        return [d for d in range(3, n - 3) if d % 2 == 1]
+    if which in ("B1", "B2", "B_n5"):
+        return []
+    raise ValueError(f"unknown quotient name {which!r}")

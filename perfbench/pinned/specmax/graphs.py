@@ -1,0 +1,450 @@
+"""Immutable labeled graphs on vertices 0..n-1.
+
+Adjacency is stored as one integer bitmask per vertex, loops as a separate
+bitmask (a loop adds 2 to the degree and 2 to the adjacency diagonal).
+Includes graph6 text I/O, a JSON form for loop-bearing graphs, and a
+canonical form for small-order isomorphism tests.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from dataclasses import dataclass
+
+import numpy as np
+
+MAX_N = 1 << 16
+CANONICAL_MAX_N = 12
+
+
+class CapabilityError(Exception):
+    """A request exceeds a stated capability boundary of this package."""
+
+
+class Graph6ParseError(ValueError):
+    """Malformed graph6 text; carries the byte offset of the offending char."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} (byte offset {offset})")
+        self.offset = offset
+
+
+@dataclass(frozen=True)
+class Graph:
+    """Simple undirected graph with optional per-vertex loop flags.
+
+    rows[v] is the neighbor bitmask of v (bit v itself is never set);
+    loops is a bitmask of vertices carrying a loop.
+    """
+
+    n: int
+    rows: tuple[int, ...]
+    loops: int = 0
+
+    # -- construction -------------------------------------------------
+
+    @staticmethod
+    def build(n: int, edges) -> "Graph":
+        """Build a simple loop-free graph from a vertex count and edge pairs.
+
+        Duplicate pairs collapse; u == v or out-of-range endpoints raise.
+        """
+        if not 1 <= n <= MAX_N:
+            raise ValueError(f"vertex count {n} outside [1, {MAX_N}]")
+        rows = [0] * n
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            if u == v:
+                raise ValueError(f"self-edge ({u},{u}); loops only via add_loops")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return Graph(n, tuple(rows))
+
+    def with_edges(self, add=(), remove=(), drop_loops=()) -> "Graph":
+        """Return a copy with edges added/removed and loops dropped.
+
+        Every added edge must be absent, every removed edge present, and
+        every dropped loop present; violations raise ValueError.
+        """
+        rows = list(self.rows)
+        for u, v in remove:
+            if u == v or not (rows[u] >> v) & 1:
+                raise ValueError(f"cannot remove absent edge ({u},{v})")
+            rows[u] &= ~(1 << v)
+            rows[v] &= ~(1 << u)
+        for u, v in add:
+            if u == v:
+                raise ValueError(f"cannot add self-edge ({u},{u})")
+            if (rows[u] >> v) & 1:
+                raise ValueError(f"cannot add present edge ({u},{v})")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        loops = self.loops
+        for v in drop_loops:
+            if not (loops >> v) & 1:
+                raise ValueError(f"cannot drop absent loop at {v}")
+            loops &= ~(1 << v)
+        return Graph(self.n, tuple(rows), loops)
+
+    # -- queries ------------------------------------------------------
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return u != v and bool((self.rows[u] >> v) & 1)
+
+    def has_loop(self, v: int) -> bool:
+        return bool((self.loops >> v) & 1)
+
+    def neighbors(self, v: int):
+        row = self.rows[v]
+        while row:
+            low = row & -row
+            yield low.bit_length() - 1
+            row ^= low
+
+    def degree(self, v: int) -> int:
+        return self.rows[v].bit_count() + 2 * ((self.loops >> v) & 1)
+
+    def degrees(self) -> list[int]:
+        return [self.degree(v) for v in range(self.n)]
+
+    def degree_sequence(self) -> list[int]:
+        """Degrees sorted descending, loops counting 2."""
+        return sorted(self.degrees(), reverse=True)
+
+    def max_degree(self) -> int:
+        return max(self.degrees())
+
+    def edges(self):
+        for u in range(self.n):
+            row = self.rows[u] >> (u + 1)
+            v = u + 1
+            while row:
+                if row & 1:
+                    yield (u, v)
+                row >>= 1
+                v += 1
+
+    def edge_count(self) -> int:
+        return sum(r.bit_count() for r in self.rows) // 2
+
+    def loop_count(self) -> int:
+        return self.loops.bit_count()
+
+    def is_connected(self) -> bool:
+        """True iff the graph has one connected component (loops ignored)."""
+        seen = 1
+        frontier = 1
+        full = (1 << self.n) - 1
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= self.rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & ~seen
+            seen |= frontier
+        return seen == full
+
+    def components(self) -> list[list[int]]:
+        """Vertex lists of the connected components, sorted by least vertex."""
+        remaining = (1 << self.n) - 1
+        out = []
+        while remaining:
+            start = remaining & -remaining
+            seen = start
+            frontier = start
+            while frontier:
+                nxt = 0
+                while frontier:
+                    low = frontier & -frontier
+                    nxt |= self.rows[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = nxt & ~seen
+                seen |= frontier
+            out.append([v for v in range(self.n) if (seen >> v) & 1])
+            remaining &= ~seen
+        return out
+
+    # -- derived graphs ----------------------------------------------
+
+    def complement(self) -> "Graph":
+        if self.loops:
+            raise ValueError("complement is defined for loop-free graphs")
+        full = (1 << self.n) - 1
+        rows = tuple((full & ~self.rows[v]) & ~(1 << v) for v in range(self.n))
+        return Graph(self.n, rows)
+
+    def induced(self, members) -> "Graph":
+        """Subgraph induced on `members`, relabeled 0..len(members)-1.
+
+        Labels follow the sorted order of `members`.
+        """
+        verts = sorted(set(members))
+        if verts and not (0 <= verts[0] and verts[-1] < self.n):
+            raise ValueError("induced set outside vertex range")
+        index = {v: i for i, v in enumerate(verts)}
+        m = len(verts)
+        rows = [0] * m
+        loops = 0
+        for v in verts:
+            i = index[v]
+            for w in verts:
+                if w != v and (self.rows[v] >> w) & 1:
+                    rows[i] |= 1 << index[w]
+            if (self.loops >> v) & 1:
+                loops |= 1 << i
+        return Graph(m, tuple(rows), loops)
+
+    def add_loops(self) -> "Graph":
+        """Attach a loop to every vertex (raises if any loop is present)."""
+        if self.loops:
+            raise ValueError("graph already has loops")
+        return Graph(self.n, self.rows, (1 << self.n) - 1)
+
+    # -- matrices and serialization -----------------------------------
+
+    def adjacency(self) -> list[list[int]]:
+        """Integer adjacency matrix; loop diagonal entries are 2."""
+        mat = [[0] * self.n for _ in range(self.n)]
+        for v in range(self.n):
+            row = self.rows[v]
+            out = mat[v]
+            while row:
+                low = row & -row
+                out[low.bit_length() - 1] = 1
+                row ^= low
+            if (self.loops >> v) & 1:
+                out[v] = 2
+        return mat
+
+    def to_numpy(self) -> np.ndarray:
+        return np.array(self.adjacency(), dtype=float)
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "n": self.n,
+                "edges": [[u, v] for u, v in self.edges()],
+                "loops": [v for v in range(self.n) if (self.loops >> v) & 1],
+            },
+            sort_keys=True,
+        )
+
+    @staticmethod
+    def from_json(text: str) -> "Graph":
+        data = json.loads(text)
+        g = Graph.build(data["n"], [tuple(e) for e in data["edges"]])
+        loops = 0
+        for v in data.get("loops", []):
+            if not 0 <= v < g.n:
+                raise ValueError(f"loop vertex {v} out of range")
+            loops |= 1 << v
+        return Graph(g.n, g.rows, loops)
+
+
+def build(n: int, edges) -> Graph:
+    return Graph.build(n, edges)
+
+
+# -- graph6 ------------------------------------------------------------
+
+
+def _g6_header(n: int) -> bytes:
+    if n <= 62:
+        return bytes([n + 63])
+    if n <= 258047:
+        return bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+    raise CapabilityError(f"graph6 header for n={n} not supported")
+
+
+def graph6_encode(g: Graph) -> str:
+    """Standard graph6 encoding (upper triangle, column-major, 6-bit chunks)."""
+    if g.loops:
+        raise ValueError("graph6 encodes loop-free graphs only")
+    out = bytearray(_g6_header(g.n))
+    acc = 0
+    nbits = 0
+    for col in range(1, g.n):
+        for row in range(col):
+            acc = (acc << 1) | ((g.rows[col] >> row) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(acc + 63)
+                acc = 0
+                nbits = 0
+    if nbits:
+        out.append((acc << (6 - nbits)) + 63)
+    return out.decode("ascii")
+
+
+def graph6_decode(text: str) -> Graph:
+    """Decode graph6 text; malformed input raises Graph6ParseError."""
+    data = text.strip().encode("ascii", errors="replace")
+    if not data:
+        raise Graph6ParseError("empty graph6 string", 0)
+    pos = 0
+    if data[0] == 126:
+        if len(data) >= 2 and data[1] == 126:
+            raise Graph6ParseError("graph6 long-long header not supported", 1)
+        if len(data) < 4:
+            raise Graph6ParseError("truncated graph6 extended header", len(data))
+        vals = []
+        for i in (1, 2, 3):
+            if not 63 <= data[i] <= 126:
+                raise Graph6ParseError(f"invalid header byte {data[i]}", i)
+            vals.append(data[i] - 63)
+        n = (vals[0] << 12) | (vals[1] << 6) | vals[2]
+        pos = 4
+    else:
+        if not 63 <= data[0] <= 126:
+            raise Graph6ParseError(f"invalid header byte {data[0]}", 0)
+        n = data[0] - 63
+        pos = 1
+    if n < 1:
+        raise Graph6ParseError(f"decoded vertex count {n} < 1", 0)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(data) - pos != nbytes:
+        raise Graph6ParseError(
+            f"body length {len(data) - pos} != expected {nbytes} for n={n}",
+            len(data),
+        )
+    rows = [0] * n
+    bit = 0
+    for i in range(nbytes):
+        byte = data[pos + i]
+        if not 63 <= byte <= 126:
+            raise Graph6ParseError(f"invalid body byte {byte}", pos + i)
+        val = byte - 63
+        for k in range(5, -1, -1):
+            if bit >= nbits:
+                if (val >> k) & 1:
+                    raise Graph6ParseError("nonzero padding bits", pos + i)
+                continue
+            if (val >> k) & 1:
+                # recover (row, col) for this upper-triangle position
+                col = _g6_col(bit)
+                row = bit - col * (col - 1) // 2
+                rows[row] |= 1 << col
+                rows[col] |= 1 << row
+            bit += 1
+    return Graph(n, tuple(rows))
+
+
+def _g6_col(bit: int) -> int:
+    # column c covers bit positions [c(c-1)/2, c(c+1)/2)
+    c = int(((8 * bit + 1) ** 0.5 - 1) / 2)
+    while c * (c + 1) // 2 <= bit:
+        c += 1
+    while c * (c - 1) // 2 > bit:
+        c -= 1
+    return c
+
+
+# -- canonical form ----------------------------------------------------
+
+
+def _refined_colors(g: Graph) -> list[int]:
+    """Iterated neighborhood color refinement; ids are isomorphism-invariant."""
+    n = g.n
+    degs = g.degrees()
+    palette = {d: i for i, d in enumerate(sorted(set(degs)))}
+    colors = [palette[d] for d in degs]
+    for _ in range(n):
+        sigs = []
+        for v in range(n):
+            nb = sorted(colors[w] for w in g.neighbors(v))
+            sigs.append((colors[v], tuple(nb)))
+        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [palette[s] for s in sigs]
+        if new == colors:
+            break
+        colors = new
+    return colors
+
+
+def canonical_form(g: Graph) -> bytes:
+    """Byte string equal for two graphs iff they are isomorphic (n <= 12).
+
+    Computes the lexicographic minimum of the column-major upper-triangle
+    adjacency bit string over the vertex orderings that list the refined
+    color classes in canonical order (refinement is isomorphism-equivariant
+    with label-free class ids, so the minimum is a complete invariant).
+    The result is packed as graph6 bytes, so the canonical labeling can be
+    decoded back with graph6_decode.
+    """
+    if g.loops:
+        raise ValueError("canonical_form is defined for loop-free graphs")
+    if g.n > CANONICAL_MAX_N:
+        raise CapabilityError(f"canonical_form capped at n={CANONICAL_MAX_N}")
+    n = g.n
+    rows = g.rows
+    colors = _refined_colors(g)
+    pos_color = sorted(colors)
+
+    best: list[int] = []
+    chunk = [0] * n
+    used = [False] * n
+
+    def dfs(p: int) -> None:
+        if p == n:
+            return
+        want = pos_color[p]
+        cands = sorted(
+            (chunk[v], v) for v in range(n) if not used[v] and colors[v] == want
+        )
+        for ch, v in cands:
+            if p > 0:
+                if len(best) >= p:
+                    if ch > best[p - 1]:
+                        break
+                    if ch < best[p - 1]:
+                        best[p - 1] = ch
+                        del best[p:]
+                else:
+                    best.append(ch)
+            used[v] = True
+            row = rows[v]
+            saved = []
+            for w in range(n):
+                if not used[w]:
+                    saved.append((w, chunk[w]))
+                    chunk[w] = (chunk[w] << 1) | ((row >> w) & 1)
+            dfs(p + 1)
+            for w, old in saved:
+                chunk[w] = old
+            used[v] = False
+
+    dfs(0)
+
+    out = bytearray(_g6_header(n))
+    acc = 0
+    nbits = 0
+    for p in range(1, n):
+        ch = best[p - 1] if best else 0
+        for k in range(p - 1, -1, -1):
+            acc = (acc << 1) | ((ch >> k) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(acc + 63)
+                acc = 0
+                nbits = 0
+    if nbits:
+        out.append((acc << (6 - nbits)) + 63)
+    return bytes(out)
+
+
+# -- helpers for randomized sweeps --------------------------------------
+
+
+def random_connected_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
+    """Seeded random connected simple graph on n vertices."""
+    while True:
+        edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+        ]
+        g = Graph.build(n, edges)
+        if g.is_connected():
+            return g

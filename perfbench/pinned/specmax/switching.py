@@ -1,0 +1,276 @@
+"""Local edge switching and the loop-graph path operations, as exact graph
+rewrites paired with numeric certificates for their spectral inequalities."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .graphs import Graph
+from .spectral import perron, spectral_radius
+
+KINDS = ("LS", "Op1", "Op2", "Op3", "Op4", "Op5")
+
+
+@dataclass(frozen=True)
+class SwitchMove:
+    """A rewrite kind plus its labeled participants.
+
+    LS: (s, t, v, u) -- replaces edges uv, st by sv, tu.
+    Op1/Op2: the complement path (v1, ..., vt) of a loop graph.
+    Op3/Op4: (u, v, t1, t2); Op5: (u, v, t1, t2, t3).
+    """
+
+    kind: str
+    vertices: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown move kind {self.kind!r}")
+        object.__setattr__(self, "vertices", tuple(int(v) for v in self.vertices))
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "vertices": list(self.vertices)}
+
+
+@dataclass(frozen=True)
+class SwitchCertificate:
+    rho_before: float
+    rho_after: float
+    hypothesis_value: float
+    conclusion_holds: bool
+    equality_case: bool
+
+    def to_json(self) -> dict:
+        return {
+            "rho_before": self.rho_before,
+            "rho_after": self.rho_after,
+            "hypothesis_value": self.hypothesis_value,
+            "conclusion_holds": self.conclusion_holds,
+            "equality_case": self.equality_case,
+        }
+
+
+def _need_edge(g: Graph, u: int, v: int, label: str):
+    if not g.has_edge(u, v):
+        raise ValueError(f"{label}: edge ({u},{v}) must be present")
+
+
+def _need_nonedge(g: Graph, u: int, v: int, label: str):
+    if u == v or g.has_edge(u, v):
+        raise ValueError(f"{label}: edge ({u},{v}) must be absent")
+
+
+def _need_loop(g: Graph, v: int, label: str):
+    if not g.has_loop(v):
+        raise ValueError(f"{label}: loop at {v} must be present")
+
+
+def _check_complement_path(g: Graph, path, label: str):
+    if len(path) != len(set(path)):
+        raise ValueError(f"{label}: path vertices must be distinct")
+    if len(path) < 3:
+        raise ValueError(f"{label}: path needs at least 3 vertices")
+    for a, b in zip(path, path[1:]):
+        _need_nonedge(g, a, b, f"{label} (consecutive pair non-adjacent)")
+    for i, a in enumerate(path):
+        for b in path[i + 2 :]:
+            _need_edge(g, a, b, f"{label} (non-consecutive pair adjacent)")
+
+
+def apply(g: Graph, move: SwitchMove) -> Graph:
+    """Apply a switching move, validating its edge/loop preconditions."""
+    vs = move.vertices
+    if move.kind == "LS":
+        s, t, v, u = vs
+        if len({s, t, v, u}) != 4:
+            raise ValueError("LS vertices must be distinct")
+        _need_edge(g, u, v, "LS")
+        _need_edge(g, s, t, "LS")
+        _need_nonedge(g, s, v, "LS")
+        _need_nonedge(g, t, u, "LS")
+        return g.with_edges(add=[(s, v), (t, u)], remove=[(u, v), (s, t)])
+
+    if move.kind == "Op1":
+        path = vs
+        _check_complement_path(g, path, "Op1")
+        t = len(path)
+        v1, v2, vt1, vt = path[0], path[1], path[-2], path[-1]
+        if t > 4:
+            return g.with_edges(add=[(v1, v2), (vt1, vt)], remove=[(v1, vt), (v2, vt1)])
+        if t == 4:
+            _need_loop(g, path[1], "Op1")
+            _need_loop(g, path[2], "Op1")
+            return g.with_edges(
+                add=[(path[0], path[1]), (path[1], path[2]), (path[2], path[3])],
+                remove=[(path[0], path[3])],
+                drop_loops=[path[1], path[2]],
+            )
+        # t == 3
+        _need_loop(g, path[1], "Op1")
+        return g.with_edges(
+            add=[(path[0], path[1]), (path[1], path[2])],
+            remove=[(path[0], path[2])],
+            drop_loops=[path[1]],
+        )
+
+    if move.kind == "Op2":
+        path = vs
+        _check_complement_path(g, path, "Op2")
+        t = len(path)
+        if t < 4:
+            raise ValueError("Op2 needs a path on at least 4 vertices")
+        if t == 4:
+            _need_loop(g, path[2], "Op2")
+            return g.with_edges(
+                add=[(path[1], path[2]), (path[2], path[3])],
+                remove=[(path[1], path[3])],
+                drop_loops=[path[2]],
+            )
+        if t == 5:
+            _need_loop(g, path[2], "Op2")
+            _need_loop(g, path[3], "Op2")
+            return g.with_edges(
+                add=[(path[1], path[2]), (path[2], path[3]), (path[3], path[4])],
+                remove=[(path[1], path[4])],
+                drop_loops=[path[2], path[3]],
+            )
+        return g.with_edges(
+            add=[(path[1], path[2]), (path[-2], path[-1])],
+            remove=[(path[2], path[-2]), (path[1], path[-1])],
+        )
+
+    if move.kind == "Op3":
+        u, v, t1, t2 = vs
+        _check_op345_low_pair(g, u, v)
+        for w in (t1, t2):
+            if g.has_edge(u, w) or g.has_edge(v, w) or w in (u, v):
+                raise ValueError(f"Op3: vertex {w} must avoid N[u] and N[v]")
+        _need_edge(g, t1, t2, "Op3")
+        return g.with_edges(add=[(u, t1), (v, t2)], remove=[(t1, t2)])
+
+    if move.kind == "Op4":
+        u, v, t1, t2 = vs
+        _check_op345_low_pair(g, u, v)
+        if not (g.has_edge(u, t1) and g.has_edge(v, t1)):
+            raise ValueError("Op4: t1 must be a common neighbor of u and v")
+        if t2 in (t1,) or g.has_edge(t1, t2):
+            raise ValueError("Op4: t2 must avoid N[t1]")
+        _need_edge(g, u, t2, "Op4")
+        return g.with_edges(add=[(t1, t2)], remove=[(v, t1), (u, t2)])
+
+    if move.kind == "Op5":
+        u, v, t1, t2, t3 = vs
+        _check_op345_low_pair(g, u, v)
+        if not (g.has_edge(u, t1) and g.has_edge(v, t1)):
+            raise ValueError("Op5: t1 must be a common neighbor of u and v")
+        if t2 == t1 or g.has_edge(t1, t2):
+            raise ValueError("Op5: t2 must avoid N[t1]")
+        if g.has_edge(u, t3) or g.has_edge(v, t3) or t3 in (u, v):
+            raise ValueError("Op5: t3 must avoid N[u] and N[v]")
+        _need_edge(g, v, t1, "Op5")
+        _need_edge(g, t2, t3, "Op5")
+        _need_nonedge(g, t1, t2, "Op5")
+        _need_nonedge(g, u, t3, "Op5")
+        return g.with_edges(add=[(t1, t2), (u, t3)], remove=[(v, t1), (t2, t3)])
+
+    raise ValueError(f"unknown move kind {move.kind!r}")
+
+
+def _check_op345_low_pair(g: Graph, u: int, v: int):
+    if u == v:
+        raise ValueError("u and v must differ")
+    degs = g.degrees()
+    top = max(degs)
+    if degs[u] >= top or degs[v] >= top:
+        raise ValueError("u and v must both have sub-maximal degree")
+
+
+def ls_certificate(g: Graph, s: int, t: int, v: int, u: int, tol: float = 1e-10) -> SwitchCertificate:
+    """Certificate for the local-switching inequality on (s, t, v, u).
+
+    hypothesis = (x_s - x_u)(x_v - x_t) from the Perron vector of g.  When
+    the hypothesis is (numerically) nonnegative, the conclusion is
+    rho(G') >= rho(G) - 1e-9; a nonnegative-hypothesis move with strictly
+    smaller rho would falsify it.  equality_case reports x_s = x_u and
+    x_v = x_t within 1e-8.
+    """
+    pair = perron(g, tol)
+    x = pair.vector
+    hyp = float((x[s] - x[u]) * (x[v] - x[t]))
+    moved = apply(g, SwitchMove("LS", (s, t, v, u)))
+    rho_after = spectral_radius(moved, tol)
+    if hyp >= -1e-12:
+        holds = rho_after >= pair.rho - 1e-9
+    else:
+        holds = True
+    equality = bool(abs(x[s] - x[u]) <= 1e-8 and abs(x[v] - x[t]) <= 1e-8)
+    return SwitchCertificate(pair.rho, rho_after, hyp, holds, equality)
+
+
+def op1_sandwich_check(gloop: Graph, move: SwitchMove, tol: float = 1e-10) -> bool:
+    """Check rho(G~) <= rho(G) <= rho(G~) + 2 (x1 - x2)^2 for an Op1 move."""
+    if move.kind != "Op1":
+        raise ValueError("move must be an Op1")
+    pair = perron(gloop, tol)
+    x = pair.vector
+    x1 = float(x[move.vertices[0]])
+    x2 = float(x[move.vertices[1]])
+    rewritten = apply(gloop, move)
+    after = perron(rewritten, tol)
+    upper = after.rho + 2.0 * (x1 - x2) ** 2
+    return after.rho <= pair.rho + 1e-9 and pair.rho <= upper + 1e-9
+
+
+def op2_monotone_check(gloop: Graph, move: SwitchMove, tol: float = 1e-10) -> bool:
+    """Check rho does not decrease under an Op2 rewrite."""
+    if move.kind != "Op2":
+        raise ValueError("move must be an Op2")
+    before = perron(gloop, tol)
+    after = perron(apply(gloop, move), tol)
+    return after.rho >= before.rho - 1e-9
+
+
+def case2_inequality_audit(g: Graph, tol: float = 1e-10) -> dict:
+    """Perron-data audit of the two-low-vertex inequality chain.
+
+    Reports both sides of each inequality:
+      min_gap:    (lambda+1)(M - m) <= 2M - (x_u + x_v)
+      sum_lower:  x_u + x_v >= m^2 / M            (contextual; reported)
+      ratio:      M/m < 1 + 1/(lambda-1) + 1/(lambda-1)^2  (contextual)
+      diff_gap:   (d_u - d_v) m <= (lambda+1)(x_u - x_v)
+    where m, M are the extreme Perron components over the full-degree
+    vertices and u carries the larger low degree.
+    """
+    degs = g.degrees()
+    top = max(degs)
+    low = [i for i, d in enumerate(degs) if d < top]
+    if len(low) != 2:
+        raise ValueError(f"audit expects exactly 2 sub-maximal vertices, got {len(low)}")
+    pair = perron(g, tol)
+    x = pair.vector
+    u, v = low
+    if (degs[u], x[u]) < (degs[v], x[v]):
+        u, v = v, u
+    lam = pair.rho
+    tvals = [float(x[i]) for i, d in enumerate(degs) if d == top]
+    m, big = min(tvals), max(tvals)
+    xu, xv = float(x[u]), float(x[v])
+
+    def entry(lhs, rhs, strict=False):
+        ok = lhs < rhs if strict else lhs <= rhs + 1e-12
+        return {"lhs": lhs, "rhs": rhs, "holds": bool(ok)}
+
+    report = {
+        "lambda": lam,
+        "m": m,
+        "M": big,
+        "x_u": xu,
+        "x_v": xv,
+        "d_u": degs[u],
+        "d_v": degs[v],
+        "min_gap": entry((lam + 1) * (big - m), 2 * big - (xu + xv)),
+        "sum_lower": entry(m * m / big, xu + xv),
+        "ratio": entry(big / m, 1 + 1 / (lam - 1) + 1 / (lam - 1) ** 2, strict=True),
+        "diff_gap": entry((degs[u] - degs[v]) * m, (lam + 1) * (xu - xv)),
+    }
+    return report
