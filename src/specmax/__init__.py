@@ -21,7 +21,6 @@ from .intpoly import (
     count_roots,
     isolate_max_real_root,
     max_real_root,
-    max_real_root_value,
     poly_dominates,
     shifted_root_bound,
 )

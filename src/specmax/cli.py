@@ -14,9 +14,13 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
-from .enumeration import EnumSpec, enumerate_graphs, extremal_search, structure_audit
+from .enumeration import (
+    EXHAUSTIVE_MAX_N,
+    EnumSpec,
+    enumerate_graphs,
+    extremal_search,
+    structure_audit,
+)
 from .families import (
     ComplementProfile,
     admissible_deltas,
@@ -31,7 +35,14 @@ from .families import (
     h2_partition,
     named_quotient,
 )
-from .graphs import Graph, canonical_form, graph6_decode, graph6_encode, random_connected_graph
+from .graphs import (
+    CapabilityError,
+    Graph,
+    canonical_form,
+    graph6_decode,
+    graph6_encode,
+    random_connected_graph,
+)
 from .intpoly import (
     IntPolynomial,
     compare_max_real_roots,
@@ -48,9 +59,6 @@ class UsageError(ValueError):
     pass
 
 
-EXHAUSTIVE_LIMIT = 9
-
-
 def _emit(payload) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
@@ -59,43 +67,29 @@ def _status(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-# -- polynomial helpers ---------------------------------------------------
+# -- named quotient tables -------------------------------------------------
+
+FIXED_QUOTIENTS = ("B1", "B2", "B_n5")
 
 
-def f1_of(n: int) -> IntPolynomial:
-    """Closed form for the pendant-vertex family quotient at order n."""
-    return IntPolynomial((n - 2, 2 * n - 9, 5 - 2 * n, 5 - n, 1))
-
-
-def f2_of(n: int) -> IntPolynomial:
-    """Closed form for the degree-2 family quotient at order n."""
-    return IntPolynomial((2 * n - 2, 3 * n - 17, 5 - 2 * n, 5 - n, 1))
-
-
-def g_of(n: int) -> IntPolynomial:
-    """Closed form for the rewritten delta=n-5 quotient at order n."""
-    return IntPolynomial((5 * n - 17, 3 * n - 18, 8 - 3 * n, 6 - n, 1))
-
-
-def _float_max_root(p: IntPolynomial) -> float:
-    """Max real root via numpy plus a few float Newton polish steps."""
-    coeffs = list(reversed(p.coeffs))
-    roots = np.roots(coeffs)
-    scale = max(1.0, max(abs(r) for r in roots))
-    real = [r.real for r in roots if abs(r.imag) <= 1e-8 * scale]
-    x = max(real)
-    dcoeffs = np.polyder(np.array(coeffs, dtype=float))
-    for _ in range(3):
-        fx = np.polyval(coeffs, x)
-        dfx = np.polyval(dcoeffs, x)
-        if dfx == 0:
-            break
-        x -= fx / dfx
-    return float(x)
+def _named_polys(n: int) -> list[tuple[str, str, int, IntPolynomial]]:
+    """(table, family, delta, closed form) of every named quotient in the
+    order-n tables; the n3 table starts with its winner, B1 or B2."""
+    names = [("n2", "A_delta")]
+    if n >= 59:
+        winner = "B1" if n % 2 == 0 else "B2"
+        names += [("n3", name) for name in (winner, "B_n5", "B_delta", "B_dd", "B_d1")]
+    polys = []
+    for table, name in names:
+        deltas = [None] if name in FIXED_QUOTIENTS else admissible_deltas(name, n)
+        for d in deltas:
+            nq = named_quotient(name, n, d)
+            polys.append((table, name, nq.delta, nq.closed_form))
+    return polys
 
 
 def _assert_strictly_larger(
-    winner: IntPolynomial, winner_root: float, others: list[tuple[str, IntPolynomial]]
+    winner: IntPolynomial, others: list[tuple[str, IntPolynomial]]
 ) -> list[str]:
     """Exact check that winner's max real root beats every other poly.
 
@@ -103,6 +97,7 @@ def _assert_strictly_larger(
     with a root above the separator falls back to an exact pairwise
     comparison.  Returns the names of violators (empty when all pass).
     """
+    winner_root = max_real_root(winner)
     sep = Fraction(winner_root).limit_denominator(10**10) - Fraction(1, 10**8)
     if count_roots(winner, sep, None) != 1:
         sep = isolate_max_real_root(winner).lo
@@ -112,7 +107,7 @@ def _assert_strictly_larger(
             continue
         if compare_max_real_roots(poly, winner) < 0:
             continue
-        bad.append(f"{name}: root {_float_max_root(poly):.12f} !< {winner_root:.12f}")
+        bad.append(f"{name}: root {max_real_root(poly):.12f} !< {winner_root:.12f}")
     return bad
 
 
@@ -131,8 +126,8 @@ def run_verify_signs(n_min: int, n_max: int) -> dict:
         t2 = Fraction(n, 2)
         t3 = Fraction(0)
         t4 = Fraction(-1) - Fraction(2, n) - Fraction(4, n * n)
-        g = g_of(n)
-        f2 = f2_of(n)
+        g = named_quotient("B_n5", n).closed_form
+        f2 = named_quotient("B2", n).closed_form
         expect = [
             ("g(t4)<0", g(t4) < 0, str(g(t4))),
             ("g(t3)>0", g(t3) > 0, str(g(t3))),
@@ -182,37 +177,10 @@ def run_verify_signs(n_min: int, n_max: int) -> dict:
 
 def family_table(n: int) -> list[dict]:
     """Rows (table, family, delta, rho) for every admissible named quotient."""
-    rows = []
-    for d in admissible_deltas("A_delta", n):
-        nq = named_quotient("A_delta", n, d)
-        rows.append(
-            {"table": "n2", "family": "A_delta", "delta": d, "rho": _float_max_root(nq.closed_form)}
-        )
-    if n >= 59:
-        if n % 2 == 0:
-            rows.append({"table": "n3", "family": "B1", "delta": 1, "rho": _float_max_root(f1_of(n))})
-        else:
-            rows.append({"table": "n3", "family": "B2", "delta": 2, "rho": _float_max_root(f2_of(n))})
-        rows.append(
-            {"table": "n3", "family": "B_n5", "delta": n - 5, "rho": _float_max_root(g_of(n))}
-        )
-        for d in admissible_deltas("B_delta", n):
-            nq = named_quotient("B_delta", n, d)
-            rows.append(
-                {"table": "n3", "family": "B_delta", "delta": d, "rho": _float_max_root(nq.closed_form)}
-            )
-        for d in admissible_deltas("B_dd", n):
-            nq = named_quotient("B_dd", n, d)
-            rows.append(
-                {"table": "n3", "family": "B_dd", "delta": d, "rho": _float_max_root(nq.closed_form)}
-            )
-        for d in admissible_deltas("B_d1", n):
-            nq = named_quotient("B_d1", n, d)
-            rows.append(
-                {"table": "n3", "family": "B_d1", "delta": d, "rho": _float_max_root(nq.closed_form)}
-            )
-    for row in rows:
-        row["n"] = n
+    rows = [
+        {"table": table, "family": family, "delta": d, "rho": max_real_root(poly), "n": n}
+        for table, family, d, poly in _named_polys(n)
+    ]
     rows.sort(key=lambda r: (r["table"], -r["rho"], r["family"], r["delta"]))
     rank = {}
     for row in rows:
@@ -225,48 +193,23 @@ def family_table(n: int) -> list[dict]:
 def check_family_ordering(n: int) -> list[str]:
     """Exact assertions behind the order-n table; returns violation names."""
     bad = []
-    if n >= 5:
+    polys = _named_polys(n)
+    n2 = {d: poly for table, _, d, poly in polys if table == "n2"}
+    if n2:
         # the n2 winner: delta = n-3 for odd n, {2, n-4} tied for even n
-        deltas = admissible_deltas("A_delta", n)
-        if deltas:
-            if n % 2 == 1:
-                win = named_quotient("A_delta", n, n - 3).closed_form
-                others = [
-                    (f"A_delta({d})", named_quotient("A_delta", n, d).closed_form)
-                    for d in deltas
-                    if d != n - 3
-                ]
-                root = _float_max_root(win)
-                bad += [f"n2:{name}" for name in _assert_strictly_larger(win, root, others)]
-            elif n >= 6:
-                win = named_quotient("A_delta", n, 2).closed_form
-                tied = named_quotient("A_delta", n, n - 4).closed_form
-                if win != tied:
-                    bad.append("n2:f(2)!=f(n-4)")
-                root = _float_max_root(win)
-                others = [
-                    (f"A_delta({d})", named_quotient("A_delta", n, d).closed_form)
-                    for d in deltas
-                    if d not in (2, n - 4)
-                ]
-                bad += [f"n2:{name}" for name in _assert_strictly_larger(win, root, others)]
+        tops = (n - 3,) if n % 2 else (2, n - 4)
+        win = n2[tops[0]]
+        if n2[tops[-1]] != win:
+            bad.append("n2:f(2)!=f(n-4)")
+        others = [(f"A_delta({d})", poly) for d, poly in n2.items() if d not in tops]
+        bad += [f"n2:{name}" for name in _assert_strictly_larger(win, others)]
     if n >= 59:
-        winner = f1_of(n) if n % 2 == 0 else f2_of(n)
-        root = _float_max_root(winner)
-        others = [("B_n5", g_of(n))]
-        others += [
-            (f"B_delta({d})", named_quotient("B_delta", n, d).closed_form)
-            for d in admissible_deltas("B_delta", n)
+        (_, winner), *rest = [
+            (family if family in FIXED_QUOTIENTS else f"{family}({d})", poly)
+            for table, family, d, poly in polys
+            if table == "n3"
         ]
-        others += [
-            (f"B_dd({d})", named_quotient("B_dd", n, d).closed_form)
-            for d in admissible_deltas("B_dd", n)
-        ]
-        others += [
-            (f"B_d1({d})", named_quotient("B_d1", n, d).closed_form)
-            for d in admissible_deltas("B_d1", n)
-        ]
-        bad += [f"n3:{name}" for name in _assert_strictly_larger(winner, root, others)]
+        bad += [f"n3:{name}" for name in _assert_strictly_larger(winner, rest)]
         bad += _final_comparison_identities(n)
     return bad
 
@@ -277,8 +220,8 @@ def _final_comparison_identities(n: int) -> list[str]:
     p_dd = named_quotient("B_dd", n, n - 4).closed_form
     # lam * P(B_{n-4,n-4}) shifted coefficients
     lam_p = IntPolynomial((0,) + p_dd.coeffs)
-    f1 = f1_of(n)
-    f2 = f2_of(n)
+    f1 = named_quotient("B1", n).closed_form
+    f2 = named_quotient("B2", n).closed_form
     if (lam_p - f2).coeffs != (2 - 2 * n, 2 * n - 2, -2):
         bad.append("identity:lamP_dd-f2")
     if (lam_p - f1).coeffs != (2 - n, 3 * n - 10, -2):
@@ -314,8 +257,8 @@ def run_compare_families(n: int, fmt: str = "json") -> tuple[dict, bool]:
 
 
 def run_theorem_n2(n_min: int, n_max: int) -> dict:
-    if not 5 <= n_min <= n_max <= EXHAUSTIVE_LIMIT:
-        raise UsageError(f"theorem-n2 needs 5 <= n_min <= n_max <= {EXHAUSTIVE_LIMIT}")
+    if not 5 <= n_min <= n_max <= EXHAUSTIVE_MAX_N:
+        raise UsageError(f"theorem-n2 needs 5 <= n_min <= n_max <= {EXHAUSTIVE_MAX_N}")
     failures = []
     for n in range(n_min, n_max + 1):
         report = extremal_search(EnumSpec(n, n - 2))
@@ -410,6 +353,8 @@ def run_sandwich(n: int, delta: int, profile: ComplementProfile) -> dict:
 
 def run_lemmas(trials: int, seed: int) -> dict:
     """Randomized and family-based property sweep."""
+    if trials < 0:
+        raise UsageError("lemmas suite needs trials >= 0")
     rng = random.Random(seed)
     failures = []
 
@@ -557,7 +502,7 @@ def _read_graph(path: str) -> Graph:
     # '{"' cannot start a graph6 line ('"' is outside the 6-bit byte range)
     if text.startswith('{"'):
         return Graph.from_json(text)
-    return graph6_decode(text.splitlines()[0])
+    return graph6_decode(text.partition("\n")[0])
 
 
 def cmd_construct(args) -> int:
@@ -606,19 +551,23 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+def _given(value, default):
+    return default if value is None else value
+
+
 def cmd_verify(args) -> int:
     t0 = time.time()
     if args.suite == "signs":
-        result = run_verify_signs(args.n_min or 59, args.n_max or 500)
+        result = run_verify_signs(_given(args.n_min, 59), _given(args.n_max, 500))
     elif args.suite == "theorem-n2":
-        result = run_theorem_n2(args.n_min or 5, args.n_max or 8)
+        result = run_theorem_n2(_given(args.n_min, 5), _given(args.n_max, 8))
     elif args.suite == "theorem-n3":
-        result = run_theorem_n3(args.n_min or 59, args.n_max or 200)
+        result = run_theorem_n3(_given(args.n_min, 59), _given(args.n_max, 200))
     elif args.suite == "lemmas":
         result = run_lemmas(args.trials, args.seed)
     elif args.suite == "sandwich":
-        n = args.n_min or 60
-        delta = args.delta or (5 if n % 2 == 0 else 4)
+        n = _given(args.n_min, 60)
+        delta = _given(args.delta, 5 if n % 2 == 0 else 4)
         prof = _load_profile(args.profile) if args.profile else default_profile(n, delta)
         result = run_sandwich(n, delta, prof)
     else:
@@ -687,10 +636,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        _status(f"usage error: {exc}")
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, CapabilityError) as exc:
         _status(f"usage error: {exc}")
         return 2
 

@@ -144,10 +144,11 @@ def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[
 def extremal_search(spec: EnumSpec, tol: float = 1e-12) -> ExtremalReport:
     """All isomorphism classes attaining the maximum spectral radius.
 
-    Apparent ties at 1e-9 are re-examined exactly through the integer
-    characteristic polynomials of the adjacency matrices, so the reported
-    maximizer set contains exactly the classes whose spectral radius
-    equals the maximum as a real algebraic number.
+    Every class within 1e-7 of the float maximum is re-examined exactly
+    through the integer characteristic polynomial of its adjacency matrix,
+    and the exact maximum is taken among them, so the reported maximizer
+    set contains exactly the classes whose spectral radius equals the
+    maximum as a real algebraic number, whatever the float order.
     """
     best: list[tuple[float, Graph]] = []
     rho_max = float("-inf")
@@ -160,12 +161,17 @@ def extremal_search(spec: EnumSpec, tol: float = 1e-12) -> ExtremalReport:
         best.append((rho, g))
     if not best:
         return ExtremalReport([], float("nan"), [], 0)
-    shortlist = [(r, g) for r, g in best if r >= rho_max - 1e-7]
-    anchor = max(shortlist, key=lambda item: item[0])[1]
-    anchor_poly = char_poly(anchor.adjacency())
+    # the exact maximum over every class within float reach of the float one
+    top = None
     maximizers = []
-    for _, g in shortlist:
-        if g == anchor or compare_max_real_roots(char_poly(g.adjacency()), anchor_poly) == 0:
+    for r, g in best:
+        if r < rho_max - 1e-7:
+            continue
+        poly = char_poly(g.adjacency())
+        order = 1 if top is None else compare_max_real_roots(poly, top)
+        if order > 0:
+            top, maximizers = poly, [g]
+        elif order == 0:
             maximizers.append(g)
     maximizers.sort(key=canonical_form)
     return ExtremalReport(

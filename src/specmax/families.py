@@ -378,6 +378,9 @@ def named_quotient(which: str, n: int, delta: int | None = None) -> NamedQuotien
 
     The construction asserts that char_poly(matrix) equals the closed form
     exactly, so a successful return certifies the printed formula at (n, delta).
+    B1 and B2 are the quotients of H1 (even n) and H2 (odd n); both are
+    returned at either parity, since the sign table and the closing
+    identities use each form at every order.
     """
     if which == "A_delta":
         d = _need_delta(which, delta)
@@ -386,15 +389,17 @@ def named_quotient(which: str, n: int, delta: int | None = None) -> NamedQuotien
         matrix = ((0, d, 0), (1, d - 2, n - d - 1), (0, d, n - d - 2))
         poly = IntPolynomial((-(d * d + 2 * d - n * d), 4 - 2 * n, 4 - n, 1))
     elif which == "B1":
-        if n % 2 != 0 or n < 6:
-            raise ValueError(f"B1 needs even n >= 6, got {n}")
+        if n < 6:
+            raise ValueError(f"B1 needs n >= 6, got {n}")
         matrix = ((0, 1, 0, 0), (1, 0, 0, n - 4), (0, 0, 1, n - 4), (0, 1, 2, n - 6))
         poly = IntPolynomial((n - 2, 2 * n - 9, 5 - 2 * n, 5 - n, 1))
+        delta = 1
     elif which == "B2":
-        if n % 2 == 0 or n < 9:
-            raise ValueError(f"B2 needs odd n >= 9, got {n}")
+        if n < 9:
+            raise ValueError(f"B2 needs n >= 9, got {n}")
         matrix = ((0, 2, 0, 0), (1, 1, 2, n - 7), (0, 1, 3, n - 7), (0, 2, 4, n - 9))
         poly = IntPolynomial((2 * n - 2, 3 * n - 17, 5 - 2 * n, 5 - n, 1))
+        delta = 2
     elif which == "B_delta":
         d = _need_delta(which, delta)
         if not 3 <= d <= n - 5:

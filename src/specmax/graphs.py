@@ -244,10 +244,6 @@ class Graph:
         return Graph(g.n, g.rows, loops)
 
 
-def build(n: int, edges) -> Graph:
-    return Graph.build(n, edges)
-
-
 # -- graph6 ------------------------------------------------------------
 
 
@@ -281,7 +277,10 @@ def graph6_encode(g: Graph) -> str:
 
 def graph6_decode(text: str) -> Graph:
     """Decode graph6 text; malformed input raises Graph6ParseError."""
-    data = text.strip().encode("ascii", errors="replace")
+    try:
+        data = text.strip().encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6ParseError("non-ASCII character", exc.start) from None
     if not data:
         raise Graph6ParseError("empty graph6 string", 0)
     pos = 0

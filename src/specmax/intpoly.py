@@ -1,18 +1,20 @@
-"""Exact univariate polynomial machinery over the integers/rationals.
+"""Exact univariate polynomial machinery over the integers.
 
 Provides integer characteristic polynomials of small matrices, Sturm
-sequences over exact rationals, real-root counting and isolation, and the
-sign decisions used throughout the verification suites: nonnegativity of a
-polynomial on an interval or half-line, ordering of maximum real roots,
-and shifted-root comparisons.  Floating point never enters these
-decisions; it is used only to report located roots.
+sequences built as primitive remainder sequences in Z[x], real-root
+counting and isolation, and the sign decisions used throughout the
+verification suites: nonnegativity of a polynomial on an interval or
+half-line, ordering of maximum real roots, and shifted-root comparisons.
+Every decision runs on integer coefficients; a rational point a/b enters
+as b^d * p(a/b).  Floating point appears only in the reported root, which
+is the correctly rounded double.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf, nextafter
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,6 @@ class RootBracket:
 
     lo: Fraction
     hi: Fraction
-    which: str = "max"
 
     def __post_init__(self):
         object.__setattr__(self, "lo", Fraction(self.lo))
@@ -140,112 +141,221 @@ def _matmul(a, b):
     return out
 
 
-# -- rational coefficient helpers ---------------------------------------
-
-_POS_INF = object()
-_NEG_INF = object()
-
-
-def _frac(p: IntPolynomial) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
+# -- integer coefficient helpers ------------------------------------------
+#
+# Polynomials are coefficient tuples of ints, constant term first, with no
+# trailing zeros (IntPolynomial.coeffs).  A point x = a/b is the reduced
+# pair (a, b) with b > 0; (1, 0) and (-1, 0) stand for +infinity and
+# -infinity.
 
 
-def _trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _le(x, y) -> bool:
+    return x[0] * y[1] <= y[0] * x[1]
 
 
-def _eval(c: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for v in reversed(c):
-        acc = acc * x + v
-    return acc
+def _mid(x, y, k: int = 1, m: int = 2) -> tuple[int, int]:
+    """The point x + (y - x) * k/m, the midpoint by default."""
+    a, b = x[0] * y[1] * (m - k) + y[0] * x[1] * k, x[1] * y[1] * m
+    g = gcd(a, b)
+    return a // g, b // g
 
 
-def _deriv(c: list[Fraction]) -> list[Fraction]:
-    return [c[i] * i for i in range(1, len(c))]
+def _sign_at(c, x) -> int:
+    """Sign of p(a/b) as the sign of b^d * p(a/b) = sum c_i a^i b^(d-i).
+
+    With b = 0 only the leading term survives, giving the sign at +-infinity.
+    """
+    a, b = x
+    acc, scale = 0, 1
+    for coef in reversed(c):
+        acc = acc * a + coef * scale
+        scale *= b
+    return (acc > 0) - (acc < 0)
 
 
-def _divmod(a: list[Fraction], b: list[Fraction]):
-    b = _trim(b[:])
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = _trim(a[:])
+def _derivative(c) -> tuple[int, ...]:
+    return tuple(i * c[i] for i in range(1, len(c)))
+
+
+def _primitive(c) -> tuple[int, ...]:
+    """c divided by the gcd of its coefficients (signs kept)."""
+    g = gcd(*c)
+    return tuple(v // g for v in c)
+
+
+def _exact_div(a, b) -> tuple[int, ...]:
+    """Quotient a / b when b divides a in Z[x] (b primitive, so by Gauss's
+    lemma every long-division step divides exactly)."""
+    rem = list(a)
     db = len(b) - 1
-    lead = b[-1]
-    quot = [Fraction(0)] * max(0, len(rem) - db)
-    while rem and len(rem) - 1 >= db:
-        shift = len(rem) - 1 - db
-        f = rem[-1] / lead
-        quot[shift] = f
-        for i in range(len(b)):
-            rem[shift + i] -= f * b[i]
-        rem.pop()
-        rem = _trim(rem)
-    return _trim(quot), rem
+    quot = [0] * (len(a) - db)
+    for i in range(len(quot) - 1, -1, -1):
+        q = quot[i] = rem[i + db] // b[-1]
+        for j, bj in enumerate(b):
+            rem[i + j] -= q * bj
+    return tuple(quot)
 
 
-def _shift(c: list[Fraction], s: Fraction) -> list[Fraction]:
-    """Coefficients of p(x + s), exactly (synthetic Taylor shift)."""
-    out = [Fraction(v) for v in c]
-    m = len(out)
-    for i in range(m - 1):
-        for j in range(m - 2, i - 1, -1):
-            out[j] += s * out[j + 1]
-    return out
+def _prs(a, b) -> list[tuple[int, ...]]:
+    """Primitive remainder sequence a, b, r2, r3, ... down to the last nonzero.
+
+    Each r(k+1) is the primitive part of -prem(r(k-1), r(k)), the
+    pseudo-remainder taken with its sign corrected, so it is a positive
+    multiple of the Euclidean -rem(r(k-1), r(k)): with b = a' the sequence
+    is a Sturm sequence, and its last element is gcd(a, b) up to a constant.
+    """
+    seq = [a]
+    while b:
+        seq.append(b)
+        # r = lead(b)^m * a - q * b after m elimination steps
+        r, m, lead = list(a), 0, b[-1]
+        while len(r) >= len(b):
+            f, shift = r[-1], len(r) - len(b)
+            r = [lead * v for v in r]
+            for i, bi in enumerate(b):
+                r[shift + i] -= f * bi
+            m += 1
+            while r and r[-1] == 0:
+                r.pop()
+        if lead < 0 and m % 2:
+            r = [-v for v in r]
+        a, b = b, _primitive([-v for v in r]) if r else ()
+    return seq
 
 
-def _sturm_chain(c: list[Fraction]) -> list[list[Fraction]]:
-    p0 = _trim(c[:])
-    if not p0:
-        return []
-    chain = [p0]
-    p1 = _trim(_deriv(p0))
-    if p1:
-        chain.append(p1)
-        while True:
-            _, rem = _divmod(chain[-2], chain[-1])
-            if not rem:
-                break
-            chain.append([-v for v in rem])
+def _sturm_chain(c) -> list[tuple[int, ...]]:
+    """Sturm sequence of the square-free part of c, which is chain[0].
+
+    Its roots are the distinct roots of c, all simple, so the variation
+    count V(lo) - V(hi) is the number of distinct roots in (lo, hi] for any
+    lo < hi, roots at the endpoints included.
+    """
+    chain = _prs(c, _derivative(c))
+    if len(chain[-1]) > 1:
+        c = _exact_div(c, _primitive(chain[-1]))
+        chain = _prs(c, _derivative(c))
     return chain
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _variations(signs: list[int]) -> int:
-    seq = [s for s in signs if s != 0]
+def _variations(chain, x) -> int:
+    seq = [s for s in (_sign_at(p, x) for p in chain) if s]
     return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
 
 
-def _variations_at(chain, x) -> int:
-    if x is _POS_INF:
-        return _variations([_sign(p[-1]) for p in chain])
-    if x is _NEG_INF:
-        return _variations(
-            [_sign(p[-1]) * (-1 if (len(p) - 1) % 2 else 1) for p in chain]
-        )
-    return _variations([_sign(_eval(p, x)) for p in chain])
-
-
-def _deflate_root(c: list[Fraction], r: Fraction) -> tuple[list[Fraction], int]:
-    """Divide out (x - r) as often as it divides; return (quotient, multiplicity)."""
+def _deflate(c, x) -> tuple[tuple[int, ...], int]:
+    """Divide out (b*x - a) for x = a/b as often as it divides; return
+    (quotient, multiplicity)."""
     mult = 0
-    cur = _trim(c[:])
-    while cur and _eval(cur, r) == 0:
-        out = []
-        acc = Fraction(0)
-        for v in reversed(cur):
-            acc = acc * r + v
-            out.append(acc)
-        # out holds the synthetic-division accumulators; last is the remainder (0)
-        quot = list(reversed(out[:-1]))
-        cur = _trim(quot)
+    while _sign_at(c, x) == 0:
+        c = _exact_div(c, (-x[0], x[1]))
         mult += 1
-    return cur, mult
+    return c, mult
+
+
+def _shift(c, x) -> list[int]:
+    """Coefficients of b^d * p(t - a/b) for x = a/b, d = deg p: Horner's
+    scheme in (b*t - a), where the coefficient c_i carries b^(d-i)."""
+    a, b = x
+    out: list[int] = []
+    scale = 1
+    for coef in reversed(c):
+        out = [b * up - a * same for up, same in zip([0] + out, out + [0])]
+        out[0] += coef * scale
+        scale *= b
+    return out
+
+
+def _root_bound(c) -> int:
+    """An integer B with |z| < B for every complex root z of a nonconstant
+    polynomial: 1 + ceil(max |c_i| / |c_d|) (Cauchy)."""
+    return 1 - (-max(abs(v) for v in c[:-1]) // abs(c[-1]))
+
+
+def _max_root_bracket(chain):
+    """Bracket (lo, hi] holding exactly the maximum real root, by bisection
+    on the variation counts of one Sturm chain."""
+    bound = _root_bound(chain[0])
+    lo, hi = (-bound, 1), (bound, 1)
+    v_lo, v_hi = _variations(chain, lo), _variations(chain, hi)
+    if v_lo == v_hi:
+        raise ValueError("polynomial has no real roots")
+    while v_lo - v_hi > 1:
+        mid = _mid(lo, hi)
+        v = _variations(chain, mid)
+        if v > v_hi:
+            lo, v_lo = mid, v
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _bisect(s, lo, hi):
+    """Halve a bracket (lo, hi] of the maximum root r of the square-free s.
+
+    Above r the sign of s is that of its leading coefficient, and between
+    the next lower root and r it is the opposite one.
+    """
+    mid = _mid(lo, hi)
+    if _sign_at(s, mid) * s[-1] >= 0:
+        return lo, mid
+    return mid, hi
+
+
+def _nonroot_point(c, a, b):
+    """A rational in (a, b) where the polynomial does not vanish."""
+    m = len(c) + 2
+    for k in range(1, m):
+        x = _mid(a, b, k, m)
+        if _sign_at(c, x):
+            return x
+    raise ArithmeticError("could not find non-root sample point")
+
+
+def _isolate_in(chain, c, a, b, k: int) -> list:
+    """Split (a, b] into k sub-intervals each holding one distinct root."""
+    if k == 0:
+        return []
+    if k == 1:
+        return [(a, b)]
+    mid = _nonroot_point(c, a, b)
+    kl = _variations(chain, a) - _variations(chain, mid)
+    return _isolate_in(chain, c, a, mid, kl) + _isolate_in(chain, c, mid, b, k - kl)
+
+
+def _nonneg_on(c, lo, hi) -> bool:
+    """Exact decision: p(x) >= 0 for all x in [lo, hi] ([lo, inf) if hi None)."""
+    if len(c) == 1:
+        return c[0] >= 0
+    if hi is None:
+        if c[-1] < 0:
+            return False
+        # above the root bound the (positive) leading term rules, so the
+        # half-line question reduces to a bounded interval
+        hi = (max(_root_bound(c), lo[0] // lo[1] + 1), 1)
+    elif not _le(lo, hi):
+        raise ValueError("empty interval")
+    if lo == hi:
+        return _sign_at(c, lo) >= 0
+    # factor out roots at the endpoints: on [lo, hi], (x-lo)^a >= 0 always,
+    # while (x-hi)^b flips the interior sign when b is odd
+    c, _ = _deflate(c, lo)
+    c, m_hi = _deflate(c, hi)
+    if m_hi % 2 == 1:
+        c = tuple(-v for v in c)
+    if len(c) == 1:
+        return c[0] >= 0
+    # endpoints are now non-roots; sample at both endpoints and at the
+    # endpoints of isolating intervals of interior roots -- every maximal
+    # root-free region of [lo, hi] contains one of these points
+    chain = _sturm_chain(c)
+    k = _variations(chain, lo) - _variations(chain, hi)
+    samples = [lo, hi]
+    for a, b in _isolate_in(chain, c, lo, hi, k):
+        samples += [a, b]
+    return all(_sign_at(c, x) >= 0 for x in samples)
+
+
+# -- public decision procedures -----------------------------------------
 
 
 def count_roots(p: IntPolynomial, lo, hi) -> int:
@@ -255,252 +365,102 @@ def count_roots(p: IntPolynomial, lo, hi) -> int:
     """
     if p.is_zero:
         raise ValueError("count_roots of the zero polynomial")
-    if lo is not None and hi is not None and not Fraction(lo) < Fraction(hi):
+    a = (-1, 0) if lo is None else lo.as_integer_ratio()
+    b = (1, 0) if hi is None else hi.as_integer_ratio()
+    if a[1] and b[1] and _le(b, a):
         raise ValueError(f"count_roots needs lo < hi, got ({lo}, {hi}]")
-    c = _frac(p)
-    at_hi = 0
-    if hi is not None:
-        hi = Fraction(hi)
-        c, m = _deflate_root(c, hi)
-        at_hi = 1 if m else 0
-    if lo is not None:
-        lo = Fraction(lo)
-        c, _ = _deflate_root(c, lo)
-    c = _trim(c)
-    if len(c) <= 1:
-        return at_hi
-    chain = _sturm_chain(c)
-    va = _variations_at(chain, _NEG_INF if lo is None else lo)
-    vb = _variations_at(chain, _POS_INF if hi is None else hi)
-    return va - vb + at_hi
-
-
-def _cauchy_bound(c: list[Fraction]) -> Fraction:
-    lead = abs(c[-1])
-    return 1 + max(abs(v) for v in c) / lead
-
-
-def _nonroot_point(c: list[Fraction], a: Fraction, b: Fraction) -> Fraction:
-    """A rational in (a, b) where the polynomial does not vanish."""
-    deg = len(c) - 1
-    for k in range(1, deg + 3):
-        x = a + (b - a) * Fraction(k, deg + 3)
-        if _eval(c, x) != 0:
-            return x
-    raise ArithmeticError("could not find non-root sample point")
-
-
-def _isolate_in(chain, c, a: Fraction, b: Fraction, k: int) -> list:
-    """Split (a, b] into k sub-intervals each holding one distinct root."""
-    if k == 0:
-        return []
-    if k == 1:
-        return [(a, b)]
-    mid = _nonroot_point(c, a, b)
-    va = _variations_at(chain, a)
-    vm = _variations_at(chain, mid)
-    kl = va - vm
-    return _isolate_in(chain, c, a, mid, kl) + _isolate_in(chain, c, mid, b, k - kl)
-
-
-def _nonneg_on(c: list[Fraction], lo: Fraction, hi) -> bool:
-    """Exact decision: p(x) >= 0 for all x in [lo, hi] ([lo, inf) if hi None)."""
-    c = _trim(c[:])
-    if not c:
-        return True
-    if hi is None:
-        if len(c) == 1:
-            return c[0] >= 0
-        if c[-1] < 0:
-            return False
-        # above the Cauchy bound the (positive) leading term rules, so the
-        # half-line question reduces to a bounded interval
-        hi = max(lo + 1, _cauchy_bound(c))
-    else:
-        hi = Fraction(hi)
-        if not lo <= hi:
-            raise ValueError("empty interval")
-    if lo == hi:
-        return _eval(c, lo) >= 0
-    # factor out roots at the endpoints: on [lo, hi], (x-lo)^a >= 0 always,
-    # while (x-hi)^b flips the interior sign when b is odd
-    c, _ = _deflate_root(c, lo)
-    c, m_hi = _deflate_root(c, hi)
-    if m_hi % 2 == 1:
-        c = [-v for v in c]
-    c = _trim(c)
-    if not c:
-        return True
-    if len(c) == 1:
-        return c[0] >= 0
-    # endpoints are now non-roots; sample at both endpoints and at the
-    # endpoints of isolating intervals of interior roots -- every maximal
-    # root-free region of [lo, hi] contains one of these points
-    chain = _sturm_chain(c)
-    k = _variations_at(chain, lo) - _variations_at(chain, hi)
-    intervals = _isolate_in(chain, c, lo, hi, k) if k else []
-    samples = [lo, hi]
-    for a, b in intervals:
-        if a != lo:
-            samples.append(a)
-        if b != hi:
-            samples.append(b)
-    return all(_eval(c, x) >= 0 for x in samples)
-
-
-# -- public decision procedures -----------------------------------------
-
-
-def max_real_root(p: IntPolynomial, bracket: RootBracket, width: float = 1e-12) -> float:
-    """Locate the maximum real root of p inside a validated bracket.
-
-    The bracket must contain exactly one distinct root in (lo, hi] and no
-    root above hi (checked by Sturm counts; violations raise ValueError).
-    Bisection uses exact rational sign/count evaluation.
-    """
-    if p.degree < 1:
-        raise ValueError("polynomial must be nonconstant")
-    inside = count_roots(p, bracket.lo, bracket.hi)
-    above = count_roots(p, bracket.hi, None)
-    if inside != 1 or above != 0:
-        raise ValueError(
-            f"invalid bracket ({bracket.lo}, {bracket.hi}]: "
-            f"{inside} roots inside, {above} above"
-        )
-    c = _frac(p)
-    lo, hi = Fraction(bracket.lo), Fraction(bracket.hi)
-    if _eval(c, hi) == 0:
-        return float(hi)
-    # strip a possible root at lo so Sturm endpoints are clean
-    c, _ = _deflate_root(c, lo)
-    chain = _sturm_chain(c)
-    v_hi = _variations_at(chain, hi)
-    target = Fraction(width)
-    while hi - lo > target:
-        mid = (lo + hi) / 2
-        if _eval(c, mid) == 0:
-            # the bracket holds a single root, so a root hit is the answer
-            return float(mid)
-        if _variations_at(chain, mid) - v_hi >= 1:
-            lo = mid
-        else:
-            hi = mid
-    return float((lo + hi) / 2)
+    chain = _sturm_chain(p.coeffs)
+    return _variations(chain, a) - _variations(chain, b)
 
 
 def isolate_max_real_root(p: IntPolynomial) -> RootBracket:
     """Bracket (lo, hi] containing exactly the maximum real root of p."""
     if p.degree < 1:
         raise ValueError("polynomial must be nonconstant")
-    c = _frac(p)
-    bound = _cauchy_bound(c)
-    total = count_roots(p, -bound, bound)
-    if total == 0:
-        raise ValueError("polynomial has no real roots")
-    lo, hi = -bound, bound
-    while count_roots(p, lo, hi) > 1:
-        mid = _nonroot_point(c, lo, hi)
-        if count_roots(p, mid, hi) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    return RootBracket(lo, hi)
+    lo, hi = _max_root_bracket(_sturm_chain(p.coeffs))
+    return RootBracket(Fraction(*lo), Fraction(*hi))
 
 
-def refine_bracket(p: IntPolynomial, bracket: RootBracket, width: Fraction) -> RootBracket:
-    """Shrink a one-root bracket below the requested width (exact bisection)."""
-    c = _frac(p)
-    lo, hi = bracket.lo, bracket.hi
-    while hi - lo > width:
-        mid = _nonroot_point(c, lo, hi)
-        if count_roots(p, mid, hi) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    return RootBracket(lo, hi)
+def max_real_root(p: IntPolynomial, bracket: RootBracket | None = None) -> float:
+    """The maximum real root of p as the correctly rounded double.
 
-
-def max_real_root_value(p: IntPolynomial, width: float = 1e-12) -> float:
-    """Maximum real root of p located to `width` (auto-bracketed)."""
-    return max_real_root(p, isolate_max_real_root(p), width)
+    Without a bracket the root is isolated first.  A given bracket must
+    contain exactly one distinct root in (lo, hi] and no root above hi
+    (checked by Sturm counts; violations raise ValueError).  The bracket is
+    then bisected by exact signs until both ends round to the same double.
+    """
+    if p.degree < 1:
+        raise ValueError("polynomial must be nonconstant")
+    chain = _sturm_chain(p.coeffs)
+    if bracket is None:
+        lo, hi = _max_root_bracket(chain)
+    else:
+        lo, hi = bracket.lo.as_integer_ratio(), bracket.hi.as_integer_ratio()
+        v_hi = _variations(chain, hi)
+        inside = _variations(chain, lo) - v_hi
+        above = v_hi - _variations(chain, (1, 0))
+        if inside != 1 or above != 0:
+            raise ValueError(
+                f"invalid bracket ({bracket.lo}, {bracket.hi}]: "
+                f"{inside} roots inside, {above} above"
+            )
+    s = chain[0]
+    while True:
+        f_lo, f_hi = lo[0] / lo[1], hi[0] / hi[1]  # int / int rounds correctly
+        if f_lo == f_hi:
+            return f_hi
+        if nextafter(f_lo, inf) == f_hi:
+            # (lo, hi] straddles one rounding boundary t: settle r against it
+            t = _mid(f_lo.as_integer_ratio(), f_hi.as_integer_ratio())
+            if _le(t, lo):
+                return f_hi
+            side = _sign_at(s, t) * s[-1]
+            if side > 0:
+                return f_lo
+            return f_hi if side < 0 else t[0] / t[1]
+        lo, hi = _bisect(s, lo, hi)
 
 
 def poly_dominates(p1: IntPolynomial, p2: IntPolynomial, from_) -> bool:
     """True iff p2(x) >= p1(x) for every x >= from_, decided exactly."""
-    if p1.is_zero and p2.is_zero:
-        return True
     diff = p2 - p1
-    if diff.is_zero:
-        return True
-    return _nonneg_on(_frac(diff), Fraction(from_), None)
+    return diff.is_zero or _nonneg_on(diff.coeffs, from_.as_integer_ratio(), None)
 
 
 def shifted_root_bound(p1: IntPolynomial, p2: IntPolynomial, k, lo, hi) -> bool:
-    """True iff p2(x - k) - p1(x) >= 0 on [lo, hi], decided exactly (k >= 0)."""
-    k = Fraction(k)
-    if k < 0:
+    """True iff p2(x - k) - p1(x) >= 0 on [lo, hi], decided exactly (k >= 0).
+
+    With k = a/b both sides are scaled by b^deg(p2) to stay in Z[x].
+    """
+    k = k.as_integer_ratio()
+    if k[0] < 0:
         raise ValueError("shift k must be nonnegative")
-    shifted = _shift(_frac(p2), -k)
-    base = _frac(p1)
-    m = max(len(shifted), len(base))
-    shifted += [Fraction(0)] * (m - len(shifted))
-    base += [Fraction(0)] * (m - len(base))
-    diff = [a - b for a, b in zip(shifted, base)]
-    if not _trim(diff[:]):
-        return True
-    return _nonneg_on(diff, Fraction(lo), Fraction(hi))
-
-
-def _primitive_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    a, b = _frac(p), _frac(q)
-    while _trim(b[:]):
-        _, r = _divmod(a, b)
-        a, b = b, r
-    a = _trim(a)
-    if not a:
-        return IntPolynomial(())
-    denom = 1
-    for v in a:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in a]
-    content = 0
-    for v in ints:
-        content = gcd(content, abs(v))
-    if ints[-1] < 0:
-        content = -content
-    return IntPolynomial(tuple(v // content for v in ints))
+    scale = k[1] ** max(p2.degree, 0)
+    diff = IntPolynomial(tuple(_shift(p2.coeffs, k))) - IntPolynomial(
+        tuple(scale * v for v in p1.coeffs)
+    )
+    return diff.is_zero or _nonneg_on(diff.coeffs, lo.as_integer_ratio(), hi.as_integer_ratio())
 
 
 def compare_max_real_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     """Exact three-way comparison of the maximum real roots of p and q."""
-    bp = isolate_max_real_root(p)
-    bq = isolate_max_real_root(q)
-    shared = _primitive_gcd(p, q)
-    has_common = shared.degree >= 1
+    chain_p, chain_q = _sturm_chain(p.coeffs), _sturm_chain(q.coeffs)
+    bp, bq = _max_root_bracket(chain_p), _max_root_bracket(chain_q)
+    a, b = sorted((p.coeffs, q.coeffs), key=len, reverse=True)
+    shared = _prs(a, b)[-1]
+    if len(shared) > 1:
+        # a bracketed maximum root is a common root iff the gcd has a root
+        # in its bracket; a common root of p is at most the maximum of q
+        chain_g = _sturm_chain(shared)
+        p_common = _variations(chain_g, bp[0]) > _variations(chain_g, bp[1])
+        q_common = _variations(chain_g, bq[0]) > _variations(chain_g, bq[1])
+        if p_common or q_common:
+            return q_common - p_common
+    # the maxima differ: bisect both brackets until they separate
     while True:
-        if has_common:
-            # a common root inside both brackets forces equality: the only
-            # p-root in bp (resp. q-root in bq) is the maximum one
-            if (
-                count_roots(shared, bp.lo, bp.hi) == 1
-                and count_roots(shared, bq.lo, bq.hi) == 1
-                and count_roots(shared, bp.hi, None) == 0
-                and count_roots(shared, bq.hi, None) == 0
-            ):
-                # still need the two bracketed roots to be the same number
-                inter_lo = max(bp.lo, bq.lo)
-                inter_hi = min(bp.hi, bq.hi)
-                if inter_lo < inter_hi and count_roots(shared, inter_lo, inter_hi) == 1:
-                    if (
-                        count_roots(p, inter_lo, inter_hi) == 1
-                        and count_roots(q, inter_lo, inter_hi) == 1
-                    ):
-                        return 0
-        if bp.hi <= bq.lo:
+        if _le(bp[1], bq[0]):
             return -1
-        if bq.hi <= bp.lo:
+        if _le(bq[1], bp[0]):
             return 1
-        width_p = (bp.hi - bp.lo) / 2
-        width_q = (bq.hi - bq.lo) / 2
-        bp = refine_bracket(p, bp, width_p)
-        bq = refine_bracket(q, bq, width_q)
+        bp = _bisect(chain_p[0], *bp)
+        bq = _bisect(chain_q[0], *bq)

@@ -13,17 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .intpoly import (  # noqa: F401  (re-exported spectral surface)
-    IntPolynomial,
-    RootBracket,
-    char_poly,
-    compare_max_real_roots,
-    count_roots,
-    max_real_root,
-    max_real_root_value,
-    poly_dominates,
-    shifted_root_bound,
-)
 
 MAX_ITERATIONS = 10**6
 
@@ -101,10 +90,6 @@ def perron_component_bound(g: Graph, tol: float = 1e-10):
     lhs = pair.rho * float(np.max(pair.vector))
     rhs = math.sqrt(g.max_degree())
     return lhs, rhs, lhs < rhs
-
-
-def rho_of(g: Graph, tol: float = 1e-10) -> float:
-    return perron(g, tol).rho
 
 
 def spectral_radius(g: Graph, tol: float = 1e-10) -> float:

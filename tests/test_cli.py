@@ -5,16 +5,12 @@ import pytest
 from specmax.cli import (
     check_family_ordering,
     default_profile,
-    f1_of,
-    f2_of,
     family_table,
-    g_of,
     main,
     run_lemmas,
     run_sandwich,
     run_verify_signs,
 )
-from specmax.families import named_quotient
 
 
 def run(capsys, *argv):
@@ -185,8 +181,28 @@ class TestCompareFamilies:
         assert out1 == out2
 
 
-class TestClosedFormHelpers:
-    def test_match_named_quotients(self):
-        assert f1_of(60) == named_quotient("B1", 60).closed_form
-        assert f2_of(61) == named_quotient("B2", 61).closed_form
-        assert g_of(59) == named_quotient("B_n5", 59).closed_form
+
+class TestExitCodeContract:
+    """0 = pass, 1 = verification failure, 2 = usage error, no tracebacks."""
+
+    def test_signs_explicit_zero_n_min(self, capsys):
+        code, out, _ = run(capsys, "verify", "signs", "--n-min", "0", "--n-max", "60")
+        assert code == 2
+        assert out == ""
+
+    def test_lemmas_negative_trials(self, capsys):
+        code, _, err = run(capsys, "verify", "lemmas", "--trials", "-3")
+        assert code == 2
+        assert "usage error" in err
+
+    def test_enumerate_beyond_capability(self, capsys):
+        code, _, err = run(capsys, "enumerate", "--n", "10", "--max-degree", "8")
+        assert code == 2
+        assert "usage error" in err
+
+    def test_spectrum_empty_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.g6"
+        path.write_text("")
+        code, _, err = run(capsys, "spectrum", "--in", str(path))
+        assert code == 2
+        assert "empty graph6" in err

@@ -125,6 +125,26 @@ class TestExtremalSearch:
         assert canonical_form(rep.maximizers[0]) == canonical_form(build_g(7, 4))
         assert rep.degree_sequences == [[5, 5, 5, 5, 5, 5, 4]]
 
+    def test_exact_maximum_ignores_float_order(self, monkeypatch):
+        import specmax.enumeration as enumeration
+
+        spec = EnumSpec(6, 4)
+        want = {canonical_form(g) for g in extremal_search(spec).maximizers}
+        rho = {canonical_form(g): enumeration.spectral_radius(g) for g in enumerate_graphs(spec)}
+        top = max(rho.values())
+        runner_up = max((f for f in rho if f not in want), key=rho.get)
+
+        def swapped(g, tol=1e-12):
+            # the runner-up floats to the top, the maximizers stay within 1e-7
+            form = canonical_form(g)
+            if form == runner_up:
+                return top
+            return top - 5e-8 if form in want else rho[form]
+
+        monkeypatch.setattr(enumeration, "spectral_radius", swapped)
+        got = {canonical_form(g) for g in extremal_search(spec).maximizers}
+        assert got == want
+
     def test_report_fields(self):
         rep = extremal_search(EnumSpec(5, 3))
         assert rep.total_classes >= len(rep.maximizers) >= 1

@@ -157,6 +157,12 @@ class TestGraph6:
         with pytest.raises(Graph6ParseError):
             graph6_decode("B")  # truncated body
 
+    def test_non_ascii_rejected(self):
+        # 'é' must not be read as '?', which is byte 63 and a valid digit
+        with pytest.raises(Graph6ParseError) as exc:
+            graph6_decode("Aé")
+        assert exc.value.offset == 1
+
     def test_loops_rejected(self):
         with pytest.raises(ValueError):
             graph6_encode(complete(3).add_loops())

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from specmax.intpoly import (
     IntPolynomial,
@@ -10,7 +13,6 @@ from specmax.intpoly import (
     compare_max_real_roots,
     count_roots,
     max_real_root,
-    max_real_root_value,
     poly_dominates,
     shifted_root_bound,
 )
@@ -116,9 +118,17 @@ class TestMaxRealRoot:
 
     def test_auto_isolation_matches(self):
         p = IntPolynomial((2, -6, -1, 1))
-        assert max_real_root_value(p) == pytest.approx(
+        assert max_real_root(p) == pytest.approx(
             max_real_root(p, RootBracket(Fraction(5, 2), 3)), abs=1e-11
         )
+
+    def test_root_on_rounding_tie(self):
+        # 1 + 3/2^53 lies halfway between two doubles and rounds to even,
+        # so no bracket below it ever rounds to the same double as the root
+        for num in (2**53 + 1, 2**53 + 3):
+            p = IntPolynomial((-num, 2**53))
+            assert max_real_root(p) == float(Fraction(num, 2**53))
+            assert max_real_root(p, RootBracket(Fraction(1, 3), 2)) == float(Fraction(num, 2**53))
 
     def test_even_multiplicity_max_root(self):
         p = IntPolynomial((1, -2, 1))  # (x-1)^2, no sign change at the root
@@ -202,3 +212,113 @@ class TestCompareMaxRealRoots:
 
         assert f(2) == f(4)
         assert compare_max_real_roots(f(2), f(4)) == 0
+
+
+# -- differential tests against sympy ----------------------------------------
+
+X = sympy.Symbol("x")
+FACTOR = st.lists(st.integers(-6, 6), min_size=2, max_size=4).filter(lambda c: c[-1] != 0)
+LINEAR = st.tuples(st.integers(-6, 6), st.sampled_from([1, 2, 3, -1, -2])).map(list)
+POINT = st.fractions(min_value=-10, max_value=10, max_denominator=6)
+MONIC_QUARTIC = st.lists(st.integers(-30, 30), min_size=4, max_size=4).map(
+    lambda c: IntPolynomial((*c, 1))
+)
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def _mul(*factors) -> IntPolynomial:
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return IntPolynomial(tuple(out))
+
+
+# products of small factors, so repeated and rational roots are common
+POLY = st.lists(FACTOR, min_size=1, max_size=3).map(lambda fs: _mul(*fs))
+# a linear factor guarantees a real root
+REAL_POLY = st.tuples(LINEAR, st.lists(FACTOR, max_size=2)).map(lambda t: _mul(t[0], *t[1]))
+
+
+def _sympy(p: IntPolynomial) -> sympy.Poly:
+    return sympy.Poly(list(reversed(p.coeffs)), X)
+
+
+def _sympy_max_root(p: IntPolynomial):
+    return max(sympy.real_roots(_sympy(p)), key=lambda r: r.evalf(60))
+
+
+def _sympy_nonneg(d: sympy.Poly, lo, hi) -> bool:
+    """d >= 0 on [lo, hi] (lo < hi): no odd-multiplicity root inside, and a
+    nonnegative value at one interior non-root."""
+    if d.is_zero:
+        return True
+    odd = sympy.Poly(1, X)
+    for factor, mult in d.sqf_list()[1]:
+        if mult % 2:
+            odd *= factor
+    if odd.degree() > 0:
+        inside = odd.count_roots(lo, hi) - (odd.eval(lo) == 0) - (odd.eval(hi) == 0)
+        if inside:
+            return False
+    m = d.degree() + 3
+    for j in range(1, m):
+        value = d.eval(lo + (hi - lo) * sympy.Rational(j, m))
+        if value:
+            return value > 0
+    raise AssertionError("no interior non-root found")
+
+
+class TestAgainstSympy:
+    @SETTINGS
+    @given(POLY, st.none() | POINT, st.none() | POINT)
+    def test_count_roots(self, p, lo, hi):
+        assume(lo is None or hi is None or lo < hi)
+        # sympy counts [lo, hi], ours (lo, hi]
+        at_lo = lo is not None and p(lo) == 0
+        want = _sympy(p).count_roots(lo, hi) - at_lo
+        assert count_roots(p, lo, hi) == want
+
+    @SETTINGS
+    @given(st.integers(1, 7).flatmap(
+        lambda n: st.lists(st.integers(0, 1), min_size=n * (n + 1) // 2,
+                           max_size=n * (n + 1) // 2).map(lambda bits: (n, bits))))
+    def test_char_poly(self, shape):
+        n, bits = shape
+        m = [[0] * n for _ in range(n)]
+        it = iter(bits)
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = next(it)
+        want = sympy.Matrix(m).charpoly(X).all_coeffs()
+        assert char_poly(m).coeffs == tuple(int(c) for c in reversed(want))
+
+    @SETTINGS
+    @given(REAL_POLY, REAL_POLY, st.lists(FACTOR, max_size=1))
+    def test_compare_max_real_roots(self, p, q, shared):
+        p, q = _mul(p.coeffs, *shared), _mul(q.coeffs, *shared)
+        rp, rq = _sympy_max_root(p), _sympy_max_root(q)
+        want = 0 if rp == rq else (1 if rp.evalf(60) > rq.evalf(60) else -1)
+        assert compare_max_real_roots(p, q) == want
+        assert compare_max_real_roots(q, p) == -want
+
+    @SETTINGS
+    @given(REAL_POLY)
+    def test_max_real_root_correctly_rounded(self, p):
+        assert max_real_root(p) == float(_sympy_max_root(p).evalf(60))
+
+    @SETTINGS
+    @given(
+        MONIC_QUARTIC,
+        MONIC_QUARTIC,
+        st.fractions(min_value=0, max_value=3, max_denominator=5),
+        POINT,
+        POINT,
+    )
+    def test_shifted_root_bound(self, p1, p2, k, lo, hi):
+        assume(lo < hi)
+        d = sympy.Poly(_sympy(p2).as_expr().subs(X, X - k) - _sympy(p1).as_expr(), X)
+        assert shifted_root_bound(p1, p2, k, lo, hi) == _sympy_nonneg(d, lo, hi)
