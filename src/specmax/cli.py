@@ -51,7 +51,7 @@ from .intpoly import (
     max_real_root,
 )
 from .partition import loop_shift_check, quotient
-from .spectral import perron, perron_component_bound
+from .spectral import ConvergenceError, perron, perron_component_bound
 from .switching import SwitchMove, ls_certificate, op1_sandwich_check, op2_monotone_check
 
 
@@ -636,6 +636,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except ConvergenceError as exc:
+        _status(f"verification failure: {exc}")
+        return 1
     except (ValueError, OSError, CapabilityError) as exc:
         _status(f"usage error: {exc}")
         return 2

@@ -13,6 +13,7 @@ removed through canonical forms, which keeps the level sets small (about
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -94,6 +95,21 @@ def _level_up(codes: list[bytes], cap: int, connected_only: bool) -> list[bytes]
     return sorted(out)
 
 
+def _write_checkpoint(path: Path, state: dict) -> None:
+    """Write a synced temp file beside `path`, then rename it over `path`:
+    a failed write leaves the previous checkpoint whole."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(state, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[Graph]:
     """Yield one canonical representative per isomorphism class.
 
@@ -118,16 +134,15 @@ def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[
     for level in range(start_level, spec.n):
         codes = _level_up(codes, spec.max_degree, spec.require_connected)
         if checkpoint:
-            Path(checkpoint).write_text(
-                json.dumps(
-                    {
-                        "n": spec.n,
-                        "max_degree": spec.max_degree,
-                        "connected": spec.require_connected,
-                        "level": level + 1,
-                        "codes": [c.decode("ascii") for c in codes],
-                    }
-                )
+            _write_checkpoint(
+                Path(checkpoint),
+                {
+                    "n": spec.n,
+                    "max_degree": spec.max_degree,
+                    "connected": spec.require_connected,
+                    "level": level + 1,
+                    "codes": [c.decode("ascii") for c in codes],
+                },
             )
     for code in codes:
         g = graph6_decode(code.decode("ascii"))
@@ -141,7 +156,7 @@ def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[
         yield g
 
 
-def extremal_search(spec: EnumSpec, tol: float = 1e-12) -> ExtremalReport:
+def extremal_search(spec: EnumSpec) -> ExtremalReport:
     """All isomorphism classes attaining the maximum spectral radius.
 
     Every class within 1e-7 of the float maximum is re-examined exactly
@@ -155,7 +170,7 @@ def extremal_search(spec: EnumSpec, tol: float = 1e-12) -> ExtremalReport:
     total = 0
     for g in enumerate_graphs(spec):
         total += 1
-        rho = spectral_radius(g, tol)
+        rho = spectral_radius(g)
         if rho > rho_max:
             rho_max = rho
         best.append((rho, g))

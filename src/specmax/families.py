@@ -59,11 +59,15 @@ class ComplementProfile:
 
     @staticmethod
     def from_json(data) -> "ComplementProfile":
-        return ComplementProfile(
-            int(data.get("type1", 0)),
-            tuple(data.get("type2", ())),
-            tuple(data.get("type3", ())),
-        )
+        """Parse the JSON form; malformed input raises ValueError."""
+        try:
+            return ComplementProfile(
+                int(data.get("type1", 0)),
+                tuple(data.get("type2", ())),
+                tuple(data.get("type3", ())),
+            )
+        except (AttributeError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed profile: {exc!r}") from None
 
 
 @dataclass(frozen=True)

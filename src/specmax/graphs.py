@@ -234,13 +234,17 @@ class Graph:
 
     @staticmethod
     def from_json(text: str) -> "Graph":
+        """Parse the JSON form; malformed input raises ValueError."""
         data = json.loads(text)
-        g = Graph.build(data["n"], [tuple(e) for e in data["edges"]])
-        loops = 0
-        for v in data.get("loops", []):
-            if not 0 <= v < g.n:
-                raise ValueError(f"loop vertex {v} out of range")
-            loops |= 1 << v
+        try:
+            g = Graph.build(data["n"], [tuple(e) for e in data["edges"]])
+            loops = 0
+            for v in data.get("loops", []):
+                if not 0 <= v < g.n:
+                    raise ValueError(f"loop vertex {v} out of range")
+                loops |= 1 << v
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed graph JSON: {exc!r}") from None
         return Graph(g.n, g.rows, loops)
 
 

@@ -53,23 +53,6 @@ class IntPolynomial:
             )
         )
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        m = max(len(a), len(b))
-        return IntPolynomial(
-            tuple(
-                (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                for i in range(m)
-            )
-        )
-
-    def to_json(self) -> list[int]:
-        return list(self.coeffs)
-
-    @staticmethod
-    def from_json(data) -> "IntPolynomial":
-        return IntPolynomial(tuple(int(c) for c in data))
-
 
 @dataclass(frozen=True)
 class RootBracket:

@@ -3,6 +3,7 @@ spectral-radius bound with its loop-shift variant."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,7 +16,10 @@ class PropertyViolation(AssertionError):
 
 
 def _normalize_cells(g: Graph, cells) -> tuple[tuple[int, ...], ...]:
-    norm = tuple(tuple(sorted(cell)) for cell in cells)
+    try:
+        norm = tuple(tuple(sorted(map(operator.index, cell))) for cell in cells)
+    except TypeError:
+        raise ValueError("partition must be a list of lists of vertex indices") from None
     seen = 0
     for cell in norm:
         if not cell:

@@ -28,9 +28,6 @@ class SwitchMove:
             raise ValueError(f"unknown move kind {self.kind!r}")
         object.__setattr__(self, "vertices", tuple(int(v) for v in self.vertices))
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "vertices": list(self.vertices)}
-
 
 @dataclass(frozen=True)
 class SwitchCertificate:
@@ -39,15 +36,6 @@ class SwitchCertificate:
     hypothesis_value: float
     conclusion_holds: bool
     equality_case: bool
-
-    def to_json(self) -> dict:
-        return {
-            "rho_before": self.rho_before,
-            "rho_after": self.rho_after,
-            "hypothesis_value": self.hypothesis_value,
-            "conclusion_holds": self.conclusion_holds,
-            "equality_case": self.equality_case,
-        }
 
 
 def _need_edge(g: Graph, u: int, v: int, label: str):
@@ -198,7 +186,7 @@ def ls_certificate(g: Graph, s: int, t: int, v: int, u: int, tol: float = 1e-10)
     x = pair.vector
     hyp = float((x[s] - x[u]) * (x[v] - x[t]))
     moved = apply(g, SwitchMove("LS", (s, t, v, u)))
-    rho_after = spectral_radius(moved, tol)
+    rho_after = spectral_radius(moved)
     if hyp >= -1e-12:
         holds = rho_after >= pair.rho - 1e-9
     else:

@@ -1,6 +1,9 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specmax.cli import (
     check_family_ordering,
@@ -11,6 +14,7 @@ from specmax.cli import (
     run_sandwich,
     run_verify_signs,
 )
+from specmax.graphs import Graph, graph6_encode, random_connected_graph
 
 
 def run(capsys, *argv):
@@ -181,7 +185,6 @@ class TestCompareFamilies:
         assert out1 == out2
 
 
-
 class TestExitCodeContract:
     """0 = pass, 1 = verification failure, 2 = usage error, no tracebacks."""
 
@@ -206,3 +209,99 @@ class TestExitCodeContract:
         code, _, err = run(capsys, "spectrum", "--in", str(path))
         assert code == 2
         assert "empty graph6" in err
+
+    def test_spectrum_unreachable_tol(self, tmp_path, capsys):
+        # the float64 residual floor of a dense 300-vertex graph is above 1e-14
+        path = tmp_path / "gnp.g6"
+        path.write_text(graph6_encode(random_connected_graph(random.Random(0), 300, 0.5)))
+        code, out, err = run(capsys, "spectrum", "--in", str(path), "--tol", "1e-14")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("verification failure: ")
+
+
+# -- fuzzing the graph-file commands -----------------------------------------
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+_small_ints = st.integers(-2, 14)
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    return Graph.build(n, [e for e in pairs if draw(st.booleans())])
+
+
+@st.composite
+def _truncated_graph6(draw):
+    line = graph6_encode(draw(_graphs()))
+    return line[: draw(st.integers(0, max(0, len(line) - 1)))].encode()
+
+
+_graph_files = st.one_of(
+    st.binary(max_size=64),
+    _truncated_graph6(),
+    _graphs().map(lambda g: graph6_encode(g).encode()),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "n": _small_ints | _json_values,
+            "edges": st.lists(st.lists(_small_ints, max_size=3), max_size=4) | _json_values,
+            "loops": st.lists(_small_ints, max_size=3) | _json_values,
+        },
+    ).map(lambda d: json.dumps(d).encode()),
+)
+_partition_files = st.one_of(
+    st.binary(max_size=32),
+    st.lists(st.lists(_small_ints, max_size=5), max_size=5).map(lambda c: json.dumps(c).encode()),
+    _json_values.map(lambda v: json.dumps(v).encode()),
+)
+_profile_files = st.one_of(
+    st.binary(max_size=32),
+    _json_values.map(lambda v: json.dumps(v).encode()),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "type1": st.integers(-2, 60) | _json_values,
+            "type2": st.lists(st.integers(-1, 6), max_size=3) | _json_values,
+            "type3": st.lists(st.integers(-1, 6), max_size=3) | _json_values,
+        },
+    ).map(lambda d: json.dumps(d).encode()),
+)
+
+
+class TestFuzzExitCodeContract:
+    """Random, truncated and malformed graph, partition and profile files:
+    `main` returns 0, 1 or 2 and never raises."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(graph=_graph_files)
+    def test_spectrum(self, tmp_path_factory, graph):
+        path = tmp_path_factory.mktemp("spectrum") / "g"
+        path.write_bytes(graph)
+        assert main(["spectrum", "--in", str(path)]) in (0, 1, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(graph=_graph_files, cells=_partition_files)
+    def test_quotient(self, tmp_path_factory, graph, cells):
+        work = tmp_path_factory.mktemp("quotient")
+        (work / "g").write_bytes(graph)
+        (work / "cells").write_bytes(cells)
+        argv = ["quotient", "--in", str(work / "g"), "--partition", str(work / "cells")]
+        assert main(argv) in (0, 1, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(profile=_profile_files)
+    def test_sandwich_profile(self, tmp_path_factory, profile):
+        path = tmp_path_factory.mktemp("sandwich") / "profile"
+        path.write_bytes(profile)
+        assert main(["verify", "sandwich", "--profile", str(path)]) in (0, 1, 2)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 
 import pytest
 
@@ -105,6 +106,30 @@ class TestEnumerate:
             graph6_encode(g) for g in enumerate_graphs(EnumSpec(6, 4), checkpoint=str(ck))
         ]
         assert full == first == resumed
+
+    def test_failed_checkpoint_write_keeps_previous(self, tmp_path, monkeypatch):
+        ck = tmp_path / "frontier.json"
+        full = [graph6_encode(g) for g in enumerate_graphs(EnumSpec(6, 4))]
+        real_replace = os.replace
+        calls = []
+
+        def replace_failing_third(src, dst):
+            calls.append(src)
+            if len(calls) == 3:
+                raise OSError("no space left on device")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_failing_third)
+        with pytest.raises(OSError):
+            list(enumerate_graphs(EnumSpec(6, 4), checkpoint=str(ck)))
+        monkeypatch.undo()
+        # the level-3 frontier survives whole and the temp file is gone
+        assert json.loads(ck.read_text())["level"] == 3
+        assert list(tmp_path.iterdir()) == [ck]
+        resumed = [
+            graph6_encode(g) for g in enumerate_graphs(EnumSpec(6, 4), checkpoint=str(ck))
+        ]
+        assert resumed == full
 
 
 class TestExtremalSearch:

@@ -1,11 +1,15 @@
 import math
 import random
+import time
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specmax.graphs import Graph, random_connected_graph
-from specmax.intpoly import char_poly
+from specmax.intpoly import char_poly, max_real_root
 from specmax.spectral import perron, perron_component_bound, spectral_radius
 
 
@@ -74,12 +78,92 @@ class TestPerron:
     def test_nonconvergence_reports_residual(self, monkeypatch):
         import specmax.spectral as spectral_mod
 
-        monkeypatch.setattr(spectral_mod, "MAX_ITERATIONS", 2)
+        real_eigh = np.linalg.eigh
+
+        def perturbed(a):
+            w, v = real_eigh(a)
+            v = v.copy()
+            v[0, -1] += 1e-6
+            return w, v
+
+        monkeypatch.setattr(spectral_mod.np.linalg, "eigh", perturbed)
         rng = random.Random(5)
         g = random_connected_graph(rng, 9, 0.5)
         with pytest.raises(spectral_mod.ConvergenceError) as exc:
-            spectral_mod.perron(g, 1e-14)
-        assert exc.value.last_residual > 0
+            spectral_mod.perron(g, 1e-10)
+        assert exc.value.last_residual > 1e-10
+
+    def test_one_dense_solve(self):
+        assert perron(complete(4), 1e-12).iterations == 1
+
+
+def _with_pendant(g: nx.Graph) -> Graph:
+    n = g.number_of_nodes()
+    return Graph.build(n + 1, list(g.edges()) + [(n - 1, n)])
+
+
+class TestBottleneck:
+    """Graphs with a tiny spectral gap, where the solve must stay fast and
+    agree with the library eigenvalues."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # Barbell(20, 40) plus a pendant, n = 81
+            _with_pendant(nx.barbell_graph(20, 40)),
+            # two K12 joined by a 10-vertex path, plus a pendant
+            _with_pendant(nx.barbell_graph(12, 10)),
+        ],
+        ids=["barbell-20-40", "k12-path10-k12"],
+    )
+    def test_against_library_eigenvalues(self, g):
+        t0 = time.perf_counter()
+        pair = perron(g)
+        elapsed = time.perf_counter() - t0
+        a = g.to_numpy()
+        nx_graph = nx.Graph(list(g.edges()))
+        assert pair.rho == pytest.approx(float(np.linalg.eigvalsh(a)[-1]), abs=1e-9)
+        assert pair.rho == pytest.approx(
+            float(np.max(nx.adjacency_spectrum(nx_graph).real)), abs=1e-9
+        )
+        assert np.min(pair.vector) > 0
+        assert float(np.max(np.abs(a @ pair.vector - pair.rho * pair.vector))) <= 1e-10
+        assert pair.residual <= 1e-10
+        assert elapsed < 0.1
+
+
+@st.composite
+def connected_graphs(draw, max_n=10):
+    """A random spanning tree plus random extra edges."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges |= {e for e in pairs if draw(st.booleans())}
+    return Graph.build(n, sorted(edges))
+
+
+def _exact_rho(g: Graph) -> float:
+    return max_real_root(char_poly(g.adjacency()))
+
+
+class TestAgainstCharPoly:
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs())
+    def test_perron_matches_max_real_root(self, g):
+        pair = perron(g, 1e-12)
+        assert pair.rho == pytest.approx(_exact_rho(g), abs=1e-9)
+        assert g.n == 1 or np.min(pair.vector) > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(connected_graphs(max_n=6), min_size=2, max_size=3))
+    def test_spectral_radius_of_disjoint_union(self, parts):
+        edges, offset = [], 0
+        for part in parts:
+            edges += [(u + offset, v + offset) for u, v in part.edges()]
+            offset += part.n
+        union = Graph.build(offset, edges)
+        want = max(_exact_rho(part) for part in parts)
+        assert spectral_radius(union) == pytest.approx(want, abs=1e-9)
 
 
 class TestLoopShift:
