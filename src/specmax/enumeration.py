@@ -50,16 +50,6 @@ class ExtremalReport:
     degree_sequences: list[list[int]]
     total_classes: int
 
-    def to_json(self) -> dict:
-        from .graphs import graph6_encode
-
-        return {
-            "maximizers": [graph6_encode(g) for g in self.maximizers],
-            "rho_max": self.rho_max,
-            "degree_sequences": self.degree_sequences,
-            "total_classes": self.total_classes,
-        }
-
 
 def _level_up(codes: list[bytes], cap: int, connected_only: bool) -> list[bytes]:
     """Extend every canonical k-vertex class by one attached vertex.

@@ -9,6 +9,7 @@ complete block always pair consecutive labels: (first, second),
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .graphs import Graph
@@ -33,8 +34,9 @@ class ComplementProfile:
     type3: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "type2", tuple(int(k) for k in self.type2))
-        object.__setattr__(self, "type3", tuple(int(k) for k in self.type3))
+        object.__setattr__(self, "type1", _count(self.type1))
+        object.__setattr__(self, "type2", tuple(map(_count, self.type2)))
+        object.__setattr__(self, "type3", tuple(map(_count, self.type3)))
         if self.type1 < 0:
             raise ValueError("type1 count must be nonnegative")
         if any(k < 1 for k in self.type2):
@@ -59,15 +61,24 @@ class ComplementProfile:
 
     @staticmethod
     def from_json(data) -> "ComplementProfile":
-        """Parse the JSON form; malformed input raises ValueError."""
+        """Parse the JSON form: an object with an integer `type1` and integer
+        lists `type2` and `type3`, each optional. Anything else, unknown keys
+        included, raises ValueError."""
+        if not isinstance(data, dict) or not data.keys() <= {"type1", "type2", "type3"}:
+            raise ValueError("malformed profile: want an object with keys among type1, type2, type3")
+        if not all(isinstance(data.get(key, []), list) for key in ("type2", "type3")):
+            raise ValueError("malformed profile: type2 and type3 must be lists")
         try:
-            return ComplementProfile(
-                int(data.get("type1", 0)),
-                tuple(data.get("type2", ())),
-                tuple(data.get("type3", ())),
-            )
-        except (AttributeError, TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed profile: {exc!r}") from None
+            return ComplementProfile(data.get("type1", 0), data.get("type2", ()), data.get("type3", ()))
+        except TypeError as exc:
+            raise ValueError(f"malformed profile: {exc}") from None
+
+
+def _count(value) -> int:
+    """An integer count; bools and floats raise TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer count")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -119,24 +130,6 @@ class FamilyId:
         d = _require(self.delta, "gd1 needs delta")
         prof = self.profile or ComplementProfile(type1=(d - 1) // 2)
         return build_case2(self.n, d, 1, prof)
-
-    def to_json(self) -> dict:
-        data = {"family": self.family, "n": self.n}
-        if self.delta is not None:
-            data["delta"] = self.delta
-        if self.profile is not None:
-            data["profile"] = self.profile.to_json()
-        return data
-
-    @staticmethod
-    def from_json(data) -> "FamilyId":
-        prof = data.get("profile")
-        return FamilyId(
-            data["family"],
-            int(data["n"]),
-            int(data["delta"]) if "delta" in data else None,
-            ComplementProfile.from_json(prof) if prof is not None else None,
-        )
 
 
 def _require(value, message):

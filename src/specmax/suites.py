@@ -1,0 +1,462 @@
+"""Verification suites and family tables: every check behind a verdict.
+
+Each `run_*` suite returns the JSON-ready result that `specmax verify`
+prints. Signs, theorem-n2, theorem-n3 and lemmas list their failures as
+records `{"check": name, "n": order or None, "witness": ...}`; sandwich
+makes one check and reports its margins instead. The `*_failures`
+sections are shared with the acceptance tests, which call them with their
+own inputs.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+from fractions import Fraction
+
+from .enumeration import EXHAUSTIVE_MAX_N, EnumSpec, ExtremalReport, extremal_search, structure_audit
+from .families import (
+    ComplementProfile,
+    admissible_deltas,
+    build_from_profile,
+    build_g,
+    build_g2_1,
+    build_h1,
+    build_h2,
+    g2_1_partition,
+    g_partition,
+    h1_partition,
+    h2_partition,
+    named_quotient,
+)
+from .graphs import Graph, canonical_form, graph6_encode, random_connected_graph
+from .intpoly import (
+    IntPolynomial,
+    compare_max_real_roots,
+    count_roots,
+    isolate_max_real_root,
+    max_real_root,
+)
+from .partition import loop_shift_check, quotient
+from .spectral import perron, perron_component_bound
+from .switching import SwitchMove, ls_certificate, op1_sandwich_check, op2_monotone_check
+
+
+class UsageError(ValueError):
+    pass
+
+
+def _check(failures: list, check: str, n: int | None, ok, witness="") -> None:
+    """Record a failure unless ok."""
+    if not ok:
+        failures.append({"check": check, "n": n, "witness": witness})
+
+
+# -- named quotient tables -------------------------------------------------
+
+FIXED_QUOTIENTS = ("B1", "B2", "B_n5")
+
+
+def _named_polys(n: int) -> list[tuple[str, str, int, IntPolynomial]]:
+    """(table, family, delta, closed form) of every named quotient in the
+    order-n tables; the n3 table starts with its winner, B1 or B2."""
+    names = [("n2", "A_delta")]
+    if n >= 59:
+        winner = "B1" if n % 2 == 0 else "B2"
+        names += [("n3", name) for name in (winner, "B_n5", "B_delta", "B_dd", "B_d1")]
+    polys = []
+    for table, name in names:
+        deltas = [None] if name in FIXED_QUOTIENTS else admissible_deltas(name, n)
+        for d in deltas:
+            nq = named_quotient(name, n, d)
+            polys.append((table, name, nq.delta, nq.closed_form))
+    return polys
+
+
+def _assert_strictly_larger(
+    winner: IntPolynomial, others: list[tuple[str, IntPolynomial]]
+) -> list[str]:
+    """Exact check that winner's max real root beats every other poly.
+
+    Uses a rational separator just below the winner root; any competitor
+    with a root above the separator falls back to an exact pairwise
+    comparison.  Returns the names of violators (empty when all pass).
+    """
+    winner_root = max_real_root(winner)
+    sep = Fraction(winner_root).limit_denominator(10**10) - Fraction(1, 10**8)
+    if count_roots(winner, sep, None) != 1:
+        sep = isolate_max_real_root(winner).lo
+    bad = []
+    for name, poly in others:
+        if count_roots(poly, sep, None) == 0:
+            continue
+        if compare_max_real_roots(poly, winner) < 0:
+            continue
+        bad.append(f"{name}: root {max_real_root(poly):.12f} !< {winner_root:.12f}")
+    return bad
+
+
+# -- verify: signs --------------------------------------------------------
+
+# the two printed 1/n expansions, coefficients of 1/n^0, 1/n^1, ...
+F2_T1_SERIES = IntPolynomial((-3, -35, 244, 52, -969, -194, 2076, 718, -2789, -1995, 1400, 2000, 625))
+G_T1_SERIES = IntPolynomial((1, -62, 190, 172, -817, -420, 1750, 808, -2489, -1870, 1400, 2000, 625))
+
+
+def _sign_table(n: int) -> list[tuple[str, Fraction, int]]:
+    """(check, exact value, its expected sign) of the quartic comparisons at
+    the four rational evaluation points; an identity is checked as the
+    difference of its two sides, of sign 0."""
+    t1 = Fraction(n) - 3 - Fraction(2, n) + Fraction(4, n * n) + Fraction(5, n**3)
+    t2 = Fraction(n, 2)
+    t3 = Fraction(0)
+    t4 = Fraction(-1) - Fraction(2, n) - Fraction(4, n * n)
+    g = named_quotient("B_n5", n).closed_form
+    f2 = named_quotient("B2", n).closed_form
+    return [
+        ("g(t4)<0", g(t4), -1),
+        ("g(t3)>0", g(t3), 1),
+        ("g(t2)<0", g(t2), -1),
+        ("g(t1)>0", g(t1), 1),
+        ("f2(t1)<0", f2(t1), -1),
+        ("f2(n-3)>0", f2(Fraction(n - 3)), 1),
+        ("g(n-3)>0", g(Fraction(n - 3)), 1),
+        ("f2(t1) expansion", f2(t1) - F2_T1_SERIES(Fraction(1, n)), 0),
+        ("g(t1) expansion", g(t1) - G_T1_SERIES(Fraction(1, n)), 0),
+        ("g(t2) closed form", g(t2) - (Fraction(-(n**4), 16) + Fraction(7 * n * n, 2) - 4 * n - 17), 0),
+    ]
+
+
+def run_verify_signs(n_min: int = 59, n_max: int = 500) -> dict:
+    """Exact sign table of the quartic comparisons at the four rational
+    evaluation points, for every n in [n_min, n_max]."""
+    if not 59 <= n_min <= n_max:
+        raise UsageError("signs suite needs 59 <= n_min <= n_max")
+    failures = []
+    for n in range(n_min, n_max + 1):
+        table = _sign_table(n)
+        for check, value, sign in table:
+            _check(failures, check, n, (value > 0) - (value < 0) == sign, str(value))
+    return {
+        "suite": "signs",
+        "n_min": n_min,
+        "n_max": n_max,
+        "checks_per_n": len(table),
+        "failures": failures,
+        "pass": not failures,
+    }
+
+
+# -- compare families -----------------------------------------------------
+
+
+def family_table(n: int, polys=None) -> list[dict]:
+    """Rows (table, family, delta, rho) for every admissible named quotient;
+    `polys` is `_named_polys(n)` when the caller already built it."""
+    rows = [
+        {"table": table, "family": family, "delta": d, "rho": max_real_root(poly), "n": n}
+        for table, family, d, poly in (_named_polys(n) if polys is None else polys)
+    ]
+    rows.sort(key=lambda r: (r["table"], -r["rho"], r["family"], r["delta"]))
+    rank = {}
+    for row in rows:
+        rank.setdefault(row["table"], 0)
+        rank[row["table"]] += 1
+        row["rank"] = rank[row["table"]]
+    return rows
+
+
+def check_family_ordering(n: int, polys=None) -> list[str]:
+    """Exact assertions behind the order-n table; returns violation names.
+    `polys` is `_named_polys(n)` when the caller already built it."""
+    bad = []
+    if polys is None:
+        polys = _named_polys(n)
+    n2 = {d: poly for table, _, d, poly in polys if table == "n2"}
+    if n2:
+        # the n2 winner: delta = n-3 for odd n, {2, n-4} tied for even n
+        tops = (n - 3,) if n % 2 else (2, n - 4)
+        win = n2[tops[0]]
+        if n2[tops[-1]] != win:
+            bad.append("n2:f(2)!=f(n-4)")
+        others = [(f"A_delta({d})", poly) for d, poly in n2.items() if d not in tops]
+        bad += [f"n2:{name}" for name in _assert_strictly_larger(win, others)]
+    if n >= 59:
+        (_, winner), *rest = [
+            (family if family in FIXED_QUOTIENTS else f"{family}({d})", poly)
+            for table, family, d, poly in polys
+            if table == "n3"
+        ]
+        bad += [f"n3:{name}" for name in _assert_strictly_larger(winner, rest)]
+        bad += _final_comparison_identities(n)
+    return bad
+
+
+def _final_comparison_identities(n: int) -> list[str]:
+    """The four printed closing comparisons as exact polynomial identities."""
+    bad = []
+    p_dd = named_quotient("B_dd", n, n - 4).closed_form
+    # lam * P(B_{n-4,n-4}) shifted coefficients
+    lam_p = IntPolynomial((0,) + p_dd.coeffs)
+    f1 = named_quotient("B1", n).closed_form
+    f2 = named_quotient("B2", n).closed_form
+    if (lam_p - f2).coeffs != (2 - 2 * n, 2 * n - 2, -2):
+        bad.append("identity:lamP_dd-f2")
+    if (lam_p - f1).coeffs != (2 - n, 3 * n - 10, -2):
+        bad.append("identity:lamP_dd-f1")
+    p_n41 = named_quotient("B_d1", n, n - 4).closed_form
+    if (p_n41 - f2).coeffs != (1 - n, 2):
+        bad.append("identity:P_n41-f2")
+    p_31 = named_quotient("B_d1", n, 3).closed_form
+    if (p_31 - f1).coeffs != (n - 6, n - 6):
+        bad.append("identity:P_31-f1")
+    return bad
+
+
+def run_compare_families(n: int) -> dict:
+    """The order-n table and the violations of its exact ordering."""
+    if n < 5:
+        raise UsageError("compare-families needs n >= 5")
+    polys = _named_polys(n)
+    return {
+        "suite": "compare-families",
+        "n": n,
+        "rows": family_table(n, polys),
+        "violations": check_family_ordering(n, polys),
+    }
+
+
+# -- verify: theorems -----------------------------------------------------
+
+
+def _audit_maximizers(n: int, report: ExtremalReport) -> list[dict]:
+    """Structure of every exhaustive maximizer of order n: the low set is a
+    clique, components are ordered by neighborhoods and separated, and
+    exactly one vertex has degree below n-2."""
+    failures = []
+    for g in report.maximizers:
+        audit = structure_audit(g)
+        seq = g.degree_sequence()
+        for check, ok in (
+            ("maximizer_low_clique", audit["low_set_is_clique"]),
+            ("maximizer_component_order", audit["component_order_matches_neighborhoods"]),
+            ("maximizer_separation", audit["low_below_high_components"]),
+            ("maximizer_degrees", seq[:-1] == [n - 2] * (n - 1) and seq[-1] < n - 2),
+        ):
+            _check(failures, check, n, ok, {"graph6": graph6_encode(g), "degrees": seq})
+    return failures
+
+
+def run_theorem_n2(n_min: int = 5, n_max: int = 8) -> dict:
+    """Exhaustive search over every class with maximum degree n-2: the
+    maximizers are exactly the predicted join graphs, with their structure."""
+    if not 5 <= n_min <= n_max <= EXHAUSTIVE_MAX_N:
+        raise UsageError(f"theorem-n2 needs 5 <= n_min <= n_max <= {EXHAUSTIVE_MAX_N}")
+    failures = []
+    for n in range(n_min, n_max + 1):
+        report = extremal_search(EnumSpec(n, n - 2))
+        got = {canonical_form(g) for g in report.maximizers}
+        if n % 2 == 1:
+            want = {canonical_form(build_g(n, n - 3))}
+        else:
+            want = {canonical_form(build_g(n, 2)), canonical_form(build_g(n, n - 4))}
+        witness = {"got": sorted(c.decode() for c in got), "want": sorted(c.decode() for c in want)}
+        _check(failures, "maximizer_set", n, got == want, witness)
+        failures += _audit_maximizers(n, report)
+        print(
+            f"theorem-n2 n={n}: {len(report.maximizers)} maximizer(s) over "
+            f"{report.total_classes} classes, rho={report.rho_max:.9f}",
+            file=sys.stderr,
+        )
+    return {"suite": "theorem-n2", "n_min": n_min, "n_max": n_max, "failures": failures, "pass": not failures}
+
+
+def run_theorem_n3(n_min: int = 59, n_max: int = 200) -> dict:
+    if not 59 <= n_min <= n_max:
+        raise UsageError("theorem-n3 needs 59 <= n_min <= n_max")
+    failures = []
+    for n in range(n_min, n_max + 1):
+        bad = check_family_ordering(n)
+        _check(failures, "family_ordering", n, not bad, bad)
+    return {"suite": "theorem-n3", "n_min": n_min, "n_max": n_max, "failures": failures, "pass": not failures}
+
+
+# -- verify: sandwich -----------------------------------------------------
+
+
+def default_profile(n: int, delta: int) -> ComplementProfile:
+    """A canonical type-II-bearing profile for the (n, delta) family."""
+    outer_pairs = (n - delta - 1) // 2
+    if outer_pairs < 1 or delta < 1:
+        raise UsageError(f"no type-II profile exists for (n={n}, delta={delta})")
+    if delta >= 4:
+        return ComplementProfile(type1=outer_pairs - 1, type2=(1,), type3=(delta - 1,))
+    return ComplementProfile(type1=outer_pairs - 1, type2=(delta,))
+
+
+def run_sandwich(
+    n: int = 60, delta: int | None = None, profile: ComplementProfile | None = None
+) -> dict:
+    """Check rho(B_delta) <= rho(G) < rho(B_delta) + 1/n^2 on a profile graph.
+    delta defaults to 5 for even n and 4 for odd n, the profile to
+    `default_profile(n, delta)`."""
+    if n < 59:
+        raise UsageError("sandwich suite needs n >= 59")
+    if delta is None:
+        delta = 5 if n % 2 == 0 else 4
+    if not 3 <= delta <= n - 5:
+        raise UsageError("sandwich suite needs 3 <= delta <= n-5")
+    if profile is None:
+        profile = default_profile(n, delta)
+    if not profile.type2:
+        raise UsageError("sandwich profile needs at least one type-II component")
+    g = build_from_profile(n, delta, profile)
+    rho_g = perron(g).rho
+    poly = named_quotient("B_delta", n, delta).closed_form
+    bracket = isolate_max_real_root(poly)
+    rho_b = max_real_root(poly, bracket)
+    width = 1.0 / (n * n)
+    fine = 2 * (n - 1) / (3 * (n - 4) ** 3) + 2 * (n - 1) / (3 * (n - 4) ** 4)
+    ok = (rho_b <= rho_g + 1e-9) and (rho_g < rho_b + width)
+    return {
+        "suite": "sandwich",
+        "n": n,
+        "delta": delta,
+        "profile": profile.to_json(),
+        "rho_graph": rho_g,
+        "rho_quotient": rho_b,
+        "width": width,
+        "fine_width": fine,
+        "within_fine_width": rho_g < rho_b + fine + 1e-12,
+        "pass": bool(ok),
+    }
+
+
+# -- verify: lemmas -------------------------------------------------------
+
+
+def _switch_tuples(g: Graph) -> list[tuple[int, int, int, int]]:
+    """Every (s, t, v, u) of distinct vertices with st and uv edges and sv
+    and tu non-edges: the moves local switching applies to."""
+    edges = list(g.edges())
+    moves = []
+    for s, t in edges + [(b, a) for a, b in edges]:
+        not_v = g.rows[s] | 1 << s | 1 << t
+        for u in range(g.n):
+            if u != s and u != t and not g.has_edge(t, u):
+                moves += [(s, t, v, u) for v in g.neighbors(u) if not (not_v >> v) & 1]
+    return moves
+
+
+def local_switching_failures(rng: random.Random, trials: int) -> list[dict]:
+    """Local switching with a nonnegative hypothesis never lowers rho:
+    `trials` such certificates, one random move per random connected graph
+    of order 5..9, giving up after 200 graphs per trial."""
+    failures = []
+    done = graphs = 0
+    while done < trials and graphs < 200 * trials:
+        graphs += 1
+        g = random_connected_graph(rng, rng.randint(5, 9), 0.45)
+        moves = _switch_tuples(g)
+        if not moves:
+            continue
+        s, t, v, u = rng.choice(moves)
+        cert = ls_certificate(g, s, t, v, u)
+        if cert.hypothesis_value >= 0:
+            done += 1
+            witness = f"{graph6_encode(g)} {s},{t},{v},{u}"
+            _check(failures, "ls_monotone", g.n, cert.conclusion_holds, witness)
+    _check(failures, "ls_trials_completed", None, done == trials, f"{done}/{trials}")
+    return failures
+
+
+def component_bound_failures(rng: random.Random, trials: int, min_order: int) -> list[dict]:
+    """rho(G) * max Perron component < sqrt(max degree) on `trials` random
+    connected graphs of order min_order..10."""
+    failures = []
+    for _ in range(trials):
+        g = random_connected_graph(rng, rng.randint(min_order, 10), 0.5)
+        lhs, rhs, holds = perron_component_bound(g)
+        _check(failures, "perron_component_bound", g.n, holds, f"{graph6_encode(g)} {lhs} vs {rhs}")
+    return failures
+
+
+def switch_improvement_failures(orders) -> list[dict]:
+    """Switching G2,1(n) to H2(n) strictly raises rho, for every odd n in
+    `orders`."""
+    failures = []
+    for n in orders:
+        before = perron(build_g2_1(n)).rho
+        after = perron(build_h2(n)).rho
+        _check(failures, "g21_to_h2_strict", n, after > before + 1e-12, f"{before} -> {after}")
+    return failures
+
+
+def _random_partition(rng: random.Random, n: int) -> list[list[int]]:
+    k = rng.randint(1, max(1, n - 1))
+    cells = [[] for _ in range(k)]
+    for v in range(n):
+        cells[rng.randrange(k)].append(v)
+    return [c for c in cells if c]
+
+
+def run_lemmas(trials: int = 200, seed: int = 0) -> dict:
+    """Randomized and family-based property sweep."""
+    if trials < 0:
+        raise UsageError("lemmas suite needs trials >= 0")
+    rng = random.Random(seed)
+    failures = local_switching_failures(rng, trials)
+    failures += component_bound_failures(rng, trials, 3)
+
+    # quotient bound on random partitions; equality occurs exactly when the
+    # Perron vector is constant on cells (equitable partitions of connected
+    # graphs always are; some inequitable ones happen to be as well)
+    for _ in range(trials):
+        g = random_connected_graph(rng, rng.randint(4, 10), 0.5)
+        cells = _random_partition(rng, g.n)
+        spec = quotient(g, cells)
+        pair = perron(g)
+        rho_b = spec.rho()
+        witness = f"{graph6_encode(g)} {cells}"
+        _check(failures, "quotient_bound", g.n, pair.rho >= rho_b - 1e-9, witness)
+        cell_constant = all(
+            max(float(pair.vector[v]) for v in cell)
+            - min(float(pair.vector[v]) for v in cell)
+            < 1e-7
+            for cell in cells
+        )
+        if spec.equitable:
+            _check(failures, "quotient_equitable_equality", g.n, abs(pair.rho - rho_b) < 1e-9, witness)
+        elif not cell_constant:
+            _check(failures, "quotient_bound_strict", g.n, pair.rho > rho_b, witness)
+
+    # equitable partitions and loop shift on the named families
+    for n in range(8, 41):
+        fams = [(build_g(n, 2), g_partition(n, 2))]
+        if n % 2 == 0:
+            fams.append((build_h1(n), h1_partition(n)))
+        elif n >= 9:
+            fams.append((build_h2(n), h2_partition(n)))
+            fams.append((build_g2_1(n), g2_1_partition(n)))
+        for g, cells in fams:
+            spec = quotient(g, cells)
+            _check(failures, "family_equitable", n, spec.equitable)
+            _check(failures, "family_quotient_rho", n, abs(perron(g).rho - spec.rho()) < 1e-9)
+            _check(failures, "loop_shift", n, loop_shift_check(g, cells))
+
+    # switching monotonicity on two profile instances
+    gl = build_from_profile(15, 6, ComplementProfile(type1=3, type2=(3,), type3=(3,))).add_loops()
+    _check(failures, "op1_sandwich", 15, op1_sandwich_check(gl, SwitchMove("Op1", (13, 1, 2, 3, 14))))
+    gl = build_from_profile(17, 12, ComplementProfile(type2=(6, 6))).add_loops()
+    _check(failures, "op2_monotone", 17, op2_monotone_check(gl, SwitchMove("Op2", (13, 1, 2, 3, 4, 5, 6, 14))))
+
+    failures += switch_improvement_failures(range(9, 32, 2))
+    for n in (5, 6):
+        failures += _audit_maximizers(n, extremal_search(EnumSpec(n, n - 2)))
+    return {
+        "suite": "lemmas",
+        "trials": trials,
+        "seed": seed,
+        "failures": failures,
+        "pass": not failures,
+    }

@@ -9,15 +9,12 @@ import time
 
 import pytest
 
-from specmax.cli import check_family_ordering, run_verify_signs
-from specmax.enumeration import EnumSpec, extremal_search
 from specmax.families import (
     ComplementProfile,
     admissible_deltas,
     build_case2,
     build_from_profile,
     build_g,
-    build_g2_1,
     build_h1,
     build_h2,
     case2_partition,
@@ -27,11 +24,19 @@ from specmax.families import (
     named_quotient,
     profile_partition,
 )
-from specmax.graphs import canonical_form, random_connected_graph
-from specmax.intpoly import char_poly, compare_max_real_roots, isolate_max_real_root, max_real_root
+from specmax.intpoly import char_poly, compare_max_real_roots
 from specmax.partition import quotient
-from specmax.spectral import perron, perron_component_bound
-from specmax.switching import SwitchMove, ls_certificate, op1_sandwich_check, op2_monotone_check
+from specmax.spectral import perron
+from specmax.suites import (
+    check_family_ordering,
+    component_bound_failures,
+    local_switching_failures,
+    run_sandwich,
+    run_theorem_n2,
+    run_verify_signs,
+    switch_improvement_failures,
+)
+from specmax.switching import SwitchMove, op1_sandwich_check, op2_monotone_check
 
 
 def report(name, elapsed, detail=""):
@@ -73,17 +78,9 @@ def test_criterion_2_theorem_n2_exhaustive():
     """Exhaustive extremal search at n in {5,6,7,8} finds exactly the
     predicted maximizers, with the n=8 tie exact."""
     t0 = time.time()
-    for n in (5, 6, 7, 8):
-        rep = extremal_search(EnumSpec(n, n - 2))
-        got = {canonical_form(g) for g in rep.maximizers}
-        if n % 2 == 1:
-            want = {canonical_form(build_g(n, n - 3))}
-        else:
-            want = {canonical_form(build_g(n, 2)), canonical_form(build_g(n, n - 4))}
-        assert got == want, f"n={n}: maximizer set mismatch"
-        for seq in rep.degree_sequences:
-            # exactly one sub-maximal vertex in every maximizer
-            assert seq[:-1] == [n - 2] * (n - 1) and seq[-1] < n - 2
+    # the maximizer sets, and exactly one sub-maximal vertex in every maximizer
+    result = run_theorem_n2(5, 8)
+    assert result["pass"], result["failures"]
     # the tied pair at n=8: equal rho numerically and exactly
     g2, g4 = build_g(8, 2), build_g(8, 4)
     assert abs(perron(g2, 1e-12).rho - perron(g4, 1e-12).rho) < 1e-9
@@ -172,26 +169,10 @@ def test_criterion_6_switching_properties():
     degree-2 family switch is strictly improving for odd n in [9, 59];
     path-operation checks hold on constructed profiles."""
     t0 = time.time()
-    rng = random.Random(20240810)
-    done = 0
-    while done < 1000:
-        g = random_connected_graph(rng, rng.randint(5, 9), 0.45)
-        verts = list(range(g.n))
-        rng.shuffle(verts)
-        s, t, v, u = verts[:4]
-        if not (
-            g.has_edge(u, v)
-            and g.has_edge(s, t)
-            and not g.has_edge(s, v)
-            and not g.has_edge(t, u)
-        ):
-            continue
-        cert = ls_certificate(g, s, t, v, u)
-        if cert.hypothesis_value >= 0:
-            done += 1
-            assert cert.conclusion_holds
-    for n in range(9, 60, 2):
-        assert perron(build_h2(n)).rho > perron(build_g2_1(n)).rho + 1e-12, f"n={n}"
+    failures = local_switching_failures(random.Random(20240810), 1000)
+    assert not failures, failures
+    failures = switch_improvement_failures(range(9, 60, 2))
+    assert not failures, failures
     for n in (13, 15, 17, 19, 60, 100):
         delta = n - 5 if n % 2 == 0 else n - 7
         prof = ComplementProfile(
@@ -231,12 +212,7 @@ def test_criterion_7_sandwich_bound():
             prof = ComplementProfile(type1=pairs - 2, type2=(1, 1), type3=(5,))
         else:
             prof = ComplementProfile(type1=pairs - 1, type2=(1,), type3=(delta - 1,))
-        g = build_from_profile(n, delta, prof)
-        rho_g = perron(g).rho
-        poly = named_quotient("B_delta", n, delta).closed_form
-        rho_b = max_real_root(poly, isolate_max_real_root(poly))
-        assert rho_b <= rho_g + 1e-9, f"n={n} delta={delta}"
-        assert rho_g < rho_b + 1.0 / (n * n), f"n={n} delta={delta}"
+        assert run_sandwich(n, delta, prof)["pass"], f"n={n} delta={delta}"
     elapsed = time.time() - t0
     assert elapsed < 60, f"sandwich suite too slow: {elapsed:.1f}s"
     report("criterion-7 sandwich", elapsed, f"{len(cases)} profiles")
@@ -246,11 +222,8 @@ def test_criterion_8_component_bound():
     """rho(G) * max Perron component < sqrt(max degree) on 500 seeded
     random connected graphs with n <= 10."""
     t0 = time.time()
-    rng = random.Random(8)
-    for _ in range(500):
-        g = random_connected_graph(rng, rng.randint(2, 10), 0.5)
-        lhs, rhs, holds = perron_component_bound(g)
-        assert holds, f"{g.to_json()}: {lhs} !< {rhs}"
+    failures = component_bound_failures(random.Random(8), 500, 2)
+    assert not failures, failures
     elapsed = time.time() - t0
     assert elapsed < 10, f"component bound suite too slow: {elapsed:.1f}s"
     report("criterion-8 component-bound", elapsed, "500 graphs, zero failures")

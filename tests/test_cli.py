@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import random
 
@@ -5,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmax.cli import (
+from specmax.cli import main
+from specmax.families import FAMILY_TAGS
+from specmax.suites import (
     check_family_ordering,
     default_profile,
     family_table,
-    main,
     run_lemmas,
     run_sandwich,
     run_verify_signs,
@@ -147,6 +150,40 @@ class TestVerifySuites:
         )
         assert code == 0
         assert json.loads(out)["pass"]
+
+
+# each parsed as a different profile before counts had to be JSON integers
+# and unknown keys were rejected
+_MISTYPED_PROFILES = [
+    {"type1": "25", "type2": [1.9, 1.2], "type3": [3.7]},
+    {"typo3": [4]},
+    {"type1": True},
+]
+
+
+class TestMistypedProfile:
+    """A mistyped profile file is a usage error, not a different graph."""
+
+    @pytest.mark.parametrize("profile", _MISTYPED_PROFILES)
+    def test_sandwich(self, tmp_path, capsys, profile):
+        path = tmp_path / "prof.json"
+        path.write_text(json.dumps(profile))
+        code, out, err = run(
+            capsys, "verify", "sandwich", "--n-min", "60", "--delta", "5", "--profile", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: malformed profile")
+
+    @pytest.mark.parametrize("profile", _MISTYPED_PROFILES)
+    def test_construct(self, tmp_path, capsys, profile):
+        path = tmp_path / "prof.json"
+        path.write_text(json.dumps(profile))
+        code, out, err = run(
+            capsys, "construct", "--family", "profile", "--n", "9", "--delta", "4",
+            "--profile", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: malformed profile")
 
 
 class TestCompareFamilies:
@@ -305,3 +342,66 @@ class TestFuzzExitCodeContract:
         path = tmp_path_factory.mktemp("sandwich") / "profile"
         path.write_bytes(profile)
         assert main(["verify", "sandwich", "--profile", str(path)]) in (0, 1, 2)
+
+
+# -- fuzzing the other subcommands and flags ---------------------------------
+
+
+def _quiet_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+_orders = st.integers(-2, 70)
+
+
+@st.composite
+def _windows(draw, lo, hi):
+    """--n-min/--n-max in [lo, hi], at most 3 apart, sometimes inverted."""
+    n_min = draw(st.integers(lo, hi))
+    n_max = draw(st.integers(max(lo, n_min - 1), min(hi, n_min + 3)))
+    return ["--n-min", str(n_min), "--n-max", str(n_max)]
+
+
+class TestFuzzCommandLine:
+    """Random orders, degrees, windows and counts on every other subcommand:
+    `main` returns 0, 1 or 2 and never raises.
+
+    The bounds keep the run time down: `verify theorem-n2` at n = 9
+    legitimately takes minutes, `signs` and `theorem-n3` cost time per order,
+    and `lemmas` sweeps families whatever --trials is. They are not chosen
+    to avoid a known defect.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(family=st.sampled_from(FAMILY_TAGS), n=_orders, delta=st.none() | _orders)
+    def test_construct(self, family, n, delta):
+        argv = ["construct", "--family", family, "--n", str(n)]
+        if delta is not None:
+            argv += ["--delta", str(delta)]
+        assert _quiet_main(argv) in (0, 1, 2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=_orders, fmt=st.sampled_from(["json", "csv"]))
+    def test_compare_families(self, n, fmt):
+        assert _quiet_main(["compare-families", "--n", str(n), "--format", fmt]) in (0, 1, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(-2, 6), max_degree=st.integers(-2, 6))
+    def test_enumerate(self, n, max_degree):
+        assert _quiet_main(["enumerate", "--n", str(n), "--max-degree", str(max_degree)]) in (0, 1, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(suite=st.sampled_from(["signs", "theorem-n3"]), window=_windows(0, 70))
+    def test_verify_windows(self, suite, window):
+        assert _quiet_main(["verify", suite, *window]) in (0, 1, 2)
+
+    @settings(max_examples=20, deadline=None)
+    @given(window=_windows(-2, 6))
+    def test_verify_theorem_n2(self, window):
+        assert _quiet_main(["verify", "theorem-n2", *window]) in (0, 1, 2)
+
+    @settings(max_examples=8, deadline=None)
+    @given(trials=st.integers(-3, 2), seed=st.integers(0, 2**32))
+    def test_verify_lemmas(self, trials, seed):
+        assert _quiet_main(["verify", "lemmas", "--trials", str(trials), "--seed", str(seed)]) in (0, 1, 2)

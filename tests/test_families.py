@@ -230,7 +230,7 @@ class TestNamedQuotients:
 
 
 class TestFamilyId:
-    def test_roundtrip_and_build(self):
+    def test_build(self):
         from specmax.families import FamilyId
 
         for fid in [
@@ -242,9 +242,7 @@ class TestFamilyId:
             FamilyId("gdd", 10, 4),
             FamilyId("gd1", 10, 3),
         ]:
-            back = FamilyId.from_json(fid.to_json())
-            assert back == fid
-            assert back.build() == fid.build()
+            assert fid.build().n == fid.n
 
     def test_unknown_tag_rejected(self):
         from specmax.families import FamilyId

@@ -1,0 +1,46 @@
+"""Golden outputs: stdout of the verify suites and compare-families, and the
+theorem-n2 status lines on stderr, byte for byte.
+
+The expected files in `tests/golden/` were recorded from the CLI before the
+suites moved out of `specmax.cli` into `specmax.suites`. The one value
+allowed to move is the `rho_graph` of `sandwich`, which comes from a LAPACK
+eigensolve; it must agree to 1e-12 relative. `perfbench/workloads.py`
+parses the theorem-n2 status lines.
+"""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from specmax.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = {
+    "signs_59_65": ["verify", "signs", "--n-min", "59", "--n-max", "65"],
+    "theorem_n3_59_62": ["verify", "theorem-n3", "--n-min", "59", "--n-max", "62"],
+    "theorem_n2_5_6": ["verify", "theorem-n2", "--n-min", "5", "--n-max", "6"],
+    "lemmas_25_7": ["verify", "lemmas", "--trials", "25", "--seed", "7"],
+    "sandwich_60_5": ["verify", "sandwich", "--n-min", "60", "--delta", "5"],
+    "sandwich_61_6": ["verify", "sandwich", "--n-min", "61", "--delta", "6"],
+    "compare_60_json": ["compare-families", "--n", "60"],
+    "compare_61_csv": ["compare-families", "--n", "61", "--format", "csv"],
+}
+RHO_GRAPH = re.compile(r'"rho_graph":[^,}]+')
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, capsys):
+    assert main(CASES[name]) == 0
+    out, err = capsys.readouterr()
+    want = (GOLDEN / f"{name}.out").read_text()
+    if name.startswith("sandwich"):
+        got_rho, want_rho = (json.loads(text)["rho_graph"] for text in (out, want))
+        assert got_rho == pytest.approx(want_rho, rel=1e-12, abs=0)
+        out, want = (RHO_GRAPH.sub('"rho_graph":_', text) for text in (out, want))
+    assert out == want
+    # every stderr line but the closing timing line
+    status = GOLDEN / f"{name}.err"
+    want_err = status.read_text().splitlines() if status.exists() else []
+    assert [line for line in err.splitlines() if not line.startswith("suite ")] == want_err
