@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import FAMILY_MAX_N, CapabilityError, Graph
 from .intpoly import IntPolynomial, char_poly
 
 NAMED_QUOTIENTS = ("A_delta", "B1", "B2", "B_delta", "B_n5", "B_dd", "B_d1")
@@ -107,6 +107,7 @@ class FamilyId:
     def __post_init__(self):
         if self.family not in FAMILY_TAGS:
             raise ValueError(f"unknown family tag {self.family!r}; use one of {FAMILY_TAGS}")
+        _require_order(self.n)
 
     def build(self) -> Graph:
         if self.family == "g":
@@ -130,6 +131,12 @@ class FamilyId:
         d = _require(self.delta, "gd1 needs delta")
         prof = self.profile or ComplementProfile(type1=(d - 1) // 2)
         return build_case2(self.n, d, 1, prof)
+
+
+def _require_order(n: int) -> None:
+    """Refuse, before any edge is listed, an order above FAMILY_MAX_N."""
+    if n > FAMILY_MAX_N:
+        raise CapabilityError(f"family graphs capped at n={FAMILY_MAX_N}")
 
 
 def _require(value, message):
@@ -270,6 +277,7 @@ def build_from_profile(n: int, delta: int, profile: ComplementProfile) -> Graph:
     order) then cycles; the rest delta+1..n-1 holds type-1 edge pairs
     first, then path endpoint pairs in profile order.
     """
+    _require_order(n)
     if n % 2 == 0:
         if delta % 2 == 0:
             raise ValueError(f"delta must be odd for even n (got {delta}, n={n})")

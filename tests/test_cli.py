@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from specmax.suites import (
     run_sandwich,
     run_verify_signs,
 )
-from specmax.graphs import Graph, graph6_encode, random_connected_graph
+from specmax.graphs import FAMILY_MAX_N, Graph, graph6_encode, random_connected_graph
 
 
 def run(capsys, *argv):
@@ -239,6 +240,22 @@ class TestExitCodeContract:
         code, _, err = run(capsys, "enumerate", "--n", "10", "--max-degree", "8")
         assert code == 2
         assert "usage error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "--family", "g", "--n", "100000000", "--delta", "2"],
+            ["construct", "--family", "h1", "--n", str(FAMILY_MAX_N + 2)],
+            ["verify", "sandwich", "--n-min", "100000000"],
+        ],
+    )
+    def test_family_order_beyond_capability(self, argv, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: family graphs capped at n={FAMILY_MAX_N}\n"
 
     def test_spectrum_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.g6"

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 
+import networkx as nx
 import pytest
 
 from specmax.enumeration import EnumSpec, enumerate_graphs, extremal_search, structure_audit
@@ -130,6 +131,49 @@ class TestEnumerate:
             graph6_encode(g) for g in enumerate_graphs(EnumSpec(6, 4), checkpoint=str(ck))
         ]
         assert resumed == full
+
+    def test_degree_rule_prunes_canonical_forms(self, monkeypatch):
+        # 6,430 calls at (7, 5) before children were rejected by degree
+        import specmax.enumeration as enumeration
+
+        calls = []
+        real = enumeration.canonical_form
+
+        def counting(g):
+            calls.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(enumeration, "canonical_form", counting)
+        assert sum(1 for _ in enumerate_graphs(EnumSpec(7, 5))) == 344
+        assert len(calls) <= 3215
+
+
+class TestAgainstGraphAtlas:
+    """networkx's graph atlas lists every graph on up to 7 vertices exactly
+    once: the enumerated classes must be its nonregular graphs of that
+    order and maximum degree (connected ones when required), each once."""
+
+    ATLAS = nx.graph_atlas_g()
+
+    @pytest.mark.parametrize("connected", [True, False])
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_classes_match_atlas(self, n, connected):
+        for cap in range(2, n):
+            want = set()
+            matched = 0
+            for h in self.ATLAS:
+                degs = [d for _, d in h.degree()]
+                if h.number_of_nodes() != n or max(degs) != cap or min(degs) == cap:
+                    continue
+                if connected and not nx.is_connected(h):
+                    continue
+                matched += 1
+                want.add(canonical_form(Graph.build(n, h.edges())))
+            spec = EnumSpec(n, cap, require_connected=connected)
+            got = [canonical_form(g) for g in enumerate_graphs(spec)]
+            assert len(want) == matched
+            assert len(got) == len(set(got)) == matched, (n, cap, connected)
+            assert set(got) == want, (n, cap, connected)
 
 
 class TestExtremalSearch:

@@ -1,10 +1,13 @@
-"""Golden outputs: stdout of the verify suites and compare-families, and the
-theorem-n2 status lines on stderr, byte for byte.
+"""Golden outputs: stdout of the verify suites and compare-families, the
+theorem-n2 status lines on stderr, and the enumeration files and level
+lists, byte for byte.
 
 The expected files in `tests/golden/` were recorded from the CLI before the
-suites moved out of `specmax.cli` into `specmax.suites`. The one value
-allowed to move is the `rho_graph` of `sandwich`, which comes from a LAPACK
-eigensolve; it must agree to 1e-12 relative. `perfbench/workloads.py`
+suites moved out of `specmax.cli` into `specmax.suites`; the enumeration
+pins (`enumerate_7_5.*`, `levels_6_4_disconnected.txt`) before `_level_up`
+began rejecting children by degree ahead of their canonical forms. The one
+value allowed to move is the `rho_graph` of `sandwich`, which comes from a
+LAPACK eigensolve; it must agree to 1e-12 relative. `perfbench/workloads.py`
 parses the theorem-n2 status lines.
 """
 
@@ -15,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from specmax.cli import main
+from specmax.enumeration import _level_up
+from specmax.graphs import Graph, canonical_form
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = {
@@ -44,3 +49,22 @@ def test_output_matches_golden(name, capsys):
     status = GOLDEN / f"{name}.err"
     want_err = status.read_text().splitlines() if status.exists() else []
     assert [line for line in err.splitlines() if not line.startswith("suite ")] == want_err
+
+
+def test_enumerate_files_match_golden(tmp_path):
+    emit, checkpoint = tmp_path / "classes.g6", tmp_path / "frontier.json"
+    argv = ["enumerate", "--n", "7", "--max-degree", "5", "--emit", str(emit), "--checkpoint", str(checkpoint)]
+    assert main(argv) == 0
+    assert emit.read_bytes() == (GOLDEN / "enumerate_7_5.g6").read_bytes()
+    assert checkpoint.read_bytes() == (GOLDEN / "enumerate_7_5.checkpoint.json").read_bytes()
+
+
+def test_level_lists_match_golden():
+    # every level of EnumSpec(6, 4, require_connected=False), one line each
+    codes = [canonical_form(Graph.build(1, []))]
+    levels = [codes]
+    for _ in range(5):
+        codes = _level_up(codes, 4, False)
+        levels.append(codes)
+    got = b"".join(b" ".join(level) + b"\n" for level in levels)
+    assert got == (GOLDEN / "levels_6_4_disconnected.txt").read_bytes()
