@@ -23,17 +23,15 @@ from .graphs import (
 )
 from .intpoly import (
     IntPolynomial,
-    RootBracket,
     char_poly,
     compare_max_real_roots,
     count_roots,
-    isolate_max_real_root,
     max_real_root,
     poly_dominates,
     shifted_root_bound,
 )
 from .spectral import ConvergenceError, PerronPair, perron, perron_component_bound, spectral_radius
-from .partition import PropertyViolation, QuotientSpec, loop_shift_check, quotient, quotient_bound_check
+from .partition import QuotientSpec, quotient
 from .families import (
     ComplementProfile,
     FamilyId,

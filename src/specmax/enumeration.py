@@ -205,7 +205,7 @@ def extremal_search(spec: EnumSpec) -> ExtremalReport:
     )
 
 
-def structure_audit(g: Graph, tol: float = 1e-10) -> dict:
+def structure_audit(g: Graph) -> dict:
     """Structural facts about a maximizer: the sub-maximal vertices induce a
     clique, their Perron components order by neighborhood containment, and
     every sub-maximal component sits below every full-degree component."""
@@ -213,7 +213,7 @@ def structure_audit(g: Graph, tol: float = 1e-10) -> dict:
     top = max(degs)
     low = [v for v, d in enumerate(degs) if d < top]
     high = [v for v, d in enumerate(degs) if d == top]
-    pair = perron(g, tol)
+    pair = perron(g)
     x = pair.vector
     clique = all(g.has_edge(a, b) for i, a in enumerate(low) for b in low[i + 1 :])
     ordering_ok = True

@@ -9,10 +9,9 @@ complete block always pair consecutive labels: (first, second),
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
-from .graphs import FAMILY_MAX_N, CapabilityError, Graph
+from .graphs import FAMILY_MAX_N, QUOTIENT_MAX_N, CapabilityError, Graph, strict_int
 from .intpoly import IntPolynomial, char_poly
 
 NAMED_QUOTIENTS = ("A_delta", "B1", "B2", "B_delta", "B_n5", "B_dd", "B_d1")
@@ -34,9 +33,9 @@ class ComplementProfile:
     type3: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "type1", _count(self.type1))
-        object.__setattr__(self, "type2", tuple(map(_count, self.type2)))
-        object.__setattr__(self, "type3", tuple(map(_count, self.type3)))
+        object.__setattr__(self, "type1", strict_int(self.type1))
+        object.__setattr__(self, "type2", tuple(map(strict_int, self.type2)))
+        object.__setattr__(self, "type3", tuple(map(strict_int, self.type3)))
         if self.type1 < 0:
             raise ValueError("type1 count must be nonnegative")
         if any(k < 1 for k in self.type2):
@@ -72,13 +71,6 @@ class ComplementProfile:
             return ComplementProfile(data.get("type1", 0), data.get("type2", ()), data.get("type3", ()))
         except TypeError as exc:
             raise ValueError(f"malformed profile: {exc}") from None
-
-
-def _count(value) -> int:
-    """An integer count; bools and floats raise TypeError."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not an integer count")
-    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -460,8 +452,16 @@ def _need_delta(which: str, delta) -> int:
     return int(delta)
 
 
+def check_quotient_order(n: int) -> None:
+    """Refuse, before any parameter value is listed, an order above
+    QUOTIENT_MAX_N."""
+    if n > QUOTIENT_MAX_N:
+        raise CapabilityError(f"quotient tables capped at n={QUOTIENT_MAX_N}")
+
+
 def admissible_deltas(which: str, n: int) -> list[int]:
     """Parity-correct parameter values for a named quotient at order n."""
+    check_quotient_order(n)
     if which == "A_delta":
         return [d for d in range(2, n - 2) if d % 2 == 0]
     if which == "B_delta":

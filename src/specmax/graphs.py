@@ -9,6 +9,7 @@ canonical form for small-order isomorphism tests.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass
 
@@ -19,6 +20,16 @@ CANONICAL_MAX_N = 12
 # the family builders' dense edge lists grow as n^2: at n = 2000 `construct`
 # takes about 1.5 s and 180 MB, and `verify sandwich` 4 s, on a 2-core machine
 FAMILY_MAX_N = 2000
+# the quotient tables list O(n) parameter values per order: at n = 20000 one
+# `compare-families` order takes about 16 s on a 2-core machine
+QUOTIENT_MAX_N = 20000
+
+
+def strict_int(value) -> int:
+    """An integer read from outside input; bools and floats raise TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
 
 
 class CapabilityError(Exception):
@@ -240,9 +251,9 @@ class Graph:
         """Parse the JSON form; malformed input raises ValueError."""
         data = json.loads(text)
         try:
-            g = Graph.build(data["n"], [tuple(e) for e in data["edges"]])
+            g = Graph.build(strict_int(data["n"]), [tuple(map(strict_int, e)) for e in data["edges"]])
             loops = 0
-            for v in data.get("loops", []):
+            for v in map(strict_int, data.get("loops", [])):
                 if not 0 <= v < g.n:
                     raise ValueError(f"loop vertex {v} out of range")
                 loops |= 1 << v
@@ -262,24 +273,21 @@ def _g6_header(n: int) -> bytes:
     raise CapabilityError(f"graph6 header for n={n} not supported")
 
 
+def _g6_pack(n: int, bits: str) -> bytes:
+    """graph6 bytes of an n-vertex graph from its upper-triangle bits, a
+    '0'/'1' string in column-major order; six bits to a byte, the last
+    byte padded with zeros."""
+    bits += "0" * (-len(bits) % 6)
+    return _g6_header(n) + bytes(int(bits[i : i + 6], 2) + 63 for i in range(0, len(bits), 6))
+
+
 def graph6_encode(g: Graph) -> str:
     """Standard graph6 encoding (upper triangle, column-major, 6-bit chunks)."""
     if g.loops:
         raise ValueError("graph6 encodes loop-free graphs only")
-    out = bytearray(_g6_header(g.n))
-    acc = 0
-    nbits = 0
-    for col in range(1, g.n):
-        for row in range(col):
-            acc = (acc << 1) | ((g.rows[col] >> row) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return out.decode("ascii")
+    # column c lists rows 0..c-1, the reverse of the binary digits of rows[c]
+    bits = "".join(format(g.rows[c] & ((1 << c) - 1), f"0{c}b")[::-1] for c in range(1, g.n))
+    return _g6_pack(g.n, bits).decode("ascii")
 
 
 def graph6_decode(text: str) -> Graph:
@@ -425,21 +433,8 @@ def canonical_form(g: Graph) -> bytes:
 
     dfs(0)
 
-    out = bytearray(_g6_header(n))
-    acc = 0
-    nbits = 0
-    for p in range(1, n):
-        ch = best[p - 1] if best else 0
-        for k in range(p - 1, -1, -1):
-            acc = (acc << 1) | ((ch >> k) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return bytes(out)
+    # best[p - 1] holds column p of the canonical matrix, row 0 highest
+    return _g6_pack(n, "".join(format(best[p - 1], f"0{p}b") for p in range(1, n)))
 
 
 # -- helpers for randomized sweeps --------------------------------------

@@ -54,20 +54,6 @@ class IntPolynomial:
         )
 
 
-@dataclass(frozen=True)
-class RootBracket:
-    """Half-open interval (lo, hi] expected to hold the maximum real root."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if not self.lo < self.hi:
-            raise ValueError(f"bracket requires lo < hi, got ({self.lo}, {self.hi}]")
-
-
 # -- characteristic polynomial ------------------------------------------
 
 
@@ -356,37 +342,16 @@ def count_roots(p: IntPolynomial, lo, hi) -> int:
     return _variations(chain, a) - _variations(chain, b)
 
 
-def isolate_max_real_root(p: IntPolynomial) -> RootBracket:
-    """Bracket (lo, hi] containing exactly the maximum real root of p."""
-    if p.degree < 1:
-        raise ValueError("polynomial must be nonconstant")
-    lo, hi = _max_root_bracket(_sturm_chain(p.coeffs))
-    return RootBracket(Fraction(*lo), Fraction(*hi))
-
-
-def max_real_root(p: IntPolynomial, bracket: RootBracket | None = None) -> float:
+def max_real_root(p: IntPolynomial) -> float:
     """The maximum real root of p as the correctly rounded double.
 
-    Without a bracket the root is isolated first.  A given bracket must
-    contain exactly one distinct root in (lo, hi] and no root above hi
-    (checked by Sturm counts; violations raise ValueError).  The bracket is
-    then bisected by exact signs until both ends round to the same double.
+    The root is isolated by Sturm counts, then its bracket is bisected by
+    exact signs until both ends round to the same double.
     """
     if p.degree < 1:
         raise ValueError("polynomial must be nonconstant")
     chain = _sturm_chain(p.coeffs)
-    if bracket is None:
-        lo, hi = _max_root_bracket(chain)
-    else:
-        lo, hi = bracket.lo.as_integer_ratio(), bracket.hi.as_integer_ratio()
-        v_hi = _variations(chain, hi)
-        inside = _variations(chain, lo) - v_hi
-        above = v_hi - _variations(chain, (1, 0))
-        if inside != 1 or above != 0:
-            raise ValueError(
-                f"invalid bracket ({bracket.lo}, {bracket.hi}]: "
-                f"{inside} roots inside, {above} above"
-            )
+    lo, hi = _max_root_bracket(chain)
     s = chain[0]
     while True:
         f_lo, f_hi = lo[0] / lo[1], hi[0] / hi[1]  # int / int rounds correctly

@@ -1,23 +1,18 @@
-"""Vertex partitions, exact rational quotient matrices, and the quotient
-spectral-radius bound with its loop-shift variant."""
+"""Vertex partitions and their exact rational quotient matrices, with the
+equitability flag the quotient-bound checks in `specmax.suites` rest on."""
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph
-from .spectral import matrix_spectral_radius, perron
-
-
-class PropertyViolation(AssertionError):
-    """A verification primitive observed a violated spectral property."""
+from .graphs import Graph, strict_int
+from .spectral import matrix_spectral_radius
 
 
 def _normalize_cells(g: Graph, cells) -> tuple[tuple[int, ...], ...]:
     try:
-        norm = tuple(tuple(sorted(map(operator.index, cell))) for cell in cells)
+        norm = tuple(tuple(sorted(map(strict_int, cell))) for cell in cells)
     except TypeError:
         raise ValueError("partition must be a list of lists of vertex indices") from None
     seen = 0
@@ -85,52 +80,3 @@ def quotient(g: Graph, cells) -> QuotientSpec:
             row.append(Fraction(sum(counts), len(cell)))
         matrix.append(tuple(row))
     return QuotientSpec(tuple(matrix), equitable)
-
-
-def quotient_bound_check(g: Graph, cells, tol: float = 1e-9):
-    """Check rho(G) >= rho(B), with equality exactly in the equitable case.
-
-    Returns (rho_G, rho_B, equitable); raises PropertyViolation when the
-    bound fails at the given tolerance.
-    """
-    spec = quotient(g, cells)
-    rho_g = perron(g).rho
-    rho_b = spec.rho()
-    if rho_g < rho_b - tol:
-        raise PropertyViolation(
-            f"quotient bound violated: rho(G)={rho_g!r} < rho(B)={rho_b!r}"
-        )
-    if spec.equitable and abs(rho_g - rho_b) > tol:
-        raise PropertyViolation(
-            f"equitable partition but rho(G)={rho_g!r} != rho(B)={rho_b!r}"
-        )
-    return rho_g, rho_b, spec.equitable
-
-
-def loop_shift_check(g: Graph, cells, tol: float = 1e-9) -> bool:
-    """Verify the loop-augmentation behaviour of an equitable partition.
-
-    For an equitable partition of a loop-free g: the same partition is
-    equitable for the all-loops graph, its quotient is B + 2I exactly, and
-    the spectral radius shifts by exactly 2 (within tol numerically).
-    """
-    base = quotient(g, cells)
-    if not base.equitable:
-        raise ValueError("loop_shift_check requires an equitable partition")
-    looped = g.add_loops()
-    shifted = quotient(looped, cells)
-    if not shifted.equitable:
-        return False
-    m = len(base.matrix)
-    for i in range(m):
-        for j in range(m):
-            want = base.matrix[i][j] + (2 if i == j else 0)
-            if shifted.matrix[i][j] != want:
-                return False
-    rho_g = perron(g).rho
-    rho_loop = perron(looped).rho
-    if abs(rho_loop - (rho_g + 2)) > tol:
-        return False
-    if abs(shifted.rho() - (base.rho() + 2)) > tol:
-        return False
-    return True

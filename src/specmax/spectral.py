@@ -70,12 +70,12 @@ def perron(g: Graph, tol: float = 1e-10) -> PerronPair:
     return PerronPair(rho, x, residual, 1)
 
 
-def perron_component_bound(g: Graph, tol: float = 1e-10):
+def perron_component_bound(g: Graph):
     """Evaluate rho(G) * max-component < sqrt(max degree).
 
     Returns (lhs, rhs, holds).
     """
-    pair = perron(g, tol)
+    pair = perron(g)
     lhs = pair.rho * float(np.max(pair.vector))
     rhs = math.sqrt(g.max_degree())
     return lhs, rhs, lhs < rhs

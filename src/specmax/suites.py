@@ -3,9 +3,10 @@
 Each `run_*` suite returns the JSON-ready result that `specmax verify`
 prints. Signs, theorem-n2, theorem-n3 and lemmas list their failures as
 records `{"check": name, "n": order or None, "witness": ...}`; sandwich
-makes one check and reports its margins instead. The `*_failures`
-sections are shared with the acceptance tests, which call them with their
-own inputs.
+makes one check and reports its margins instead. Each check is decided
+in one place: the `*_failures` sections, and the `*_verdicts` functions
+that `partition_failures` runs over (graph, partition) cases, are shared
+with the tests, which call them with their own inputs.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
+from math import inf, nextafter
 
 from .enumeration import EXHAUSTIVE_MAX_N, EnumSpec, ExtremalReport, extremal_search, structure_audit
 from .families import (
@@ -23,6 +25,7 @@ from .families import (
     build_g2_1,
     build_h1,
     build_h2,
+    check_quotient_order,
     g2_1_partition,
     g_partition,
     h1_partition,
@@ -30,14 +33,8 @@ from .families import (
     named_quotient,
 )
 from .graphs import Graph, canonical_form, graph6_encode, random_connected_graph
-from .intpoly import (
-    IntPolynomial,
-    compare_max_real_roots,
-    count_roots,
-    isolate_max_real_root,
-    max_real_root,
-)
-from .partition import loop_shift_check, quotient
+from .intpoly import IntPolynomial, compare_max_real_roots, count_roots, max_real_root
+from .partition import quotient
 from .spectral import perron, perron_component_bound
 from .switching import SwitchMove, ls_certificate, op1_sandwich_check, op2_monotone_check
 
@@ -78,14 +75,14 @@ def _assert_strictly_larger(
 ) -> list[str]:
     """Exact check that winner's max real root beats every other poly.
 
-    Uses a rational separator just below the winner root; any competitor
-    with a root above the separator falls back to an exact pairwise
-    comparison.  Returns the names of violators (empty when all pass).
+    The separator is the double just below the winner's root: the root is
+    strictly above it because `max_real_root` rounds correctly.  A
+    competitor with no root above the separator loses; any other is
+    compared with the winner exactly.  Returns the names of violators
+    (empty when all pass).
     """
     winner_root = max_real_root(winner)
-    sep = Fraction(winner_root).limit_denominator(10**10) - Fraction(1, 10**8)
-    if count_roots(winner, sep, None) != 1:
-        sep = isolate_max_real_root(winner).lo
+    sep = nextafter(winner_root, -inf)
     bad = []
     for name, poly in others:
         if count_roots(poly, sep, None) == 0:
@@ -274,6 +271,7 @@ def run_theorem_n2(n_min: int = 5, n_max: int = 8) -> dict:
 def run_theorem_n3(n_min: int = 59, n_max: int = 200) -> dict:
     if not 59 <= n_min <= n_max:
         raise UsageError("theorem-n3 needs 59 <= n_min <= n_max")
+    check_quotient_order(n_max)
     failures = []
     for n in range(n_min, n_max + 1):
         bad = check_family_ordering(n)
@@ -313,8 +311,7 @@ def run_sandwich(
     g = build_from_profile(n, delta, profile)
     rho_g = perron(g).rho
     poly = named_quotient("B_delta", n, delta).closed_form
-    bracket = isolate_max_real_root(poly)
-    rho_b = max_real_root(poly, bracket)
+    rho_b = max_real_root(poly)
     width = 1.0 / (n * n)
     fine = 2 * (n - 1) / (3 * (n - 4) ** 3) + 2 * (n - 1) / (3 * (n - 4) ** 4)
     ok = (rho_b <= rho_g + 1e-9) and (rho_g < rho_b + width)
@@ -392,12 +389,72 @@ def switch_improvement_failures(orders) -> list[dict]:
     return failures
 
 
-def _random_partition(rng: random.Random, n: int) -> list[list[int]]:
-    k = rng.randint(1, max(1, n - 1))
-    cells = [[] for _ in range(k)]
-    for v in range(n):
-        cells[rng.randrange(k)].append(v)
-    return [c for c in cells if c]
+def random_partition_cases(rng: random.Random, trials: int):
+    """`trials` random connected graphs of order 4..10, each with a random
+    partition of its vertices into at most n-1 cells."""
+    for _ in range(trials):
+        g = random_connected_graph(rng, rng.randint(4, 10), 0.5)
+        k = rng.randint(1, g.n - 1)
+        cells = [[] for _ in range(k)]
+        for v in range(g.n):
+            cells[rng.randrange(k)].append(v)
+        yield g, [c for c in cells if c]
+
+
+def quotient_bound_verdicts(g: Graph, cells) -> list[tuple[str, bool]]:
+    """(check, holds) of the quotient bound rho(G) >= rho(B) on one
+    partition of a connected graph. Equality occurs exactly when the Perron
+    vector is constant on cells: equitable partitions of connected graphs
+    always are, some inequitable ones happen to be as well, and on every
+    other partition the bound is strict."""
+    spec = quotient(g, cells)
+    pair = perron(g)
+    rho_b = spec.rho()
+    x = pair.vector
+    verdicts = [("quotient_bound", pair.rho >= rho_b - 1e-9)]
+    if spec.equitable:
+        verdicts.append(("quotient_equitable_equality", abs(pair.rho - rho_b) < 1e-9))
+    elif not all(max(x[v] for v in c) - min(x[v] for v in c) < 1e-7 for c in cells):
+        verdicts.append(("quotient_bound_strict", pair.rho > rho_b))
+    return verdicts
+
+
+def family_quotient_verdicts(g: Graph, cells) -> list[tuple[str, bool]]:
+    """(check, holds) on a loop-free family graph with its documented
+    partition: the partition is equitable with rho(B) = rho(G), and with a
+    loop at every vertex its quotient is exactly B + 2I and both spectral
+    radii shift by exactly 2."""
+    base = quotient(g, cells)
+    looped = g.add_loops()
+    shifted = quotient(looped, cells)
+    rho_g = perron(g).rho
+    rho_b = base.rho()
+    m = len(base.matrix)
+    plus_2i = all(
+        shifted.matrix[i][j] == base.matrix[i][j] + 2 * (i == j) for i in range(m) for j in range(m)
+    )
+    return [
+        ("family_equitable", base.equitable),
+        ("family_quotient_rho", abs(rho_g - rho_b) < 1e-9),
+        (
+            "loop_shift",
+            shifted.equitable
+            and plus_2i
+            and abs(perron(looped).rho - (rho_g + 2)) < 1e-9
+            and abs(shifted.rho() - (rho_b + 2)) < 1e-9,
+        ),
+    ]
+
+
+def partition_failures(verdicts, cases) -> list[dict]:
+    """Failure records of `verdicts(g, cells)` over (g, cells) cases, each
+    witnessed by the graph6 line and the partition."""
+    failures = []
+    for g, cells in cases:
+        witness = f"{graph6_encode(g)} {cells}"
+        for check, ok in verdicts(g, cells):
+            _check(failures, check, g.n, ok, witness)
+    return failures
 
 
 def run_lemmas(trials: int = 200, seed: int = 0) -> dict:
@@ -408,41 +465,17 @@ def run_lemmas(trials: int = 200, seed: int = 0) -> dict:
     failures = local_switching_failures(rng, trials)
     failures += component_bound_failures(rng, trials, 3)
 
-    # quotient bound on random partitions; equality occurs exactly when the
-    # Perron vector is constant on cells (equitable partitions of connected
-    # graphs always are; some inequitable ones happen to be as well)
-    for _ in range(trials):
-        g = random_connected_graph(rng, rng.randint(4, 10), 0.5)
-        cells = _random_partition(rng, g.n)
-        spec = quotient(g, cells)
-        pair = perron(g)
-        rho_b = spec.rho()
-        witness = f"{graph6_encode(g)} {cells}"
-        _check(failures, "quotient_bound", g.n, pair.rho >= rho_b - 1e-9, witness)
-        cell_constant = all(
-            max(float(pair.vector[v]) for v in cell)
-            - min(float(pair.vector[v]) for v in cell)
-            < 1e-7
-            for cell in cells
-        )
-        if spec.equitable:
-            _check(failures, "quotient_equitable_equality", g.n, abs(pair.rho - rho_b) < 1e-9, witness)
-        elif not cell_constant:
-            _check(failures, "quotient_bound_strict", g.n, pair.rho > rho_b, witness)
+    failures += partition_failures(quotient_bound_verdicts, random_partition_cases(rng, trials))
 
     # equitable partitions and loop shift on the named families
+    families = []
     for n in range(8, 41):
-        fams = [(build_g(n, 2), g_partition(n, 2))]
+        families.append((build_g(n, 2), g_partition(n, 2)))
         if n % 2 == 0:
-            fams.append((build_h1(n), h1_partition(n)))
-        elif n >= 9:
-            fams.append((build_h2(n), h2_partition(n)))
-            fams.append((build_g2_1(n), g2_1_partition(n)))
-        for g, cells in fams:
-            spec = quotient(g, cells)
-            _check(failures, "family_equitable", n, spec.equitable)
-            _check(failures, "family_quotient_rho", n, abs(perron(g).rho - spec.rho()) < 1e-9)
-            _check(failures, "loop_shift", n, loop_shift_check(g, cells))
+            families.append((build_h1(n), h1_partition(n)))
+        else:
+            families += [(build_h2(n), h2_partition(n)), (build_g2_1(n), g2_1_partition(n))]
+    failures += partition_failures(family_quotient_verdicts, families)
 
     # switching monotonicity on two profile instances
     gl = build_from_profile(15, 6, ComplementProfile(type1=3, type2=(3,), type3=(3,))).add_loops()

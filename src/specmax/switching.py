@@ -173,7 +173,7 @@ def _check_op345_low_pair(g: Graph, u: int, v: int):
         raise ValueError("u and v must both have sub-maximal degree")
 
 
-def ls_certificate(g: Graph, s: int, t: int, v: int, u: int, tol: float = 1e-10) -> SwitchCertificate:
+def ls_certificate(g: Graph, s: int, t: int, v: int, u: int) -> SwitchCertificate:
     """Certificate for the local-switching inequality on (s, t, v, u).
 
     hypothesis = (x_s - x_u)(x_v - x_t) from the Perron vector of g.  When
@@ -182,7 +182,7 @@ def ls_certificate(g: Graph, s: int, t: int, v: int, u: int, tol: float = 1e-10)
     smaller rho would falsify it.  equality_case reports x_s = x_u and
     x_v = x_t within 1e-8.
     """
-    pair = perron(g, tol)
+    pair = perron(g)
     x = pair.vector
     hyp = float((x[s] - x[u]) * (x[v] - x[t]))
     moved = apply(g, SwitchMove("LS", (s, t, v, u)))
@@ -195,30 +195,30 @@ def ls_certificate(g: Graph, s: int, t: int, v: int, u: int, tol: float = 1e-10)
     return SwitchCertificate(pair.rho, rho_after, hyp, holds, equality)
 
 
-def op1_sandwich_check(gloop: Graph, move: SwitchMove, tol: float = 1e-10) -> bool:
+def op1_sandwich_check(gloop: Graph, move: SwitchMove) -> bool:
     """Check rho(G~) <= rho(G) <= rho(G~) + 2 (x1 - x2)^2 for an Op1 move."""
     if move.kind != "Op1":
         raise ValueError("move must be an Op1")
-    pair = perron(gloop, tol)
+    pair = perron(gloop)
     x = pair.vector
     x1 = float(x[move.vertices[0]])
     x2 = float(x[move.vertices[1]])
     rewritten = apply(gloop, move)
-    after = perron(rewritten, tol)
+    after = perron(rewritten)
     upper = after.rho + 2.0 * (x1 - x2) ** 2
     return after.rho <= pair.rho + 1e-9 and pair.rho <= upper + 1e-9
 
 
-def op2_monotone_check(gloop: Graph, move: SwitchMove, tol: float = 1e-10) -> bool:
+def op2_monotone_check(gloop: Graph, move: SwitchMove) -> bool:
     """Check rho does not decrease under an Op2 rewrite."""
     if move.kind != "Op2":
         raise ValueError("move must be an Op2")
-    before = perron(gloop, tol)
-    after = perron(apply(gloop, move), tol)
+    before = perron(gloop)
+    after = perron(apply(gloop, move))
     return after.rho >= before.rho - 1e-9
 
 
-def case2_inequality_audit(g: Graph, tol: float = 1e-10) -> dict:
+def case2_inequality_audit(g: Graph) -> dict:
     """Perron-data audit of the two-low-vertex inequality chain.
 
     Reports both sides of each inequality:
@@ -234,7 +234,7 @@ def case2_inequality_audit(g: Graph, tol: float = 1e-10) -> dict:
     low = [i for i, d in enumerate(degs) if d < top]
     if len(low) != 2:
         raise ValueError(f"audit expects exactly 2 sub-maximal vertices, got {len(low)}")
-    pair = perron(g, tol)
+    pair = perron(g)
     x = pair.vector
     u, v = low
     if (degs[u], x[u]) < (degs[v], x[v]):

@@ -25,12 +25,13 @@ from specmax.families import (
     profile_partition,
 )
 from specmax.intpoly import char_poly, compare_max_real_roots
-from specmax.partition import quotient
 from specmax.spectral import perron
 from specmax.suites import (
     check_family_ordering,
     component_bound_failures,
+    family_quotient_verdicts,
     local_switching_failures,
+    partition_failures,
     run_sandwich,
     run_theorem_n2,
     run_verify_signs,
@@ -117,11 +118,10 @@ def test_criterion_4_family_ordering():
 def test_criterion_5_equitable_and_loop_lemmas():
     """Every constructed family graph for n in [8, 100]: documented
     partition quotient matches rho(G) within 1e-9, and adding loops shifts
-    rho by exactly 2."""
+    the quotient by exactly 2I and rho by exactly 2."""
     t0 = time.time()
-    count = 0
+    instances = []
     for n in range(8, 101):
-        instances = []
         tmax = n - 3 if (n - 3) % 2 == 0 else n - 4
         tmid = tmax // 2 if (tmax // 2) % 2 == 0 else tmax // 2 + 1
         for t in sorted({2, tmid, tmax}):
@@ -151,17 +151,11 @@ def test_criterion_5_equitable_and_loop_lemmas():
                     case2_partition(n, 3, 1),
                 )
             )
-        for g, cells in instances:
-            count += 1
-            spec = quotient(g, cells)
-            assert spec.equitable, f"n={n}: partition not equitable"
-            rho_g = perron(g).rho
-            assert abs(rho_g - spec.rho()) < 1e-9, f"n={n}"
-            rho_loop = perron(g.add_loops()).rho
-            assert abs(rho_loop - (rho_g + 2)) < 1e-9, f"n={n}"
+    failures = partition_failures(family_quotient_verdicts, instances)
+    assert not failures, failures
     elapsed = time.time() - t0
     assert elapsed < 60, f"equitable/loop suite too slow: {elapsed:.1f}s"
-    report("criterion-5 equitable-loop", elapsed, f"{count} family graphs, n=8..100")
+    report("criterion-5 equitable-loop", elapsed, f"{len(instances)} family graphs, n=8..100")
 
 
 def test_criterion_6_switching_properties():

@@ -18,7 +18,7 @@ from specmax.suites import (
     run_sandwich,
     run_verify_signs,
 )
-from specmax.graphs import FAMILY_MAX_N, Graph, graph6_encode, random_connected_graph
+from specmax.graphs import FAMILY_MAX_N, QUOTIENT_MAX_N, Graph, graph6_encode, random_connected_graph
 
 
 def run(capsys, *argv):
@@ -257,6 +257,47 @@ class TestExitCodeContract:
         assert out == ""
         assert err == f"usage error: family graphs capped at n={FAMILY_MAX_N}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare-families", "--n", "1000000000000"],
+            ["verify", "theorem-n3", "--n-min", "1000000000", "--n-max", "1000000000"],
+            ["verify", "theorem-n3", "--n-min", "59", "--n-max", str(QUOTIENT_MAX_N + 1)],
+        ],
+    )
+    def test_quotient_order_beyond_capability(self, argv, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: quotient tables capped at n={QUOTIENT_MAX_N}\n"
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            {"n": 3, "edges": [[0, True], [True, 2]]},
+            {"n": 3, "edges": [[0, 1], [1, 2]], "loops": [False]},
+        ],
+    )
+    def test_spectrum_bool_vertex(self, graph, tmp_path, capsys):
+        # JSON true and false are not the vertices 1 and 0
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph))
+        code, out, err = run(capsys, "spectrum", "--in", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ")
+
+    def test_quotient_bool_vertex(self, tmp_path, capsys):
+        (tmp_path / "g.g6").write_text(graph6_encode(Graph.build(3, [(0, 1), (1, 2)])))
+        (tmp_path / "cells.json").write_text("[[true, 0], [2]]")
+        argv = ["quotient", "--in", str(tmp_path / "g.g6"), "--partition", str(tmp_path / "cells.json")]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ")
+
     def test_spectrum_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.g6"
         path.write_text("")
@@ -285,7 +326,7 @@ _json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
     max_leaves=8,
 )
-_small_ints = st.integers(-2, 14)
+_small_ints = st.integers(-2, 14) | st.booleans()
 
 
 @st.composite

@@ -17,7 +17,7 @@ from specmax.families import (
     named_quotient,
     profile_partition,
 )
-from specmax.intpoly import IntPolynomial, isolate_max_real_root, max_real_root
+from specmax.intpoly import IntPolynomial, max_real_root
 from specmax.partition import quotient
 from specmax.spectral import perron
 
@@ -37,7 +37,7 @@ class TestBuildG:
         nq = named_quotient("A_delta", 8, 4)
         assert nq.closed_form.coeffs == (8, -12, -4, 1)
         assert perron(g, 1e-12).rho == pytest.approx(
-            max_real_root(nq.closed_form, isolate_max_real_root(nq.closed_form)), abs=1e-9
+            max_real_root(nq.closed_form), abs=1e-9
         )
 
     def test_validation(self):
@@ -82,7 +82,7 @@ class TestBuildH1:
     def test_order60_rho(self):
         nq = named_quotient("B1", 60)
         assert nq.closed_form.coeffs == (58, 111, -115, -55, 1)
-        exact = max_real_root(nq.closed_form, isolate_max_real_root(nq.closed_form))
+        exact = max_real_root(nq.closed_form)
         assert perron(build_h1(60)).rho == pytest.approx(exact, abs=1e-9)
 
     def test_validation(self):
@@ -105,7 +105,7 @@ class TestBuildH2:
     def test_order9_rho(self):
         nq = named_quotient("B2", 9)
         assert nq.closed_form.coeffs == (16, 10, -13, -4, 1)
-        exact = max_real_root(nq.closed_form, isolate_max_real_root(nq.closed_form))
+        exact = max_real_root(nq.closed_form)
         assert perron(build_h2(9), 1e-12).rho == pytest.approx(exact, abs=1e-9)
 
     def test_validation(self):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from specmax.intpoly import (
     IntPolynomial,
-    RootBracket,
     char_poly,
     compare_max_real_roots,
     count_roots,
@@ -94,33 +93,30 @@ class TestCounting:
 class TestMaxRealRoot:
     def test_simple(self):
         p = IntPolynomial((-4, 0, 1))
-        assert max_real_root(p, RootBracket(1, 3)) == pytest.approx(2, abs=1e-12)
+        assert max_real_root(p) == pytest.approx(2, abs=1e-12)
 
     def test_exact_rational_hit(self):
         p = IntPolynomial((-4, 0, 1))
-        assert max_real_root(p, RootBracket(0, 2)) == 2.0
+        assert max_real_root(p) == 2.0
 
     def test_cubic_family_value(self):
         # order-5 family quotient: lambda^3 - lambda^2 - 6 lambda + 2
         p = IntPolynomial((2, -6, -1, 1))
-        r = max_real_root(p, RootBracket(Fraction(5, 2), 3))
+        r = max_real_root(p)
         assert r == pytest.approx(2.85577, abs=1e-4)
 
     def test_order60_quartic(self):
         p = IntPolynomial((58, 111, -115, -55, 1))
-        r = max_real_root(p, RootBracket(56, 57))
+        r = max_real_root(p)
         assert 56.9 < r < 57.0
 
-    def test_invalid_bracket_rejected(self):
-        p = IntPolynomial((58, 111, -115, -55, 1))
-        with pytest.raises(ValueError):
-            max_real_root(p, RootBracket(57, Fraction(571, 10)))
-
     def test_auto_isolation_matches(self):
+        # the correctly rounded double of sympy's exact root, evaluated to
+        # 40 digits (far from a rounding boundary for this cubic)
         p = IntPolynomial((2, -6, -1, 1))
-        assert max_real_root(p) == pytest.approx(
-            max_real_root(p, RootBracket(Fraction(5, 2), 3)), abs=1e-11
-        )
+        x = sympy.Symbol("x")
+        exact = max(sympy.Poly(list(reversed(p.coeffs)), x).real_roots())
+        assert max_real_root(p) == float(exact.evalf(40))
 
     def test_root_on_rounding_tie(self):
         # 1 + 3/2^53 lies halfway between two doubles and rounds to even,
@@ -128,11 +124,10 @@ class TestMaxRealRoot:
         for num in (2**53 + 1, 2**53 + 3):
             p = IntPolynomial((-num, 2**53))
             assert max_real_root(p) == float(Fraction(num, 2**53))
-            assert max_real_root(p, RootBracket(Fraction(1, 3), 2)) == float(Fraction(num, 2**53))
 
     def test_even_multiplicity_max_root(self):
         p = IntPolynomial((1, -2, 1))  # (x-1)^2, no sign change at the root
-        assert max_real_root(p, RootBracket(0, 2)) == pytest.approx(1, abs=1e-10)
+        assert max_real_root(p) == pytest.approx(1, abs=1e-10)
 
 
 class TestPolyDominates:

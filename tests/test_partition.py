@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from specmax.graphs import Graph, random_connected_graph
-from specmax.partition import loop_shift_check, quotient, quotient_bound_check
+from specmax.partition import quotient
 from specmax.spectral import perron
+from specmax.suites import (
+    family_quotient_verdicts,
+    partition_failures,
+    quotient_bound_verdicts,
+    random_partition_cases,
+)
 
 
 def complete(n):
@@ -67,40 +73,23 @@ class TestQuotientBound:
     def test_equitable_equality(self):
         from specmax.families import build_h1, h1_partition
 
-        rho_g, rho_b, eq = quotient_bound_check(build_h1(8), h1_partition(8))
-        assert eq and abs(rho_g - rho_b) < 1e-9
+        verdicts = quotient_bound_verdicts(build_h1(8), h1_partition(8))
+        assert verdicts == [("quotient_bound", True), ("quotient_equitable_equality", True)]
 
     def test_single_cell_average_degree(self):
         g = star(5)
-        rho_g, rho_b, eq = quotient_bound_check(g, [[0, 1, 2, 3, 4]])
-        assert not eq
-        assert rho_b == pytest.approx(8 / 5, abs=1e-12)
-        assert rho_g > rho_b
+        cells = [[0, 1, 2, 3, 4]]
+        assert quotient(g, cells).rho() == pytest.approx(8 / 5, abs=1e-12)
+        assert quotient_bound_verdicts(g, cells) == [("quotient_bound", True), ("quotient_bound_strict", True)]
 
     def test_random_sweep_strict_unless_cell_constant(self):
         # equality rho(G) = rho(B) happens exactly when the Perron vector is
         # constant on cells (Rayleigh-Ritz); inequitable partitions usually
         # are not, and then the gap must be strictly positive
-        rng = random.Random(31)
-        strict = 0
-        for _ in range(200):
-            n = rng.randint(4, 10)
-            g = random_connected_graph(rng, n, 0.5)
-            k = rng.randint(1, n - 1)
-            cells = [[] for _ in range(k)]
-            for v in range(n):
-                cells[rng.randrange(k)].append(v)
-            cells = [c for c in cells if c]
-            rho_g, rho_b, eq = quotient_bound_check(g, cells)
-            x = perron(g).vector
-            cell_constant = all(
-                max(float(x[v]) for v in c) - min(float(x[v]) for v in c) < 1e-7
-                for c in cells
-            )
-            if not eq and not cell_constant:
-                assert rho_g > rho_b
-                strict += 1
-        assert strict > 100
+        cases = random_partition_cases(random.Random(31), 200)
+        verdicts = [v for g, cells in cases for v in quotient_bound_verdicts(g, cells)]
+        assert all(ok for _, ok in verdicts)
+        assert sum(check == "quotient_bound_strict" for check, _ in verdicts) > 100
 
     def test_inequitable_equality_cases_exist(self):
         # the bound's equality case is the cell-constant Perron vector, not
@@ -148,7 +137,7 @@ class TestQuotientBound:
 
 class TestLoopShift:
     def test_triangle_single_cell(self):
-        assert loop_shift_check(complete(3), [[0, 1, 2]])
+        assert all(ok for _, ok in family_quotient_verdicts(complete(3), [[0, 1, 2]]))
 
     def test_family_partitions(self):
         from specmax.families import (
@@ -158,10 +147,21 @@ class TestLoopShift:
             h2_partition,
         )
 
-        assert loop_shift_check(build_g(7, 4), g_partition(7, 4))
-        assert loop_shift_check(build_h2(9), h2_partition(9))
+        cases = [(build_g(7, 4), g_partition(7, 4)), (build_h2(9), h2_partition(9))]
+        for g, cells in cases:
+            assert [check for check, _ in family_quotient_verdicts(g, cells)] == [
+                "family_equitable",
+                "family_quotient_rho",
+                "loop_shift",
+            ]
+        assert partition_failures(family_quotient_verdicts, cases) == []
 
     def test_inequitable_rejected(self):
+        # P3 as one cell: neither it nor the looped P3 is equitable, and the
+        # average degree 4/3 falls short of rho = sqrt(2)
         p3 = Graph.build(3, [(0, 1), (1, 2)])
-        with pytest.raises(ValueError):
-            loop_shift_check(p3, [[0, 1, 2]])
+        failures = partition_failures(family_quotient_verdicts, [(p3, [[0, 1, 2]])])
+        assert failures == [
+            {"check": check, "n": 3, "witness": "Bg [[0, 1, 2]]"}
+            for check in ("family_equitable", "family_quotient_rho", "loop_shift")
+        ]

@@ -58,14 +58,14 @@ class TestPerron:
         assert perron(c6, 1e-12).rho == pytest.approx(2, abs=1e-10)
 
     def test_agrees_with_char_poly_roots(self):
-        from specmax.intpoly import isolate_max_real_root, max_real_root
+        from specmax.intpoly import max_real_root
 
         rng = random.Random(77)
         for _ in range(25):
             g = random_connected_graph(rng, rng.randint(2, 10), 0.5)
             rho = perron(g, 1e-12).rho
             p = char_poly(g.adjacency())
-            exact = max_real_root(p, isolate_max_real_root(p))
+            exact = max_real_root(p)
             assert rho == pytest.approx(exact, abs=1e-9)
 
     def test_deterministic(self):
