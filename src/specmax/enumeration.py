@@ -33,7 +33,6 @@ class EnumSpec:
     n: int
     max_degree: int
     require_connected: bool = True
-    require_nonregular: bool = True
 
     def __post_init__(self):
         if not 2 <= self.max_degree <= self.n - 1:
@@ -121,8 +120,8 @@ def _write_checkpoint(path: Path, state: dict) -> None:
 def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[Graph]:
     """Yield one canonical representative per isomorphism class.
 
-    Emits connected graphs whose maximum degree equals spec.max_degree
-    exactly (nonregular unless the flag is off), in a deterministic order.
+    Emits nonregular graphs whose maximum degree equals spec.max_degree
+    exactly (connected unless the flag is off), in a deterministic order.
     A checkpoint file, when given, persists the per-level frontier so an
     interrupted run resumes at the completed level.
     """
@@ -155,9 +154,7 @@ def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[
     for code in codes:
         g = graph6_decode(code.decode("ascii"))
         degs = g.degrees()
-        if max(degs) != spec.max_degree:
-            continue
-        if spec.require_nonregular and min(degs) == max(degs):
+        if min(degs) == max(degs) or max(degs) != spec.max_degree:
             continue
         if spec.require_connected and not g.is_connected():
             continue

@@ -2,7 +2,9 @@
 matrices with closed-form integer characteristic polynomials.
 
 Labeling conventions (documented per constructor) put each family's
-canonical partition on contiguous index ranges.  Matchings deleted from a
+canonical partition on contiguous index ranges.  Every family graph has
+maximum degree n-2 or n-3, so each builder lists the edges of its sparse
+complement and returns the complement of that.  Matchings deleted from a
 complete block always pair consecutive labels: (first, second),
 (third, fourth), ...
 """
@@ -137,23 +139,9 @@ def _require(value, message):
     return value
 
 
-def _matched_clique_edges(labels: list[int]) -> list[tuple[int, int]]:
-    """Edges of a complete graph on `labels` minus the consecutive matching."""
-    edges = []
-    for i, u in enumerate(labels):
-        for v in labels[i + 1 :]:
-            edges.append((u, v))
-    matching = {(labels[i], labels[i + 1]) for i in range(0, len(labels) - 1, 2)}
-    return [e for e in edges if e not in matching]
-
-
-def _clique_edges(labels) -> list[tuple[int, int]]:
-    labels = list(labels)
-    return [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]]
-
-
-def _join_edges(a, b) -> list[tuple[int, int]]:
-    return [(u, v) for u in a for v in b]
+def _matching(lo: int, hi: int) -> list[tuple[int, int]]:
+    """The consecutive matching (lo, lo+1), (lo+2, lo+3), ... within lo..hi-1."""
+    return [(v, v + 1) for v in range(lo, hi - 1, 2)]
 
 
 # -- single low-degree-vertex family for maximum degree n-2 --------------
@@ -172,11 +160,8 @@ def build_g(n: int, t: int) -> Graph:
         raise ValueError(f"matched-block size t={t} must be even")
     if not 2 <= t <= n - 3:
         raise ValueError(f"t={t} outside [2, n-3] for n={n}")
-    mid = list(range(1, t + 1))
-    right = list(range(t + 1, n))
-    edges = _matched_clique_edges(mid) + _clique_edges(right)
-    edges += _join_edges([0], mid) + _join_edges(mid, right)
-    return Graph.build(n, edges)
+    non_edges = [(0, v) for v in range(t + 1, n)] + _matching(1, t + 1)
+    return Graph.build(n, non_edges).complement()
 
 
 def g_partition(n: int, t: int) -> list[list[int]]:
@@ -197,12 +182,8 @@ def build_h1(n: int) -> Graph:
         raise ValueError(f"build_h1 needs even n, got {n}")
     if n < 8:
         raise ValueError(f"build_h1 needs n >= 8, got {n}")
-    big = list(range(4, n))
-    edges = [(0, 1), (2, 3)]
-    edges += _matched_clique_edges(big)
-    edges += _join_edges([1], big)
-    edges += _join_edges([2, 3], big)
-    return Graph.build(n, edges)
+    non_edges = [(0, v) for v in range(2, n)] + [(1, 2), (1, 3)] + _matching(4, n)
+    return Graph.build(n, non_edges).complement()
 
 
 def h1_partition(n: int) -> list[list[int]]:
@@ -221,13 +202,8 @@ def build_h2(n: int) -> Graph:
         raise ValueError(f"build_h2 needs odd n, got {n}")
     if n < 9:
         raise ValueError(f"build_h2 needs n >= 9, got {n}")
-    big = list(range(7, n))
-    edges = [(0, 1), (0, 2), (1, 2)]
-    edges += _clique_edges([3, 4, 5, 6])
-    edges += [(1, 5), (1, 6), (2, 3), (2, 4)]
-    edges += _matched_clique_edges(big)
-    edges += _join_edges([1, 2, 3, 4, 5, 6], big)
-    return Graph.build(n, edges)
+    non_edges = [(0, v) for v in range(3, n)] + [(1, 3), (1, 4), (2, 5), (2, 6)] + _matching(7, n)
+    return Graph.build(n, non_edges).complement()
 
 
 def h2_partition(n: int) -> list[list[int]]:
@@ -246,12 +222,8 @@ def build_g2_1(n: int) -> Graph:
         raise ValueError(f"build_g2_1 needs odd n, got {n}")
     if n < 9:
         raise ValueError(f"build_g2_1 needs n >= 9, got {n}")
-    big = list(range(5, n))
-    edges = [(0, 1), (0, 2)]
-    edges += [(1, 4), (2, 3), (3, 4)]
-    edges += _matched_clique_edges(big)
-    edges += _join_edges([1, 2, 3, 4], big)
-    return Graph.build(n, edges)
+    non_edges = [(0, v) for v in range(3, n)] + [(1, 2), (1, 3), (2, 4)] + _matching(5, n)
+    return Graph.build(n, non_edges).complement()
 
 
 def g2_1_partition(n: int) -> list[list[int]]:
@@ -289,9 +261,8 @@ def build_from_profile(n: int, delta: int, profile: ComplementProfile) -> Graph:
         )
     inner = list(range(1, delta + 1))
     outer = list(range(delta + 1, n))
-    anti = _profile_complement_edges(profile, inner, outer)
-    base = Graph.build(n, _clique_edges(range(1, n)) + _join_edges([0], inner))
-    return base.with_edges(remove=anti)
+    non_edges = [(0, v) for v in outer] + _profile_complement_edges(profile, inner, outer)
+    return Graph.build(n, non_edges).complement()
 
 
 def _profile_complement_edges(profile, inner, outer):
@@ -349,13 +320,9 @@ def build_case2(n: int, du: int, dv: int, profile: ComplementProfile) -> Graph:
     common = list(range(2, 2 + t1))
     uonly = list(range(2 + t1, 2 + t1 + t2))
     rest = list(range(2 + t1 + t2, n))
-    edges = _clique_edges(range(2, n))
-    edges += [(0, 1)]
-    edges += _join_edges([0], common + uonly)
-    edges += _join_edges([1], common)
-    base = Graph.build(n, edges)
-    anti = _profile_complement_edges(profile, common, uonly)
-    return base.with_edges(remove=anti)
+    non_edges = [(0, v) for v in rest] + [(1, v) for v in uonly + rest]
+    non_edges += _profile_complement_edges(profile, common, uonly)
+    return Graph.build(n, non_edges).complement()
 
 
 def case2_partition(n: int, du: int, dv: int) -> list[list[int]]:

@@ -15,11 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_N = 1 << 16
 CANONICAL_MAX_N = 12
-# the family builders' dense edge lists grow as n^2: at n = 2000 `construct`
-# takes about 1.5 s and 180 MB, and `verify sandwich` 4 s, on a 2-core machine
-FAMILY_MAX_N = 2000
+# family graphs are built from their sparse complements, but a Perron solve
+# fills a dense n x n matrix and graph6 text has n^2/12 bytes: at n = 1999
+# `verify sandwich` takes about 3.7 s and 186 MB on a 2-core machine, half
+# of it filling the matrix and half in the eigensolve. Graph files are held
+# to the same order, checked as soon as their vertex count is read.
+FAMILY_MAX_N = MAX_N = 2000
 # the quotient tables list O(n) parameter values per order: at n = 20000 one
 # `compare-families` order takes about 16 s on a 2-core machine
 QUOTIENT_MAX_N = 20000
@@ -251,7 +253,8 @@ class Graph:
         """Parse the JSON form; malformed input raises ValueError."""
         data = json.loads(text)
         try:
-            g = Graph.build(strict_int(data["n"]), [tuple(map(strict_int, e)) for e in data["edges"]])
+            # a generator, so that build checks n before any edge is read
+            g = Graph.build(strict_int(data["n"]), (tuple(map(strict_int, e)) for e in data["edges"]))
             loops = 0
             for v in map(strict_int, data.get("loops", [])):
                 if not 0 <= v < g.n:
@@ -316,8 +319,8 @@ def graph6_decode(text: str) -> Graph:
             raise Graph6ParseError(f"invalid header byte {data[0]}", 0)
         n = data[0] - 63
         pos = 1
-    if n < 1:
-        raise Graph6ParseError(f"decoded vertex count {n} < 1", 0)
+    if not 1 <= n <= MAX_N:
+        raise Graph6ParseError(f"vertex count {n} outside [1, {MAX_N}]", 0)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - pos != nbytes:

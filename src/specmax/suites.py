@@ -129,6 +129,7 @@ def run_verify_signs(n_min: int = 59, n_max: int = 500) -> dict:
     evaluation points, for every n in [n_min, n_max]."""
     if not 59 <= n_min <= n_max:
         raise UsageError("signs suite needs 59 <= n_min <= n_max")
+    check_quotient_order(n_max)
     failures = []
     for n in range(n_min, n_max + 1):
         table = _sign_table(n)

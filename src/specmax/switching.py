@@ -38,139 +38,68 @@ class SwitchCertificate:
     equality_case: bool
 
 
-def _need_edge(g: Graph, u: int, v: int, label: str):
-    if not g.has_edge(u, v):
-        raise ValueError(f"{label}: edge ({u},{v}) must be present")
-
-
-def _need_nonedge(g: Graph, u: int, v: int, label: str):
-    if u == v or g.has_edge(u, v):
-        raise ValueError(f"{label}: edge ({u},{v}) must be absent")
-
-
-def _need_loop(g: Graph, v: int, label: str):
-    if not g.has_loop(v):
-        raise ValueError(f"{label}: loop at {v} must be present")
-
-
 def _check_complement_path(g: Graph, path, label: str):
-    if len(path) != len(set(path)):
-        raise ValueError(f"{label}: path vertices must be distinct")
+    """Consecutive path vertices non-adjacent, all other pairs adjacent."""
     if len(path) < 3:
         raise ValueError(f"{label}: path needs at least 3 vertices")
-    for a, b in zip(path, path[1:]):
-        _need_nonedge(g, a, b, f"{label} (consecutive pair non-adjacent)")
     for i, a in enumerate(path):
-        for b in path[i + 2 :]:
-            _need_edge(g, a, b, f"{label} (non-consecutive pair adjacent)")
+        for j in range(i + 1, len(path)):
+            if g.has_edge(a, path[j]) != (j > i + 1):
+                want = "adjacent" if j > i + 1 else "non-adjacent"
+                raise ValueError(f"{label}: path vertices {a} and {path[j]} must be {want}")
 
 
 def apply(g: Graph, move: SwitchMove) -> Graph:
-    """Apply a switching move, validating its edge/loop preconditions."""
+    """Apply a switching move.
+
+    Each move is an edge edit on distinct vertices, so its added and removed
+    edges are disjoint; `Graph.with_edges` refuses an added edge that is
+    present, a removed edge that is absent and a dropped loop that is absent.
+    This function checks the rest: the complement-path shape of Op1/Op2, the
+    sub-maximal pair of Op3-Op5, and their conditions on pairs no edit touches.
+    """
     vs = move.vertices
+    if len(set(vs)) != len(vs):
+        raise ValueError(f"{move.kind}: vertices must be distinct")
     if move.kind == "LS":
         s, t, v, u = vs
-        if len({s, t, v, u}) != 4:
-            raise ValueError("LS vertices must be distinct")
-        _need_edge(g, u, v, "LS")
-        _need_edge(g, s, t, "LS")
-        _need_nonedge(g, s, v, "LS")
-        _need_nonedge(g, t, u, "LS")
         return g.with_edges(add=[(s, v), (t, u)], remove=[(u, v), (s, t)])
 
-    if move.kind == "Op1":
-        path = vs
-        _check_complement_path(g, path, "Op1")
-        t = len(path)
-        v1, v2, vt1, vt = path[0], path[1], path[-2], path[-1]
-        if t > 4:
+    if move.kind in ("Op1", "Op2"):
+        _check_complement_path(g, vs, move.kind)
+        if move.kind == "Op2":
+            if len(vs) < 4:
+                raise ValueError("Op2 needs a path on at least 4 vertices")
+            # Op2 on (v1, ..., vt) is Op1 on (v2, ..., vt)
+            vs = vs[1:]
+        if len(vs) > 4:
+            v1, v2, *_, vt1, vt = vs
             return g.with_edges(add=[(v1, v2), (vt1, vt)], remove=[(v1, vt), (v2, vt1)])
-        if t == 4:
-            _need_loop(g, path[1], "Op1")
-            _need_loop(g, path[2], "Op1")
-            return g.with_edges(
-                add=[(path[0], path[1]), (path[1], path[2]), (path[2], path[3])],
-                remove=[(path[0], path[3])],
-                drop_loops=[path[1], path[2]],
-            )
-        # t == 3
-        _need_loop(g, path[1], "Op1")
-        return g.with_edges(
-            add=[(path[0], path[1]), (path[1], path[2])],
-            remove=[(path[0], path[2])],
-            drop_loops=[path[1]],
-        )
+        # t = 3 or 4: the interior loops become the path's edges
+        return g.with_edges(add=list(zip(vs, vs[1:])), remove=[(vs[0], vs[-1])], drop_loops=vs[1:-1])
 
-    if move.kind == "Op2":
-        path = vs
-        _check_complement_path(g, path, "Op2")
-        t = len(path)
-        if t < 4:
-            raise ValueError("Op2 needs a path on at least 4 vertices")
-        if t == 4:
-            _need_loop(g, path[2], "Op2")
-            return g.with_edges(
-                add=[(path[1], path[2]), (path[2], path[3])],
-                remove=[(path[1], path[3])],
-                drop_loops=[path[2]],
-            )
-        if t == 5:
-            _need_loop(g, path[2], "Op2")
-            _need_loop(g, path[3], "Op2")
-            return g.with_edges(
-                add=[(path[1], path[2]), (path[2], path[3]), (path[3], path[4])],
-                remove=[(path[1], path[4])],
-                drop_loops=[path[2], path[3]],
-            )
-        return g.with_edges(
-            add=[(path[1], path[2]), (path[-2], path[-1])],
-            remove=[(path[2], path[-2]), (path[1], path[-1])],
-        )
-
+    u, v, *ts = vs
+    degs = g.degrees()
+    if max(degs[u], degs[v]) >= max(degs):
+        raise ValueError(f"{move.kind}: u and v must both have sub-maximal degree")
     if move.kind == "Op3":
-        u, v, t1, t2 = vs
-        _check_op345_low_pair(g, u, v)
-        for w in (t1, t2):
-            if g.has_edge(u, w) or g.has_edge(v, w) or w in (u, v):
-                raise ValueError(f"Op3: vertex {w} must avoid N[u] and N[v]")
-        _need_edge(g, t1, t2, "Op3")
+        t1, t2 = ts
+        if g.has_edge(v, t1) or g.has_edge(u, t2):
+            raise ValueError("Op3: t1 and t2 must avoid N(u) and N(v)")
         return g.with_edges(add=[(u, t1), (v, t2)], remove=[(t1, t2)])
 
     if move.kind == "Op4":
-        u, v, t1, t2 = vs
-        _check_op345_low_pair(g, u, v)
-        if not (g.has_edge(u, t1) and g.has_edge(v, t1)):
+        t1, t2 = ts
+        if not g.has_edge(u, t1):
             raise ValueError("Op4: t1 must be a common neighbor of u and v")
-        if t2 in (t1,) or g.has_edge(t1, t2):
-            raise ValueError("Op4: t2 must avoid N[t1]")
-        _need_edge(g, u, t2, "Op4")
         return g.with_edges(add=[(t1, t2)], remove=[(v, t1), (u, t2)])
 
-    if move.kind == "Op5":
-        u, v, t1, t2, t3 = vs
-        _check_op345_low_pair(g, u, v)
-        if not (g.has_edge(u, t1) and g.has_edge(v, t1)):
-            raise ValueError("Op5: t1 must be a common neighbor of u and v")
-        if t2 == t1 or g.has_edge(t1, t2):
-            raise ValueError("Op5: t2 must avoid N[t1]")
-        if g.has_edge(u, t3) or g.has_edge(v, t3) or t3 in (u, v):
-            raise ValueError("Op5: t3 must avoid N[u] and N[v]")
-        _need_edge(g, v, t1, "Op5")
-        _need_edge(g, t2, t3, "Op5")
-        _need_nonedge(g, t1, t2, "Op5")
-        _need_nonedge(g, u, t3, "Op5")
-        return g.with_edges(add=[(t1, t2), (u, t3)], remove=[(v, t1), (t2, t3)])
-
-    raise ValueError(f"unknown move kind {move.kind!r}")
-
-
-def _check_op345_low_pair(g: Graph, u: int, v: int):
-    if u == v:
-        raise ValueError("u and v must differ")
-    degs = g.degrees()
-    top = max(degs)
-    if degs[u] >= top or degs[v] >= top:
-        raise ValueError("u and v must both have sub-maximal degree")
+    t1, t2, t3 = ts
+    if not g.has_edge(u, t1):
+        raise ValueError("Op5: t1 must be a common neighbor of u and v")
+    if g.has_edge(v, t3):
+        raise ValueError("Op5: t3 must avoid N(u) and N(v)")
+    return g.with_edges(add=[(t1, t2), (u, t3)], remove=[(v, t1), (t2, t3)])
 
 
 def ls_certificate(g: Graph, s: int, t: int, v: int, u: int) -> SwitchCertificate:

@@ -18,7 +18,14 @@ from specmax.suites import (
     run_sandwich,
     run_verify_signs,
 )
-from specmax.graphs import FAMILY_MAX_N, QUOTIENT_MAX_N, Graph, graph6_encode, random_connected_graph
+from specmax.graphs import (
+    FAMILY_MAX_N,
+    QUOTIENT_MAX_N,
+    Graph,
+    _g6_pack,
+    graph6_encode,
+    random_connected_graph,
+)
 
 
 def run(capsys, *argv):
@@ -263,6 +270,7 @@ class TestExitCodeContract:
             ["compare-families", "--n", "1000000000000"],
             ["verify", "theorem-n3", "--n-min", "1000000000", "--n-max", "1000000000"],
             ["verify", "theorem-n3", "--n-min", "59", "--n-max", str(QUOTIENT_MAX_N + 1)],
+            ["verify", "signs", "--n-min", "59", "--n-max", str(QUOTIENT_MAX_N + 1)],
         ],
     )
     def test_quotient_order_beyond_capability(self, argv, capsys):
@@ -272,6 +280,28 @@ class TestExitCodeContract:
         assert code == 2
         assert out == ""
         assert err == f"usage error: quotient tables capped at n={QUOTIENT_MAX_N}\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "graph6"])
+    @pytest.mark.parametrize("command", ["spectrum", "quotient"])
+    def test_graph_file_beyond_capability(self, fmt, command, tmp_path, capsys):
+        # a path on FAMILY_MAX_N + 1 vertices is refused once its vertex
+        # count is read, before a row or a dense matrix is built
+        n = FAMILY_MAX_N + 1
+        path = tmp_path / "path.txt"
+        if fmt == "json":
+            path.write_text(json.dumps({"n": n, "edges": [[v, v + 1] for v in range(n - 1)]}))
+        else:
+            # column c of the upper triangle holds rows 0..c-1; only (c-1, c) is set
+            path.write_bytes(_g6_pack(n, "".join("0" * (c - 1) + "1" for c in range(1, n))))
+        cells = tmp_path / "cells.json"
+        cells.write_text(json.dumps([list(range(n))]))
+        argv = ["--in", str(path)] + (["--partition", str(cells)] if command == "quotient" else [])
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, command, *argv)
+        assert time.perf_counter() - t0 < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"usage error: vertex count {n} outside [1, {FAMILY_MAX_N}]")
 
     @pytest.mark.parametrize(
         "graph",

@@ -5,7 +5,9 @@ lists, byte for byte.
 The expected files in `tests/golden/` were recorded from the CLI before the
 suites moved out of `specmax.cli` into `specmax.suites`; the enumeration
 pins (`enumerate_7_5.*`, `levels_6_4_disconnected.txt`) before `_level_up`
-began rejecting children by degree ahead of their canonical forms. The one
+began rejecting children by degree ahead of their canonical forms;
+`families.g6` before the family builders listed complement edges instead
+of every edge. The one
 value allowed to move is the `rho_graph` of `sandwich`, which comes from a
 LAPACK eigensolve; it must agree to 1e-12 relative. `perfbench/workloads.py`
 parses the theorem-n2 status lines.
@@ -32,6 +34,24 @@ CASES = {
     "compare_60_json": ["compare-families", "--n", "60"],
     "compare_61_csv": ["compare-families", "--n", "61", "--format", "csv"],
 }
+# (family, n, delta, profile) of each line of families.g6: every family tag
+# at two orders
+FAMILY_CASES = [
+    ("g", 9, 4, None),
+    ("g", 40, 6, None),
+    ("h1", 10, None, None),
+    ("h1", 40, None, None),
+    ("h2", 9, None, None),
+    ("h2", 39, None, None),
+    ("g21", 11, None, None),
+    ("g21", 37, None, None),
+    ("profile", 15, 6, {"type1": 3, "type2": [3], "type3": [3]}),
+    ("profile", 40, 7, {"type1": 14, "type2": [2, 1], "type3": [4]}),
+    ("gdd", 12, 5, None),
+    ("gdd", 40, 9, None),
+    ("gd1", 12, 5, None),
+    ("gd1", 39, 7, None),
+]
 RHO_GRAPH = re.compile(r'"rho_graph":[^,}]+')
 
 
@@ -49,6 +69,21 @@ def test_output_matches_golden(name, capsys):
     status = GOLDEN / f"{name}.err"
     want_err = status.read_text().splitlines() if status.exists() else []
     assert [line for line in err.splitlines() if not line.startswith("suite ")] == want_err
+
+
+def test_construct_matches_golden(tmp_path, capsys):
+    lines = []
+    for family, n, delta, profile in FAMILY_CASES:
+        argv = ["construct", "--family", family, "--n", str(n)]
+        if delta is not None:
+            argv += ["--delta", str(delta)]
+        if profile is not None:
+            path = tmp_path / "profile.json"
+            path.write_text(json.dumps(profile))
+            argv += ["--profile", str(path)]
+        assert main(argv) == 0
+        lines.append(capsys.readouterr().out)
+    assert "".join(lines) == (GOLDEN / "families.g6").read_text()
 
 
 def test_enumerate_files_match_golden(tmp_path):

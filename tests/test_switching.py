@@ -1,4 +1,6 @@
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -278,3 +280,43 @@ class TestCase2Audit:
         g = build_from_profile(9, 4, ComplementProfile(type1=2, type3=(4,)))
         with pytest.raises(ValueError):
             case2_inequality_audit(g)
+
+
+class TestApplyCharacterization:
+    """Every vertex tuple, repeats included, that `apply` accepts on three
+    seeded order-6 graphs per kind, and the graph it returns, pinned in
+    `tests/golden/switching_apply.txt`. Op1 and Op2 graphs carry random
+    loops. Seeds 1, 2 and 6 give every kind an accepted tuple on each graph.
+    The file was recorded before `apply` left its edge and loop checks to
+    `Graph.with_edges`."""
+
+    SEEDS = (1, 2, 6)
+    ARITY = {"LS": (4,), "Op1": (3, 4, 5, 6), "Op2": (3, 4, 5, 6), "Op3": (4,), "Op4": (4,), "Op5": (5,)}
+
+    @staticmethod
+    def graph(kind, seed):
+        rng = random.Random(seed)
+        if kind not in ("Op1", "Op2"):
+            return Graph.build(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if rng.random() < 0.6])
+        # a complement holding a shuffled Hamiltonian path has complement
+        # paths of every length 3..6
+        order = rng.sample(range(6), 6)
+        extra = [(u, v) for u in range(6) for v in range(u + 1, 6) if rng.random() < 0.1]
+        g = Graph.build(6, list(zip(order, order[1:])) + extra).complement()
+        return Graph(6, g.rows, sum(1 << v for v in range(6) if rng.random() < 0.75))
+
+    def accepted(self):
+        lines = []
+        for kind, arities in self.ARITY.items():
+            for seed in self.SEEDS:
+                g = self.graph(kind, seed)
+                for vs in itertools.chain.from_iterable(itertools.product(range(6), repeat=k) for k in arities):
+                    try:
+                        out = apply(g, SwitchMove(kind, vs))
+                    except ValueError:
+                        continue
+                    lines.append(f"{kind} {seed} {','.join(map(str, vs))} {out.to_json()}\n")
+        return "".join(lines)
+
+    def test_matches_golden(self):
+        assert self.accepted() == (Path(__file__).parent / "golden" / "switching_apply.txt").read_text()
