@@ -12,6 +12,7 @@ complete block always pair consecutive labels: (first, second),
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .graphs import FAMILY_MAX_N, QUOTIENT_MAX_N, CapabilityError, Graph, strict_int
 from .intpoly import IntPolynomial, char_poly
@@ -337,86 +338,71 @@ def case2_partition(n: int, du: int, dv: int) -> list[list[int]]:
 # -- named quotient matrices ------------------------------------------------
 
 
+# which -> (matrix, closed form coefficients) at (n, delta). Every matrix entry is affine in
+# (n, delta), so each char_poly coefficient has degree <= 4 in each variable, as has each
+# closed-form coefficient: their difference is zero once it vanishes on a 5 x 5 grid.
+_FORMS = {
+    "A_delta": lambda n, d: (((0, d, 0), (1, d - 2, n - d - 1), (0, d, n - d - 2)),
+                             (-(d * d + 2 * d - n * d), 4 - 2 * n, 4 - n, 1)),
+    "B1": lambda n, d: (((0, 1, 0, 0), (1, 0, 0, n - 4), (0, 0, 1, n - 4), (0, 1, 2, n - 6)),
+                        (n - 2, 2 * n - 9, 5 - 2 * n, 5 - n, 1)),
+    "B2": lambda n, d: (((0, 2, 0, 0), (1, 1, 2, n - 7), (0, 1, 3, n - 7), (0, 2, 4, n - 9)),
+                        (2 * n - 2, 3 * n - 17, 5 - 2 * n, 5 - n, 1)),
+    "B_delta": lambda n, d: (((0, d, 0), (1, d - 3, n - d - 1), (0, d, n - d - 3)),
+                             (-d * d + (n - 3) * d, 9 - 3 * n, 6 - n, 1)),
+    "B_n5": lambda n, d: (((0, n - 7, 2, 0), (1, n - 10, 2, 4), (1, n - 7, 1, 2), (0, n - 7, 1, 3)),
+                          (5 * n - 17, 3 * n - 18, 8 - 3 * n, 6 - n, 1)),
+    "B_dd": lambda n, d: (((1, d - 1, 0), (2, d - 4, n - d - 1), (0, d - 1, n - d - 2)),
+                          (-2 * d * d + (2 * n - 4) * d + n - 3, 3 - 2 * n, 5 - n, 1)),
+    "B_d1": lambda n, d: (((0, 1, 0, 0), (1, 0, d - 1, 0), (0, 1, d - 3, n - d - 1), (0, 0, d - 1, n - d - 2)),
+                          (2 * n - d - 5, -d * d + d * n - d - 3, 5 - 2 * n, 5 - n, 1)),
+}
+_GRID = [(n, d) for n in range(5) for d in range(5)]
+# which -> (least n, delta as a function of n) for the quotients of fixed delta
+_FIXED_DELTA = {"B1": (6, lambda n: 1), "B2": (9, lambda n: 2), "B_n5": (10, lambda n: n - 5)}
+# which -> (least delta, n minus the largest delta, even delta required)
+_DELTA_RANGE = {"A_delta": (2, 3, True), "B_delta": (3, 5, False), "B_dd": (4, 4, False), "B_d1": (3, 4, False)}
+
+
+def _grid_mismatches(form) -> list[tuple[int, int]]:
+    """The (n, delta) of the 5 x 5 grid where char_poly of form's matrix
+    differs from its closed form; an empty list proves the form everywhere."""
+    return [(n, d) for n, d in _GRID if char_poly(form(n, d)[0]) != IntPolynomial(form(n, d)[1])]
+
+
+@cache
+def _prove_closed_form(which: str) -> None:
+    if bad := _grid_mismatches(_FORMS[which]):
+        raise AssertionError(f"closed-form mismatch for {which} at (n, delta) in {bad}")
+
+
 def named_quotient(which: str, n: int, delta: int | None = None) -> NamedQuotient:
     """Integer quotient matrix plus its closed-form characteristic polynomial.
 
-    The construction asserts that char_poly(matrix) equals the closed form
-    exactly, so a successful return certifies the printed formula at (n, delta).
-    B1 and B2 are the quotients of H1 (even n) and H2 (odd n); both are
-    returned at either parity, since the sign table and the closing
-    identities use each form at every order.
+    The closed form is certified at every (n, delta): on first use of each
+    name, char_poly is compared with it on a 5 x 5 grid (see `_FORMS`), and
+    a mismatch raises AssertionError. B1 and B2 are the quotients of H1
+    (even n) and H2 (odd n); both are returned at either parity, since the
+    sign table and the closing identities use each form at every order.
     """
-    if which == "A_delta":
-        d = _need_delta(which, delta)
-        if not (2 <= d <= n - 3 and d % 2 == 0):
-            raise ValueError(f"A_delta needs even delta in [2, n-3], got {d}, n={n}")
-        matrix = ((0, d, 0), (1, d - 2, n - d - 1), (0, d, n - d - 2))
-        poly = IntPolynomial((-(d * d + 2 * d - n * d), 4 - 2 * n, 4 - n, 1))
-    elif which == "B1":
-        if n < 6:
-            raise ValueError(f"B1 needs n >= 6, got {n}")
-        matrix = ((0, 1, 0, 0), (1, 0, 0, n - 4), (0, 0, 1, n - 4), (0, 1, 2, n - 6))
-        poly = IntPolynomial((n - 2, 2 * n - 9, 5 - 2 * n, 5 - n, 1))
-        delta = 1
-    elif which == "B2":
-        if n < 9:
-            raise ValueError(f"B2 needs n >= 9, got {n}")
-        matrix = ((0, 2, 0, 0), (1, 1, 2, n - 7), (0, 1, 3, n - 7), (0, 2, 4, n - 9))
-        poly = IntPolynomial((2 * n - 2, 3 * n - 17, 5 - 2 * n, 5 - n, 1))
-        delta = 2
-    elif which == "B_delta":
-        d = _need_delta(which, delta)
-        if not 3 <= d <= n - 5:
-            raise ValueError(f"B_delta needs delta in [3, n-5], got {d}, n={n}")
-        matrix = ((0, d, 0), (1, d - 3, n - d - 1), (0, d, n - d - 3))
-        poly = IntPolynomial((-d * d + (n - 3) * d, 9 - 3 * n, 6 - n, 1))
-    elif which == "B_n5":
-        if n < 10:
-            raise ValueError(f"B_n5 needs n >= 10, got {n}")
-        matrix = (
-            (0, n - 7, 2, 0),
-            (1, n - 10, 2, 4),
-            (1, n - 7, 1, 2),
-            (0, n - 7, 1, 3),
-        )
-        poly = IntPolynomial((5 * n - 17, 3 * n - 18, 8 - 3 * n, 6 - n, 1))
-        delta = n - 5
-    elif which == "B_dd":
-        d = _need_delta(which, delta)
-        if not 4 <= d <= n - 4:
-            raise ValueError(f"B_dd needs delta in [4, n-4], got {d}, n={n}")
-        matrix = ((1, d - 1, 0), (2, d - 4, n - d - 1), (0, d - 1, n - d - 2))
-        poly = IntPolynomial(
-            (-2 * d * d + (2 * n - 4) * d + n - 3, 3 - 2 * n, 5 - n, 1)
-        )
-    elif which == "B_d1":
-        d = _need_delta(which, delta)
-        if not 3 <= d <= n - 4:
-            raise ValueError(f"B_d1 needs delta in [3, n-4], got {d}, n={n}")
-        matrix = (
-            (0, 1, 0, 0),
-            (1, 0, d - 1, 0),
-            (0, 1, d - 3, n - d - 1),
-            (0, 0, d - 1, n - d - 2),
-        )
-        poly = IntPolynomial(
-            (2 * n - d - 5, -d * d + d * n - d - 3, 5 - 2 * n, 5 - n, 1)
-        )
+    if which in _FIXED_DELTA:
+        least, fixed = _FIXED_DELTA[which]
+        if n < least:
+            raise ValueError(f"{which} needs n >= {least}, got {n}")
+        delta = fixed(n)
+    elif which in _DELTA_RANGE:
+        if delta is None:
+            raise ValueError(f"{which} requires delta")
+        delta = int(delta)
+        least, gap, even = _DELTA_RANGE[which]
+        if not (least <= delta <= n - gap and (delta % 2 == 0 or not even)):
+            parity = "even " if even else ""
+            raise ValueError(f"{which} needs {parity}delta in [{least}, n-{gap}], got {delta}, n={n}")
     else:
         raise ValueError(f"unknown quotient name {which!r}; use one of {NAMED_QUOTIENTS}")
-    computed = char_poly(matrix)
-    if computed != poly:
-        raise AssertionError(
-            f"closed-form mismatch for {which}(n={n}, delta={delta}): "
-            f"{computed.coeffs} != {poly.coeffs}"
-        )
-    return NamedQuotient(which, n, delta, matrix, poly)
-
-
-def _need_delta(which: str, delta) -> int:
-    if delta is None:
-        raise ValueError(f"{which} requires delta")
-    return int(delta)
+    _prove_closed_form(which)
+    matrix, coeffs = _FORMS[which](n, delta)
+    return NamedQuotient(which, n, delta, matrix, IntPolynomial(coeffs))
 
 
 def check_quotient_order(n: int) -> None:

@@ -18,12 +18,13 @@ import numpy as np
 CANONICAL_MAX_N = 12
 # family graphs are built from their sparse complements, but a Perron solve
 # fills a dense n x n matrix and graph6 text has n^2/12 bytes: at n = 1999
-# `verify sandwich` takes about 3.7 s and 186 MB on a 2-core machine, half
-# of it filling the matrix and half in the eigensolve. Graph files are held
-# to the same order, checked as soon as their vertex count is read.
+# `verify sandwich` takes about 1.3 s and 187 MB on a 2-core machine, nearly
+# all of it in the eigensolve. Graph files are held to the same order,
+# checked as soon as their vertex count is read.
 FAMILY_MAX_N = MAX_N = 2000
-# the quotient tables list O(n) parameter values per order: at n = 20000 one
-# `compare-families` order takes about 16 s on a 2-core machine
+# the quotient tables list O(n) parameter values per order, each decided by
+# integer certificates: at n = 20000 one `compare-families` order takes
+# about 2 s and 72 MB on a 2-core machine
 QUOTIENT_MAX_N = 20000
 
 
@@ -236,7 +237,14 @@ class Graph:
         return mat
 
     def to_numpy(self) -> np.ndarray:
-        return np.array(self.adjacency(), dtype=float)
+        """`adjacency()` as a float array, unpacked from the row bitmasks."""
+        width = (self.n + 7) // 8
+        packed = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in self.rows]), np.uint8)
+        mat = np.unpackbits(packed.reshape(-1, width), axis=1, count=self.n, bitorder="little").astype(float)
+        if self.loops:
+            loops = [v for v in range(self.n) if (self.loops >> v) & 1]
+            mat[loops, loops] = 2
+        return mat
 
     def to_json(self) -> str:
         return json.dumps(

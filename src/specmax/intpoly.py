@@ -4,17 +4,17 @@ Provides integer characteristic polynomials of small matrices, Sturm
 sequences built as primitive remainder sequences in Z[x], real-root
 counting and isolation, and the sign decisions used throughout the
 verification suites: nonnegativity of a polynomial on an interval or
-half-line, ordering of maximum real roots, and shifted-root comparisons.
-Every decision runs on integer coefficients; a rational point a/b enters
-as b^d * p(a/b).  Floating point appears only in the reported root, which
-is the correctly rounded double.
+half-line, ordering of maximum real roots, Descartes certificates after
+a shift, and shifted-root comparisons. Every decision runs on integer
+coefficients; a rational point a/b enters as b^d * p(a/b). Floats appear
+only in the correctly rounded root and in its exactly checked Newton seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf, nextafter
+from math import gcd, inf, isfinite, nextafter
 
 
 @dataclass(frozen=True)
@@ -24,10 +24,11 @@ class IntPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        trimmed = list(self.coeffs)
-        while trimmed and trimmed[-1] == 0:
-            trimmed.pop()
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in trimmed))
+        c = tuple(map(int, self.coeffs))
+        end = len(c)
+        while end and c[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "coeffs", c[:end])
 
     @property
     def degree(self) -> int:
@@ -129,17 +130,21 @@ def _mid(x, y, k: int = 1, m: int = 2) -> tuple[int, int]:
     return a // g, b // g
 
 
-def _sign_at(c, x) -> int:
-    """Sign of p(a/b) as the sign of b^d * p(a/b) = sum c_i a^i b^(d-i).
-
-    With b = 0 only the leading term survives, giving the sign at +-infinity.
-    """
+def scaled_value(c, x) -> int:
+    """b^d * p(a/b) = sum c_i a^i b^(d-i) for x = (a, b), d = deg p, in
+    integers; with b = 0 only the leading term survives."""
     a, b = x
     acc, scale = 0, 1
     for coef in reversed(c):
         acc = acc * a + coef * scale
         scale *= b
-    return (acc > 0) - (acc < 0)
+    return acc
+
+
+def _sign_at(c, x) -> int:
+    """Sign of p(a/b), or of p at +-infinity when b = 0."""
+    v = scaled_value(c, x)
+    return (v > 0) - (v < 0)
 
 
 def _derivative(c) -> tuple[int, ...]:
@@ -222,22 +227,67 @@ def _deflate(c, x) -> tuple[tuple[int, ...], int]:
 
 
 def _shift(c, x) -> list[int]:
-    """Coefficients of b^d * p(t - a/b) for x = a/b, d = deg p: Horner's
-    scheme in (b*t - a), where the coefficient c_i carries b^(d-i)."""
+    """Coefficients of b^d * p(t - a/b) for x = a/b, d = deg p: shift the
+    scaled b^d * p(u/b), whose coefficient c_i carries b^(d-i), by -a in
+    place (Ruffini-Horner), then put u = b*t."""
     a, b = x
-    out: list[int] = []
+    e = list(c)
+    d = len(e) - 1
     scale = 1
-    for coef in reversed(c):
-        out = [b * up - a * same for up, same in zip([0] + out, out + [0])]
-        out[0] += coef * scale
+    for i in range(d - 1, -1, -1):
         scale *= b
-    return out
+        e[i] *= scale
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            e[j] -= a * e[j + 1]
+    scale = 1
+    for k in range(1, d + 1):
+        scale *= b
+        e[k] *= scale
+    return e
 
 
 def _root_bound(c) -> int:
     """An integer B with |z| < B for every complex root z of a nonconstant
     polynomial: 1 + ceil(max |c_i| / |c_d|) (Cauchy)."""
     return 1 - (-max(abs(v) for v in c[:-1]) // abs(c[-1]))
+
+
+def _clear_from(c, x) -> bool:
+    """Descartes certificate that p has no root in [x, inf): every
+    coefficient of b^d * p(t + a/b) has the sign of the leading one. False
+    means undecided."""
+    lead = c[-1]
+    return all(v * lead > 0 for v in _shift(c, (-x[0], x[1])))
+
+
+def _newton_seed(c) -> float:
+    """Float Newton iterate from the Cauchy bound down toward the maximum
+    real root; a guess only, possibly wrong or non-finite."""
+    f = [float(v) for v in reversed(c)]
+    x = float(_root_bound(c))
+    for _ in range(200):
+        val = slope = 0.0
+        for v in f:
+            val, slope = val * x + v, slope * x + val
+        step = x - val / slope if slope else x
+        if not step < x:
+            break
+        x = step
+    return x
+
+
+def _rounds_to(c, r: float) -> bool:
+    """Exact certificate that r is the correctly rounded maximum real root:
+    p has no root at or above the midpoint from r to the next double up,
+    and p has the sign opposite to its leading coefficient at the midpoint
+    from r to the next double down, so a root lies strictly between."""
+    up, down = nextafter(r, inf), nextafter(r, -inf)
+    if not (isfinite(up) and isfinite(down)):
+        return False
+    r = r.as_integer_ratio()
+    below, above = _mid(down.as_integer_ratio(), r), _mid(r, up.as_integer_ratio())
+    return _sign_at(c, below) * c[-1] < 0 and _clear_from(c, above)
 
 
 def _max_root_bracket(chain):
@@ -345,11 +395,18 @@ def count_roots(p: IntPolynomial, lo, hi) -> int:
 def max_real_root(p: IntPolynomial) -> float:
     """The maximum real root of p as the correctly rounded double.
 
-    The root is isolated by Sturm counts, then its bracket is bisected by
-    exact signs until both ends round to the same double.
+    A float Newton seed is returned when `_rounds_to` certifies it exactly.
+    Otherwise the root is isolated by Sturm counts, and its bracket is
+    bisected by exact signs until both ends round to the same double.
     """
     if p.degree < 1:
         raise ValueError("polynomial must be nonconstant")
+    try:
+        seed = _newton_seed(p.coeffs)
+    except OverflowError:
+        seed = inf
+    if _rounds_to(p.coeffs, seed):
+        return seed
     chain = _sturm_chain(p.coeffs)
     lo, hi = _max_root_bracket(chain)
     s = chain[0]
@@ -367,6 +424,12 @@ def max_real_root(p: IntPolynomial) -> float:
                 return f_lo
             return f_hi if side < 0 else t[0] / t[1]
         lo, hi = _bisect(s, lo, hi)
+
+
+def roots_below(p: IntPolynomial, x) -> bool:
+    """True when a Descartes certificate shows every real root of p lies
+    below x (a float or Fraction); False means undecided."""
+    return _clear_from(p.coeffs, x.as_integer_ratio())
 
 
 def poly_dominates(p1: IntPolynomial, p2: IntPolynomial, from_) -> bool:

@@ -33,7 +33,7 @@ from .families import (
     named_quotient,
 )
 from .graphs import Graph, canonical_form, graph6_encode, random_connected_graph
-from .intpoly import IntPolynomial, compare_max_real_roots, count_roots, max_real_root
+from .intpoly import IntPolynomial, compare_max_real_roots, max_real_root, roots_below, scaled_value
 from .partition import quotient
 from .spectral import perron, perron_component_bound
 from .switching import SwitchMove, ls_certificate, op1_sandwich_check, op2_monotone_check
@@ -77,15 +77,15 @@ def _assert_strictly_larger(
 
     The separator is the double just below the winner's root: the root is
     strictly above it because `max_real_root` rounds correctly.  A
-    competitor with no root above the separator loses; any other is
-    compared with the winner exactly.  Returns the names of violators
-    (empty when all pass).
+    competitor whose roots a Descartes certificate puts below the separator
+    loses; any other is compared with the winner exactly.  Returns the
+    names of violators (empty when all pass).
     """
     winner_root = max_real_root(winner)
     sep = nextafter(winner_root, -inf)
     bad = []
     for name, poly in others:
-        if count_roots(poly, sep, None) == 0:
+        if roots_below(poly, sep):
             continue
         if compare_max_real_roots(poly, winner) < 0:
             continue
@@ -100,27 +100,27 @@ F2_T1_SERIES = IntPolynomial((-3, -35, 244, 52, -969, -194, 2076, 718, -2789, -1
 G_T1_SERIES = IntPolynomial((1, -62, 190, 172, -817, -420, 1750, 808, -2489, -1870, 1400, 2000, 625))
 
 
-def _sign_table(n: int) -> list[tuple[str, Fraction, int]]:
-    """(check, exact value, its expected sign) of the quartic comparisons at
-    the four rational evaluation points; an identity is checked as the
-    difference of its two sides, of sign 0."""
-    t1 = Fraction(n) - 3 - Fraction(2, n) + Fraction(4, n * n) + Fraction(5, n**3)
-    t2 = Fraction(n, 2)
-    t3 = Fraction(0)
-    t4 = Fraction(-1) - Fraction(2, n) - Fraction(4, n * n)
+def _sign_table(n: int) -> list[tuple[str, int, IntPolynomial, tuple[int, int], int]]:
+    """(check, expected sign, p, (a, b), q) of the quartic comparisons at the
+    four rational points: b^4 * p(a/b) - q has the expected sign. q is 0 for a
+    sign check; an identity scales both sides by b^4 and has sign 0."""
+    t1 = (n**4 - 3 * n**3 - 2 * n * n + 4 * n + 5, n**3)  # n - 3 - 2/n + 4/n^2 + 5/n^3
+    t2, t3, t4 = (n, 2), (0, 1), (-n * n - 2 * n - 4, n * n)
     g = named_quotient("B_n5", n).closed_form
     f2 = named_quotient("B2", n).closed_form
     return [
-        ("g(t4)<0", g(t4), -1),
-        ("g(t3)>0", g(t3), 1),
-        ("g(t2)<0", g(t2), -1),
-        ("g(t1)>0", g(t1), 1),
-        ("f2(t1)<0", f2(t1), -1),
-        ("f2(n-3)>0", f2(Fraction(n - 3)), 1),
-        ("g(n-3)>0", g(Fraction(n - 3)), 1),
-        ("f2(t1) expansion", f2(t1) - F2_T1_SERIES(Fraction(1, n)), 0),
-        ("g(t1) expansion", g(t1) - G_T1_SERIES(Fraction(1, n)), 0),
-        ("g(t2) closed form", g(t2) - (Fraction(-(n**4), 16) + Fraction(7 * n * n, 2) - 4 * n - 17), 0),
+        ("g(t4)<0", -1, g, t4, 0),
+        ("g(t3)>0", 1, g, t3, 0),
+        ("g(t2)<0", -1, g, t2, 0),
+        ("g(t1)>0", 1, g, t1, 0),
+        ("f2(t1)<0", -1, f2, t1, 0),
+        ("f2(n-3)>0", 1, f2, (n - 3, 1), 0),
+        ("g(n-3)>0", 1, g, (n - 3, 1), 0),
+        # n^12 times the 1/n expansion, a degree-12 polynomial in 1/n
+        ("f2(t1) expansion", 0, f2, t1, scaled_value(F2_T1_SERIES.coeffs, (1, n))),
+        ("g(t1) expansion", 0, g, t1, scaled_value(G_T1_SERIES.coeffs, (1, n))),
+        # 16 * (-n^4/16 + 7n^2/2 - 4n - 17)
+        ("g(t2) closed form", 0, g, t2, -(n**4) + 56 * n * n - 64 * n - 272),
     ]
 
 
@@ -133,8 +133,11 @@ def run_verify_signs(n_min: int = 59, n_max: int = 500) -> dict:
     failures = []
     for n in range(n_min, n_max + 1):
         table = _sign_table(n)
-        for check, value, sign in table:
-            _check(failures, check, n, (value > 0) - (value < 0) == sign, str(value))
+        for check, sign, p, (a, b), q in table:
+            value = scaled_value(p.coeffs, (a, b)) - q
+            ok = (value > 0) - (value < 0) == sign
+            witness = "" if ok else str(p(Fraction(a, b)) - Fraction(q, b**p.degree))
+            _check(failures, check, n, ok, witness)
     return {
         "suite": "signs",
         "n_min": n_min,

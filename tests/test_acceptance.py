@@ -49,27 +49,28 @@ def test_criterion_1_formula_suite():
     exactly, for n in [8, 200] and every admissible delta."""
     t0 = time.time()
     checked = 0
+
+    def check(which, n, d=None):
+        nonlocal checked
+        nq = named_quotient(which, n, d)
+        assert char_poly(nq.matrix) == nq.closed_form, (which, n, d)
+        checked += 1
+
     for n in range(8, 201):
         for d in admissible_deltas("A_delta", n):
-            named_quotient("A_delta", n, d)  # construction asserts equality
-            checked += 1
+            check("A_delta", n, d)
         for d in admissible_deltas("B_delta", n):
-            named_quotient("B_delta", n, d)
-            checked += 1
+            check("B_delta", n, d)
         for d in admissible_deltas("B_dd", n):
-            named_quotient("B_dd", n, d)
-            checked += 1
+            check("B_dd", n, d)
         for d in admissible_deltas("B_d1", n):
-            named_quotient("B_d1", n, d)
-            checked += 1
+            check("B_d1", n, d)
         if n % 2 == 0:
-            named_quotient("B1", n)
+            check("B1", n)
         elif n >= 9:
-            named_quotient("B2", n)
-        checked += 1
+            check("B2", n)
         if n >= 10:
-            named_quotient("B_n5", n)
-            checked += 1
+            check("B_n5", n)
     elapsed = time.time() - t0
     assert elapsed < 10, f"formula suite too slow: {elapsed:.1f}s"
     report("criterion-1 formula-suite", elapsed, f"{checked} matrices, zero tolerance")

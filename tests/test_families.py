@@ -17,7 +17,8 @@ from specmax.families import (
     named_quotient,
     profile_partition,
 )
-from specmax.intpoly import IntPolynomial, max_real_root
+from specmax import families
+from specmax.intpoly import IntPolynomial, char_poly, max_real_root
 from specmax.partition import quotient
 from specmax.spectral import perron
 
@@ -212,21 +213,77 @@ class TestNamedQuotients:
             named_quotient("nope", 10, 3)
 
     def test_closed_forms_sample_grid(self):
+        def check(which, n, d=None):
+            nq = named_quotient(which, n, d)
+            assert char_poly(nq.matrix) == nq.closed_form, (which, n, d)
+
         for n in (8, 13, 20, 47, 101, 200):
             for d in admissible_deltas("A_delta", n):
-                named_quotient("A_delta", n, d)
+                check("A_delta", n, d)
             for d in admissible_deltas("B_delta", n):
-                named_quotient("B_delta", n, d)
+                check("B_delta", n, d)
             for d in admissible_deltas("B_dd", n):
-                named_quotient("B_dd", n, d)
+                check("B_dd", n, d)
             for d in admissible_deltas("B_d1", n):
-                named_quotient("B_d1", n, d)
+                check("B_d1", n, d)
             if n % 2 == 0:
-                named_quotient("B1", n)
+                check("B1", n)
             elif n >= 9:
-                named_quotient("B2", n)
+                check("B2", n)
             if n >= 10:
-                named_quotient("B_n5", n)
+                check("B_n5", n)
+
+
+class TestGridProof:
+    """The 5 x 5 grid proves a closed form for every (n, delta) only because
+    every matrix entry is affine in (n, delta): then each char_poly
+    coefficient has degree <= 4 in each variable."""
+
+    @pytest.mark.parametrize("which", sorted(families._FORMS))
+    def test_matrix_entries_affine(self, which):
+        form = families._FORMS[which]
+
+        def entries(n, d):
+            return [v for row in form(n, d)[0] for v in row]
+
+        for n in range(-3, 9):
+            for d in range(-3, 9):
+                at = {(i, j): entries(n + i, d + j) for i in (-1, 0, 1) for j in (-1, 0, 1)}
+                for k in range(len(at[0, 0])):
+                    e = {key: vals[k] for key, vals in at.items()}
+                    assert e[1, 0] - 2 * e[0, 0] + e[-1, 0] == 0, (which, n, d, k)
+                    assert e[0, 1] - 2 * e[0, 0] + e[0, -1] == 0, (which, n, d, k)
+                    assert e[1, 1] - e[1, 0] - e[0, 1] + e[0, 0] == 0, (which, n, d, k)
+
+    @pytest.mark.parametrize("which", sorted(families._FORMS))
+    def test_grid_proves_every_form(self, which):
+        assert families._grid_mismatches(families._FORMS[which]) == []
+
+    @pytest.mark.parametrize("which", sorted(families._FORMS))
+    def test_grid_rejects_one_patched_coefficient(self, which):
+        form = families._FORMS[which]
+        for k in range(len(form(0, 0)[1])):
+
+            def patched(n, d, k=k):
+                matrix, coeffs = form(n, d)
+                return matrix, coeffs[:k] + (coeffs[k] + 1,) + coeffs[k + 1 :]
+
+            assert families._grid_mismatches(patched), (which, k)
+
+    def test_named_quotient_refuses_a_patched_form(self, monkeypatch):
+        form = families._FORMS["B1"]
+
+        def patched(n, d):
+            matrix, coeffs = form(n, d)
+            return matrix, (coeffs[0] + 1,) + coeffs[1:]
+
+        monkeypatch.setitem(families._FORMS, "B1", patched)
+        families._prove_closed_form.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="closed-form mismatch for B1"):
+                named_quotient("B1", 60)
+        finally:
+            families._prove_closed_form.cache_clear()
 
 
 class TestFamilyId:

@@ -7,7 +7,9 @@ suites moved out of `specmax.cli` into `specmax.suites`; the enumeration
 pins (`enumerate_7_5.*`, `levels_6_4_disconnected.txt`) before `_level_up`
 began rejecting children by degree ahead of their canonical forms;
 `families.g6` before the family builders listed complement edges instead
-of every edge. The one
+of every edge; `compare_300_json` and `compare_301_csv`, whose rows carry
+about 2,400 correctly rounded roots, before `max_real_root` tried a float
+seed ahead of its Sturm bisection. The one
 value allowed to move is the `rho_graph` of `sandwich`, which comes from a
 LAPACK eigensolve; it must agree to 1e-12 relative. `perfbench/workloads.py`
 parses the theorem-n2 status lines.
@@ -33,6 +35,8 @@ CASES = {
     "sandwich_61_6": ["verify", "sandwich", "--n-min", "61", "--delta", "6"],
     "compare_60_json": ["compare-families", "--n", "60"],
     "compare_61_csv": ["compare-families", "--n", "61", "--format", "csv"],
+    "compare_300_json": ["compare-families", "--n", "300"],
+    "compare_301_csv": ["compare-families", "--n", "301", "--format", "csv"],
 }
 # (family, n, delta, profile) of each line of families.g6: every family tag
 # at two orders

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from specmax.graphs import (
@@ -121,6 +122,18 @@ class TestLoops:
     def test_json_roundtrip_with_loops(self):
         g = complete(4).add_loops()
         assert Graph.from_json(g.to_json()) == g
+
+
+class TestToNumpy:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 300])
+    def test_matches_adjacency(self, n):
+        rng = random.Random(n)
+        g = Graph.build(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+        loops = Graph(n, g.rows, sum(1 << v for v in range(n) if rng.random() < 0.5))
+        for h in (g, g.add_loops(), loops):
+            got = h.to_numpy()
+            assert got.dtype == np.float64 and got.shape == (n, n)
+            assert np.array_equal(got, np.array(h.adjacency(), dtype=float))
 
 
 class TestGraph6:

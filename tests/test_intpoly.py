@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import inf, nextafter
 
 import pytest
 import sympy
@@ -13,8 +14,10 @@ from specmax.intpoly import (
     count_roots,
     max_real_root,
     poly_dominates,
+    roots_below,
     shifted_root_bound,
 )
+from specmax.intpoly import _newton_seed, _rounds_to
 
 
 def bareiss_det(matrix):
@@ -317,3 +320,67 @@ class TestAgainstSympy:
         assume(lo < hi)
         d = sympy.Poly(_sympy(p2).as_expr().subs(X, X - k) - _sympy(p1).as_expr(), X)
         assert shifted_root_bound(p1, p2, k, lo, hi) == _sympy_nonneg(d, lo, hi)
+
+
+# -- the certificates ahead of the Sturm paths -------------------------------
+
+# monic quartics shaped like the family quotients: four real roots of either
+# sign up to a few hundred, plus a constant that may make some complex
+RANGED_QUARTIC = st.tuples(
+    st.lists(st.integers(-300, 300), min_size=4, max_size=4), st.integers(-50, 50)
+).map(lambda t: _mul(*[[-r, 1] for r in t[0]]) - IntPolynomial((t[1],)))
+
+
+def _rounded_root(p: IntPolynomial) -> float:
+    return float(_sympy_max_root(p).evalf(60))
+
+
+class TestCertificates:
+    @SETTINGS
+    @given(POLY | RANGED_QUARTIC, POINT)
+    def test_roots_below_agrees_with_sympy(self, p, x):
+        assume(p.degree >= 1)
+        if roots_below(p, x):
+            assert _sympy(p).count_roots(x, None) == 0
+        # at the Cauchy bound every derivative has the leading sign too
+        # (Gauss-Lucas), so the certificate always decides there
+        bound = 1 + Fraction(max(abs(c) for c in p.coeffs[:-1]), abs(p.coeffs[-1]))
+        assert roots_below(p, bound)
+
+    @SETTINGS
+    @given(RANGED_QUARTIC | REAL_POLY)
+    def test_max_real_root_matches_sympy(self, p):
+        assume(_sympy(p).count_roots() > 0)
+        assert max_real_root(p) == _rounded_root(p)
+
+    @SETTINGS
+    @given(RANGED_QUARTIC | REAL_POLY)
+    def test_rounding_certificate_accepts_only_the_rounded_root(self, p):
+        assume(_sympy(p).count_roots() > 0)
+        want = _rounded_root(p)
+        near = [want]
+        for _ in range(3):
+            near = [nextafter(near[0], -inf)] + near + [nextafter(near[-1], inf)]
+        assert [r for r in near if _rounds_to(p.coeffs, r)] in ([], [want])
+
+    def test_rounding_certificate_decides_the_family_quartics(self):
+        # B_n5 at n = 60 and 1000, B1 at n = 60: the seed is certified
+        for p in ((283, 162, -172, -54, 1), (4983, 2982, -2992, -994, 1), (58, 111, -115, -55, 1)):
+            assert _rounds_to(p, _newton_seed(p))
+
+    def test_root_on_a_midpoint_falls_back(self):
+        # 1 + 2^-53 is the midpoint between 1.0 and the next double up:
+        # neither neighbour can be certified, and the bisection rounds to even
+        p = IntPolynomial((-(2**53 + 1), 2**53))
+        assert not _rounds_to(p.coeffs, 1.0)
+        assert not _rounds_to(p.coeffs, nextafter(1.0, inf))
+        assert max_real_root(p) == 1.0
+
+    def test_complex_pair_far_right_falls_back(self):
+        # (x - 1)((x - 100)^2 + 1): the complex pair leaves sign variations
+        # after every shift below 100, so Descartes stays undecided
+        p = _mul([-1, 1], [10001, -200, 1])
+        assert not roots_below(p, Fraction(3, 2))
+        assert _sympy(p).count_roots(Fraction(3, 2), None) == 0
+        assert not _rounds_to(p.coeffs, 1.0)
+        assert max_real_root(p) == 1.0
