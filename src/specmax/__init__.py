@@ -21,15 +21,7 @@ from .graphs import (
     graph6_decode,
     graph6_encode,
 )
-from .intpoly import (
-    IntPolynomial,
-    char_poly,
-    compare_max_real_roots,
-    count_roots,
-    max_real_root,
-    poly_dominates,
-    shifted_root_bound,
-)
+from .intpoly import IntPolynomial, char_poly, compare_max_real_roots, max_real_root
 from .spectral import ConvergenceError, PerronPair, perron, perron_component_bound, spectral_radius
 from .partition import QuotientSpec, quotient
 from .families import (

@@ -49,7 +49,6 @@ class EnumSpec:
 class ExtremalReport:
     maximizers: list[Graph]
     rho_max: float
-    degree_sequences: list[list[int]]
     total_classes: int
 
 
@@ -180,7 +179,7 @@ def extremal_search(spec: EnumSpec) -> ExtremalReport:
             rho_max = rho
         best.append((rho, g))
     if not best:
-        return ExtremalReport([], float("nan"), [], 0)
+        return ExtremalReport([], float("nan"), 0)
     # the exact maximum over every class within float reach of the float one
     top = None
     maximizers = []
@@ -194,12 +193,7 @@ def extremal_search(spec: EnumSpec) -> ExtremalReport:
         elif order == 0:
             maximizers.append(g)
     maximizers.sort(key=canonical_form)
-    return ExtremalReport(
-        maximizers,
-        rho_max,
-        [g.degree_sequence() for g in maximizers],
-        total,
-    )
+    return ExtremalReport(maximizers, rho_max, total)
 
 
 def structure_audit(g: Graph) -> dict:

@@ -286,10 +286,6 @@ def _profile_complement_edges(profile, inner, outer):
     return anti
 
 
-def profile_partition(n: int, delta: int) -> list[list[int]]:
-    return [[0], list(range(1, delta + 1)), list(range(delta + 1, n))]
-
-
 def build_case2(n: int, du: int, dv: int, profile: ComplementProfile) -> Graph:
     """Graph with two low-degree vertices u, v and all others of degree n-3.
 
@@ -324,15 +320,6 @@ def build_case2(n: int, du: int, dv: int, profile: ComplementProfile) -> Graph:
     non_edges = [(0, v) for v in rest] + [(1, v) for v in uonly + rest]
     non_edges += _profile_complement_edges(profile, common, uonly)
     return Graph.build(n, non_edges).complement()
-
-
-def case2_partition(n: int, du: int, dv: int) -> list[list[int]]:
-    """Documented partition for the two named shapes (du=dv, or dv=1)."""
-    if du == dv:
-        return [[0, 1], list(range(2, du + 1)), list(range(du + 1, n))]
-    if dv == 1:
-        return [[1], [0], list(range(2, du + 1)), list(range(du + 1, n))]
-    raise ValueError("documented partitions exist for du=dv or dv=1 only")
 
 
 # -- named quotient matrices ------------------------------------------------

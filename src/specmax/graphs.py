@@ -110,9 +110,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and bool((self.rows[u] >> v) & 1)
 
-    def has_loop(self, v: int) -> bool:
-        return bool((self.loops >> v) & 1)
-
     def neighbors(self, v: int):
         row = self.rows[v]
         while row:
@@ -143,12 +140,6 @@ class Graph:
                 row >>= 1
                 v += 1
 
-    def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
-
-    def loop_count(self) -> int:
-        return self.loops.bit_count()
-
     def is_connected(self) -> bool:
         """True iff the graph has one connected component (loops ignored)."""
         seen = 1
@@ -164,26 +155,6 @@ class Graph:
             seen |= frontier
         return seen == full
 
-    def components(self) -> list[list[int]]:
-        """Vertex lists of the connected components, sorted by least vertex."""
-        remaining = (1 << self.n) - 1
-        out = []
-        while remaining:
-            start = remaining & -remaining
-            seen = start
-            frontier = start
-            while frontier:
-                nxt = 0
-                while frontier:
-                    low = frontier & -frontier
-                    nxt |= self.rows[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = nxt & ~seen
-                seen |= frontier
-            out.append([v for v in range(self.n) if (seen >> v) & 1])
-            remaining &= ~seen
-        return out
-
     # -- derived graphs ----------------------------------------------
 
     def complement(self) -> "Graph":
@@ -192,27 +163,6 @@ class Graph:
         full = (1 << self.n) - 1
         rows = tuple((full & ~self.rows[v]) & ~(1 << v) for v in range(self.n))
         return Graph(self.n, rows)
-
-    def induced(self, members) -> "Graph":
-        """Subgraph induced on `members`, relabeled 0..len(members)-1.
-
-        Labels follow the sorted order of `members`.
-        """
-        verts = sorted(set(members))
-        if verts and not (0 <= verts[0] and verts[-1] < self.n):
-            raise ValueError("induced set outside vertex range")
-        index = {v: i for i, v in enumerate(verts)}
-        m = len(verts)
-        rows = [0] * m
-        loops = 0
-        for v in verts:
-            i = index[v]
-            for w in verts:
-                if w != v and (self.rows[v] >> w) & 1:
-                    rows[i] |= 1 << index[w]
-            if (self.loops >> v) & 1:
-                loops |= 1 << i
-        return Graph(m, tuple(rows), loops)
 
     def add_loops(self) -> "Graph":
         """Attach a loop to every vertex (raises if any loop is present)."""

@@ -3,9 +3,8 @@
 Provides integer characteristic polynomials of small matrices, Sturm
 sequences built as primitive remainder sequences in Z[x], real-root
 counting and isolation, and the sign decisions used throughout the
-verification suites: nonnegativity of a polynomial on an interval or
-half-line, ordering of maximum real roots, Descartes certificates after
-a shift, and shifted-root comparisons. Every decision runs on integer
+verification suites: ordering of maximum real roots and Descartes
+certificates after a shift. Every decision runs on integer
 coefficients; a rational point a/b enters as b^d * p(a/b). Floats appear
 only in the correctly rounded root and in its exactly checked Newton seed.
 """
@@ -33,16 +32,6 @@ class IntPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1 if self.coeffs else -1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __call__(self, x):
-        acc = 0 if isinstance(x, int) else Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coeffs, other.coeffs
@@ -123,9 +112,9 @@ def _le(x, y) -> bool:
     return x[0] * y[1] <= y[0] * x[1]
 
 
-def _mid(x, y, k: int = 1, m: int = 2) -> tuple[int, int]:
-    """The point x + (y - x) * k/m, the midpoint by default."""
-    a, b = x[0] * y[1] * (m - k) + y[0] * x[1] * k, x[1] * y[1] * m
+def _mid(x, y) -> tuple[int, int]:
+    """The midpoint of x and y."""
+    a, b = x[0] * y[1] + y[0] * x[1], x[1] * y[1] * 2
     g = gcd(a, b)
     return a // g, b // g
 
@@ -214,16 +203,6 @@ def _sturm_chain(c) -> list[tuple[int, ...]]:
 def _variations(chain, x) -> int:
     seq = [s for s in (_sign_at(p, x) for p in chain) if s]
     return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
-
-
-def _deflate(c, x) -> tuple[tuple[int, ...], int]:
-    """Divide out (b*x - a) for x = a/b as often as it divides; return
-    (quotient, multiplicity)."""
-    mult = 0
-    while _sign_at(c, x) == 0:
-        c = _exact_div(c, (-x[0], x[1]))
-        mult += 1
-    return c, mult
 
 
 def _shift(c, x) -> list[int]:
@@ -320,76 +299,7 @@ def _bisect(s, lo, hi):
     return mid, hi
 
 
-def _nonroot_point(c, a, b):
-    """A rational in (a, b) where the polynomial does not vanish."""
-    m = len(c) + 2
-    for k in range(1, m):
-        x = _mid(a, b, k, m)
-        if _sign_at(c, x):
-            return x
-    raise ArithmeticError("could not find non-root sample point")
-
-
-def _isolate_in(chain, c, a, b, k: int) -> list:
-    """Split (a, b] into k sub-intervals each holding one distinct root."""
-    if k == 0:
-        return []
-    if k == 1:
-        return [(a, b)]
-    mid = _nonroot_point(c, a, b)
-    kl = _variations(chain, a) - _variations(chain, mid)
-    return _isolate_in(chain, c, a, mid, kl) + _isolate_in(chain, c, mid, b, k - kl)
-
-
-def _nonneg_on(c, lo, hi) -> bool:
-    """Exact decision: p(x) >= 0 for all x in [lo, hi] ([lo, inf) if hi None)."""
-    if len(c) == 1:
-        return c[0] >= 0
-    if hi is None:
-        if c[-1] < 0:
-            return False
-        # above the root bound the (positive) leading term rules, so the
-        # half-line question reduces to a bounded interval
-        hi = (max(_root_bound(c), lo[0] // lo[1] + 1), 1)
-    elif not _le(lo, hi):
-        raise ValueError("empty interval")
-    if lo == hi:
-        return _sign_at(c, lo) >= 0
-    # factor out roots at the endpoints: on [lo, hi], (x-lo)^a >= 0 always,
-    # while (x-hi)^b flips the interior sign when b is odd
-    c, _ = _deflate(c, lo)
-    c, m_hi = _deflate(c, hi)
-    if m_hi % 2 == 1:
-        c = tuple(-v for v in c)
-    if len(c) == 1:
-        return c[0] >= 0
-    # endpoints are now non-roots; sample at both endpoints and at the
-    # endpoints of isolating intervals of interior roots -- every maximal
-    # root-free region of [lo, hi] contains one of these points
-    chain = _sturm_chain(c)
-    k = _variations(chain, lo) - _variations(chain, hi)
-    samples = [lo, hi]
-    for a, b in _isolate_in(chain, c, lo, hi, k):
-        samples += [a, b]
-    return all(_sign_at(c, x) >= 0 for x in samples)
-
-
 # -- public decision procedures -----------------------------------------
-
-
-def count_roots(p: IntPolynomial, lo, hi) -> int:
-    """Number of distinct real roots of p in (lo, hi]; endpoints may be roots.
-
-    lo may be None for -infinity, hi None for +infinity.
-    """
-    if p.is_zero:
-        raise ValueError("count_roots of the zero polynomial")
-    a = (-1, 0) if lo is None else lo.as_integer_ratio()
-    b = (1, 0) if hi is None else hi.as_integer_ratio()
-    if a[1] and b[1] and _le(b, a):
-        raise ValueError(f"count_roots needs lo < hi, got ({lo}, {hi}]")
-    chain = _sturm_chain(p.coeffs)
-    return _variations(chain, a) - _variations(chain, b)
 
 
 def max_real_root(p: IntPolynomial) -> float:
@@ -430,27 +340,6 @@ def roots_below(p: IntPolynomial, x) -> bool:
     """True when a Descartes certificate shows every real root of p lies
     below x (a float or Fraction); False means undecided."""
     return _clear_from(p.coeffs, x.as_integer_ratio())
-
-
-def poly_dominates(p1: IntPolynomial, p2: IntPolynomial, from_) -> bool:
-    """True iff p2(x) >= p1(x) for every x >= from_, decided exactly."""
-    diff = p2 - p1
-    return diff.is_zero or _nonneg_on(diff.coeffs, from_.as_integer_ratio(), None)
-
-
-def shifted_root_bound(p1: IntPolynomial, p2: IntPolynomial, k, lo, hi) -> bool:
-    """True iff p2(x - k) - p1(x) >= 0 on [lo, hi], decided exactly (k >= 0).
-
-    With k = a/b both sides are scaled by b^deg(p2) to stay in Z[x].
-    """
-    k = k.as_integer_ratio()
-    if k[0] < 0:
-        raise ValueError("shift k must be nonnegative")
-    scale = k[1] ** max(p2.degree, 0)
-    diff = IntPolynomial(tuple(_shift(p2.coeffs, k))) - IntPolynomial(
-        tuple(scale * v for v in p1.coeffs)
-    )
-    return diff.is_zero or _nonneg_on(diff.coeffs, lo.as_integer_ratio(), hi.as_integer_ratio())
 
 
 def compare_max_real_roots(p: IntPolynomial, q: IntPolynomial) -> int:

@@ -44,17 +44,6 @@ class QuotientSpec:
     def rho(self) -> float:
         return matrix_spectral_radius(self.matrix)
 
-    def as_int_matrix(self) -> list[list[int]]:
-        out = []
-        for row in self.matrix:
-            ints = []
-            for x in row:
-                if x.denominator != 1:
-                    raise ValueError("quotient matrix is not integral")
-                ints.append(x.numerator)
-            out.append(ints)
-        return out
-
     def to_json(self) -> list[list[list[int]]]:
         return [[[x.numerator, x.denominator] for x in row] for row in self.matrix]
 

@@ -4,9 +4,9 @@ Each `run_*` suite returns the JSON-ready result that `specmax verify`
 prints. Signs, theorem-n2, theorem-n3 and lemmas list their failures as
 records `{"check": name, "n": order or None, "witness": ...}`; sandwich
 makes one check and reports its margins instead. Each check is decided
-in one place: the `*_failures` sections, and the `*_verdicts` functions
-that `partition_failures` runs over (graph, partition) cases, are shared
-with the tests, which call them with their own inputs.
+in one place: the `*_failures` sections and the `*_verdicts` functions
+(`partition_failures` runs those over (graph, partition) cases) are
+shared with the tests, which call them with their own inputs.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .enumeration import EXHAUSTIVE_MAX_N, EnumSpec, ExtremalReport, extremal_se
 from .families import (
     ComplementProfile,
     admissible_deltas,
+    build_case2,
     build_from_profile,
     build_g,
     build_g2_1,
@@ -136,7 +137,7 @@ def run_verify_signs(n_min: int = 59, n_max: int = 500) -> dict:
         for check, sign, p, (a, b), q in table:
             value = scaled_value(p.coeffs, (a, b)) - q
             ok = (value > 0) - (value < 0) == sign
-            witness = "" if ok else str(p(Fraction(a, b)) - Fraction(q, b**p.degree))
+            witness = "" if ok else str(Fraction(value, b**p.degree))
             _check(failures, check, n, ok, witness)
     return {
         "suite": "signs",
@@ -450,6 +451,36 @@ def family_quotient_verdicts(g: Graph, cells) -> list[tuple[str, bool]]:
     ]
 
 
+def case2_verdicts(g: Graph) -> list[tuple[str, bool, str]]:
+    """(check, holds, witness) of the two-low-vertex inequality chain on a
+    graph with exactly two sub-maximal vertices u and v, u of the larger
+    degree (on a tie, of the larger Perron component):
+      case2_min_gap:  (lambda + 1)(M - m) <= 2M - (x_u + x_v)
+      case2_diff_gap: (d_u - d_v) m <= (lambda + 1)(x_u - x_v)
+    where m and M are the least and greatest Perron components over the
+    full-degree vertices. Each holds within 1e-12; the witness is the graph6
+    line and both sides."""
+    degs = g.degrees()
+    top = max(degs)
+    low = [v for v, d in enumerate(degs) if d < top]
+    if len(low) != 2:
+        raise ValueError(f"case-2 checks need exactly 2 sub-maximal vertices, got {len(low)}")
+    pair = perron(g)
+    lam, x = pair.rho, pair.vector
+    u, v = sorted(low, key=lambda w: (degs[w], x[w]), reverse=True)
+    full = [float(x[w]) for w, d in enumerate(degs) if d == top]
+    m, big = min(full), max(full)
+    xu, xv = float(x[u]), float(x[v])
+    code = graph6_encode(g)
+    return [
+        (check, lhs <= rhs + 1e-12, f"{code} {lhs} vs {rhs}")
+        for check, lhs, rhs in (
+            ("case2_min_gap", (lam + 1) * (big - m), 2 * big - (xu + xv)),
+            ("case2_diff_gap", (degs[u] - degs[v]) * m, (lam + 1) * (xu - xv)),
+        )
+    ]
+
+
 def partition_failures(verdicts, cases) -> list[dict]:
     """Failure records of `verdicts(g, cells)` over (g, cells) cases, each
     witnessed by the graph6 line and the partition."""
@@ -486,6 +517,12 @@ def run_lemmas(trials: int = 200, seed: int = 0) -> dict:
     _check(failures, "op1_sandwich", 15, op1_sandwich_check(gl, SwitchMove("Op1", (13, 1, 2, 3, 14))))
     gl = build_from_profile(17, 12, ComplementProfile(type2=(6, 6))).add_loops()
     _check(failures, "op2_monotone", 17, op2_monotone_check(gl, SwitchMove("Op2", (13, 1, 2, 3, 4, 5, 6, 14))))
+
+    # the two-low-vertex inequality chain on both case-2 shapes
+    case2 = [build_case2(n, 4, 4, ComplementProfile(type3=(3,))) for n in range(12, 41, 4)]
+    for g in case2 + [build_case2(12, 3, 1, ComplementProfile(type1=1))]:
+        for check, ok, witness in case2_verdicts(g):
+            _check(failures, check, g.n, ok, witness)
 
     failures += switch_improvement_failures(range(9, 32, 2))
     for n in (5, 6):

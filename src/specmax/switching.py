@@ -35,7 +35,6 @@ class SwitchCertificate:
     rho_after: float
     hypothesis_value: float
     conclusion_holds: bool
-    equality_case: bool
 
 
 def _check_complement_path(g: Graph, path, label: str):
@@ -108,8 +107,7 @@ def ls_certificate(g: Graph, s: int, t: int, v: int, u: int) -> SwitchCertificat
     hypothesis = (x_s - x_u)(x_v - x_t) from the Perron vector of g.  When
     the hypothesis is (numerically) nonnegative, the conclusion is
     rho(G') >= rho(G) - 1e-9; a nonnegative-hypothesis move with strictly
-    smaller rho would falsify it.  equality_case reports x_s = x_u and
-    x_v = x_t within 1e-8.
+    smaller rho would falsify it.
     """
     pair = perron(g)
     x = pair.vector
@@ -120,8 +118,7 @@ def ls_certificate(g: Graph, s: int, t: int, v: int, u: int) -> SwitchCertificat
         holds = rho_after >= pair.rho - 1e-9
     else:
         holds = True
-    equality = bool(abs(x[s] - x[u]) <= 1e-8 and abs(x[v] - x[t]) <= 1e-8)
-    return SwitchCertificate(pair.rho, rho_after, hyp, holds, equality)
+    return SwitchCertificate(pair.rho, rho_after, hyp, holds)
 
 
 def op1_sandwich_check(gloop: Graph, move: SwitchMove) -> bool:
@@ -145,49 +142,3 @@ def op2_monotone_check(gloop: Graph, move: SwitchMove) -> bool:
     before = perron(gloop)
     after = perron(apply(gloop, move))
     return after.rho >= before.rho - 1e-9
-
-
-def case2_inequality_audit(g: Graph) -> dict:
-    """Perron-data audit of the two-low-vertex inequality chain.
-
-    Reports both sides of each inequality:
-      min_gap:    (lambda+1)(M - m) <= 2M - (x_u + x_v)
-      sum_lower:  x_u + x_v >= m^2 / M            (contextual; reported)
-      ratio:      M/m < 1 + 1/(lambda-1) + 1/(lambda-1)^2  (contextual)
-      diff_gap:   (d_u - d_v) m <= (lambda+1)(x_u - x_v)
-    where m, M are the extreme Perron components over the full-degree
-    vertices and u carries the larger low degree.
-    """
-    degs = g.degrees()
-    top = max(degs)
-    low = [i for i, d in enumerate(degs) if d < top]
-    if len(low) != 2:
-        raise ValueError(f"audit expects exactly 2 sub-maximal vertices, got {len(low)}")
-    pair = perron(g)
-    x = pair.vector
-    u, v = low
-    if (degs[u], x[u]) < (degs[v], x[v]):
-        u, v = v, u
-    lam = pair.rho
-    tvals = [float(x[i]) for i, d in enumerate(degs) if d == top]
-    m, big = min(tvals), max(tvals)
-    xu, xv = float(x[u]), float(x[v])
-
-    def entry(lhs, rhs, strict=False):
-        ok = lhs < rhs if strict else lhs <= rhs + 1e-12
-        return {"lhs": lhs, "rhs": rhs, "holds": bool(ok)}
-
-    report = {
-        "lambda": lam,
-        "m": m,
-        "M": big,
-        "x_u": xu,
-        "x_v": xv,
-        "d_u": degs[u],
-        "d_v": degs[v],
-        "min_gap": entry((lam + 1) * (big - m), 2 * big - (xu + xv)),
-        "sum_lower": entry(m * m / big, xu + xv),
-        "ratio": entry(big / m, 1 + 1 / (lam - 1) + 1 / (lam - 1) ** 2, strict=True),
-        "diff_gap": entry((degs[u] - degs[v]) * m, (lam + 1) * (xu - xv)),
-    }
-    return report

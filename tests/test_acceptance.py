@@ -17,12 +17,10 @@ from specmax.families import (
     build_g,
     build_h1,
     build_h2,
-    case2_partition,
     g_partition,
     h1_partition,
     h2_partition,
     named_quotient,
-    profile_partition,
 )
 from specmax.intpoly import char_poly, compare_max_real_roots
 from specmax.spectral import perron
@@ -38,6 +36,21 @@ from specmax.suites import (
     switch_improvement_failures,
 )
 from specmax.switching import SwitchMove, op1_sandwich_check, op2_monotone_check
+
+
+def profile_partition(n: int, delta: int) -> list[list[int]]:
+    """The low vertex, its neighborhood and the rest, as `build_from_profile`
+    labels them."""
+    return [[0], list(range(1, delta + 1)), list(range(delta + 1, n))]
+
+
+def case2_partition(n: int, du: int, dv: int) -> list[list[int]]:
+    """The equitable partition of `build_case2` for du = dv ({u, v}, the
+    common neighborhood, the rest) and for dv = 1 (v, u, u's other
+    neighbors, the rest)."""
+    if du == dv:
+        return [[0, 1], list(range(2, du + 1)), list(range(du + 1, n))]
+    return [[1], [0], list(range(2, du + 1)), list(range(du + 1, n))]
 
 
 def report(name, elapsed, detail=""):

@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 
 from specmax.families import (
@@ -9,23 +10,18 @@ from specmax.families import (
     build_g2_1,
     build_h1,
     build_h2,
-    case2_partition,
     g2_1_partition,
     g_partition,
     h1_partition,
     h2_partition,
     named_quotient,
-    profile_partition,
 )
 from specmax import families
 from specmax.intpoly import IntPolynomial, char_poly, max_real_root
 from specmax.partition import quotient
 from specmax.spectral import perron
 
-
-def component_shapes(g):
-    """Sorted (order, size) pairs of the connected components."""
-    return sorted((len(c), g.induced(c).edge_count()) for c in g.components())
+from graph_shapes import complement_shapes
 
 
 class TestBuildG:
@@ -53,16 +49,13 @@ class TestBuildG:
         for n, t in [(6, 2), (9, 4), (15, 10)]:
             spec = quotient(build_g(n, t), g_partition(n, t))
             assert spec.equitable
-            assert spec.as_int_matrix() == [
-                list(r) for r in named_quotient("A_delta", n, t).matrix
-            ]
+            assert spec.matrix == named_quotient("A_delta", n, t).matrix
 
     def test_complement_without_low_vertex(self):
         # dropping the low vertex and complementing leaves exactly the
         # deleted matching on its neighborhood, everything else isolated
-        g = build_g(6, 2)
-        comp = g.induced(range(1, 6)).complement()
-        assert sorted(comp.edges()) == [(0, 1)]  # the two u-neighbors, relabeled
+        h = nx.Graph(list(build_g(6, 2).edges()))
+        assert [sorted(e) for e in nx.complement(h.subgraph(range(1, 6))).edges()] == [[1, 2]]
 
 
 class TestBuildH1:
@@ -70,14 +63,14 @@ class TestBuildH1:
         assert build_h1(8).degree_sequence() == [5] * 7 + [1]
 
     def test_big_block_is_matched_clique(self):
-        sub = build_h1(8).induced(range(4, 8))
-        assert sub.degree_sequence() == [2, 2, 2, 2]
+        # the block's complement is the perfect matching (4, 5), (6, 7)
+        assert complement_shapes(build_h1(8), range(4, 8)) == [(2, 1), (2, 1)]
 
     def test_quotient(self):
         spec = quotient(build_h1(8), h1_partition(8))
         nq = named_quotient("B1", 8)
         assert spec.equitable
-        assert spec.as_int_matrix() == [list(r) for r in nq.matrix]
+        assert spec.matrix == nq.matrix
         assert nq.closed_form.coeffs == (6, 7, -11, -3, 1)
 
     def test_order60_rho(self):
@@ -101,7 +94,7 @@ class TestBuildH2:
         spec = quotient(build_h2(11), h2_partition(11))
         nq = named_quotient("B2", 11)
         assert spec.equitable
-        assert spec.as_int_matrix() == [list(r) for r in nq.matrix]
+        assert spec.matrix == nq.matrix
 
     def test_order9_rho(self):
         nq = named_quotient("B2", 9)
@@ -124,9 +117,7 @@ class TestBuildG21:
         # removing the low vertex and complementing leaves one 4-vertex path
         # plus (n-5)/2 disjoint edges
         for n in (9, 13):
-            g = build_g2_1(n)
-            comp = g.induced(range(1, n)).complement()
-            shapes = component_shapes(comp)
+            shapes = complement_shapes(build_g2_1(n), range(1, n))
             assert shapes == [(2, 1)] * ((n - 5) // 2) + [(4, 3)]
 
     def test_partition_equitable(self):
@@ -155,37 +146,35 @@ class TestProfiles:
     def test_cycle_profile(self):
         g = build_from_profile(9, 4, ComplementProfile(type1=2, type3=(4,)))
         assert g.degree_sequence() == [6] * 8 + [4]
-        spec = quotient(g, profile_partition(9, 4))
+        # the low vertex, its neighborhood and the rest
+        spec = quotient(g, [[0], [1, 2, 3, 4], [5, 6, 7, 8]])
         assert spec.equitable
-        assert spec.as_int_matrix() == [
-            list(r) for r in named_quotient("B_delta", 9, 4).matrix
-        ]
+        assert spec.matrix == named_quotient("B_delta", 9, 4).matrix
 
     def test_path_profile_complement_audit(self):
         g = build_from_profile(9, 4, ComplementProfile(type1=1, type2=(4,)))
         assert g.degree_sequence() == [6] * 8 + [4]
-        comp = g.induced(range(1, 9)).complement()
-        assert component_shapes(comp) == [(2, 1), (6, 5)]
+        assert complement_shapes(g, range(1, 9)) == [(2, 1), (6, 5)]
 
 
 class TestCase2:
     def test_equal_degrees(self):
         g = build_case2(10, 4, 4, ComplementProfile(type3=(3,)))
         assert g.degree_sequence() == [7] * 8 + [4, 4]
-        spec = quotient(g, case2_partition(10, 4, 4))
+        # {u, v}, their common neighborhood and the rest
+        spec = quotient(g, [[0, 1], [2, 3, 4], [5, 6, 7, 8, 9]])
         nq = named_quotient("B_dd", 10, 4)
         assert spec.equitable
-        assert spec.as_int_matrix() == [list(r) for r in nq.matrix]
+        assert spec.matrix == nq.matrix
         assert nq.closed_form.coeffs == (39, -17, -5, 1)
 
     def test_pendant(self):
         g = build_case2(10, 3, 1, ComplementProfile(type1=1))
         assert g.degree_sequence() == [7] * 8 + [3, 1]
-        spec = quotient(g, case2_partition(10, 3, 1))
+        # v, u, the common neighborhood and the rest
+        spec = quotient(g, [[1], [0], [2, 3], [4, 5, 6, 7, 8, 9]])
         assert spec.equitable
-        assert spec.as_int_matrix() == [
-            list(r) for r in named_quotient("B_d1", 10, 3).matrix
-        ]
+        assert spec.matrix == named_quotient("B_d1", 10, 3).matrix
 
     def test_mixed_degrees(self):
         g = build_case2(12, 5, 3, ComplementProfile(type2=(2,)))

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -46,7 +47,7 @@ class TestBuild:
 
     def test_duplicate_edges_collapse(self):
         g = Graph.build(3, [(0, 1), (1, 0), (0, 1)])
-        assert g.edge_count() == 1
+        assert list(g.edges()) == [(0, 1)]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -68,7 +69,7 @@ class TestBuild:
             g = random_connected_graph(rng, rng.randint(2, 12), 0.4)
             if rng.random() < 0.5:
                 g = g.add_loops()
-            assert sum(g.degrees()) == 2 * g.edge_count() + 2 * g.loop_count()
+            assert sum(g.degrees()) == 2 * len(list(g.edges())) + 2 * g.loops.bit_count()
 
 
 class TestQueries:
@@ -79,14 +80,10 @@ class TestQueries:
         assert cycle(5).is_connected()
         assert not Graph.build(4, [(0, 1), (2, 3)]).is_connected()
 
-    def test_components(self):
-        g = Graph.build(5, [(0, 1), (2, 3)])
-        assert g.components() == [[0, 1], [2, 3], [4]]
-
 
 class TestComplement:
     def test_complete_complement_edgeless(self):
-        assert complete(4).complement().edge_count() == 0
+        assert list(complete(4).complement().edges()) == []
 
     def test_involution(self):
         rng = random.Random(5)
@@ -97,16 +94,6 @@ class TestComplement:
     def test_loops_rejected(self):
         with pytest.raises(ValueError):
             complete(3).add_loops().complement()
-
-
-class TestInduced:
-    def test_induced_complete(self):
-        assert complete(5).induced([0, 2, 4]).degree_sequence() == [2, 2, 2]
-
-    def test_identity(self):
-        rng = random.Random(9)
-        g = random_connected_graph(rng, 7, 0.5)
-        assert g.induced(range(7)) == g
 
 
 class TestLoops:
@@ -222,7 +209,7 @@ class TestCanonicalForm:
         g = random_connected_graph(rng, 7, 0.5)
         back = graph6_decode(canonical_form(g).decode("ascii"))
         assert back.degree_sequence() == g.degree_sequence()
-        assert back.edge_count() == g.edge_count()
+        assert nx.is_isomorphic(nx.Graph(list(back.edges())), nx.Graph(list(g.edges())))
 
     def test_cap_enforced(self):
         with pytest.raises(CapabilityError):

@@ -1,7 +1,9 @@
 """Source hygiene of the package, checked with the standard library's `ast`:
-no module under `src/specmax` imports a name it never uses."""
+no module under `src/specmax` imports a name it never uses, and every
+function, class and method it defines is read somewhere in the package."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,75 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def dead_names(sources: dict[str, str]) -> list[str]:
+    """The top-level functions and classes of the given modules, and the
+    non-dunder methods and properties of their top-level classes, that no
+    module reads, as a name or an attribute, outside the definition itself;
+    `sources` maps module names to source text."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defs = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+                defs.append((f"{module}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                defs += [
+                    (f"{module}.{node.name}.{member.name}", member)
+                    for member in node.body
+                    if isinstance(member, FUNCTIONS) and not _is_dunder(member.name)
+                ]
+    readers = defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                readers[node.id].append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                readers[node.attr].append(node)
+    dead = []
+    for qualname, node in defs:
+        own = {id(n) for n in ast.walk(node)}
+        if all(id(reader) in own for reader in readers[node.name]):
+            dead.append(f"{qualname} (line {node.lineno})")
+    return dead
+
+
+def test_detects_dead_names():
+    defining = """
+def called_elsewhere():
+    return 1
+
+def unused():
+    return 2
+
+def recursive(k):
+    return recursive(k - 1) if k else 0
+
+class Box:
+    def read(self):
+        return 0
+
+    def unread(self):
+        return self.read()
+
+    def __len__(self):
+        return 0
+"""
+    calling = "from a import Box, called_elsewhere\n\nprint(called_elsewhere(), Box().read())\n"
+    assert dead_names({"a": defining, "b": calling}) == [
+        "a.unused (line 5)",
+        "a.recursive (line 8)",
+        "a.Box.unread (line 15)",
+    ]
+
+
+def test_no_dead_names():
+    assert dead_names({path.stem: path.read_text() for path in MODULES}) == []

@@ -11,13 +11,11 @@ from specmax.intpoly import (
     IntPolynomial,
     char_poly,
     compare_max_real_roots,
-    count_roots,
     max_real_root,
-    poly_dominates,
     roots_below,
-    shifted_root_bound,
+    scaled_value,
 )
-from specmax.intpoly import _newton_seed, _rounds_to
+from specmax.intpoly import _newton_seed, _rounds_to, _shift, _sturm_chain, _variations
 
 
 def bareiss_det(matrix):
@@ -65,7 +63,7 @@ class TestCharPoly:
                 shifted = [
                     [lam * (i == j) - m[i][j] for j in range(n)] for i in range(n)
                 ]
-                assert p(lam) == bareiss_det(shifted)
+                assert scaled_value(p.coeffs, (lam, 1)) == bareiss_det(shifted)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -76,21 +74,31 @@ class TestCharPoly:
             char_poly([[Fraction(1, 2)]])
 
 
+def sturm_count(p: IntPolynomial, lo=None, hi=None) -> int:
+    """Distinct real roots of p in (lo, hi] from one Sturm chain, the count
+    behind the fallback of `max_real_root` and `compare_max_real_roots`;
+    lo None is -infinity, hi None is +infinity."""
+    chain = _sturm_chain(p.coeffs)
+    a = (-1, 0) if lo is None else Fraction(lo).as_integer_ratio()
+    b = (1, 0) if hi is None else Fraction(hi).as_integer_ratio()
+    return _variations(chain, a) - _variations(chain, b)
+
+
 class TestCounting:
     def test_quadratic(self):
         p = IntPolynomial((-4, 0, 1))
-        assert count_roots(p, None, None) == 2
-        assert count_roots(p, 0, None) == 1
-        assert count_roots(p, 2, None) == 0
-        assert count_roots(p, 1, 2) == 1  # root exactly at hi
-        assert count_roots(p, -2, 2) == 1  # root at lo excluded
+        assert sturm_count(p) == 2
+        assert sturm_count(p, 0) == 1
+        assert sturm_count(p, 2) == 0
+        assert sturm_count(p, 1, 2) == 1  # root exactly at hi
+        assert sturm_count(p, -2, 2) == 1  # root at lo excluded
 
     def test_repeated_roots_counted_once(self):
         p = IntPolynomial((1, -2, 1))  # (x-1)^2
-        assert count_roots(p, 0, 2) == 1
+        assert sturm_count(p, 0, 2) == 1
 
     def test_no_real_roots(self):
-        assert count_roots(IntPolynomial((1, 0, 1)), None, None) == 0
+        assert sturm_count(IntPolynomial((1, 0, 1))) == 0
 
 
 class TestMaxRealRoot:
@@ -133,59 +141,64 @@ class TestMaxRealRoot:
         assert max_real_root(p) == pytest.approx(1, abs=1e-10)
 
 
+def moved_up(p: IntPolynomial, k) -> IntPolynomial:
+    """b^d * p(t - a/b) for k = a/b: the roots of p moved up by k."""
+    return IntPolynomial(tuple(_shift(p.coeffs, Fraction(k).as_integer_ratio())))
+
+
 class TestPolyDominates:
+    """Pairs with p2 >= p1 from 0 on, so that p2's maximum root is at most
+    p1's, decided by the routes the ordering suites use: `roots_below` at
+    the separator just under the larger root, and `compare_max_real_roots`."""
+
     def test_constant_gap(self):
-        assert poly_dominates(IntPolynomial((-2, 1)), IntPolynomial((-1, 1)), 0)
+        assert compare_max_real_roots(IntPolynomial((-1, 1)), IntPolynomial((-2, 1))) == -1
 
     def test_quartic_pair_order10(self):
         f1 = IntPolynomial((8, 11, -15, -5, 1))
         f2 = IntPolynomial((18, 13, -15, -5, 1))
-        assert poly_dominates(f1, f2, 0)
-        assert not poly_dominates(f2, f1, 0)
+        assert compare_max_real_roots(f2, f1) == -1
+        assert compare_max_real_roots(f1, f2) == 1
+        assert roots_below(f2, nextafter(max_real_root(f1), -inf))
 
     def test_family_cubics_order9(self):
-        # even low degrees at odd order 9: delta = 6 dominates smaller ones
+        # even low degrees at odd order 9: delta = 6 beats smaller ones
         def f(d, n=9):
             return IntPolynomial((-(d * d + 2 * d - n * d), 4 - 2 * n, 4 - n, 1))
 
-        assert poly_dominates(f(6), f(2), 0)
         assert compare_max_real_roots(f(6), f(2)) == 1
+        assert roots_below(f(2), nextafter(max_real_root(f(6)), -inf))
 
     def test_touching_counts_as_domination(self):
-        zero = IntPolynomial((0,))
-        square = IntPolynomial((1, -2, 1))
-        assert poly_dominates(zero, square, 0)
-        assert not poly_dominates(zero, IntPolynomial((-1, 2, -1)), 0)
+        # p2 - p1 = (x - 1)^2 touches 0 at the common root 1, which is the
+        # maximum root of neither
+        p1 = IntPolynomial((3, -4, 1))  # (x - 1)(x - 3)
+        p2 = IntPolynomial((4, -6, 2))  # 2(x - 1)(x - 2)
+        assert compare_max_real_roots(p2, p1) == -1
+        assert roots_below(p2, nextafter(3.0, -inf))
 
     def test_identical(self):
-        p = IntPolynomial((1, 2, 3))
-        assert poly_dominates(p, p, 0)
+        p = IntPolynomial((-6, 1, 1))  # (x + 3)(x - 2)
+        assert compare_max_real_roots(p, p) == 0
 
 
 class TestShiftedRootBound:
+    """B_delta at n = 59: rho(B_3) + 1/n^2 < rho(B_54) < rho(B_3) + 1, with
+    B_3's roots moved up by `_shift`."""
+
+    @staticmethod
+    def b(d, n=59):
+        return IntPolynomial((-d * d + (n - 3) * d, 9 - 3 * n, 6 - n, 1))
+
     def test_zero_shift_identity(self):
-        p = IntPolynomial((-1, 1))
-        assert shifted_root_bound(p, p, 0, 0, 5)
+        p = self.b(3)
+        assert moved_up(p, 0) == p
 
     def test_order59_shift(self):
-        def b(d, n=59):
-            return IntPolynomial((-d * d + (n - 3) * d, 9 - 3 * n, 6 - n, 1))
-
-        n = 59
-        assert shifted_root_bound(
-            b(54), b(3), Fraction(1, n * n), n - 4, Fraction(n - 3) + Fraction(1, n * n)
-        )
+        assert compare_max_real_roots(self.b(54), moved_up(self.b(3), Fraction(1, 59 * 59))) == 1
 
     def test_too_large_shift_fails(self):
-        def b(d, n=59):
-            return IntPolynomial((-d * d + (n - 3) * d, 9 - 3 * n, 6 - n, 1))
-
-        assert not shifted_root_bound(b(54), b(3), 1, 55, 57)
-
-    def test_negative_shift_rejected(self):
-        p = IntPolynomial((-1, 1))
-        with pytest.raises(ValueError):
-            shifted_root_bound(p, p, -1, 0, 1)
+        assert compare_max_real_roots(self.b(54), moved_up(self.b(3), 1)) == -1
 
 
 class TestCompareMaxRealRoots:
@@ -249,36 +262,15 @@ def _sympy_max_root(p: IntPolynomial):
     return max(sympy.real_roots(_sympy(p)), key=lambda r: r.evalf(60))
 
 
-def _sympy_nonneg(d: sympy.Poly, lo, hi) -> bool:
-    """d >= 0 on [lo, hi] (lo < hi): no odd-multiplicity root inside, and a
-    nonnegative value at one interior non-root."""
-    if d.is_zero:
-        return True
-    odd = sympy.Poly(1, X)
-    for factor, mult in d.sqf_list()[1]:
-        if mult % 2:
-            odd *= factor
-    if odd.degree() > 0:
-        inside = odd.count_roots(lo, hi) - (odd.eval(lo) == 0) - (odd.eval(hi) == 0)
-        if inside:
-            return False
-    m = d.degree() + 3
-    for j in range(1, m):
-        value = d.eval(lo + (hi - lo) * sympy.Rational(j, m))
-        if value:
-            return value > 0
-    raise AssertionError("no interior non-root found")
-
-
 class TestAgainstSympy:
     @SETTINGS
     @given(POLY, st.none() | POINT, st.none() | POINT)
     def test_count_roots(self, p, lo, hi):
         assume(lo is None or hi is None or lo < hi)
         # sympy counts [lo, hi], ours (lo, hi]
-        at_lo = lo is not None and p(lo) == 0
+        at_lo = lo is not None and _sympy(p).eval(lo) == 0
         want = _sympy(p).count_roots(lo, hi) - at_lo
-        assert count_roots(p, lo, hi) == want
+        assert sturm_count(p, lo, hi) == want
 
     @SETTINGS
     @given(st.integers(1, 7).flatmap(
@@ -309,17 +301,12 @@ class TestAgainstSympy:
         assert max_real_root(p) == float(_sympy_max_root(p).evalf(60))
 
     @SETTINGS
-    @given(
-        MONIC_QUARTIC,
-        MONIC_QUARTIC,
-        st.fractions(min_value=0, max_value=3, max_denominator=5),
-        POINT,
-        POINT,
-    )
-    def test_shifted_root_bound(self, p1, p2, k, lo, hi):
-        assume(lo < hi)
-        d = sympy.Poly(_sympy(p2).as_expr().subs(X, X - k) - _sympy(p1).as_expr(), X)
-        assert shifted_root_bound(p1, p2, k, lo, hi) == _sympy_nonneg(d, lo, hi)
+    @given(MONIC_QUARTIC, POINT)
+    def test_shift(self, p, x):
+        # the coefficients of b^d * p(t - a/b) for x = a/b
+        a, b = x.as_integer_ratio()
+        want = sympy.Poly(b**p.degree * _sympy(p).as_expr().subs(X, X - sympy.Rational(a, b)), X)
+        assert _shift(p.coeffs, (a, b)) == [int(c) for c in reversed(want.all_coeffs())]
 
 
 # -- the certificates ahead of the Sturm paths -------------------------------

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from specmax import suites
 from specmax.families import (
     ComplementProfile,
     build_case2,
@@ -11,19 +12,20 @@ from specmax.families import (
     build_g2_1,
     build_h2,
     named_quotient,
-    profile_partition,
 )
 from specmax.graphs import Graph, canonical_form, random_connected_graph
 from specmax.partition import quotient
 from specmax.spectral import perron
+from specmax.suites import case2_verdicts, run_lemmas
 from specmax.switching import (
     SwitchMove,
     apply,
-    case2_inequality_audit,
     ls_certificate,
     op1_sandwich_check,
     op2_monotone_check,
 )
+
+from graph_shapes import complement_shapes
 
 
 def random_ls_config(rng, g):
@@ -40,13 +42,20 @@ def random_ls_config(rng, g):
     return None
 
 
+def has_loop(g, v):
+    return (g.loops >> v) & 1
+
+
 class TestLocalSwitching:
     def test_cycle4_equality_case(self):
         c4 = Graph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         cert = ls_certificate(c4, 0, 1, 2, 3)
         assert cert.hypothesis_value == pytest.approx(0, abs=1e-10)
         assert cert.rho_after == pytest.approx(cert.rho_before, abs=1e-9)
-        assert cert.conclusion_holds and cert.equality_case
+        assert cert.conclusion_holds
+        # the equality case: x_s = x_u and x_v = x_t
+        x = perron(c4).vector
+        assert x[0] == pytest.approx(x[3], abs=1e-8) and x[2] == pytest.approx(x[1], abs=1e-8)
 
     def test_precondition_validation(self):
         c4 = Graph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -103,10 +112,10 @@ class TestOp1:
         out = apply(gl, move)
         # the type-II component became a type-I edge plus a 3-cycle:
         # quotient of the rewrite is the three-cell matrix plus 2I
-        spec = quotient(out, profile_partition(15, 6))
+        spec = quotient(out, [[0], list(range(1, 7)), list(range(7, 15))])
         assert spec.equitable
         base = named_quotient("B_delta", 15, 6).matrix
-        assert spec.as_int_matrix() == [
+        assert [list(row) for row in spec.matrix] == [
             [x + (2 if i == j else 0) for j, x in enumerate(row)]
             for i, row in enumerate(base)
         ]
@@ -122,25 +131,21 @@ class TestOp1:
         assert op1_sandwich_check(gl, move)
         out = apply(gl, move)
         # middle vertices lose their loops but keep total degree
-        assert not out.has_loop(1) and not out.has_loop(2)
+        assert not has_loop(out, 1) and not has_loop(out, 2)
         assert out.degrees() == gl.degrees()
         # the path became a type-I edge; both interiors now dominate G - u
-        comp = Graph(out.n, out.rows).induced(range(1, 13)).complement()
-        shapes = sorted((len(c), comp.induced(c).edge_count()) for c in comp.components())
-        assert shapes == [(1, 0), (1, 0)] + [(2, 1)] * 5
+        assert complement_shapes(out, range(1, 13)) == [(1, 0), (1, 0)] + [(2, 1)] * 5
 
     def test_t3_variant(self):
         gl = self.build(13, 4, ComplementProfile(type1=3, type2=(1,), type3=(3,)))
         move = SwitchMove("Op1", (11, 1, 12))
         assert op1_sandwich_check(gl, move)
         out = apply(gl, move)
-        assert not out.has_loop(1)
+        assert not has_loop(out, 1)
         assert out.degrees() == gl.degrees()
         # type-II path on 3 vertices became a type-I edge plus a dominating
         # interior vertex
-        comp = Graph(out.n, out.rows).induced(range(1, 13)).complement()
-        shapes = sorted((len(c), comp.induced(c).edge_count()) for c in comp.components())
-        assert shapes == [(1, 0), (2, 1), (2, 1), (2, 1), (2, 1), (3, 3)]
+        assert complement_shapes(out, range(1, 13)) == [(1, 0), (2, 1), (2, 1), (2, 1), (2, 1), (3, 3)]
 
     def test_path_end_symmetry(self):
         gl = self.build(15, 6, ComplementProfile(type1=3, type2=(3,), type3=(3,)))
@@ -184,15 +189,13 @@ class TestOp2:
         spec = quotient(out, cells)
         assert spec.equitable
         base = named_quotient("B_n5", n).matrix
-        assert spec.as_int_matrix() == [
+        assert [list(row) for row in spec.matrix] == [
             [x + (2 if i == j else 0) for j, x in enumerate(row)]
             for i, row in enumerate(base)
         ]
         # complement of the rewrite minus the low vertex: two 3-vertex paths
         # plus cycles covering the full-degree block
-        comp = Graph(out.n, out.rows).induced(range(1, n)).complement()
-        shapes = sorted((len(c), comp.induced(c).edge_count()) for c in comp.components())
-        assert shapes == [(3, 2), (3, 2), (5, 5), (5, 5)]
+        assert complement_shapes(out, range(1, n)) == [(3, 2), (3, 2), (5, 5), (5, 5)]
 
     def test_t5_branch(self):
         gl = build_from_profile(19, 14, ComplementProfile(type2=(3, 11))).add_loops()
@@ -248,38 +251,40 @@ class TestOp345:
             apply(g, SwitchMove("Op4", (0, 1, 5, 3)))  # 5 not common neighbor
 
 
+def case2_holds(g) -> list[tuple[str, bool]]:
+    return [(check, ok) for check, ok, _ in case2_verdicts(g)]
+
+
 class TestCase2Audit:
+    """The two-low-vertex inequality chain that `verify lemmas` checks on
+    both case-2 shapes."""
+
+    BOTH = [("case2_min_gap", True), ("case2_diff_gap", True)]
+
     def test_equal_degrees(self):
-        rep = case2_inequality_audit(
-            build_case2(12, 4, 4, ComplementProfile(type3=(3,)))
-        )
-        assert rep["min_gap"]["holds"]
-        assert rep["diff_gap"]["holds"]
+        assert case2_holds(build_case2(12, 4, 4, ComplementProfile(type3=(3,)))) == self.BOTH
 
     def test_pendant_pair(self):
-        rep = case2_inequality_audit(build_case2(12, 3, 1, ComplementProfile(type1=1)))
-        assert rep["min_gap"]["holds"]
-        assert rep["diff_gap"]["holds"]
-        assert rep["d_u"] - rep["d_v"] == 2
+        g = build_case2(12, 3, 1, ComplementProfile(type1=1))
+        assert case2_holds(g) == self.BOTH
+        # u is the degree-3 vertex, so the difference side (d_u - d_v) m is 2m > 0
+        _, _, witness = case2_verdicts(g)[1]
+        assert float(witness.split()[1]) > 0
 
-    def test_contextual_bounds_reported_on_family_sweep(self):
-        # the component-sum and ratio bounds only follow from extremality;
-        # on constructed (non-extremal) graphs they are reported, not
-        # required, while the two characteristic-equation consequences
-        # must always hold
+    def test_family_sweep(self):
         for n in range(12, 41, 4):
-            rep = case2_inequality_audit(
-                build_case2(n, 4, 4, ComplementProfile(type3=(3,)))
-            )
-            assert rep["min_gap"]["holds"]
-            assert rep["diff_gap"]["holds"]
-            assert {"lhs", "rhs", "holds"} <= set(rep["ratio"])
-            assert {"lhs", "rhs", "holds"} <= set(rep["sum_lower"])
+            assert case2_holds(build_case2(n, 4, 4, ComplementProfile(type3=(3,)))) == self.BOTH, n
 
     def test_wrong_shape_rejected(self):
         g = build_from_profile(9, 4, ComplementProfile(type1=2, type3=(4,)))
         with pytest.raises(ValueError):
-            case2_inequality_audit(g)
+            case2_verdicts(g)
+
+    def test_failure_reaches_lemmas(self, monkeypatch):
+        monkeypatch.setattr(suites, "case2_verdicts", lambda g: [("case2_min_gap", False, "planted")])
+        result = run_lemmas(trials=0)
+        assert not result["pass"]
+        assert {"check": "case2_min_gap", "n": 12, "witness": "planted"} in result["failures"]
 
 
 class TestApplyCharacterization:
