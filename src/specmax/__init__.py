@@ -1,8 +1,8 @@
 """specmax: extremal nonregular graphs of near-maximal degree.
 
 Constructions of the extremal families, exact quotient characteristic
-polynomials, Perron eigenpairs, local-switching certificates, exhaustive
-small-order searches, and the verification suites tying them together.
+polynomials, Perron eigenpairs, local switching, exhaustive small-order
+searches, and the verification suites that decide every check.
 """
 
 import os
@@ -22,7 +22,7 @@ from .graphs import (
     graph6_encode,
 )
 from .intpoly import IntPolynomial, char_poly, compare_max_real_roots, max_real_root
-from .spectral import ConvergenceError, PerronPair, perron, perron_component_bound, spectral_radius
+from .spectral import ConvergenceError, PerronPair, perron, spectral_radius
 from .partition import QuotientSpec, quotient
 from .families import (
     ComplementProfile,
@@ -36,7 +36,7 @@ from .families import (
     build_h2,
     named_quotient,
 )
-from .switching import SwitchCertificate, SwitchMove, apply, ls_certificate
-from .enumeration import EnumSpec, ExtremalReport, enumerate_graphs, extremal_search, structure_audit
+from .switching import SwitchMove, apply
+from .enumeration import EnumSpec, ExtremalReport, enumerate_graphs, extremal_search
 
 __version__ = "0.1.0"

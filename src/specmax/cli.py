@@ -47,8 +47,8 @@ def _load_profile(path: str) -> ComplementProfile:
 def _read_graph(path: str) -> Graph:
     with open(path) as fh:
         text = fh.read().strip()
-    # '{"' cannot start a graph6 line ('"' is outside the 6-bit byte range)
-    if text.startswith('{"'):
+    # '{' then '"' or whitespace is JSON: neither is a graph6 byte (63..126)
+    if text[:1] == "{" and (text[1:2] == '"' or text[1:2].isspace()):
         return Graph.from_json(text)
     return graph6_decode(text.partition("\n")[0])
 
@@ -99,23 +99,29 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-RANGE_SUITES = {"signs": run_verify_signs, "theorem-n2": run_theorem_n2, "theorem-n3": run_theorem_n3}
-
-
-def _given(**flags) -> dict:
-    """The flags set on the command line; the suite's defaults fill the rest."""
-    return {name: value for name, value in flags.items() if value is not None}
+# each suite, and the flags it reads by the keyword it passes them as;
+# `verify` refuses the other flags
+VERIFY_SUITES = {
+    "signs": (run_verify_signs, {"n_min": "n_min", "n_max": "n_max"}),
+    "theorem-n2": (run_theorem_n2, {"n_min": "n_min", "n_max": "n_max"}),
+    "theorem-n3": (run_theorem_n3, {"n_min": "n_min", "n_max": "n_max"}),
+    "lemmas": (run_lemmas, {"trials": "trials", "seed": "seed"}),
+    "sandwich": (run_sandwich, {"n_min": "n", "delta": "delta", "profile": "profile"}),
+}
 
 
 def cmd_verify(args) -> int:
+    suite, reads = VERIFY_SUITES[args.suite]
+    # the flags set on the command line; the suite's defaults fill the rest
+    flags = ("n_min", "n_max", "delta", "profile", "trials", "seed")
+    given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
+    unread = [f"--{flag.replace('_', '-')}" for flag in given if flag not in reads]
+    if unread:
+        raise ValueError(f"verify {args.suite} does not read {', '.join(unread)}")
+    if "profile" in given:
+        given["profile"] = _load_profile(given["profile"])
     t0 = time.time()
-    if args.suite == "lemmas":
-        result = run_lemmas(**_given(trials=args.trials, seed=args.seed))
-    elif args.suite == "sandwich":
-        prof = _load_profile(args.profile) if args.profile else None
-        result = run_sandwich(**_given(n=args.n_min, delta=args.delta, profile=prof))
-    else:
-        result = RANGE_SUITES[args.suite](**_given(n_min=args.n_min, n_max=args.n_max))
+    result = suite(**{reads[flag]: value for flag, value in given.items()})
     _status(f"suite {args.suite} finished in {time.time() - t0:.2f}s")
     _emit(result)
     return 0 if result["pass"] else 1
@@ -162,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=cmd_enumerate)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("suite", choices=["signs", "theorem-n2", "theorem-n3", "lemmas", "sandwich"])
+    v.add_argument("suite", choices=list(VERIFY_SUITES))
     v.add_argument("--n-min", type=int)
     v.add_argument("--n-max", type=int)
     v.add_argument("--delta", type=int)

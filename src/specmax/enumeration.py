@@ -1,6 +1,6 @@
 """Exhaustive generation of connected nonregular graphs with prescribed
-order and maximum degree, extremal search, and structural audits of the
-maximizers.
+order and maximum degree, and the extremal search over them; the
+structure of the maximizers is checked in `suites.maximizer_verdicts`.
 
 Generation proceeds by vertex augmentation: level k holds one canonical
 representative per isomorphism class of connected k-vertex graphs with
@@ -23,7 +23,7 @@ from typing import Iterator
 
 from .graphs import CapabilityError, Graph, canonical_form, graph6_decode
 from .intpoly import char_poly, compare_max_real_roots
-from .spectral import perron, spectral_radius
+from .spectral import spectral_radius
 
 EXHAUSTIVE_MAX_N = 9
 
@@ -195,38 +195,3 @@ def extremal_search(spec: EnumSpec) -> ExtremalReport:
     maximizers.sort(key=canonical_form)
     return ExtremalReport(maximizers, rho_max, total)
 
-
-def structure_audit(g: Graph) -> dict:
-    """Structural facts about a maximizer: the sub-maximal vertices induce a
-    clique, their Perron components order by neighborhood containment, and
-    every sub-maximal component sits below every full-degree component."""
-    degs = g.degrees()
-    top = max(degs)
-    low = [v for v, d in enumerate(degs) if d < top]
-    high = [v for v, d in enumerate(degs) if d == top]
-    pair = perron(g)
-    x = pair.vector
-    clique = all(g.has_edge(a, b) for i, a in enumerate(low) for b in low[i + 1 :])
-    ordering_ok = True
-    for a in low:
-        for b in low:
-            if a == b:
-                continue
-            na = {w for w in g.neighbors(a) if degs[w] == top}
-            nb = {w for w in g.neighbors(b) if degs[w] == top}
-            if nb <= na and not x[b] <= x[a] + 1e-9:
-                ordering_ok = False
-            if x[b] <= x[a] - 1e-9 and not nb <= na:
-                ordering_ok = False
-    separated = (
-        not low
-        or not high
-        or max(float(x[v]) for v in low) < min(float(x[w]) for w in high) - 1e-12
-    )
-    return {
-        "low_degree_vertices": low,
-        "low_set_is_clique": clique,
-        "component_order_matches_neighborhoods": ordering_ok,
-        "low_below_high_components": separated,
-        "rho": pair.rho,
-    }

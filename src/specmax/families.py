@@ -80,7 +80,6 @@ class ComplementProfile:
 class NamedQuotient:
     """Integer quotient matrix with its closed-form characteristic polynomial."""
 
-    which: str
     n: int
     delta: int | None
     matrix: tuple[tuple[int, ...], ...]
@@ -389,7 +388,7 @@ def named_quotient(which: str, n: int, delta: int | None = None) -> NamedQuotien
         raise ValueError(f"unknown quotient name {which!r}; use one of {NAMED_QUOTIENTS}")
     _prove_closed_form(which)
     matrix, coeffs = _FORMS[which](n, delta)
-    return NamedQuotient(which, n, delta, matrix, IntPolynomial(coeffs))
+    return NamedQuotient(n, delta, matrix, IntPolynomial(coeffs))
 
 
 def check_quotient_order(n: int) -> None:

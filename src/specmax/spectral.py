@@ -1,13 +1,12 @@
-"""Perron eigenpair computation and spectral inequality primitives.
+"""Floating point eigensolves: Perron eigenpairs and spectral radii.
 
 Exact polynomial work (characteristic polynomials, root isolation,
-polynomial comparisons) lives in intpoly; this module owns the floating
-point eigensolves.
+polynomial comparisons) lives in intpoly, and the spectral inequalities
+checked on these solves live in suites.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,17 +67,6 @@ def perron(g: Graph, tol: float = 1e-10) -> PerronPair:
     if g.n > 1 and float(np.min(x)) <= 0.0:
         raise ConvergenceError("Perron vector not positive on a connected graph", residual)
     return PerronPair(rho, x, residual, 1)
-
-
-def perron_component_bound(g: Graph):
-    """Evaluate rho(G) * max-component < sqrt(max degree).
-
-    Returns (lhs, rhs, holds).
-    """
-    pair = perron(g)
-    lhs = pair.rho * float(np.max(pair.vector))
-    rhs = math.sqrt(g.max_degree())
-    return lhs, rhs, lhs < rhs
 
 
 def spectral_radius(g: Graph) -> float:

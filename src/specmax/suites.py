@@ -3,10 +3,12 @@
 Each `run_*` suite returns the JSON-ready result that `specmax verify`
 prints. Signs, theorem-n2, theorem-n3 and lemmas list their failures as
 records `{"check": name, "n": order or None, "witness": ...}`; sandwich
-makes one check and reports its margins instead. Each check is decided
-in one place: the `*_failures` sections and the `*_verdicts` functions
-(`partition_failures` runs those over (graph, partition) cases) are
-shared with the tests, which call them with their own inputs.
+makes one check and reports its margins instead. Every lemma check is
+decided here, by a `*_verdicts` function that returns `(check, holds,
+witness)` triples, and `failure_records` turns the triples that fail
+into records; `switching`, `spectral` and `enumeration` rewrite, solve
+and search, and decide no check. The suites and the tests call the same
+verdict functions, the tests with their own inputs.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
-from math import inf, nextafter
+from math import inf, nextafter, sqrt
 
-from .enumeration import EXHAUSTIVE_MAX_N, EnumSpec, ExtremalReport, extremal_search, structure_audit
+from .enumeration import EXHAUSTIVE_MAX_N, EnumSpec, extremal_search
 from .families import (
     ComplementProfile,
     admissible_deltas,
@@ -36,18 +38,18 @@ from .families import (
 from .graphs import Graph, canonical_form, graph6_encode, random_connected_graph
 from .intpoly import IntPolynomial, compare_max_real_roots, max_real_root, roots_below, scaled_value
 from .partition import quotient
-from .spectral import perron, perron_component_bound
-from .switching import SwitchMove, ls_certificate, op1_sandwich_check, op2_monotone_check
+from .spectral import perron, spectral_radius
+from .switching import SwitchMove, apply
 
 
 class UsageError(ValueError):
     pass
 
 
-def _check(failures: list, check: str, n: int | None, ok, witness="") -> None:
-    """Record a failure unless ok."""
-    if not ok:
-        failures.append({"check": check, "n": n, "witness": witness})
+def failure_records(n: int | None, verdicts) -> list[dict]:
+    """The record `{"check", "n", "witness"}` of each `(check, holds,
+    witness)` verdict that does not hold."""
+    return [{"check": check, "n": n, "witness": witness} for check, holds, witness in verdicts if not holds]
 
 
 # -- named quotient tables -------------------------------------------------
@@ -134,11 +136,12 @@ def run_verify_signs(n_min: int = 59, n_max: int = 500) -> dict:
     failures = []
     for n in range(n_min, n_max + 1):
         table = _sign_table(n)
+        verdicts = []
         for check, sign, p, (a, b), q in table:
             value = scaled_value(p.coeffs, (a, b)) - q
             ok = (value > 0) - (value < 0) == sign
-            witness = "" if ok else str(Fraction(value, b**p.degree))
-            _check(failures, check, n, ok, witness)
+            verdicts.append((check, ok, "" if ok else str(Fraction(value, b**p.degree))))
+        failures += failure_records(n, verdicts)
     return {
         "suite": "signs",
         "n_min": n_min,
@@ -231,22 +234,38 @@ def run_compare_families(n: int) -> dict:
 # -- verify: theorems -----------------------------------------------------
 
 
-def _audit_maximizers(n: int, report: ExtremalReport) -> list[dict]:
-    """Structure of every exhaustive maximizer of order n: the low set is a
-    clique, components are ordered by neighborhoods and separated, and
-    exactly one vertex has degree below n-2."""
-    failures = []
-    for g in report.maximizers:
-        audit = structure_audit(g)
-        seq = g.degree_sequence()
+def maximizer_verdicts(g: Graph) -> list[tuple[str, bool, dict]]:
+    """(check, holds, witness) of the structure of an exhaustive maximizer
+    of order n and maximum degree n-2: the sub-maximal vertices induce a
+    clique, their Perron components order as their full-degree
+    neighborhoods nest (within 1e-9), each lies below every full-degree
+    component (by 1e-12), and exactly one vertex has degree below n-2. The
+    witness is the graph6 line and the degree sequence."""
+    n = g.n
+    degs = g.degrees()
+    top = max(degs)
+    low = [v for v, d in enumerate(degs) if d < top]
+    high = [v for v, d in enumerate(degs) if d == top]
+    x = perron(g).vector
+    nbhd = {a: {w for w in g.neighbors(a) if degs[w] == top} for a in low}
+    ordered = all(
+        (not nbhd[b] <= nbhd[a] or x[b] <= x[a] + 1e-9) and (nbhd[b] <= nbhd[a] or not x[b] <= x[a] - 1e-9)
+        for a in low
+        for b in low
+        if a != b
+    )
+    separated = not low or not high or max(float(x[v]) for v in low) < min(float(x[w]) for w in high) - 1e-12
+    seq = g.degree_sequence()
+    witness = {"graph6": graph6_encode(g), "degrees": seq}
+    return [
+        (check, ok, witness)
         for check, ok in (
-            ("maximizer_low_clique", audit["low_set_is_clique"]),
-            ("maximizer_component_order", audit["component_order_matches_neighborhoods"]),
-            ("maximizer_separation", audit["low_below_high_components"]),
+            ("maximizer_low_clique", all(g.has_edge(a, b) for i, a in enumerate(low) for b in low[i + 1 :])),
+            ("maximizer_component_order", ordered),
+            ("maximizer_separation", separated),
             ("maximizer_degrees", seq[:-1] == [n - 2] * (n - 1) and seq[-1] < n - 2),
-        ):
-            _check(failures, check, n, ok, {"graph6": graph6_encode(g), "degrees": seq})
-    return failures
+        )
+    ]
 
 
 def run_theorem_n2(n_min: int = 5, n_max: int = 8) -> dict:
@@ -263,8 +282,9 @@ def run_theorem_n2(n_min: int = 5, n_max: int = 8) -> dict:
         else:
             want = {canonical_form(build_g(n, 2)), canonical_form(build_g(n, n - 4))}
         witness = {"got": sorted(c.decode() for c in got), "want": sorted(c.decode() for c in want)}
-        _check(failures, "maximizer_set", n, got == want, witness)
-        failures += _audit_maximizers(n, report)
+        failures += failure_records(n, [("maximizer_set", got == want, witness)])
+        for g in report.maximizers:
+            failures += failure_records(n, maximizer_verdicts(g))
         print(
             f"theorem-n2 n={n}: {len(report.maximizers)} maximizer(s) over "
             f"{report.total_classes} classes, rho={report.rho_max:.9f}",
@@ -280,7 +300,7 @@ def run_theorem_n3(n_min: int = 59, n_max: int = 200) -> dict:
     failures = []
     for n in range(n_min, n_max + 1):
         bad = check_family_ordering(n)
-        _check(failures, "family_ordering", n, not bad, bad)
+        failures += failure_records(n, [("family_ordering", not bad, bad)])
     return {"suite": "theorem-n3", "n_min": n_min, "n_max": n_max, "failures": failures, "pass": not failures}
 
 
@@ -350,10 +370,23 @@ def _switch_tuples(g: Graph) -> list[tuple[int, int, int, int]]:
     return moves
 
 
+def ls_verdicts(g: Graph, s: int, t: int, v: int, u: int) -> list[tuple[str, bool, str]]:
+    """(check, holds, witness) of local switching on (s, t, v, u): when the
+    hypothesis (x_s - x_u)(x_v - x_t) >= 0 holds on the Perron vector x of
+    g, rho(G') >= rho(G) - 1e-9; no verdict when it fails. The witness is
+    the graph6 line and the tuple."""
+    pair = perron(g)
+    x = pair.vector
+    if (x[s] - x[u]) * (x[v] - x[t]) < 0:
+        return []
+    rho_after = spectral_radius(apply(g, SwitchMove("LS", (s, t, v, u))))
+    return [("ls_monotone", rho_after >= pair.rho - 1e-9, f"{graph6_encode(g)} {s},{t},{v},{u}")]
+
+
 def local_switching_failures(rng: random.Random, trials: int) -> list[dict]:
     """Local switching with a nonnegative hypothesis never lowers rho:
-    `trials` such certificates, one random move per random connected graph
-    of order 5..9, giving up after 200 graphs per trial."""
+    `trials` such verdicts, one random move per random connected graph of
+    order 5..9, giving up after 200 graphs per trial."""
     failures = []
     done = graphs = 0
     while done < trials and graphs < 200 * trials:
@@ -362,24 +395,30 @@ def local_switching_failures(rng: random.Random, trials: int) -> list[dict]:
         moves = _switch_tuples(g)
         if not moves:
             continue
-        s, t, v, u = rng.choice(moves)
-        cert = ls_certificate(g, s, t, v, u)
-        if cert.hypothesis_value >= 0:
+        verdicts = ls_verdicts(g, *rng.choice(moves))
+        if verdicts:
             done += 1
-            witness = f"{graph6_encode(g)} {s},{t},{v},{u}"
-            _check(failures, "ls_monotone", g.n, cert.conclusion_holds, witness)
-    _check(failures, "ls_trials_completed", None, done == trials, f"{done}/{trials}")
-    return failures
+            failures += failure_records(g.n, verdicts)
+    return failures + failure_records(None, [("ls_trials_completed", done == trials, f"{done}/{trials}")])
+
+
+def component_bound_verdicts(g: Graph) -> list[tuple[str, bool, str]]:
+    """(check, holds, witness) of rho(G) * max Perron component < sqrt(max
+    degree) on a connected graph; the witness is the graph6 line and both
+    sides."""
+    pair = perron(g)
+    lhs = pair.rho * float(pair.vector.max())
+    rhs = sqrt(g.max_degree())
+    return [("perron_component_bound", lhs < rhs, f"{graph6_encode(g)} {lhs} vs {rhs}")]
 
 
 def component_bound_failures(rng: random.Random, trials: int, min_order: int) -> list[dict]:
-    """rho(G) * max Perron component < sqrt(max degree) on `trials` random
-    connected graphs of order min_order..10."""
+    """The component bound on `trials` random connected graphs of order
+    min_order..10."""
     failures = []
     for _ in range(trials):
         g = random_connected_graph(rng, rng.randint(min_order, 10), 0.5)
-        lhs, rhs, holds = perron_component_bound(g)
-        _check(failures, "perron_component_bound", g.n, holds, f"{graph6_encode(g)} {lhs} vs {rhs}")
+        failures += failure_records(g.n, component_bound_verdicts(g))
     return failures
 
 
@@ -390,7 +429,7 @@ def switch_improvement_failures(orders) -> list[dict]:
     for n in orders:
         before = perron(build_g2_1(n)).rho
         after = perron(build_h2(n)).rho
-        _check(failures, "g21_to_h2_strict", n, after > before + 1e-12, f"{before} -> {after}")
+        failures += failure_records(n, [("g21_to_h2_strict", after > before + 1e-12, f"{before} -> {after}")])
     return failures
 
 
@@ -406,29 +445,33 @@ def random_partition_cases(rng: random.Random, trials: int):
         yield g, [c for c in cells if c]
 
 
-def quotient_bound_verdicts(g: Graph, cells) -> list[tuple[str, bool]]:
-    """(check, holds) of the quotient bound rho(G) >= rho(B) on one
-    partition of a connected graph. Equality occurs exactly when the Perron
-    vector is constant on cells: equitable partitions of connected graphs
-    always are, some inequitable ones happen to be as well, and on every
-    other partition the bound is strict."""
+def quotient_bound_verdicts(g: Graph, cells) -> list[tuple[str, bool, str]]:
+    """(check, holds, witness) of the quotient bound rho(G) >= rho(B) on
+    one partition of a connected graph. Equality occurs exactly when the
+    Perron vector is constant on cells: equitable partitions of connected
+    graphs always are, some inequitable ones happen to be as well, and on
+    every other partition the bound is strict. The witness is the graph6
+    line and the partition."""
+    witness = f"{graph6_encode(g)} {cells}"
     spec = quotient(g, cells)
     pair = perron(g)
     rho_b = spec.rho()
     x = pair.vector
-    verdicts = [("quotient_bound", pair.rho >= rho_b - 1e-9)]
+    verdicts = [("quotient_bound", pair.rho >= rho_b - 1e-9, witness)]
     if spec.equitable:
-        verdicts.append(("quotient_equitable_equality", abs(pair.rho - rho_b) < 1e-9))
+        verdicts.append(("quotient_equitable_equality", abs(pair.rho - rho_b) < 1e-9, witness))
     elif not all(max(x[v] for v in c) - min(x[v] for v in c) < 1e-7 for c in cells):
-        verdicts.append(("quotient_bound_strict", pair.rho > rho_b))
+        verdicts.append(("quotient_bound_strict", pair.rho > rho_b, witness))
     return verdicts
 
 
-def family_quotient_verdicts(g: Graph, cells) -> list[tuple[str, bool]]:
-    """(check, holds) on a loop-free family graph with its documented
-    partition: the partition is equitable with rho(B) = rho(G), and with a
-    loop at every vertex its quotient is exactly B + 2I and both spectral
-    radii shift by exactly 2."""
+def family_quotient_verdicts(g: Graph, cells) -> list[tuple[str, bool, str]]:
+    """(check, holds, witness) on a loop-free family graph with its
+    documented partition: the partition is equitable with rho(B) = rho(G),
+    and with a loop at every vertex its quotient is exactly B + 2I and both
+    spectral radii shift by exactly 2. The witness is the graph6 line and
+    the partition."""
+    witness = f"{graph6_encode(g)} {cells}"
     base = quotient(g, cells)
     looped = g.add_loops()
     shifted = quotient(looped, cells)
@@ -439,16 +482,33 @@ def family_quotient_verdicts(g: Graph, cells) -> list[tuple[str, bool]]:
         shifted.matrix[i][j] == base.matrix[i][j] + 2 * (i == j) for i in range(m) for j in range(m)
     )
     return [
-        ("family_equitable", base.equitable),
-        ("family_quotient_rho", abs(rho_g - rho_b) < 1e-9),
+        ("family_equitable", base.equitable, witness),
+        ("family_quotient_rho", abs(rho_g - rho_b) < 1e-9, witness),
         (
             "loop_shift",
             shifted.equitable
             and plus_2i
             and abs(perron(looped).rho - (rho_g + 2)) < 1e-9
             and abs(shifted.rho() - (rho_b + 2)) < 1e-9,
+            witness,
         ),
     ]
+
+
+def path_op_verdicts(gloop: Graph, move: SwitchMove) -> list[tuple[str, bool, str]]:
+    """(check, holds, witness) of a path operation on a loop graph, within
+    1e-9: Op1 gives rho(G~) <= rho(G) <= rho(G~) + 2 (x1 - x2)^2, with x
+    the Perron vector of G, and Op2 does not lower rho. The witness is
+    empty."""
+    if move.kind not in ("Op1", "Op2"):
+        raise ValueError("move must be an Op1 or an Op2")
+    before = perron(gloop)
+    after = perron(apply(gloop, move)).rho
+    if move.kind == "Op2":
+        return [("op2_monotone", after >= before.rho - 1e-9, "")]
+    x1, x2 = (float(before.vector[v]) for v in move.vertices[:2])
+    upper = after + 2.0 * (x1 - x2) ** 2
+    return [("op1_sandwich", after <= before.rho + 1e-9 and before.rho <= upper + 1e-9, "")]
 
 
 def case2_verdicts(g: Graph) -> list[tuple[str, bool, str]]:
@@ -481,17 +541,6 @@ def case2_verdicts(g: Graph) -> list[tuple[str, bool, str]]:
     ]
 
 
-def partition_failures(verdicts, cases) -> list[dict]:
-    """Failure records of `verdicts(g, cells)` over (g, cells) cases, each
-    witnessed by the graph6 line and the partition."""
-    failures = []
-    for g, cells in cases:
-        witness = f"{graph6_encode(g)} {cells}"
-        for check, ok in verdicts(g, cells):
-            _check(failures, check, g.n, ok, witness)
-    return failures
-
-
 def run_lemmas(trials: int = 200, seed: int = 0) -> dict:
     """Randomized and family-based property sweep."""
     if trials < 0:
@@ -499,8 +548,8 @@ def run_lemmas(trials: int = 200, seed: int = 0) -> dict:
     rng = random.Random(seed)
     failures = local_switching_failures(rng, trials)
     failures += component_bound_failures(rng, trials, 3)
-
-    failures += partition_failures(quotient_bound_verdicts, random_partition_cases(rng, trials))
+    for g, cells in random_partition_cases(rng, trials):
+        failures += failure_records(g.n, quotient_bound_verdicts(g, cells))
 
     # equitable partitions and loop shift on the named families
     families = []
@@ -510,23 +559,24 @@ def run_lemmas(trials: int = 200, seed: int = 0) -> dict:
             families.append((build_h1(n), h1_partition(n)))
         else:
             families += [(build_h2(n), h2_partition(n)), (build_g2_1(n), g2_1_partition(n))]
-    failures += partition_failures(family_quotient_verdicts, families)
+    for g, cells in families:
+        failures += failure_records(g.n, family_quotient_verdicts(g, cells))
 
     # switching monotonicity on two profile instances
     gl = build_from_profile(15, 6, ComplementProfile(type1=3, type2=(3,), type3=(3,))).add_loops()
-    _check(failures, "op1_sandwich", 15, op1_sandwich_check(gl, SwitchMove("Op1", (13, 1, 2, 3, 14))))
+    failures += failure_records(15, path_op_verdicts(gl, SwitchMove("Op1", (13, 1, 2, 3, 14))))
     gl = build_from_profile(17, 12, ComplementProfile(type2=(6, 6))).add_loops()
-    _check(failures, "op2_monotone", 17, op2_monotone_check(gl, SwitchMove("Op2", (13, 1, 2, 3, 4, 5, 6, 14))))
+    failures += failure_records(17, path_op_verdicts(gl, SwitchMove("Op2", (13, 1, 2, 3, 4, 5, 6, 14))))
 
     # the two-low-vertex inequality chain on both case-2 shapes
     case2 = [build_case2(n, 4, 4, ComplementProfile(type3=(3,))) for n in range(12, 41, 4)]
     for g in case2 + [build_case2(12, 3, 1, ComplementProfile(type1=1))]:
-        for check, ok, witness in case2_verdicts(g):
-            _check(failures, check, g.n, ok, witness)
+        failures += failure_records(g.n, case2_verdicts(g))
 
     failures += switch_improvement_failures(range(9, 32, 2))
     for n in (5, 6):
-        failures += _audit_maximizers(n, extremal_search(EnumSpec(n, n - 2)))
+        for g in extremal_search(EnumSpec(n, n - 2)).maximizers:
+            failures += failure_records(n, maximizer_verdicts(g))
     return {
         "suite": "lemmas",
         "trials": trials,

@@ -1,12 +1,12 @@
 """Local edge switching and the loop-graph path operations, as exact graph
-rewrites paired with numeric certificates for their spectral inequalities."""
+rewrites. The spectral inequalities they satisfy are checked in
+`specmax.suites` (`ls_verdicts` and `path_op_verdicts`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .graphs import Graph
-from .spectral import perron, spectral_radius
 
 KINDS = ("LS", "Op1", "Op2", "Op3", "Op4", "Op5")
 
@@ -27,14 +27,6 @@ class SwitchMove:
         if self.kind not in KINDS:
             raise ValueError(f"unknown move kind {self.kind!r}")
         object.__setattr__(self, "vertices", tuple(int(v) for v in self.vertices))
-
-
-@dataclass(frozen=True)
-class SwitchCertificate:
-    rho_before: float
-    rho_after: float
-    hypothesis_value: float
-    conclusion_holds: bool
 
 
 def _check_complement_path(g: Graph, path, label: str):
@@ -100,45 +92,3 @@ def apply(g: Graph, move: SwitchMove) -> Graph:
         raise ValueError("Op5: t3 must avoid N(u) and N(v)")
     return g.with_edges(add=[(t1, t2), (u, t3)], remove=[(v, t1), (t2, t3)])
 
-
-def ls_certificate(g: Graph, s: int, t: int, v: int, u: int) -> SwitchCertificate:
-    """Certificate for the local-switching inequality on (s, t, v, u).
-
-    hypothesis = (x_s - x_u)(x_v - x_t) from the Perron vector of g.  When
-    the hypothesis is (numerically) nonnegative, the conclusion is
-    rho(G') >= rho(G) - 1e-9; a nonnegative-hypothesis move with strictly
-    smaller rho would falsify it.
-    """
-    pair = perron(g)
-    x = pair.vector
-    hyp = float((x[s] - x[u]) * (x[v] - x[t]))
-    moved = apply(g, SwitchMove("LS", (s, t, v, u)))
-    rho_after = spectral_radius(moved)
-    if hyp >= -1e-12:
-        holds = rho_after >= pair.rho - 1e-9
-    else:
-        holds = True
-    return SwitchCertificate(pair.rho, rho_after, hyp, holds)
-
-
-def op1_sandwich_check(gloop: Graph, move: SwitchMove) -> bool:
-    """Check rho(G~) <= rho(G) <= rho(G~) + 2 (x1 - x2)^2 for an Op1 move."""
-    if move.kind != "Op1":
-        raise ValueError("move must be an Op1")
-    pair = perron(gloop)
-    x = pair.vector
-    x1 = float(x[move.vertices[0]])
-    x2 = float(x[move.vertices[1]])
-    rewritten = apply(gloop, move)
-    after = perron(rewritten)
-    upper = after.rho + 2.0 * (x1 - x2) ** 2
-    return after.rho <= pair.rho + 1e-9 and pair.rho <= upper + 1e-9
-
-
-def op2_monotone_check(gloop: Graph, move: SwitchMove) -> bool:
-    """Check rho does not decrease under an Op2 rewrite."""
-    if move.kind != "Op2":
-        raise ValueError("move must be an Op2")
-    before = perron(gloop)
-    after = perron(apply(gloop, move))
-    return after.rho >= before.rho - 1e-9

@@ -27,15 +27,16 @@ from specmax.spectral import perron
 from specmax.suites import (
     check_family_ordering,
     component_bound_failures,
+    failure_records,
     family_quotient_verdicts,
     local_switching_failures,
-    partition_failures,
+    path_op_verdicts,
     run_sandwich,
     run_theorem_n2,
     run_verify_signs,
     switch_improvement_failures,
 )
-from specmax.switching import SwitchMove, op1_sandwich_check, op2_monotone_check
+from specmax.switching import SwitchMove
 
 
 def profile_partition(n: int, delta: int) -> list[list[int]]:
@@ -165,7 +166,7 @@ def test_criterion_5_equitable_and_loop_lemmas():
                     case2_partition(n, 3, 1),
                 )
             )
-    failures = partition_failures(family_quotient_verdicts, instances)
+    failures = [f for g, cells in instances for f in failure_records(g.n, family_quotient_verdicts(g, cells))]
     assert not failures, failures
     elapsed = time.time() - t0
     assert elapsed < 60, f"equitable/loop suite too slow: {elapsed:.1f}s"
@@ -191,14 +192,14 @@ def test_criterion_6_switching_properties():
         gl = build_from_profile(n, delta, prof).add_loops()
         first_end = delta + 1 + 2 * prof.type1
         path = (first_end, 1, 2, 3, first_end + 1)
-        assert op1_sandwich_check(gl, SwitchMove("Op1", path)), f"Op1 n={n}"
+        assert path_op_verdicts(gl, SwitchMove("Op1", path)) == [("op1_sandwich", True, "")], f"Op1 n={n}"
         # the (0, 2) profile at the top admissible degree; n-5 always has
         # the right parity
         delta2 = n - 5
         prof2 = ComplementProfile(type2=(3, delta2 - 3))
         gl2 = build_from_profile(n, delta2, prof2).add_loops()
         path2 = (delta2 + 1, 1, 2, 3, delta2 + 2)
-        assert op2_monotone_check(gl2, SwitchMove("Op2", path2)), f"Op2 n={n}"
+        assert path_op_verdicts(gl2, SwitchMove("Op2", path2)) == [("op2_monotone", True, "")], f"Op2 n={n}"
     elapsed = time.time() - t0
     assert elapsed < 120, f"switching suite too slow: {elapsed:.1f}s"
     report("criterion-6 switching", elapsed, "1000 LS + families + path ops")

@@ -18,6 +18,7 @@ from specmax.suites import (
     run_sandwich,
     run_verify_signs,
 )
+from specmax.intpoly import char_poly, max_real_root
 from specmax.graphs import (
     FAMILY_MAX_N,
     QUOTIENT_MAX_N,
@@ -51,12 +52,19 @@ class TestConstructSpectrum:
     def test_spectrum_reads_json_graphs(self, tmp_path, capsys):
         from specmax.families import build_g
 
-        path = tmp_path / "g.json"
-        path.write_text(build_g(6, 2).add_loops().to_json())
-        code, out, _ = run(capsys, "spectrum", "--in", str(path))
-        assert code == 0
-        assert json.loads(out)["rho"] == pytest.approx(
-            2 + json.loads(out)["rho"] - 2
+        # indented, or with a space after the brace, the file gives the
+        # compact form's output: neither whitespace nor '"' is a graph6 byte
+        compact = build_g(6, 2).add_loops().to_json()
+        outs = []
+        for text in (compact, json.dumps(json.loads(compact), indent=2), "{ " + compact[1:]):
+            path = tmp_path / "g.json"
+            path.write_text(text)
+            code, out, err = run(capsys, "spectrum", "--in", str(path))
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs == [outs[0]] * 3
+        assert json.loads(outs[0])["rho"] == pytest.approx(
+            max_real_root(char_poly(build_g(6, 2).adjacency())) + 2, abs=1e-9
         )
 
     def test_construct_h1_header_collision(self, tmp_path, capsys):
@@ -242,6 +250,20 @@ class TestExitCodeContract:
         code, _, err = run(capsys, "verify", "lemmas", "--trials", "-3")
         assert code == 2
         assert "usage error" in err
+
+    @pytest.mark.parametrize(
+        "argv, unread",
+        [
+            (["verify", "sandwich", "--n-max", "100"], "--n-max"),
+            (["verify", "signs", "--trials", "5"], "--trials"),
+            (["verify", "lemmas", "--n-min", "70"], "--n-min"),
+            (["verify", "theorem-n2", "--delta", "3", "--seed", "4"], "--delta, --seed"),
+        ],
+    )
+    def test_verify_refuses_unread_flags(self, argv, unread, capsys):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: verify {argv[1]} does not read {unread}\n"
 
     def test_enumerate_beyond_capability(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "10", "--max-degree", "8")

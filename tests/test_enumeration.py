@@ -5,9 +5,10 @@ import os
 import networkx as nx
 import pytest
 
-from specmax.enumeration import EnumSpec, enumerate_graphs, extremal_search, structure_audit
+from specmax.enumeration import EnumSpec, enumerate_graphs, extremal_search
 from specmax.families import build_g
 from specmax.graphs import CapabilityError, Graph, canonical_form, graph6_encode
+from specmax.suites import maximizer_verdicts
 
 
 def brute_force_classes(n, max_degree):
@@ -230,17 +231,24 @@ class TestExtremalSearch:
         assert rep.rho_max < 4
 
 
+CHECKS = ("maximizer_low_clique", "maximizer_component_order", "maximizer_separation", "maximizer_degrees")
+
+
 class TestStructureAudit:
+    """`suites.maximizer_verdicts`: the structure of the maximizers."""
+
     def test_family_maximizers(self):
         for n, t in [(5, 2), (7, 4), (8, 2), (8, 4)]:
-            audit = structure_audit(build_g(n, t))
-            assert audit["low_set_is_clique"]
-            assert audit["component_order_matches_neighborhoods"]
-            assert audit["low_below_high_components"]
+            assert [(check, ok) for check, ok, _ in maximizer_verdicts(build_g(n, t))] == [
+                (check, True) for check in CHECKS
+            ], (n, t)
 
-    def test_non_extremal_may_fail_separation(self):
-        # a path's endpoints have small components but the audit's claims
-        # are only guaranteed for maximizers; just confirm it runs
+    def test_non_extremal_fails(self):
+        # the check names and witness of the failure records `verify
+        # theorem-n2` prints: the path's two ends are not adjacent and two
+        # vertices have degree below n - 2 = 3
         p5 = Graph.build(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        audit = structure_audit(p5)
-        assert set(audit) >= {"low_set_is_clique", "low_below_high_components"}
+        witness = {"graph6": "DhC", "degrees": [2, 2, 2, 1, 1]}
+        assert maximizer_verdicts(p5) == [
+            (check, ok, witness) for check, ok in zip(CHECKS, (False, True, True, False))
+        ]

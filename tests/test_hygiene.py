@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the standard library's `ast`:
 no module under `src/specmax` imports a name it never uses, and every
-function, class and method it defines is read somewhere in the package."""
+function, class, method and dataclass field it defines is read somewhere in
+the package."""
 
 import ast
 from collections import defaultdict
@@ -45,34 +46,51 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
 def dead_names(sources: dict[str, str]) -> list[str]:
     """The top-level functions and classes of the given modules, and the
     non-dunder methods and properties of their top-level classes, that no
-    module reads, as a name or an attribute, outside the definition itself;
-    `sources` maps module names to source text."""
+    module reads, as a name or an attribute, outside the definition itself,
+    and the fields of their top-level dataclasses that no module reads as an
+    attribute outside the field's own line; `sources` maps module names to
+    source text."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     defs = []
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
-                defs.append((f"{module}.{node.name}", node))
+                defs.append((f"{module}.{node.name}", node.name, node, False))
             if isinstance(node, ast.ClassDef):
                 defs += [
-                    (f"{module}.{node.name}.{member.name}", member)
+                    (f"{module}.{node.name}.{member.name}", member.name, member, False)
                     for member in node.body
                     if isinstance(member, FUNCTIONS) and not _is_dunder(member.name)
                 ]
-    readers = defaultdict(list)
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                defs += [
+                    (f"{module}.{node.name}.{member.target.id}", member.target.id, member, True)
+                    for member in node.body
+                    if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name)
+                ]
+    names, attributes = defaultdict(list), defaultdict(list)
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                readers[node.id].append(node)
+                names[node.id].append(node)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                readers[node.attr].append(node)
+                attributes[node.attr].append(node)
     dead = []
-    for qualname, node in defs:
+    for qualname, name, node, is_field in defs:
         own = {id(n) for n in ast.walk(node)}
-        if all(id(reader) in own for reader in readers[node.name]):
+        readers = attributes[name] if is_field else names[name] + attributes[name]
+        if all(id(reader) in own for reader in readers):
             dead.append(f"{qualname} (line {node.lineno})")
     return dead
 
@@ -97,12 +115,21 @@ class Box:
 
     def __len__(self):
         return 0
+
+@dataclass(frozen=True)
+class Pair:
+    read: int
+    unread: float = 0.0
+
+    def total(self):
+        return self.read
 """
-    calling = "from a import Box, called_elsewhere\n\nprint(called_elsewhere(), Box().read())\n"
+    calling = "from a import Box, Pair, called_elsewhere\n\nprint(called_elsewhere(), Box().read(), Pair(1, 2.0).total())\n"
     assert dead_names({"a": defining, "b": calling}) == [
         "a.unused (line 5)",
         "a.recursive (line 8)",
         "a.Box.unread (line 15)",
+        "a.Pair.unread (line 24)",
     ]
 
 

@@ -9,8 +9,8 @@ from specmax.graphs import Graph, random_connected_graph
 from specmax.partition import quotient
 from specmax.spectral import perron
 from specmax.suites import (
+    failure_records,
     family_quotient_verdicts,
-    partition_failures,
     quotient_bound_verdicts,
     random_partition_cases,
 )
@@ -72,13 +72,22 @@ class TestQuotientBound:
         from specmax.families import build_h1, h1_partition
 
         verdicts = quotient_bound_verdicts(build_h1(8), h1_partition(8))
-        assert verdicts == [("quotient_bound", True), ("quotient_equitable_equality", True)]
+        assert [(check, ok) for check, ok, _ in verdicts] == [
+            ("quotient_bound", True),
+            ("quotient_equitable_equality", True),
+        ]
 
     def test_single_cell_average_degree(self):
         g = star(5)
         cells = [[0, 1, 2, 3, 4]]
         assert quotient(g, cells).rho() == pytest.approx(8 / 5, abs=1e-12)
-        assert quotient_bound_verdicts(g, cells) == [("quotient_bound", True), ("quotient_bound_strict", True)]
+        # the check names and witness of the failure records `verify lemmas`
+        # prints
+        witness = "Ds_ [[0, 1, 2, 3, 4]]"
+        assert quotient_bound_verdicts(g, cells) == [
+            ("quotient_bound", True, witness),
+            ("quotient_bound_strict", True, witness),
+        ]
 
     def test_random_sweep_strict_unless_cell_constant(self):
         # equality rho(G) = rho(B) happens exactly when the Perron vector is
@@ -86,8 +95,8 @@ class TestQuotientBound:
         # are not, and then the gap must be strictly positive
         cases = random_partition_cases(random.Random(31), 200)
         verdicts = [v for g, cells in cases for v in quotient_bound_verdicts(g, cells)]
-        assert all(ok for _, ok in verdicts)
-        assert sum(check == "quotient_bound_strict" for check, _ in verdicts) > 100
+        assert all(ok for _, ok, _ in verdicts)
+        assert sum(check == "quotient_bound_strict" for check, _, _ in verdicts) > 100
 
     def test_inequitable_equality_cases_exist(self):
         # the bound's equality case is the cell-constant Perron vector, not
@@ -135,7 +144,7 @@ class TestQuotientBound:
 
 class TestLoopShift:
     def test_triangle_single_cell(self):
-        assert all(ok for _, ok in family_quotient_verdicts(complete(3), [[0, 1, 2]]))
+        assert all(ok for _, ok, _ in family_quotient_verdicts(complete(3), [[0, 1, 2]]))
 
     def test_family_partitions(self):
         from specmax.families import (
@@ -147,18 +156,17 @@ class TestLoopShift:
 
         cases = [(build_g(7, 4), g_partition(7, 4)), (build_h2(9), h2_partition(9))]
         for g, cells in cases:
-            assert [check for check, _ in family_quotient_verdicts(g, cells)] == [
-                "family_equitable",
-                "family_quotient_rho",
-                "loop_shift",
+            assert [(check, ok) for check, ok, _ in family_quotient_verdicts(g, cells)] == [
+                ("family_equitable", True),
+                ("family_quotient_rho", True),
+                ("loop_shift", True),
             ]
-        assert partition_failures(family_quotient_verdicts, cases) == []
 
     def test_inequitable_rejected(self):
         # P3 as one cell: neither it nor the looped P3 is equitable, and the
         # average degree 4/3 falls short of rho = sqrt(2)
         p3 = Graph.build(3, [(0, 1), (1, 2)])
-        failures = partition_failures(family_quotient_verdicts, [(p3, [[0, 1, 2]])])
+        failures = failure_records(3, family_quotient_verdicts(p3, [[0, 1, 2]]))
         assert failures == [
             {"check": check, "n": 3, "witness": "Bg [[0, 1, 2]]"}
             for check in ("family_equitable", "family_quotient_rho", "loop_shift")

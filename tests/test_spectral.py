@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from specmax.graphs import Graph, random_connected_graph
 from specmax.intpoly import char_poly, max_real_root
-from specmax.spectral import perron, perron_component_bound, spectral_radius
+from specmax.spectral import perron, spectral_radius
+from specmax.suites import component_bound_verdicts
 
 
 def complete(n):
@@ -226,14 +227,27 @@ class TestDegreeBand:
             assert n - 4 < rho < n - 3
 
 
+def component_bound_sides(g: Graph) -> tuple[bool, float, float]:
+    """Whether the component bound holds, and its two sides, read back from
+    the witness `<graph6> <lhs> vs <rhs>`."""
+    [(check, holds, witness)] = component_bound_verdicts(g)
+    assert check == "perron_component_bound"
+    _, lhs, _, rhs = witness.split()
+    return holds, float(lhs), float(rhs)
+
+
 class TestComponentBound:
     def test_star(self):
-        lhs, rhs, holds = perron_component_bound(star(5))
-        assert lhs == pytest.approx(math.sqrt(2), abs=1e-9)
-        assert rhs == 2 and holds
+        # the check name and witness of the failure record `verify lemmas`
+        # prints; the last digits of the left side follow the eigensolver's
+        # rounding
+        [(check, holds, witness)] = component_bound_verdicts(star(5))
+        code, lhs, vs, rhs = witness.split()
+        assert (check, holds, code, vs, rhs) == ("perron_component_bound", True, "Ds_", "vs", "2.0")
+        assert float(lhs) == pytest.approx(math.sqrt(2), abs=1e-9)
 
     def test_complete(self):
-        lhs, rhs, holds = perron_component_bound(complete(5))
+        holds, lhs, _ = component_bound_sides(complete(5))
         assert lhs == pytest.approx(4 / math.sqrt(5), abs=1e-9)
         assert holds
 
@@ -241,8 +255,7 @@ class TestComponentBound:
         rng = random.Random(2024)
         for _ in range(120):
             g = random_connected_graph(rng, rng.randint(2, 10), 0.5)
-            _, _, holds = perron_component_bound(g)
-            assert holds
+            assert component_bound_sides(g)[0]
 
 
 class TestSpectralRadius:

@@ -15,15 +15,9 @@ from specmax.families import (
 )
 from specmax.graphs import Graph, canonical_form, random_connected_graph
 from specmax.partition import quotient
-from specmax.spectral import perron
-from specmax.suites import case2_verdicts, run_lemmas
-from specmax.switching import (
-    SwitchMove,
-    apply,
-    ls_certificate,
-    op1_sandwich_check,
-    op2_monotone_check,
-)
+from specmax.spectral import perron, spectral_radius
+from specmax.suites import case2_verdicts, ls_verdicts, path_op_verdicts, run_lemmas
+from specmax.switching import SwitchMove, apply
 
 from graph_shapes import complement_shapes
 
@@ -46,16 +40,43 @@ def has_loop(g, v):
     return (g.loops >> v) & 1
 
 
+def holds(verdicts) -> list[tuple[str, bool]]:
+    return [(check, ok) for check, ok, _ in verdicts]
+
+
 class TestLocalSwitching:
     def test_cycle4_equality_case(self):
         c4 = Graph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        cert = ls_certificate(c4, 0, 1, 2, 3)
-        assert cert.hypothesis_value == pytest.approx(0, abs=1e-10)
-        assert cert.rho_after == pytest.approx(cert.rho_before, abs=1e-9)
-        assert cert.conclusion_holds
+        pair = perron(c4)
+        x = pair.vector
+        assert (x[0] - x[3]) * (x[2] - x[1]) == pytest.approx(0, abs=1e-10)
+        rho_after = spectral_radius(apply(c4, SwitchMove("LS", (0, 1, 2, 3))))
+        assert rho_after == pytest.approx(pair.rho, abs=1e-9)
+        # the hypothesis is 0 up to rounding, so there may be no verdict
+        assert holds(ls_verdicts(c4, 0, 1, 2, 3)) in ([], [("ls_monotone", True)])
         # the equality case: x_s = x_u and x_v = x_t
-        x = perron(c4).vector
         assert x[0] == pytest.approx(x[3], abs=1e-8) and x[2] == pytest.approx(x[1], abs=1e-8)
+
+    def test_failure_record(self):
+        # the check name and witness of the failure record `verify lemmas`
+        # prints
+        assert ls_verdicts(build_g2_1(9), 2, 5, 1, 6) == [("ls_monotone", True, "HpTzr|} 2,5,1,6")]
+
+    def test_no_verdict_when_hypothesis_fails(self, monkeypatch):
+        # the first seeded move whose hypothesis is negative
+        rng = random.Random(501)
+        while True:
+            g = random_connected_graph(rng, rng.randint(5, 9), 0.45)
+            cfg = random_ls_config(rng, g)
+            if cfg is None:
+                continue
+            s, t, v, u = cfg
+            x = perron(g).vector
+            if (x[s] - x[u]) * (x[v] - x[t]) < 0:
+                break
+        # the switched graph is not solved either
+        monkeypatch.setattr(suites, "spectral_radius", None)
+        assert ls_verdicts(g, *cfg) == []
 
     def test_precondition_validation(self):
         c4 = Graph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -72,10 +93,10 @@ class TestLocalSwitching:
             cfg = random_ls_config(rng, g)
             if cfg is None:
                 continue
-            cert = ls_certificate(g, *cfg)
-            if cert.hypothesis_value >= 0:
+            verdicts = ls_verdicts(g, *cfg)
+            if verdicts:
                 done += 1
-                assert cert.conclusion_holds
+                assert holds(verdicts) == [("ls_monotone", True)]
 
     def test_reversible(self):
         rng = random.Random(77)
@@ -91,9 +112,12 @@ class TestLocalSwitching:
 
     def test_g21_to_h2_strict_increase(self):
         for n in (9, 11, 17, 31):
-            cert = ls_certificate(build_g2_1(n), 2, 5, 1, 6)
-            assert cert.hypothesis_value >= -1e-12
-            assert cert.rho_after > cert.rho_before + 1e-9
+            g = build_g2_1(n)
+            pair = perron(g)
+            x = pair.vector
+            assert (x[2] - x[6]) * (x[1] - x[5]) >= -1e-12
+            assert holds(ls_verdicts(g, 2, 5, 1, 6)) == [("ls_monotone", True)]
+            assert spectral_radius(apply(g, SwitchMove("LS", (2, 5, 1, 6)))) > pair.rho + 1e-9
 
     def test_g21_switch_lands_on_h2(self):
         for n in (9, 11):
@@ -108,7 +132,9 @@ class TestOp1:
     def test_long_path_rewrite_and_sandwich(self):
         gl = self.build(15, 6, ComplementProfile(type1=3, type2=(3,), type3=(3,)))
         move = SwitchMove("Op1", (13, 1, 2, 3, 14))
-        assert op1_sandwich_check(gl, move)
+        # the check name and (empty) witness of the failure record `verify
+        # lemmas` prints
+        assert path_op_verdicts(gl, move) == [("op1_sandwich", True, "")]
         out = apply(gl, move)
         # the type-II component became a type-I edge plus a 3-cycle:
         # quotient of the rewrite is the three-cell matrix plus 2I
@@ -128,7 +154,7 @@ class TestOp1:
     def test_t4_variant(self):
         gl = self.build(13, 2, ComplementProfile(type1=4, type2=(2,)))
         move = SwitchMove("Op1", (11, 1, 2, 12))
-        assert op1_sandwich_check(gl, move)
+        assert holds(path_op_verdicts(gl, move)) == [("op1_sandwich", True)]
         out = apply(gl, move)
         # middle vertices lose their loops but keep total degree
         assert not has_loop(out, 1) and not has_loop(out, 2)
@@ -139,7 +165,7 @@ class TestOp1:
     def test_t3_variant(self):
         gl = self.build(13, 4, ComplementProfile(type1=3, type2=(1,), type3=(3,)))
         move = SwitchMove("Op1", (11, 1, 12))
-        assert op1_sandwich_check(gl, move)
+        assert holds(path_op_verdicts(gl, move)) == [("op1_sandwich", True)]
         out = apply(gl, move)
         assert not has_loop(out, 1)
         assert out.degrees() == gl.degrees()
@@ -174,9 +200,9 @@ class TestOp2:
         gl = build_from_profile(n, delta, ComplementProfile(type2=(6, 6))).add_loops()
         m1 = SwitchMove("Op2", (13, 1, 2, 3, 4, 5, 6, 14))
         m2 = SwitchMove("Op2", (15, 7, 8, 9, 10, 11, 12, 16))
-        assert op2_monotone_check(gl, m1)
+        assert path_op_verdicts(gl, m1) == [("op2_monotone", True, "")]
         step = apply(gl, m1)
-        assert op2_monotone_check(step, m2)
+        assert holds(path_op_verdicts(step, m2)) == [("op2_monotone", True)]
         out = apply(step, m2)
         centers = [1, 7]
         ends = [13, 14, 15, 16]
@@ -199,11 +225,11 @@ class TestOp2:
 
     def test_t5_branch(self):
         gl = build_from_profile(19, 14, ComplementProfile(type2=(3, 11))).add_loops()
-        assert op2_monotone_check(gl, SwitchMove("Op2", (15, 1, 2, 3, 16)))
+        assert holds(path_op_verdicts(gl, SwitchMove("Op2", (15, 1, 2, 3, 16)))) == [("op2_monotone", True)]
 
     def test_t4_branch(self):
         gl = build_from_profile(13, 8, ComplementProfile(type2=(2, 6))).add_loops()
-        assert op2_monotone_check(gl, SwitchMove("Op2", (9, 1, 2, 10)))
+        assert holds(path_op_verdicts(gl, SwitchMove("Op2", (9, 1, 2, 10)))) == [("op2_monotone", True)]
 
     def test_degrees_preserved_and_reversible(self):
         n, delta = 17, 12
@@ -251,10 +277,6 @@ class TestOp345:
             apply(g, SwitchMove("Op4", (0, 1, 5, 3)))  # 5 not common neighbor
 
 
-def case2_holds(g) -> list[tuple[str, bool]]:
-    return [(check, ok) for check, ok, _ in case2_verdicts(g)]
-
-
 class TestCase2Audit:
     """The two-low-vertex inequality chain that `verify lemmas` checks on
     both case-2 shapes."""
@@ -262,18 +284,18 @@ class TestCase2Audit:
     BOTH = [("case2_min_gap", True), ("case2_diff_gap", True)]
 
     def test_equal_degrees(self):
-        assert case2_holds(build_case2(12, 4, 4, ComplementProfile(type3=(3,)))) == self.BOTH
+        assert holds(case2_verdicts(build_case2(12, 4, 4, ComplementProfile(type3=(3,))))) == self.BOTH
 
     def test_pendant_pair(self):
         g = build_case2(12, 3, 1, ComplementProfile(type1=1))
-        assert case2_holds(g) == self.BOTH
+        assert holds(case2_verdicts(g)) == self.BOTH
         # u is the degree-3 vertex, so the difference side (d_u - d_v) m is 2m > 0
         _, _, witness = case2_verdicts(g)[1]
         assert float(witness.split()[1]) > 0
 
     def test_family_sweep(self):
         for n in range(12, 41, 4):
-            assert case2_holds(build_case2(n, 4, 4, ComplementProfile(type3=(3,)))) == self.BOTH, n
+            assert holds(case2_verdicts(build_case2(n, 4, 4, ComplementProfile(type3=(3,))))) == self.BOTH, n
 
     def test_wrong_shape_rejected(self):
         g = build_from_profile(9, 4, ComplementProfile(type1=2, type3=(4,)))
