@@ -7,7 +7,8 @@ suites moved out of `specmax.cli` into `specmax.suites`; the enumeration
 pins (`enumerate_7_5.*`, `levels_6_4_disconnected.txt`) before `_level_up`
 began rejecting children by degree ahead of their canonical forms;
 `families.g6` before the family builders listed complement edges instead
-of every edge; `compare_300_json` and `compare_301_csv`, whose rows carry
+of every edge; `canonical_forms.txt` before `canonical_form` pruned its
+search by automorphisms; `compare_300_json` and `compare_301_csv`, whose rows carry
 about 2,400 correctly rounded roots, before `max_real_root` tried a float
 seed ahead of its Sturm bisection. The one
 value allowed to move is the `rho_graph` of `sandwich`, which comes from a
@@ -16,14 +17,16 @@ parses the theorem-n2 status lines.
 """
 
 import json
+import random
 import re
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from specmax.cli import main
 from specmax.enumeration import _level_up
-from specmax.graphs import Graph, canonical_form
+from specmax.graphs import Graph, canonical_form, graph6_encode
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = {
@@ -57,6 +60,58 @@ FAMILY_CASES = [
     ("gd1", 39, 7, None),
 ]
 RHO_GRAPH = re.compile(r'"rho_graph":[^,}]+')
+
+
+def _symmetric_families():
+    """(name, networkx graph) of vertex-transitive and other highly
+    symmetric graphs on at most 9 vertices."""
+    for n in range(1, 10):
+        yield f"E{n}", nx.empty_graph(n)
+        yield f"K{n}", nx.complete_graph(n)
+        yield f"W{n}", nx.wheel_graph(n)
+        if n >= 3:
+            yield f"C{n}", nx.cycle_graph(n)
+            yield f"S{n}", nx.star_graph(n - 1)
+            yield f"Cn{n}_12", nx.circulant_graph(n, [1, 2])
+        for a in range(2, n // 2 + 1):
+            yield f"K{a},{n - a}", nx.complete_bipartite_graph(a, n - a)
+    for m in range(2, 5):
+        yield f"{m}K2", nx.disjoint_union_all([nx.complete_graph(2)] * m)
+    for t, s in [(2, 3), (3, 3), (2, 4)]:
+        yield f"{t}K{s}", nx.disjoint_union_all([nx.complete_graph(s)] * t)
+    for parts in [(2, 2, 2), (2, 2, 2, 2), (3, 3, 3)]:
+        yield "K" + ",".join(map(str, parts)), nx.complete_multipartite_graph(*parts)
+    yield "Q3", nx.hypercube_graph(3)
+    yield "prism3", nx.circular_ladder_graph(3)
+    yield "rook3x3", nx.cartesian_product(nx.complete_graph(3), nx.complete_graph(3))
+
+
+def canonical_cases():
+    """Lines `name input canonical` (graph6): every atlas graph with at least
+    one vertex, seeded random graphs at n = 8..10 and the symmetric families
+    up to n = 9, each input under a seeded relabelling."""
+    rng = random.Random(13)
+    named = [(f"atlas{i}", h) for i, h in enumerate(nx.graph_atlas_g()) if h.number_of_nodes()]
+    for n in (8, 9, 10):
+        for i in range(30):
+            p = rng.choice([0.2, 0.35, 0.5, 0.65, 0.8])
+            h = nx.empty_graph(n)
+            h.add_edges_from((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p)
+            named.append((f"random{n}_{i}", h))
+    named += list(_symmetric_families())
+    lines = []
+    for name, h in named:
+        nodes = list(h.nodes())
+        perm = list(range(len(nodes)))
+        rng.shuffle(perm)
+        label = {v: perm[i] for i, v in enumerate(nodes)}
+        g = Graph.build(len(nodes), [(label[u], label[v]) for u, v in h.edges()])
+        lines.append(f"{name} {graph6_encode(g)} {canonical_form(g).decode('ascii')}\n")
+    return "".join(lines)
+
+
+def test_canonical_forms_match_golden():
+    assert canonical_cases() == (GOLDEN / "canonical_forms.txt").read_text()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
