@@ -9,8 +9,10 @@ each class at level k arises from some class at level k-1.  A child is
 kept only if its new vertex has maximum degree among the vertices whose
 deletion stays in the previous level (McKay's canonical deletion, its
 invariant half), which rejects most children before a canonical form is
-computed; the canonical forms remove the remaining duplicates, which keeps
-the level sets small (about 10^4 classes at n=8) and the memory flat.
+computed.  Of the neighbourhoods of the new vertex that are one orbit of
+the parent's automorphism group, only the first is tried: the children
+are isomorphic.  The canonical forms remove the remaining duplicates, which
+keeps the level sets small (about 10^4 classes at n=8) and the memory flat.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .graphs import CapabilityError, Graph, canonical_form, graph6_decode
+from .graphs import CapabilityError, Graph, automorphisms, canonical_form, graph6_decode, subset_orbit
 from .intpoly import char_poly, compare_max_real_roots
 from .spectral import spectral_radius
 
@@ -76,20 +78,26 @@ def _level_up(codes: list[bytes], cap: int, connected_only: bool) -> list[bytes]
     vertex w of maximum degree in a class C; C - w lies in the previous
     level, and its representative plus w's neighbourhood, carried over by
     the isomorphism, is a child isomorphic to C (k playing w) that passes
-    the test and every cap check.  The set of canonical forms removes the
-    remaining duplicates, so the level lists do not depend on the rule.
+    the test and every cap check.  A mask is tried only if no mask in its
+    orbit under Aut(parent) was: an automorphism γ extended by k -> k maps
+    the child of a mask onto the child of its image, and since γ preserves
+    degrees, cut vertices and the cap, every mask of an orbit passes the
+    tests or none does.  The set of canonical forms removes the remaining
+    duplicates, so the level lists depend on neither rule.
     """
     out: set[bytes] = set()
     lowest_mask = 1 if connected_only else 0
     for code in codes:
         g = graph6_decode(code.decode("ascii"))
         k = g.n
+        gens = automorphisms(g)
+        done: set[int] = set()  # the Aut(g) orbits of the masks tried
         degs = [g.rows[v].bit_count() for v in range(k)]
         # subsets that keep every degree within the cap
         blocked = sum(1 << v for v in range(k) if degs[v] + 1 > cap)
         for mask in range(lowest_mask, 1 << k):
             d = mask.bit_count()
-            if mask & blocked or d > cap:
+            if mask & blocked or d > cap or mask in done:
                 continue
             rows = [r | (mask >> v & 1) << k for v, r in enumerate(g.rows)] + [mask]
             if any(
@@ -97,6 +105,8 @@ def _level_up(codes: list[bytes], cap: int, connected_only: bool) -> list[bytes]
                 for v in range(k)
             ):
                 continue
+            if gens:
+                done |= subset_orbit(mask, gens)
             out.add(canonical_form(Graph(k + 1, tuple(rows))))
     return sorted(out)
 
@@ -116,27 +126,42 @@ def _write_checkpoint(path: Path, state: dict) -> None:
         raise
 
 
+def _resume(state, spec: EnumSpec) -> tuple[int, list[bytes]] | None:
+    """The level and codes of a checkpoint, or None if it was written for
+    another spec; a malformed one raises ValueError."""
+    if not isinstance(state, dict):
+        raise ValueError("checkpoint is not a JSON object")
+    if (state.get("n"), state.get("max_degree"), state.get("connected", True)) != (
+        spec.n, spec.max_degree, spec.require_connected
+    ):
+        return None
+    level, codes = state.get("level"), state.get("codes")
+    if type(level) is not int or not 1 <= level <= spec.n:
+        raise ValueError(f"checkpoint level {level!r} outside [1, {spec.n}]")
+    if not isinstance(codes, list) or not codes or not all(isinstance(c, str) for c in codes):
+        raise ValueError("checkpoint codes are not a nonempty list of graph6 strings")
+    for c in codes:
+        g = graph6_decode(c)
+        if g.n != level or g.max_degree() > spec.max_degree or (spec.require_connected and not g.is_connected()):
+            raise ValueError(f"checkpoint code {c!r} is not a level-{level} graph")
+    return level, [c.encode("ascii") for c in codes]
+
+
 def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[Graph]:
     """Yield one canonical representative per isomorphism class.
 
     Emits nonregular graphs whose maximum degree equals spec.max_degree
     exactly (connected unless the flag is off), in a deterministic order.
     A checkpoint file, when given, persists the per-level frontier so an
-    interrupted run resumes at the completed level.
+    interrupted run resumes at the completed level; one written for this
+    spec that does not hold a level's graphs raises ValueError.
     """
     start_level = 1
     codes = [canonical_form(Graph.build(1, []))]
-    if checkpoint:
-        path = Path(checkpoint)
-        if path.exists():
-            state = json.loads(path.read_text())
-            if (
-                state.get("n") == spec.n
-                and state.get("max_degree") == spec.max_degree
-                and state.get("connected", True) == spec.require_connected
-            ):
-                start_level = state["level"]
-                codes = [c.encode("ascii") for c in state["codes"]]
+    if checkpoint and Path(checkpoint).exists():
+        resumed = _resume(json.loads(Path(checkpoint).read_text()), spec)
+        if resumed:
+            start_level, codes = resumed
     for level in range(start_level, spec.n):
         codes = _level_up(codes, spec.max_degree, spec.require_connected)
         if checkpoint:

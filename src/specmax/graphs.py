@@ -15,6 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the search prunes by automorphisms, so symmetric graphs stay cheap: at
+# n = 12 the edgeless graph, K6,6, 6K2, 3K4, C12 and the icosahedron each
+# take under 20 ms on a 2-core machine, random regular graphs under 40 ms
 CANONICAL_MAX_N = 12
 # family graphs are built from their sparse complements, but a Perron solve
 # fills a dense n x n matrix and graph6 text has n^2/12 bytes: at n = 1999
@@ -322,22 +325,115 @@ def _g6_col(bit: int) -> int:
 
 
 def _refined_colors(g: Graph) -> list[int]:
-    """Iterated neighborhood color refinement; ids are isomorphism-invariant."""
-    n = g.n
-    degs = g.degrees()
+    """Iterated neighborhood color refinement; ids are isomorphism-invariant.
+
+    A vertex's signature is its color and the sorted colors of its
+    neighbours, taken as the negated count in each class, which sorts the
+    same. Each round refines the last, so the partition, and with it every
+    id, is stable once the class count stops growing."""
+    rows = g.rows
+    degs = [row.bit_count() for row in rows]
     palette = {d: i for i, d in enumerate(sorted(set(degs)))}
     colors = [palette[d] for d in degs]
-    for _ in range(n):
-        sigs = []
-        for v in range(n):
-            nb = sorted(colors[w] for w in g.neighbors(v))
-            sigs.append((colors[v], tuple(nb)))
+    while True:
+        cells = [0] * len(palette)
+        for v, c in enumerate(colors):
+            cells[c] |= 1 << v
+        sigs = [(c, tuple([-(row & cell).bit_count() for cell in cells])) for c, row in zip(colors, rows)]
+        count = len(palette)
         palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [palette[s] for s in sigs]
-        if new == colors:
-            break
-        colors = new
-    return colors
+        if len(palette) == count:
+            return colors
+        colors = [palette[s] for s in sigs]
+
+
+def _search(g: Graph) -> tuple[list[int], list[list[int]]]:
+    """The columns of the canonical matrix of g (see `canonical_form`), and
+    generators of Aut(g): one automorphism per leaf whose string equals the
+    best one, the map from the best ordering to the leaf's.
+
+    These generate Aut(g). The leaves with the minimal string are the
+    images of the first one under Aut(g), which acts freely on them. Each is
+    reached, giving a generator, or lies in a pruned subtree, the image of a
+    searched one under a found automorphism; so all are images of the first
+    under the group the generators generate, which is then all of Aut(g).
+    """
+    if g.loops:
+        raise ValueError("canonical forms are defined for loop-free graphs")
+    if g.n > CANONICAL_MAX_N:
+        raise CapabilityError(f"canonical_form capped at n={CANONICAL_MAX_N}")
+    n, rows = g.n, g.rows
+    colors = _refined_colors(g)
+    if len(set(colors)) == n:  # discrete: one ordering, no automorphism
+        order = sorted(range(n), key=colors.__getitem__)
+        cols = [sum((rows[order[p]] >> order[i] & 1) << (p - 1 - i) for i in range(p)) for p in range(1, n)]
+        return cols, []
+    pos_color = sorted(colors)
+    cells = [[v for v in range(n) if colors[v] == c] for c in range(max(colors) + 1)]
+    best: list[int] = []
+    best_path: list[int] = []
+    path: list[int] = []
+    gens: list[list[int]] = []
+    changes = 0  # appends to, and decreases of, `best`
+    # a leaf's string equals the best leaf's iff `best` has not changed
+    # since that leaf: any change is followed by its own leaf
+    best_changes = -1
+
+    def dfs(p: int, used: int, chunk: list[int]) -> int:
+        """Search below the prefix `path`; return the depth to unwind to."""
+        nonlocal changes, best_changes
+        if p == n:
+            if changes != best_changes:
+                best_changes = changes
+                best_path[:] = path
+                return n
+            perm = [0] * n
+            for a, b in zip(best_path, path):
+                perm[a] = b
+            gens.append(perm)
+            return next(i for i in range(n) if path[i] != best_path[i])
+        tried = 0
+        for ch, v in sorted([(chunk[v], v) for v in cells[pos_color[p]] if not used >> v & 1]):
+            if p > 0:
+                if len(best) < p:
+                    best.append(ch)
+                    changes += 1
+                elif ch > best[p - 1]:
+                    break
+                elif ch < best[p - 1]:
+                    best[p - 1] = ch
+                    del best[p:]
+                    changes += 1
+            if tried and gens:
+                fixing = [perm for perm in gens if all(perm[u] == u for u in path)]
+                if any(image & tried for image in subset_orbit(1 << v, fixing)):
+                    continue
+            tried |= 1 << v
+            path.append(v)
+            row = rows[v]
+            back = dfs(p + 1, used | 1 << v, [c << 1 | (row >> w & 1) for w, c in enumerate(chunk)])
+            path.pop()
+            if back < p:
+                return back
+        return n
+
+    dfs(0, 0, [0] * n)
+    return best, gens
+
+
+def subset_orbit(mask: int, perms: list[list[int]]) -> set[int]:
+    """The images of a vertex subset, as bitmasks, under the group the
+    permutations generate."""
+    orbit = {mask}
+    todo = [mask]
+    while todo:
+        m = todo.pop()
+        for perm in perms:
+            image = sum(1 << w for v, w in enumerate(perm) if m >> v & 1)
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -347,55 +443,31 @@ def canonical_form(g: Graph) -> bytes:
     adjacency bit string over the vertex orderings that list the refined
     color classes in canonical order (refinement is isomorphism-equivariant
     with label-free class ids, so the minimum is a complete invariant).
+
+    The search places one vertex per position and cuts a prefix whose
+    columns exceed the best. Two leaves with one string give an
+    automorphism, the map from one ordering to the other, and it maps each
+    ordering to one with the same string. So a subtree that an automorphism
+    maps onto a subtree already searched holds no smaller string, and two
+    prunings skip such subtrees:
+    - a leaf with the best string returns the search to the node where its
+      path leaves the best leaf's: the map between the two fixes the common
+      prefix and carries the best leaf's subtree below it onto this one;
+    - at a node, a candidate in the orbit of one already tried, under the
+      automorphisms found so far that fix the prefix pointwise, is skipped.
+    The minimum is therefore the one the full search gives.
     The result is packed as graph6 bytes, so the canonical labeling can be
     decoded back with graph6_decode.
     """
-    if g.loops:
-        raise ValueError("canonical_form is defined for loop-free graphs")
-    if g.n > CANONICAL_MAX_N:
-        raise CapabilityError(f"canonical_form capped at n={CANONICAL_MAX_N}")
-    n = g.n
-    rows = g.rows
-    colors = _refined_colors(g)
-    pos_color = sorted(colors)
+    cols = _search(g)[0]
+    # cols[p - 1] holds column p of the canonical matrix, row 0 highest
+    return _g6_pack(g.n, "".join(format(cols[p - 1], f"0{p}b") for p in range(1, g.n)))
 
-    best: list[int] = []
-    chunk = [0] * n
-    used = [False] * n
 
-    def dfs(p: int) -> None:
-        if p == n:
-            return
-        want = pos_color[p]
-        cands = sorted(
-            (chunk[v], v) for v in range(n) if not used[v] and colors[v] == want
-        )
-        for ch, v in cands:
-            if p > 0:
-                if len(best) >= p:
-                    if ch > best[p - 1]:
-                        break
-                    if ch < best[p - 1]:
-                        best[p - 1] = ch
-                        del best[p:]
-                else:
-                    best.append(ch)
-            used[v] = True
-            row = rows[v]
-            saved = []
-            for w in range(n):
-                if not used[w]:
-                    saved.append((w, chunk[w]))
-                    chunk[w] = (chunk[w] << 1) | ((row >> w) & 1)
-            dfs(p + 1)
-            for w, old in saved:
-                chunk[w] = old
-            used[v] = False
-
-    dfs(0)
-
-    # best[p - 1] holds column p of the canonical matrix, row 0 highest
-    return _g6_pack(n, "".join(format(best[p - 1], f"0{p}b") for p in range(1, n)))
+def automorphisms(g: Graph) -> list[list[int]]:
+    """Generators of the automorphism group of g (n <= 12), each the list of
+    images of 0..n-1; none when the group is trivial."""
+    return _search(g)[1]
 
 
 # -- helpers for randomized sweeps --------------------------------------

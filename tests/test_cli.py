@@ -271,6 +271,31 @@ class TestExitCodeContract:
         assert "usage error" in err
 
     @pytest.mark.parametrize(
+        "state",
+        [
+            [1, 2],
+            {"n": 7, "max_degree": 5},
+            {"n": 7, "max_degree": 5, "level": 9, "codes": ["F??}O"]},
+            {"n": 7, "max_degree": 5, "level": "7", "codes": ["F??}O"]},
+            {"n": 7, "max_degree": 5, "level": 3, "codes": []},
+            {"n": 7, "max_degree": 5, "level": 3, "codes": [3]},
+            {"n": 7, "max_degree": 5, "level": 6, "codes": ["F??}O"]},
+            {"n": 7, "max_degree": 5, "level": 7, "codes": ["F~~~w"]},
+            {"n": 7, "max_degree": 5, "level": 3, "codes": ["B?"]},
+        ],
+        ids=["list", "no-level", "level-above-n", "level-str", "no-codes", "code-int",
+             "wrong-order", "above-cap", "disconnected"],
+    )
+    def test_enumerate_malformed_checkpoint(self, state, tmp_path, capsys):
+        # a checkpoint written for this spec is resumed only if it holds a
+        # level in [1, n] and that level's graphs
+        path = tmp_path / "frontier.json"
+        path.write_text(json.dumps(state))
+        code, out, err = run(capsys, "enumerate", "--n", "7", "--max-degree", "5", "--checkpoint", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["construct", "--family", "g", "--n", "100000000", "--delta", "2"],

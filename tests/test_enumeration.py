@@ -149,6 +149,36 @@ class TestEnumerate:
         assert len(calls) <= 3215
 
 
+    @pytest.mark.parametrize("n, cap, connected", [(7, 5, True), (7, 4, False)])
+    def test_orbit_pruning_keeps_level_lists(self, n, cap, connected, monkeypatch):
+        # one mask per Aut(parent) orbit gives the level lists of every mask,
+        # with fewer canonical forms
+        import specmax.enumeration as enumeration
+
+        def levels():
+            calls.clear()
+            codes = [canonical_form(Graph.build(1, []))]
+            out = []
+            for _ in range(n - 1):
+                codes = enumeration._level_up(codes, cap, connected)
+                out.append(codes)
+            return out, len(calls)
+
+        calls = []
+        real = enumeration.canonical_form
+
+        def counting(g):
+            calls.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(enumeration, "canonical_form", counting)
+        pruned, pruned_calls = levels()
+        monkeypatch.setattr(enumeration, "automorphisms", lambda g: [])
+        full, full_calls = levels()
+        assert pruned == full
+        assert pruned_calls < 0.7 * full_calls
+
+
 class TestAgainstGraphAtlas:
     """networkx's graph atlas lists every graph on up to 7 vertices exactly
     once: the enumerated classes must be its nonregular graphs of that

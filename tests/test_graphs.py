@@ -1,14 +1,18 @@
 import itertools
 import random
+import time
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specmax.graphs import (
     CapabilityError,
     Graph,
     Graph6ParseError,
+    automorphisms,
     canonical_form,
     graph6_decode,
     graph6_encode,
@@ -30,6 +34,37 @@ def star(n):
 
 def relabeled(g, perm):
     return Graph.build(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def from_nx(h):
+    h = nx.convert_node_labels_to_integers(h)
+    return Graph.build(h.number_of_nodes(), h.edges())
+
+
+def to_nx(g):
+    h = nx.empty_graph(g.n)
+    h.add_edges_from(g.edges())
+    return h
+
+
+ATLAS = [h for h in nx.graph_atlas_g() if h.number_of_nodes()]
+SYMMETRIC_12 = {
+    "edgeless": nx.empty_graph(12),
+    "K6,6": nx.complete_bipartite_graph(6, 6),
+    "6K2": nx.disjoint_union_all([nx.complete_graph(2)] * 6),
+    "3K4": nx.disjoint_union_all([nx.complete_graph(4)] * 3),
+    "C12": nx.cycle_graph(12),
+    "icosahedron": nx.icosahedral_graph(),
+}
+
+
+@st.composite
+def _labelled_pairs(draw, max_n=12):
+    """A graph on at most max_n vertices and a relabelling of it."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [e for e, bit in zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if bit]
+    return Graph.build(n, edges), draw(st.permutations(range(n)))
 
 
 class TestBuild:
@@ -211,6 +246,52 @@ class TestCanonicalForm:
         assert back.degree_sequence() == g.degree_sequence()
         assert nx.is_isomorphic(nx.Graph(list(back.edges())), nx.Graph(list(g.edges())))
 
+    @settings(max_examples=150, deadline=None)
+    @given(_labelled_pairs())
+    def test_permutation_invariance_up_to_12(self, pair):
+        g, perm = pair
+        assert canonical_form(g) == canonical_form(relabeled(g, perm))
+
+    def test_atlas_forms_distinct(self):
+        # the atlas lists every graph on up to 7 vertices once
+        rng = random.Random(4)
+        forms = set()
+        for h in ATLAS:
+            perm = list(range(h.number_of_nodes()))
+            rng.shuffle(perm)
+            forms.add(canonical_form(relabeled(from_nx(h), perm)))
+        assert len(forms) == len(ATLAS)
+
+    def test_agrees_with_networkx_on_random_pairs(self):
+        # the second graph of a pair is a relabelled copy of the first, with
+        # one degree-preserving edge swap half of the time
+        rng = random.Random(31)
+        agree = {True: 0, False: 0}
+        for _ in range(300):
+            n = rng.randint(5, 10)
+            h = nx.gnm_random_graph(n, rng.randint(n, n * (n - 1) // 2 - n), seed=rng.randrange(1 << 30))
+            k = h.copy()
+            if rng.random() < 0.5:
+                try:
+                    nx.double_edge_swap(k, nswap=1, max_tries=1000, seed=rng.randrange(1 << 30))
+                except nx.NetworkXException:  # no swap possible: k stays h
+                    pass
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g1, g2 = from_nx(h), relabeled(from_nx(k), perm)
+            same = nx.is_isomorphic(h, k)
+            assert (canonical_form(g1) == canonical_form(g2)) == same
+            agree[same] += 1
+        assert min(agree.values()) > 50
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_12))
+    def test_symmetric_order_12_in_bounded_time(self, name):
+        g = relabeled(from_nx(SYMMETRIC_12[name]), random.Random(name).sample(range(12), 12))
+        t0 = time.perf_counter()
+        form = canonical_form(g)
+        assert time.perf_counter() - t0 < 1
+        assert nx.is_isomorphic(to_nx(graph6_decode(form.decode("ascii"))), SYMMETRIC_12[name])
+
     def test_cap_enforced(self):
         with pytest.raises(CapabilityError):
             canonical_form(complete(13))
@@ -218,3 +299,36 @@ class TestCanonicalForm:
     def test_loops_rejected(self):
         with pytest.raises(ValueError):
             canonical_form(complete(3).add_loops())
+
+
+def group_order(n, gens):
+    """The order of the permutation group the generators generate."""
+    identity = tuple(range(n))
+    group, todo = {identity}, [identity]
+    while todo:
+        a = todo.pop()
+        for perm in gens:
+            b = tuple(perm[x] for x in a)
+            if b not in group:
+                group.add(b)
+                todo.append(b)
+    return len(group)
+
+
+class TestAutomorphisms:
+    def test_generators_preserve_adjacency(self):
+        rng = random.Random(9)
+        graphs = [from_nx(h) for h in SYMMETRIC_12.values()]
+        graphs += [random_connected_graph(rng, rng.randint(2, 12), rng.uniform(0.2, 0.8)) for _ in range(100)]
+        for g in graphs:
+            for perm in automorphisms(g):
+                assert sorted(perm) == list(range(g.n))
+                assert all(g.has_edge(perm[u], perm[v]) for u, v in g.edges())
+
+    def test_group_orders_match_networkx_on_atlas(self):
+        for h in ATLAS:
+            want = sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+            gens = automorphisms(from_nx(h))
+            assert group_order(h.number_of_nodes(), gens) == want
+            # no generator is the identity, so an asymmetric graph has none
+            assert (gens == []) == (want == 1)
