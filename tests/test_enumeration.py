@@ -148,7 +148,6 @@ class TestEnumerate:
         assert sum(1 for _ in enumerate_graphs(EnumSpec(7, 5))) == 344
         assert len(calls) <= 3215
 
-
     @pytest.mark.parametrize("n, cap, connected", [(7, 5, True), (7, 4, False)])
     def test_orbit_pruning_keeps_level_lists(self, n, cap, connected, monkeypatch):
         # one mask per Aut(parent) orbit gives the level lists of every mask,

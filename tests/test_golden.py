@@ -1,18 +1,18 @@
 """Golden outputs: stdout of the verify suites and compare-families, the
-theorem-n2 status lines on stderr, and the enumeration files and level
-lists, byte for byte.
+theorem-n2 status lines on stderr, the enumeration files and level lists,
+and canonical labels, byte for byte.
 
 The expected files in `tests/golden/` were recorded from the CLI before the
 suites moved out of `specmax.cli` into `specmax.suites`; the enumeration
 pins (`enumerate_7_5.*`, `levels_6_4_disconnected.txt`) before `_level_up`
 began rejecting children by degree ahead of their canonical forms;
 `families.g6` before the family builders listed complement edges instead
-of every edge; `canonical_forms.txt` before `canonical_form` pruned its
-search by automorphisms; `compare_300_json` and `compare_301_csv`, whose rows carry
-about 2,400 correctly rounded roots, before `max_real_root` tried a float
-seed ahead of its Sturm bisection. The one
-value allowed to move is the `rho_graph` of `sandwich`, which comes from a
-LAPACK eigensolve; it must agree to 1e-12 relative. `perfbench/workloads.py`
+of every edge; `canonical_forms.txt`, from `canonical_form` itself, before
+its search pruned by automorphisms; `compare_300_json` and `compare_301_csv`, whose
+rows carry about 2,400 correctly rounded roots, before `max_real_root`
+tried a float seed ahead of its Sturm bisection. The one value allowed to
+move is the `rho_graph` of `sandwich`, which comes from a LAPACK
+eigensolve; it must agree to 1e-12 relative. `perfbench/workloads.py`
 parses the theorem-n2 status lines.
 """
 
