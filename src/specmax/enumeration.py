@@ -105,8 +105,7 @@ def _level_up(codes: list[bytes], cap: int, connected_only: bool) -> list[bytes]
                 for v in range(k)
             ):
                 continue
-            if gens:
-                done |= subset_orbit(mask, gens)
+            done |= subset_orbit(mask, gens)
             out.add(canonical_form(Graph(k + 1, tuple(rows))))
     return sorted(out)
 
@@ -128,7 +127,8 @@ def _write_checkpoint(path: Path, state: dict) -> None:
 
 def _resume(state, spec: EnumSpec) -> tuple[int, list[bytes]] | None:
     """The level and codes of a checkpoint, or None if it was written for
-    another spec; a malformed one raises ValueError."""
+    another spec; a malformed one raises ValueError.  The codes must be
+    distinct canonical forms: at level n they are emitted as they stand."""
     if not isinstance(state, dict):
         raise ValueError("checkpoint is not a JSON object")
     if (state.get("n"), state.get("max_degree"), state.get("connected", True)) != (
@@ -140,10 +140,13 @@ def _resume(state, spec: EnumSpec) -> tuple[int, list[bytes]] | None:
         raise ValueError(f"checkpoint level {level!r} outside [1, {spec.n}]")
     if not isinstance(codes, list) or not codes or not all(isinstance(c, str) for c in codes):
         raise ValueError("checkpoint codes are not a nonempty list of graph6 strings")
+    if len(set(codes)) != len(codes):
+        raise ValueError("checkpoint codes repeat a graph")
     for c in codes:
         g = graph6_decode(c)
-        if g.n != level or g.max_degree() > spec.max_degree or (spec.require_connected and not g.is_connected()):
-            raise ValueError(f"checkpoint code {c!r} is not a level-{level} graph")
+        if (g.n != level or g.max_degree() > spec.max_degree or (spec.require_connected and not g.is_connected())
+                or canonical_form(g) != c.encode("ascii")):
+            raise ValueError(f"checkpoint code {c!r} is not the canonical form of a level-{level} graph")
     return level, [c.encode("ascii") for c in codes]
 
 

@@ -364,10 +364,6 @@ def _search(g: Graph) -> tuple[list[int], list[list[int]]]:
         raise CapabilityError(f"canonical_form capped at n={CANONICAL_MAX_N}")
     n, rows = g.n, g.rows
     colors = _refined_colors(g)
-    if len(set(colors)) == n:  # discrete: one ordering, no automorphism
-        order = sorted(range(n), key=colors.__getitem__)
-        cols = [sum((rows[order[p]] >> order[i] & 1) << (p - 1 - i) for i in range(p)) for p in range(1, n)]
-        return cols, []
     pos_color = sorted(colors)
     cells = [[v for v in range(n) if colors[v] == c] for c in range(max(colors) + 1)]
     best: list[int] = []

@@ -282,9 +282,11 @@ class TestExitCodeContract:
             {"n": 7, "max_degree": 5, "level": 6, "codes": ["F??}O"]},
             {"n": 7, "max_degree": 5, "level": 7, "codes": ["F~~~w"]},
             {"n": 7, "max_degree": 5, "level": 3, "codes": ["B?"]},
+            {"n": 7, "max_degree": 5, "level": 7, "codes": ["F|eGG"]},
+            {"n": 7, "max_degree": 5, "level": 7, "codes": ["FQGZw", "FQGZw"]},
         ],
         ids=["list", "no-level", "level-above-n", "level-str", "no-codes", "code-int",
-             "wrong-order", "above-cap", "disconnected"],
+             "wrong-order", "above-cap", "disconnected", "not-canonical", "repeated"],
     )
     def test_enumerate_malformed_checkpoint(self, state, tmp_path, capsys):
         # a checkpoint written for this spec is resumed only if it holds a
