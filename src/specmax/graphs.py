@@ -348,9 +348,10 @@ def _refined_colors(g: Graph) -> list[int]:
 
 
 def _search(g: Graph) -> tuple[list[int], list[list[int]]]:
-    """The columns of the canonical matrix of g (see `canonical_form`), and
-    generators of Aut(g): one automorphism per leaf whose string equals the
-    best one, the map from the best ordering to the leaf's.
+    """An ordering of g's vertices that gives the canonical matrix (see
+    `canonical_form`), and generators of Aut(g): one automorphism per leaf
+    whose string equals the best one, the map from the best ordering to the
+    leaf's.
 
     These generate Aut(g). The leaves with the minimal string are the
     images of the first one under Aut(g), which acts freely on them. Each is
@@ -364,6 +365,8 @@ def _search(g: Graph) -> tuple[list[int], list[list[int]]]:
         raise CapabilityError(f"canonical_form capped at n={CANONICAL_MAX_N}")
     n, rows = g.n, g.rows
     colors = _refined_colors(g)
+    if len(set(colors)) == n:  # discrete: the search would follow one path
+        return sorted(range(n), key=colors.__getitem__), []
     pos_color = sorted(colors)
     cells = [[v for v in range(n) if colors[v] == c] for c in range(max(colors) + 1)]
     best: list[int] = []
@@ -414,7 +417,7 @@ def _search(g: Graph) -> tuple[list[int], list[list[int]]]:
         return n
 
     dfs(0, 0, [0] * n)
-    return best, gens
+    return best_path, gens
 
 
 def subset_orbit(mask: int, perms: list[list[int]]) -> set[int]:
@@ -455,9 +458,10 @@ def canonical_form(g: Graph) -> bytes:
     The result is packed as graph6 bytes, so the canonical labeling can be
     decoded back with graph6_decode.
     """
-    cols = _search(g)[0]
-    # cols[p - 1] holds column p of the canonical matrix, row 0 highest
-    return _g6_pack(g.n, "".join(format(cols[p - 1], f"0{p}b") for p in range(1, g.n)))
+    order = _search(g)[0]
+    rows = [g.rows[v] for v in order]
+    # column p of the canonical matrix lists rows 0..p-1
+    return _g6_pack(g.n, "".join(str(rows[i] >> order[p] & 1) for p in range(1, g.n) for i in range(p)))
 
 
 def automorphisms(g: Graph) -> list[list[int]]:
