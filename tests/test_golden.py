@@ -4,8 +4,9 @@ and canonical labels, byte for byte.
 
 The expected files in `tests/golden/` were recorded from the CLI before the
 suites moved out of `specmax.cli` into `specmax.suites`; the enumeration
-pins (`enumerate_7_5.*`, `levels_6_4_disconnected.txt`) before `_level_up`
-began rejecting children by degree ahead of their canonical forms;
+pins `enumerate_7_5.*` before `_level_up` began rejecting children by
+degree ahead of their canonical forms, and `levels_7_5.txt` before the
+generator lost its disconnected mode;
 `families.g6` before the family builders listed complement edges instead
 of every edge; `canonical_forms.txt`, from `canonical_form` itself, before
 its search pruned by automorphisms; `compare_300_json` and `compare_301_csv`, whose
@@ -154,11 +155,11 @@ def test_enumerate_files_match_golden(tmp_path):
 
 
 def test_level_lists_match_golden():
-    # every level of EnumSpec(6, 4, require_connected=False), one line each
+    # every level of EnumSpec(7, 5), one line each
     codes = [canonical_form(Graph.build(1, []))]
     levels = [codes]
-    for _ in range(5):
-        codes = _level_up(codes, 4, False)
+    for _ in range(6):
+        codes = _level_up(codes, 5, True)
         levels.append(codes)
     got = b"".join(b" ".join(level) + b"\n" for level in levels)
-    assert got == (GOLDEN / "levels_6_4_disconnected.txt").read_bytes()
+    assert got == (GOLDEN / "levels_7_5.txt").read_bytes()

@@ -192,6 +192,35 @@ class TestGraph6:
         with pytest.raises(Graph6ParseError):
             graph6_decode("B")  # truncated body
 
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("Aé", "non-ASCII character", 1),
+            (" \n", "empty graph6 string", 0),
+            ("~~??", "graph6 long-long header not supported", 1),
+            ("~", "truncated graph6 extended header", 1),
+            ("~??", "truncated graph6 extended header", 3),
+            (">", "invalid header byte 62", 0),
+            ("~?\x14?", "invalid header byte 20", 2),
+            ("~??\x7f", "invalid header byte 127", 3),
+            ("?", "vertex count 0 outside [1, 2000]", 0),
+            # the order cap is checked before the body is read
+            ("~?~~", "vertex count 4095 outside [1, 2000]", 0),
+            ("~??~", "body length 0 != expected 326 for n=63", 4),
+            ("Bw\x14", "body length 2 != expected 1 for n=3", 3),
+            ("Gs@\x14?K", "invalid body byte 20", 3),
+            # a bad byte is reported before the padding it carries
+            ("D?\x7f", "invalid body byte 127", 2),
+            ("D\x14@", "invalid body byte 20", 1),
+            ("D?@", "nonzero padding bits", 2),
+            (" Bx\n", "nonzero padding bits", 1),
+        ],
+    )
+    def test_parse_error_message_and_offset(self, text, message, offset):
+        with pytest.raises(Graph6ParseError) as exc:
+            graph6_decode(text)
+        assert (str(exc.value), exc.value.offset) == (f"{message} (byte offset {offset})", offset)
+
     def test_non_ascii_rejected(self):
         # 'é' must not be read as '?', which is byte 63 and a valid digit
         with pytest.raises(Graph6ParseError) as exc:
