@@ -53,14 +53,19 @@ def _read_graph(path: str) -> Graph:
     return graph6_decode(text.partition("\n")[0])
 
 
+def _write_text(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout without one."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_construct(args) -> int:
     prof = _load_profile(args.profile) if args.profile else None
     line = graph6_encode(FamilyId(args.family, args.n, args.delta, prof).build())
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(line + "\n")
-    else:
-        print(line)
+    _write_text(args.out, line + "\n")
     return 0
 
 
@@ -89,13 +94,9 @@ def cmd_quotient(args) -> int:
 
 def cmd_enumerate(args) -> int:
     spec = EnumSpec(args.n, args.max_degree)
-    out = open(args.emit, "w") if args.emit else sys.stdout
-    try:
-        for g in enumerate_graphs(spec, checkpoint=args.checkpoint):
-            out.write(graph6_encode(g) + "\n")
-    finally:
-        if args.emit:
-            out.close()
+    # every class before --emit is opened: a bad checkpoint leaves it whole
+    text = "".join(graph6_encode(g) + "\n" for g in enumerate_graphs(spec, checkpoint=args.checkpoint))
+    _write_text(args.emit, text)
     return 0
 
 

@@ -34,7 +34,6 @@ EXHAUSTIVE_MAX_N = 9
 class EnumSpec:
     n: int
     max_degree: int
-    require_connected: bool = True
 
     def __post_init__(self):
         if not 2 <= self.max_degree <= self.n - 1:
@@ -67,26 +66,26 @@ def _splits(rows: list[int], v: int) -> bool:
     return seen != rest
 
 
-def _level_up(codes: list[bytes], cap: int, connected_only: bool) -> list[bytes]:
+def _level_up(codes: list[bytes], cap: int) -> list[bytes]:
     """Extend every canonical k-vertex class by one attached vertex.
 
-    A vertex is deletable if removing it keeps the graph in the previous
-    level: any vertex, or with connected_only a non-cut vertex (the new
-    vertex must then attach somewhere).  A child keeps its new vertex k
-    only if no deletable vertex has a higher degree than k, and only kept
-    children get a canonical form.  No class is lost: take a deletable
-    vertex w of maximum degree in a class C; C - w lies in the previous
-    level, and its representative plus w's neighbourhood, carried over by
-    the isomorphism, is a child isomorphic to C (k playing w) that passes
-    the test and every cap check.  A mask is tried only if no mask in its
-    orbit under Aut(parent) was: an automorphism γ extended by k -> k maps
-    the child of a mask onto the child of its image, and since γ preserves
-    degrees, cut vertices and the cap, every mask of an orbit passes the
-    tests or none does.  The set of canonical forms removes the remaining
-    duplicates, so the level lists depend on neither rule.
+    The new vertex attaches to at least one vertex of the connected parent,
+    so every child is connected.  A vertex is deletable if removing it
+    keeps the graph in the previous level, i.e. it is not a cut vertex.  A
+    child keeps its new vertex k only if no deletable vertex has a higher
+    degree than k, and only kept children get a canonical form.  No class
+    is lost: take a deletable vertex w of maximum degree in a class C;
+    C - w lies in the previous level, and its representative plus w's
+    neighbourhood, carried over by the isomorphism, is a child isomorphic
+    to C (k playing w) that passes the test and every cap check.  A mask
+    is tried only if no mask in its orbit under Aut(parent) was: an
+    automorphism γ extended by k -> k maps the child of a mask onto the
+    child of its image, and since γ preserves degrees, cut vertices and the
+    cap, every mask of an orbit passes the tests or none does.  The set of
+    canonical forms removes the remaining duplicates, so the level lists
+    depend on neither rule.
     """
     out: set[bytes] = set()
-    lowest_mask = 1 if connected_only else 0
     for code in codes:
         g = graph6_decode(code.decode("ascii"))
         k = g.n
@@ -95,15 +94,12 @@ def _level_up(codes: list[bytes], cap: int, connected_only: bool) -> list[bytes]
         degs = [g.rows[v].bit_count() for v in range(k)]
         # subsets that keep every degree within the cap
         blocked = sum(1 << v for v in range(k) if degs[v] + 1 > cap)
-        for mask in range(lowest_mask, 1 << k):
+        for mask in range(1, 1 << k):
             d = mask.bit_count()
             if mask & blocked or d > cap or mask in done:
                 continue
             rows = [r | (mask >> v & 1) << k for v, r in enumerate(g.rows)] + [mask]
-            if any(
-                rows[v].bit_count() > d and not (connected_only and _splits(rows, v))
-                for v in range(k)
-            ):
+            if any(rows[v].bit_count() > d and not _splits(rows, v) for v in range(k)):
                 continue
             done |= subset_orbit(mask, gens)
             out.add(canonical_form(Graph(k + 1, tuple(rows))))
@@ -132,7 +128,7 @@ def _resume(state, spec: EnumSpec) -> tuple[int, list[bytes]] | None:
     if not isinstance(state, dict):
         raise ValueError("checkpoint is not a JSON object")
     if (state.get("n"), state.get("max_degree"), state.get("connected", True)) != (
-        spec.n, spec.max_degree, spec.require_connected
+        spec.n, spec.max_degree, True
     ):
         return None
     level, codes = state.get("level"), state.get("codes")
@@ -144,7 +140,7 @@ def _resume(state, spec: EnumSpec) -> tuple[int, list[bytes]] | None:
         raise ValueError("checkpoint codes repeat a graph")
     for c in codes:
         g = graph6_decode(c)
-        if (g.n != level or g.max_degree() > spec.max_degree or (spec.require_connected and not g.is_connected())
+        if (g.n != level or g.max_degree() > spec.max_degree or not g.is_connected()
                 or canonical_form(g) != c.encode("ascii")):
             raise ValueError(f"checkpoint code {c!r} is not the canonical form of a level-{level} graph")
     return level, [c.encode("ascii") for c in codes]
@@ -153,8 +149,8 @@ def _resume(state, spec: EnumSpec) -> tuple[int, list[bytes]] | None:
 def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[Graph]:
     """Yield one canonical representative per isomorphism class.
 
-    Emits nonregular graphs whose maximum degree equals spec.max_degree
-    exactly (connected unless the flag is off), in a deterministic order.
+    Emits connected nonregular graphs whose maximum degree equals
+    spec.max_degree exactly, in a deterministic order.
     A checkpoint file, when given, persists the per-level frontier so an
     interrupted run resumes at the completed level; one written for this
     spec that does not hold a level's graphs raises ValueError.
@@ -166,14 +162,14 @@ def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[
         if resumed:
             start_level, codes = resumed
     for level in range(start_level, spec.n):
-        codes = _level_up(codes, spec.max_degree, spec.require_connected)
+        codes = _level_up(codes, spec.max_degree)
         if checkpoint:
             _write_checkpoint(
                 Path(checkpoint),
                 {
                     "n": spec.n,
                     "max_degree": spec.max_degree,
-                    "connected": spec.require_connected,
+                    "connected": True,
                     "level": level + 1,
                     "codes": [c.decode("ascii") for c in codes],
                 },
@@ -182,8 +178,6 @@ def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[
         g = graph6_decode(code.decode("ascii"))
         degs = g.degrees()
         if min(degs) == max(degs) or max(degs) != spec.max_degree:
-            continue
-        if spec.require_connected and not g.is_connected():
             continue
         yield g
 
@@ -197,6 +191,7 @@ def extremal_search(spec: EnumSpec) -> ExtremalReport:
     set contains exactly the classes whose spectral radius equals the
     maximum as a real algebraic number, whatever the float order.
     """
+    # the classes within 1e-7 of the running float maximum
     best: list[tuple[float, Graph]] = []
     rho_max = float("-inf")
     total = 0
@@ -205,15 +200,15 @@ def extremal_search(spec: EnumSpec) -> ExtremalReport:
         rho = spectral_radius(g)
         if rho > rho_max:
             rho_max = rho
-        best.append((rho, g))
+            best = [(r, h) for r, h in best if r >= rho_max - 1e-7]
+        if rho >= rho_max - 1e-7:
+            best.append((rho, g))
     if not best:
         return ExtremalReport([], float("nan"), 0)
     # the exact maximum over every class within float reach of the float one
     top = None
     maximizers = []
-    for r, g in best:
-        if r < rho_max - 1e-7:
-            continue
+    for _, g in best:
         poly = char_poly(g.adjacency())
         order = 1 if top is None else compare_max_real_roots(poly, top)
         if order > 0:

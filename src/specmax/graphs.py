@@ -262,24 +262,17 @@ def graph6_decode(text: str) -> Graph:
         raise Graph6ParseError("non-ASCII character", exc.start) from None
     if not data:
         raise Graph6ParseError("empty graph6 string", 0)
-    pos = 0
-    if data[0] == 126:
-        if len(data) >= 2 and data[1] == 126:
-            raise Graph6ParseError("graph6 long-long header not supported", 1)
-        if len(data) < 4:
-            raise Graph6ParseError("truncated graph6 extended header", len(data))
-        vals = []
-        for i in (1, 2, 3):
-            if not 63 <= data[i] <= 126:
-                raise Graph6ParseError(f"invalid header byte {data[i]}", i)
-            vals.append(data[i] - 63)
-        n = (vals[0] << 12) | (vals[1] << 6) | vals[2]
-        pos = 4
-    else:
-        if not 63 <= data[0] <= 126:
-            raise Graph6ParseError(f"invalid header byte {data[0]}", 0)
-        n = data[0] - 63
-        pos = 1
+    extended = data[0] == 126  # '~', then n in three 6-bit bytes
+    if extended and len(data) >= 2 and data[1] == 126:
+        raise Graph6ParseError("graph6 long-long header not supported", 1)
+    if extended and len(data) < 4:
+        raise Graph6ParseError("truncated graph6 extended header", len(data))
+    pos = 4 if extended else 1
+    n = 0
+    for i in range(1 if extended else 0, pos):
+        if not 63 <= data[i] <= 126:
+            raise Graph6ParseError(f"invalid header byte {data[i]}", i)
+        n = n << 6 | data[i] - 63
     if not 1 <= n <= MAX_N:
         raise Graph6ParseError(f"vertex count {n} outside [1, {MAX_N}]", 0)
     nbits = n * (n - 1) // 2
@@ -289,36 +282,22 @@ def graph6_decode(text: str) -> Graph:
             f"body length {len(data) - pos} != expected {nbytes} for n={n}",
             len(data),
         )
-    rows = [0] * n
-    bit = 0
-    for i in range(nbytes):
-        byte = data[pos + i]
-        if not 63 <= byte <= 126:
-            raise Graph6ParseError(f"invalid body byte {byte}", pos + i)
-        val = byte - 63
-        for k in range(5, -1, -1):
-            if bit >= nbits:
-                if (val >> k) & 1:
-                    raise Graph6ParseError("nonzero padding bits", pos + i)
-                continue
-            if (val >> k) & 1:
-                # recover (row, col) for this upper-triangle position
-                col = _g6_col(bit)
-                row = bit - col * (col - 1) // 2
-                rows[row] |= 1 << col
-                rows[col] |= 1 << row
-            bit += 1
+    for i in range(pos, len(data)):
+        if not 63 <= data[i] <= 126:
+            raise Graph6ParseError(f"invalid body byte {data[i]}", i)
+    bits = "".join([format(b - 63, "06b") for b in data[pos:]])
+    if "1" in bits[nbits:]:
+        raise Graph6ParseError("nonzero padding bits", len(data) - 1)
+    # column c, bits [c(c-1)/2, c(c+1)/2), lists rows 0..c-1: the reverse of
+    # the binary digits of rows[c]'s lower part, as graph6_encode writes it
+    lower = [0] + [int(bits[c * (c - 1) // 2 : c * (c + 1) // 2][::-1], 2) for c in range(1, n)]
+    rows = lower[:]
+    for c, col in enumerate(lower):
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= 1 << c
+            col ^= low
     return Graph(n, tuple(rows))
-
-
-def _g6_col(bit: int) -> int:
-    # column c covers bit positions [c(c-1)/2, c(c+1)/2)
-    c = int(((8 * bit + 1) ** 0.5 - 1) / 2)
-    while c * (c + 1) // 2 <= bit:
-        c += 1
-    while c * (c - 1) // 2 > bit:
-        c -= 1
-    return c
 
 
 # -- canonical form ----------------------------------------------------

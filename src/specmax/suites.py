@@ -498,17 +498,19 @@ def family_quotient_verdicts(g: Graph, cells) -> list[tuple[str, bool, str]]:
 def path_op_verdicts(gloop: Graph, move: SwitchMove) -> list[tuple[str, bool, str]]:
     """(check, holds, witness) of a path operation on a loop graph, within
     1e-9: Op1 gives rho(G~) <= rho(G) <= rho(G~) + 2 (x1 - x2)^2, with x
-    the Perron vector of G, and Op2 does not lower rho. The witness is
-    empty."""
+    the Perron vector of G, and Op2 does not lower rho. The witness is the
+    loop graph's JSON (graph6 carries no loops), the move and both spectral
+    radii."""
     if move.kind not in ("Op1", "Op2"):
         raise ValueError("move must be an Op1 or an Op2")
     before = perron(gloop)
     after = perron(apply(gloop, move)).rho
+    witness = f"{gloop.to_json()} {move.kind} {list(move.vertices)} {before.rho} -> {after}"
     if move.kind == "Op2":
-        return [("op2_monotone", after >= before.rho - 1e-9, "")]
+        return [("op2_monotone", after >= before.rho - 1e-9, witness)]
     x1, x2 = (float(before.vector[v]) for v in move.vertices[:2])
     upper = after + 2.0 * (x1 - x2) ** 2
-    return [("op1_sandwich", after <= before.rho + 1e-9 and before.rho <= upper + 1e-9, "")]
+    return [("op1_sandwich", after <= before.rho + 1e-9 and before.rho <= upper + 1e-9, witness)]
 
 
 def case2_verdicts(g: Graph) -> list[tuple[str, bool, str]]:

@@ -297,6 +297,17 @@ class TestExitCodeContract:
         assert (code, out) == (2, "")
         assert err.startswith("usage error: ")
 
+    def test_malformed_checkpoint_keeps_emit_file(self, tmp_path, capsys):
+        # the checkpoint is read before --emit is opened for writing
+        emit, path = tmp_path / "old.g6", tmp_path / "bad.json"
+        emit.write_bytes(b"F??}O\n")
+        path.write_text("[1, 2]")
+        code, out, _ = run(
+            capsys, "enumerate", "--n", "7", "--max-degree", "5", "--emit", str(emit), "--checkpoint", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert emit.read_bytes() == b"F??}O\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -57,24 +57,6 @@ class TestEnumerate:
         got = {canonical_form(g) for g in enumerate_graphs(EnumSpec(6, 4))}
         assert got == brute_force_classes(6, 4)
 
-    def test_disconnected_mode_matches_brute_force(self):
-        def brute_all(n, max_degree):
-            classes = set()
-            pairs = list(itertools.combinations(range(n), 2))
-            for mask in range(1 << len(pairs)):
-                edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-                g = Graph.build(n, edges)
-                degs = g.degrees()
-                if max(degs) != max_degree or min(degs) == max(degs):
-                    continue
-                classes.add(canonical_form(g))
-            return classes
-
-        spec = EnumSpec(5, 3, require_connected=False)
-        got = {canonical_form(g) for g in enumerate_graphs(spec)}
-        assert got == brute_all(5, 3)
-        assert any(not g.is_connected() for g in enumerate_graphs(spec))
-
     def test_dominating_vertex_when_d_is_n_minus_1(self):
         for n in (4, 5, 6):
             got = list(enumerate_graphs(EnumSpec(n, n - 1)))
@@ -148,18 +130,17 @@ class TestEnumerate:
         assert sum(1 for _ in enumerate_graphs(EnumSpec(7, 5))) == 344
         assert len(calls) <= 3215
 
-    @pytest.mark.parametrize("n, cap, connected", [(7, 5, True), (7, 4, False)])
-    def test_orbit_pruning_keeps_level_lists(self, n, cap, connected, monkeypatch):
-        # one mask per Aut(parent) orbit gives the level lists of every mask,
-        # with fewer canonical forms
+    def test_orbit_pruning_keeps_level_lists(self, monkeypatch):
+        # at (7, 5), one mask per Aut(parent) orbit gives the level lists of
+        # every mask, with fewer canonical forms
         import specmax.enumeration as enumeration
 
         def levels():
             calls.clear()
             codes = [canonical_form(Graph.build(1, []))]
             out = []
-            for _ in range(n - 1):
-                codes = enumeration._level_up(codes, cap, connected)
+            for _ in range(6):
+                codes = enumeration._level_up(codes, 5)
                 out.append(codes)
             return out, len(calls)
 
@@ -180,30 +161,26 @@ class TestEnumerate:
 
 class TestAgainstGraphAtlas:
     """networkx's graph atlas lists every graph on up to 7 vertices exactly
-    once: the enumerated classes must be its nonregular graphs of that
-    order and maximum degree (connected ones when required), each once."""
+    once: the enumerated classes must be its connected nonregular graphs of
+    that order and maximum degree, each once."""
 
     ATLAS = nx.graph_atlas_g()
 
-    @pytest.mark.parametrize("connected", [True, False])
     @pytest.mark.parametrize("n", range(3, 8))
-    def test_classes_match_atlas(self, n, connected):
+    def test_classes_match_atlas(self, n):
         for cap in range(2, n):
             want = set()
             matched = 0
             for h in self.ATLAS:
                 degs = [d for _, d in h.degree()]
-                if h.number_of_nodes() != n or max(degs) != cap or min(degs) == cap:
-                    continue
-                if connected and not nx.is_connected(h):
+                if h.number_of_nodes() != n or max(degs) != cap or min(degs) == cap or not nx.is_connected(h):
                     continue
                 matched += 1
                 want.add(canonical_form(Graph.build(n, h.edges())))
-            spec = EnumSpec(n, cap, require_connected=connected)
-            got = [canonical_form(g) for g in enumerate_graphs(spec)]
+            got = [canonical_form(g) for g in enumerate_graphs(EnumSpec(n, cap))]
             assert len(want) == matched
-            assert len(got) == len(set(got)) == matched, (n, cap, connected)
-            assert set(got) == want, (n, cap, connected)
+            assert len(got) == len(set(got)) == matched, (n, cap)
+            assert set(got) == want, (n, cap)
 
 
 class TestExtremalSearch:

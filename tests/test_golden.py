@@ -159,7 +159,7 @@ def test_level_lists_match_golden():
     codes = [canonical_form(Graph.build(1, []))]
     levels = [codes]
     for _ in range(6):
-        codes = _level_up(codes, 5, True)
+        codes = _level_up(codes, 5)
         levels.append(codes)
     got = b"".join(b" ".join(level) + b"\n" for level in levels)
     assert got == (GOLDEN / "levels_7_5.txt").read_bytes()

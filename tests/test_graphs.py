@@ -192,6 +192,24 @@ class TestGraph6:
         with pytest.raises(Graph6ParseError):
             graph6_decode("B")  # truncated body
 
+    def test_decode_matches_networkx_on_atlas(self):
+        for h in nx.graph_atlas_g()[1:]:
+            text = nx.to_graph6_bytes(h, header=False).strip()
+            want = nx.from_graph6_bytes(text)
+            assert graph6_decode(text.decode()) == Graph.build(want.number_of_nodes(), want.edges()), text
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 12, 61, 62, 63, 64, 300, 2000])
+    def test_decode_matches_networkx_on_random_text(self, n):
+        # graph6 text drawn bit by bit, so neither encoder is involved
+        rng = random.Random(n)
+        nbits = n * (n - 1) // 2
+        bits = "".join("1" if rng.random() < 0.05 else "0" for _ in range(nbits))
+        bits += "0" * (-nbits % 6)
+        header = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+        text = header + "".join(chr(int(bits[i : i + 6], 2) + 63) for i in range(0, len(bits), 6))
+        want = nx.from_graph6_bytes(text.encode())
+        assert graph6_decode(text) == Graph.build(n, want.edges())
+
     @pytest.mark.parametrize(
         "text, message, offset",
         [

@@ -132,9 +132,10 @@ class TestOp1:
     def test_long_path_rewrite_and_sandwich(self):
         gl = self.build(15, 6, ComplementProfile(type1=3, type2=(3,), type3=(3,)))
         move = SwitchMove("Op1", (13, 1, 2, 3, 14))
-        # the check name and (empty) witness of the failure record `verify
-        # lemmas` prints
-        assert path_op_verdicts(gl, move) == [("op1_sandwich", True, "")]
+        # the check name and witness of the failure record `verify lemmas`
+        # prints: the loop graph, the move and both spectral radii
+        witness = f"{gl.to_json()} Op1 [13, 1, 2, 3, 14] {perron(gl).rho} -> {perron(apply(gl, move)).rho}"
+        assert path_op_verdicts(gl, move) == [("op1_sandwich", True, witness)]
         out = apply(gl, move)
         # the type-II component became a type-I edge plus a 3-cycle:
         # quotient of the rewrite is the three-cell matrix plus 2I
@@ -200,7 +201,8 @@ class TestOp2:
         gl = build_from_profile(n, delta, ComplementProfile(type2=(6, 6))).add_loops()
         m1 = SwitchMove("Op2", (13, 1, 2, 3, 4, 5, 6, 14))
         m2 = SwitchMove("Op2", (15, 7, 8, 9, 10, 11, 12, 16))
-        assert path_op_verdicts(gl, m1) == [("op2_monotone", True, "")]
+        witness = f"{gl.to_json()} Op2 [13, 1, 2, 3, 4, 5, 6, 14] {perron(gl).rho} -> {perron(apply(gl, m1)).rho}"
+        assert path_op_verdicts(gl, m1) == [("op2_monotone", True, witness)]
         step = apply(gl, m1)
         assert holds(path_op_verdicts(step, m2)) == [("op2_monotone", True)]
         out = apply(step, m2)
