@@ -83,6 +83,27 @@ class TestConstructSpectrum:
         code, _, err = run(capsys, "construct", "--family", "h2", "--n", "10")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--family", "g", "--n", "8"], "g needs delta"),
+            (["--family", "gdd", "--n", "10"], "gdd needs delta"),
+            (["--family", "gd1", "--n", "10"], "gd1 needs delta"),
+            (["--family", "profile", "--n", "9"], "profile needs delta"),
+            (["--family", "profile", "--n", "9", "--delta", "4"], "profile needs a complement profile"),
+        ],
+    )
+    def test_refused_construct_messages(self, argv, message, capsys):
+        assert run(capsys, "construct", *argv) == (2, "", f"usage error: {message}\n")
+
+    def test_profile_mismatch_message(self, tmp_path, capsys):
+        prof = tmp_path / "prof.json"
+        prof.write_text(json.dumps({"type1": 1, "type3": [4]}))
+        argv = ["--family", "profile", "--n", "9", "--delta", "4", "--profile", str(prof)]
+        assert run(capsys, "construct", *argv) == (
+            2, "", "usage error: profile consumes 2 outer vertices, needs n-delta-1=4\n"
+        )
+
     def test_profile_family(self, tmp_path, capsys):
         prof = tmp_path / "prof.json"
         prof.write_text(json.dumps({"type1": 2, "type2": [], "type3": [4]}))

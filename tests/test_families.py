@@ -143,6 +143,18 @@ class TestProfiles:
             # parity: even order needs odd low degree
             build_from_profile(10, 4, ComplementProfile(type1=2, type3=(4,)))
 
+    @pytest.mark.parametrize(
+        "profile, message",
+        [
+            (ComplementProfile(type1=2, type3=(3,)), "profile consumes 3 interior vertices, needs delta=4"),
+            (ComplementProfile(type1=1, type3=(4,)), "profile consumes 2 outer vertices, needs n-delta-1=4"),
+        ],
+    )
+    def test_mismatch_messages(self, profile, message):
+        with pytest.raises(ValueError) as exc:
+            build_from_profile(9, 4, profile)
+        assert str(exc.value) == message
+
     def test_cycle_profile(self):
         g = build_from_profile(9, 4, ComplementProfile(type1=2, type3=(4,)))
         assert g.degree_sequence() == [6] * 8 + [4]
@@ -183,6 +195,18 @@ class TestCase2:
     def test_odd_difference_rejected(self):
         with pytest.raises(ValueError):
             build_case2(12, 5, 4, ComplementProfile(type2=(2,)))
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((10, 4, 4, ComplementProfile(type3=(4,))), "profile consumes 4 interior vertices, needs dv-1=3"),
+            ((12, 3, 1, ComplementProfile(type1=2)), "profile consumes 4 outer vertices, needs du-dv=2"),
+        ],
+    )
+    def test_mismatch_messages(self, args, message):
+        with pytest.raises(ValueError) as exc:
+            build_case2(*args)
+        assert str(exc.value) == message
 
 
 class TestNamedQuotients:
@@ -293,14 +317,36 @@ class TestFamilyId:
     def test_unknown_tag_rejected(self):
         from specmax.families import FamilyId
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             FamilyId("k5", 5)
+        assert str(exc.value) == "unknown family tag 'k5'; use one of ('g', 'h1', 'h2', 'g21', 'profile', 'gdd', 'gd1')"
 
-    def test_missing_delta_rejected(self):
+    @pytest.mark.parametrize("tag", ["g", "profile", "gdd", "gd1"])
+    def test_missing_delta_rejected(self, tag):
         from specmax.families import FamilyId
 
-        with pytest.raises(ValueError):
-            FamilyId("g", 8).build()
+        with pytest.raises(ValueError) as exc:
+            FamilyId(tag, 8).build()
+        assert str(exc.value) == f"{tag} needs delta"
+
+    def test_missing_profile_rejected(self):
+        from specmax.families import FamilyId
+
+        with pytest.raises(ValueError) as exc:
+            FamilyId("profile", 9, 4).build()
+        assert str(exc.value) == "profile needs a complement profile"
+
+    def test_checks_in_order(self):
+        from specmax.families import FamilyId
+        from specmax.graphs import FAMILY_MAX_N, CapabilityError
+
+        # tag before order, order before delta, delta before profile
+        with pytest.raises(ValueError, match="unknown family tag"):
+            FamilyId("k5", FAMILY_MAX_N + 1)
+        with pytest.raises(CapabilityError):
+            FamilyId("profile", FAMILY_MAX_N + 1).build()
+        with pytest.raises(ValueError, match="^profile needs delta$"):
+            FamilyId("profile", 9).build()
 
 
 class TestDifferenceIdentities:
