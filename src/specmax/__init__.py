@@ -26,9 +26,9 @@ from .spectral import ConvergenceError, PerronPair, perron, spectral_radius
 from .partition import QuotientSpec, quotient
 from .families import (
     ComplementProfile,
-    FamilyId,
     NamedQuotient,
     build_case2,
+    build_family,
     build_from_profile,
     build_g,
     build_g2_1,

@@ -14,7 +14,7 @@ import sys
 import time
 
 from .enumeration import EnumSpec, enumerate_graphs
-from .families import FAMILY_TAGS, ComplementProfile, FamilyId
+from .families import FAMILY_TAGS, ComplementProfile, build_family
 from .graphs import CapabilityError, Graph, graph6_decode, graph6_encode
 from .partition import quotient
 from .spectral import ConvergenceError, perron
@@ -64,7 +64,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def cmd_construct(args) -> int:
     prof = _load_profile(args.profile) if args.profile else None
-    line = graph6_encode(FamilyId(args.family, args.n, args.delta, prof).build())
+    line = graph6_encode(build_family(args.family, args.n, args.delta, prof))
     _write_text(args.out, line + "\n")
     return 0
 

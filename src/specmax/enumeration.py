@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .graphs import CapabilityError, Graph, automorphisms, canonical_form, graph6_decode, subset_orbit
+from .graphs import CapabilityError, Graph, automorphisms, canonical_form, graph6_decode, reach, subset_orbit
 from .intpoly import char_poly, compare_max_real_roots
 from .spectral import spectral_radius
 
@@ -53,19 +53,6 @@ class ExtremalReport:
     total_classes: int
 
 
-def _splits(rows: list[int], v: int) -> bool:
-    """Whether deleting v disconnects the graph (v is not the last vertex,
-    where the search starts)."""
-    rest = ((1 << len(rows)) - 1) & ~(1 << v)
-    seen = frontier = 1 << (len(rows) - 1)
-    while frontier:
-        low = frontier & -frontier
-        grown = rows[low.bit_length() - 1] & rest & ~seen
-        seen |= grown
-        frontier = (frontier ^ low) | grown
-    return seen != rest
-
-
 def _level_up(codes: list[bytes], cap: int) -> list[bytes]:
     """Extend every canonical k-vertex class by one attached vertex.
 
@@ -92,6 +79,8 @@ def _level_up(codes: list[bytes], cap: int) -> list[bytes]:
         gens = automorphisms(g)
         done: set[int] = set()  # the Aut(g) orbits of the masks tried
         degs = [g.rows[v].bit_count() for v in range(k)]
+        # v is not a cut vertex of a child iff k reaches every other vertex
+        rests = [((2 << k) - 1) & ~(1 << v) for v in range(k)]
         # subsets that keep every degree within the cap
         blocked = sum(1 << v for v in range(k) if degs[v] + 1 > cap)
         for mask in range(1, 1 << k):
@@ -99,7 +88,7 @@ def _level_up(codes: list[bytes], cap: int) -> list[bytes]:
             if mask & blocked or d > cap or mask in done:
                 continue
             rows = [r | (mask >> v & 1) << k for v, r in enumerate(g.rows)] + [mask]
-            if any(rows[v].bit_count() > d and not _splits(rows, v) for v in range(k)):
+            if any(rows[v].bit_count() > d and reach(rows, 1 << k, rests[v]) == rests[v] for v in range(k)):
                 continue
             done |= subset_orbit(mask, gens)
             out.add(canonical_form(Graph(k + 1, tuple(rows))))

@@ -80,7 +80,6 @@ class ComplementProfile:
 class NamedQuotient:
     """Integer quotient matrix with its closed-form characteristic polynomial."""
 
-    n: int
     delta: int | None
     matrix: tuple[tuple[int, ...], ...]
     closed_form: IntPolynomial
@@ -89,54 +88,36 @@ class NamedQuotient:
 FAMILY_TAGS = ("g", "h1", "h2", "g21", "profile", "gdd", "gd1")
 
 
-@dataclass(frozen=True)
-class FamilyId:
-    """Serializable identifier of a constructible family instance."""
-
-    family: str
-    n: int
-    delta: int | None = None
-    profile: "ComplementProfile | None" = None
-
-    def __post_init__(self):
-        if self.family not in FAMILY_TAGS:
-            raise ValueError(f"unknown family tag {self.family!r}; use one of {FAMILY_TAGS}")
-        _require_order(self.n)
-
-    def build(self) -> Graph:
-        if self.family == "g":
-            return build_g(self.n, _require(self.delta, "g needs delta"))
-        if self.family == "h1":
-            return build_h1(self.n)
-        if self.family == "h2":
-            return build_h2(self.n)
-        if self.family == "g21":
-            return build_g2_1(self.n)
-        if self.family == "profile":
-            return build_from_profile(
-                self.n,
-                _require(self.delta, "profile needs delta"),
-                _require(self.profile, "profile needs a complement profile"),
-            )
-        if self.family == "gdd":
-            d = _require(self.delta, "gdd needs delta")
-            prof = self.profile or ComplementProfile(type3=(d - 1,))
-            return build_case2(self.n, d, d, prof)
-        d = _require(self.delta, "gd1 needs delta")
-        prof = self.profile or ComplementProfile(type1=(d - 1) // 2)
-        return build_case2(self.n, d, 1, prof)
-
-
 def _require_order(n: int) -> None:
     """Refuse, before any edge is listed, an order above FAMILY_MAX_N."""
     if n > FAMILY_MAX_N:
         raise CapabilityError(f"family graphs capped at n={FAMILY_MAX_N}")
 
 
-def _require(value, message):
-    if value is None:
-        raise ValueError(message)
-    return value
+def build_family(tag: str, n: int, delta: int | None = None, profile: ComplementProfile | None = None) -> Graph:
+    """The order-n graph of a family tag in FAMILY_TAGS. g, profile, gdd
+    and gd1 need delta; profile needs a complement profile, and gdd and gd1
+    default theirs to one (delta-1)-cycle and to (delta-1)//2 type-1 edges."""
+    if tag not in FAMILY_TAGS:
+        raise ValueError(f"unknown family tag {tag!r}; use one of {FAMILY_TAGS}")
+    _require_order(n)
+    if tag == "h1":
+        return build_h1(n)
+    if tag == "h2":
+        return build_h2(n)
+    if tag == "g21":
+        return build_g2_1(n)
+    if delta is None:
+        raise ValueError(f"{tag} needs delta")
+    if tag == "g":
+        return build_g(n, delta)
+    if tag == "gdd":
+        return build_case2(n, delta, delta, profile or ComplementProfile(type3=(delta - 1,)))
+    if tag == "gd1":
+        return build_case2(n, delta, 1, profile or ComplementProfile(type1=(delta - 1) // 2))
+    if profile is None:
+        raise ValueError("profile needs a complement profile")
+    return build_from_profile(n, delta, profile)
 
 
 def _matching(lo: int, hi: int) -> list[tuple[int, int]]:
@@ -249,24 +230,25 @@ def build_from_profile(n: int, delta: int, profile: ComplementProfile) -> Graph:
         raise ValueError(f"delta must be even for odd n (got {delta}, n={n})")
     if not 1 <= delta <= n - 5:
         raise ValueError(f"delta={delta} outside [1, n-5] for n={n}")
-    if profile.inner_vertices != delta:
-        raise ValueError(
-            f"profile consumes {profile.inner_vertices} interior vertices, "
-            f"needs delta={delta}"
-        )
-    if profile.outer_vertices != n - delta - 1:
-        raise ValueError(
-            f"profile consumes {profile.outer_vertices} outer vertices, "
-            f"needs n-delta-1={n - delta - 1}"
-        )
     inner = list(range(1, delta + 1))
     outer = list(range(delta + 1, n))
-    non_edges = [(0, v) for v in outer] + _profile_complement_edges(profile, inner, outer)
+    non_edges = [(0, v) for v in outer]
+    non_edges += _profile_complement_edges(profile, inner, outer, ("delta", "n-delta-1"))
     return Graph.build(n, non_edges).complement()
 
 
-def _profile_complement_edges(profile, inner, outer):
-    """Complement edges realizing the profile on given label pools."""
+def _profile_complement_edges(profile, inner, outer, names):
+    """Complement edges realizing the profile on given label pools; a
+    profile that does not use up both pools raises ValueError, naming
+    them by `names`."""
+    if profile.inner_vertices != len(inner):
+        raise ValueError(
+            f"profile consumes {profile.inner_vertices} interior vertices, needs {names[0]}={len(inner)}"
+        )
+    if profile.outer_vertices != len(outer):
+        raise ValueError(
+            f"profile consumes {profile.outer_vertices} outer vertices, needs {names[1]}={len(outer)}"
+        )
     anti = []
     oi = 0
     for _ in range(profile.type1):
@@ -303,21 +285,11 @@ def build_case2(n: int, du: int, dv: int, profile: ComplementProfile) -> Graph:
     t3 = n - 2 - t1 - t2
     if t3 < 3:
         raise ValueError(f"requires at least 3 full-degree non-neighbors, got {t3}")
-    if profile.inner_vertices != t1:
-        raise ValueError(
-            f"profile consumes {profile.inner_vertices} interior vertices, "
-            f"needs dv-1={t1}"
-        )
-    if profile.outer_vertices != t2:
-        raise ValueError(
-            f"profile consumes {profile.outer_vertices} outer vertices, "
-            f"needs du-dv={t2}"
-        )
     common = list(range(2, 2 + t1))
     uonly = list(range(2 + t1, 2 + t1 + t2))
     rest = list(range(2 + t1 + t2, n))
     non_edges = [(0, v) for v in rest] + [(1, v) for v in uonly + rest]
-    non_edges += _profile_complement_edges(profile, common, uonly)
+    non_edges += _profile_complement_edges(profile, common, uonly, ("dv-1", "du-dv"))
     return Graph.build(n, non_edges).complement()
 
 
@@ -388,7 +360,7 @@ def named_quotient(which: str, n: int, delta: int | None = None) -> NamedQuotien
         raise ValueError(f"unknown quotient name {which!r}; use one of {NAMED_QUOTIENTS}")
     _prove_closed_form(which)
     matrix, coeffs = _FORMS[which](n, delta)
-    return NamedQuotient(n, delta, matrix, IntPolynomial(coeffs))
+    return NamedQuotient(delta, matrix, IntPolynomial(coeffs))
 
 
 def check_quotient_order(n: int) -> None:

@@ -145,18 +145,8 @@ class Graph:
 
     def is_connected(self) -> bool:
         """True iff the graph has one connected component (loops ignored)."""
-        seen = 1
-        frontier = 1
         full = (1 << self.n) - 1
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= self.rows[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == full
+        return reach(self.rows, 1, full) == full
 
     # -- derived graphs ----------------------------------------------
 
@@ -224,6 +214,19 @@ class Graph:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed graph JSON: {exc!r}") from None
         return Graph(g.n, g.rows, loops)
+
+
+def reach(rows, seen: int, within: int) -> int:
+    """The bitmask of the vertices reached from the vertex set `seen` by
+    paths whose other vertices all lie in `within`, `seen` included;
+    rows[v] is the neighbour bitmask of v."""
+    frontier = seen
+    while frontier:
+        low = frontier & -frontier
+        grown = rows[low.bit_length() - 1] & within & ~seen
+        seen |= grown
+        frontier = (frontier ^ low) | grown
+    return seen
 
 
 # -- graph6 ------------------------------------------------------------
@@ -452,7 +455,7 @@ def automorphisms(g: Graph) -> list[list[int]]:
 # -- helpers for randomized sweeps --------------------------------------
 
 
-def random_connected_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
+def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
     """Seeded random connected simple graph on n vertices."""
     while True:
         edges = [

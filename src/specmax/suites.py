@@ -171,6 +171,12 @@ def family_table(n: int, polys=None) -> list[dict]:
     return rows
 
 
+def n2_winners(n: int) -> tuple[int, ...]:
+    """The t of the G(n, t) of largest rho at maximum degree n-2: n-3 for
+    odd n, 2 and n-4 tied for even n."""
+    return (n - 3,) if n % 2 else (2, n - 4)
+
+
 def check_family_ordering(n: int, polys=None) -> list[str]:
     """Exact assertions behind the order-n table; returns violation names.
     `polys` is `_named_polys(n)` when the caller already built it."""
@@ -179,8 +185,7 @@ def check_family_ordering(n: int, polys=None) -> list[str]:
         polys = _named_polys(n)
     n2 = {d: poly for table, _, d, poly in polys if table == "n2"}
     if n2:
-        # the n2 winner: delta = n-3 for odd n, {2, n-4} tied for even n
-        tops = (n - 3,) if n % 2 else (2, n - 4)
+        tops = n2_winners(n)
         win = n2[tops[0]]
         if n2[tops[-1]] != win:
             bad.append("n2:f(2)!=f(n-4)")
@@ -277,10 +282,7 @@ def run_theorem_n2(n_min: int = 5, n_max: int = 8) -> dict:
     for n in range(n_min, n_max + 1):
         report = extremal_search(EnumSpec(n, n - 2))
         got = {canonical_form(g) for g in report.maximizers}
-        if n % 2 == 1:
-            want = {canonical_form(build_g(n, n - 3))}
-        else:
-            want = {canonical_form(build_g(n, 2)), canonical_form(build_g(n, n - 4))}
+        want = {canonical_form(build_g(n, t)) for t in n2_winners(n)}
         witness = {"got": sorted(c.decode() for c in got), "want": sorted(c.decode() for c in want)}
         failures += failure_records(n, [("maximizer_set", got == want, witness)])
         for g in report.maximizers:

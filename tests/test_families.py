@@ -5,6 +5,7 @@ from specmax.families import (
     ComplementProfile,
     admissible_deltas,
     build_case2,
+    build_family,
     build_from_profile,
     build_g,
     build_g2_1,
@@ -299,54 +300,45 @@ class TestGridProof:
             families._prove_closed_form.cache_clear()
 
 
-class TestFamilyId:
+class TestBuildFamily:
     def test_build(self):
-        from specmax.families import FamilyId
-
-        for fid in [
-            FamilyId("g", 8, 4),
-            FamilyId("h1", 10),
-            FamilyId("h2", 11),
-            FamilyId("g21", 9),
-            FamilyId("profile", 9, 4, ComplementProfile(type1=2, type3=(4,))),
-            FamilyId("gdd", 10, 4),
-            FamilyId("gd1", 10, 3),
+        for args in [
+            ("g", 8, 4),
+            ("h1", 10),
+            ("h2", 11),
+            ("g21", 9),
+            ("profile", 9, 4, ComplementProfile(type1=2, type3=(4,))),
+            ("gdd", 10, 4),
+            ("gd1", 10, 3),
         ]:
-            assert fid.build().n == fid.n
+            assert build_family(*args).n == args[1]
 
     def test_unknown_tag_rejected(self):
-        from specmax.families import FamilyId
-
         with pytest.raises(ValueError) as exc:
-            FamilyId("k5", 5)
+            build_family("k5", 5)
         assert str(exc.value) == "unknown family tag 'k5'; use one of ('g', 'h1', 'h2', 'g21', 'profile', 'gdd', 'gd1')"
 
     @pytest.mark.parametrize("tag", ["g", "profile", "gdd", "gd1"])
     def test_missing_delta_rejected(self, tag):
-        from specmax.families import FamilyId
-
         with pytest.raises(ValueError) as exc:
-            FamilyId(tag, 8).build()
+            build_family(tag, 8)
         assert str(exc.value) == f"{tag} needs delta"
 
     def test_missing_profile_rejected(self):
-        from specmax.families import FamilyId
-
         with pytest.raises(ValueError) as exc:
-            FamilyId("profile", 9, 4).build()
+            build_family("profile", 9, 4)
         assert str(exc.value) == "profile needs a complement profile"
 
     def test_checks_in_order(self):
-        from specmax.families import FamilyId
         from specmax.graphs import FAMILY_MAX_N, CapabilityError
 
         # tag before order, order before delta, delta before profile
         with pytest.raises(ValueError, match="unknown family tag"):
-            FamilyId("k5", FAMILY_MAX_N + 1)
+            build_family("k5", FAMILY_MAX_N + 1)
         with pytest.raises(CapabilityError):
-            FamilyId("profile", FAMILY_MAX_N + 1).build()
+            build_family("profile", FAMILY_MAX_N + 1)
         with pytest.raises(ValueError, match="^profile needs delta$"):
-            FamilyId("profile", 9).build()
+            build_family("profile", 9)
 
 
 class TestDifferenceIdentities:

@@ -17,6 +17,7 @@ from specmax.graphs import (
     graph6_decode,
     graph6_encode,
     random_connected_graph,
+    reach,
 )
 
 
@@ -114,6 +115,48 @@ class TestQueries:
     def test_connectivity(self):
         assert cycle(5).is_connected()
         assert not Graph.build(4, [(0, 1), (2, 3)]).is_connected()
+
+
+def _random_graphs(seed, count, max_n=12):
+    """Seeded G(n, p) graphs on 1..max_n vertices, connected or not."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        p = rng.uniform(0.1, 0.6)
+        yield Graph.build(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p])
+
+
+class TestReach:
+    """`reach` against networkx: the connectivity test and the non-cut test
+    of enumeration's `_level_up`, on every atlas graph (up to 7 vertices)
+    and on seeded random graphs up to 12."""
+
+    GRAPHS = [from_nx(h) for h in ATLAS] + list(_random_graphs(0, 300))
+
+    def test_is_connected_matches_networkx(self):
+        for g in self.GRAPHS:
+            assert g.is_connected() == nx.is_connected(to_nx(g)), graph6_encode(g)
+
+    def test_non_cut_test_matches_articulation_points(self):
+        rng = random.Random(1)
+        graphs = [g for g in self.GRAPHS if g.n > 1 and g.is_connected()]
+        graphs += [random_connected_graph(rng, rng.randint(2, 12), rng.uniform(0.1, 0.5)) for _ in range(200)]
+        for g in graphs:
+            rests = [((1 << g.n) - 1) & ~(1 << v) for v in range(g.n)]
+            # seeded at the last vertex, as _level_up seeds the new one, or
+            # at vertex 0 when the last one is left out
+            seeds = [1 << g.n - 1] * (g.n - 1) + [1]
+            non_cut = {v for v in range(g.n) if reach(g.rows, seeds[v], rests[v]) == rests[v]}
+            assert non_cut == set(range(g.n)) - set(nx.articulation_points(to_nx(g))), graph6_encode(g)
+
+    def test_mask_is_the_component_within(self):
+        rng = random.Random(2)
+        for g in self.GRAPHS[::3]:
+            h = to_nx(g)
+            s = rng.randrange(g.n)
+            within = rng.getrandbits(g.n) | 1 << s
+            sub = h.subgraph([v for v in range(g.n) if within >> v & 1])
+            assert reach(g.rows, 1 << s, within) == sum(1 << v for v in nx.node_connected_component(sub, s))
 
 
 class TestComplement:

@@ -1,7 +1,13 @@
 """Source hygiene of the package, checked with the standard library's `ast`:
 no module under `src/specmax` imports a name it never uses, and every
 function, class, method and dataclass field it defines is read somewhere in
-the package."""
+the package.
+
+Reads are matched by name alone, not by the object read from. So a
+definition counts as read when any module reads an attribute of the same
+name: an unread dataclass field `n` passes as long as `Graph.n` or
+`EnumSpec.n` is read anywhere. A name shared with a read attribute
+elsewhere is not checked at all."""
 
 import ast
 from collections import defaultdict
