@@ -112,8 +112,16 @@ def build_family(tag: str, n: int, delta: int | None = None, profile: Complement
     if tag == "g":
         return build_g(n, delta)
     if tag == "gdd":
+        if profile is None and delta < 4:
+            raise ValueError(
+                f"gdd's default profile, one (delta-1)-cycle, needs delta >= 4, got {delta}; give --profile"
+            )
         return build_case2(n, delta, delta, profile or ComplementProfile(type3=(delta - 1,)))
     if tag == "gd1":
+        if profile is None and delta < 1:
+            raise ValueError(
+                f"gd1's default profile, (delta-1)//2 type-1 edges, needs delta >= 1, got {delta}; give --profile"
+            )
         return build_case2(n, delta, 1, profile or ComplementProfile(type1=(delta - 1) // 2))
     if profile is None:
         raise ValueError("profile needs a complement profile")

@@ -232,6 +232,15 @@ def reach(rows, seen: int, within: int) -> int:
 # -- graph6 ------------------------------------------------------------
 
 
+_G6_DIGITS = bytes(range(63, 127))
+# graph6_decode builds rows in Python integers below this order and with
+# numpy from it on. Per body, median over 200 random G(n, 0.5) graphs on a
+# 2-core machine (Python 3.11, numpy 2.4): Python 13 / 35 / 38 / 54 us and
+# numpy 29 / 38 / 35 / 38 us at n = 9 / 16 / 17 / 20; one dense graph at
+# n = 2000 takes 21 ms with numpy and 0.87 s in Python.
+G6_NUMPY_MIN_N = 17
+
+
 def _g6_header(n: int) -> bytes:
     if n <= 62:
         return bytes([n + 63])
@@ -285,22 +294,44 @@ def graph6_decode(text: str) -> Graph:
             f"body length {len(data) - pos} != expected {nbytes} for n={n}",
             len(data),
         )
-    for i in range(pos, len(data)):
-        if not 63 <= data[i] <= 126:
-            raise Graph6ParseError(f"invalid body byte {data[i]}", i)
-    bits = "".join([format(b - 63, "06b") for b in data[pos:]])
-    if "1" in bits[nbits:]:
+    body = data[pos:]
+    bad = body.translate(None, _G6_DIGITS)
+    if bad:
+        i = pos + body.index(bad[0])
+        raise Graph6ParseError(f"invalid body byte {data[i]}", i)
+    # the 6 * nbytes - nbits padding bits are the low bits of the last byte
+    if nbytes and (data[-1] - 63) & ((1 << (6 * nbytes - nbits)) - 1):
         raise Graph6ParseError("nonzero padding bits", len(data) - 1)
-    # column c, bits [c(c-1)/2, c(c+1)/2), lists rows 0..c-1: the reverse of
-    # the binary digits of rows[c]'s lower part, as graph6_encode writes it
-    lower = [0] + [int(bits[c * (c - 1) // 2 : c * (c + 1) // 2][::-1], 2) for c in range(1, n)]
-    rows = lower[:]
-    for c, col in enumerate(lower):
+    return Graph(n, tuple(_g6_rows(body, n) if n < G6_NUMPY_MIN_N else _g6_rows_numpy(body, n)))
+
+
+def _g6_rows(body: bytes, n: int) -> list[int]:
+    """The row bitmasks from a checked graph6 body, in Python integers."""
+    # bit k of `bits` is the k-th bit of the body, so column c, bits
+    # [c(c-1)/2, c(c+1)/2), lists rows 0..c-1 as the lower part of rows[c]
+    bits = int("".join([format(b - 63, "06b") for b in body])[::-1] or "0", 2)
+    rows = [0] * n
+    for c in range(1, n):
+        col = rows[c] = bits >> c * (c - 1) // 2 & ((1 << c) - 1)
         while col:
             low = col & -col
             rows[low.bit_length() - 1] |= 1 << c
             col ^= low
-    return Graph(n, tuple(rows))
+    return rows
+
+
+def _g6_rows_numpy(body: bytes, n: int) -> list[int]:
+    """The row bitmasks from a checked graph6 body: the body bits fill the
+    strict lower triangle row by row, which is graph6's column-major order
+    of the upper one, and the matrix is closed under transpose."""
+    digits = np.frombuffer(body, np.uint8) - 63
+    bits = np.unpackbits(digits[:, None] << 2, axis=1, count=6).ravel()
+    m = np.zeros((n, n), bool)
+    m[np.tri(n, k=-1, dtype=bool)] = bits[: n * (n - 1) // 2]
+    m |= m.T
+    width = (n + 7) // 8
+    packed = np.packbits(m, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(packed[i : i + width], "little") for i in range(0, n * width, width)]
 
 
 # -- canonical form ----------------------------------------------------

@@ -359,17 +359,35 @@ def run_sandwich(
 # -- verify: lemmas -------------------------------------------------------
 
 
-def _switch_tuples(g: Graph) -> list[tuple[int, int, int, int]]:
-    """Every (s, t, v, u) of distinct vertices with st and uv edges and sv
-    and tu non-edges: the moves local switching applies to."""
+def _draw_switch(g: Graph, rng: random.Random) -> tuple[int, int, int, int] | None:
+    """One (s, t, v, u) of distinct vertices with st and uv edges and sv
+    and tu non-edges, a move local switching applies to, or None when g
+    has none. The draw is `rng.choice` over the list of every move, edges
+    (s, t) first as `edges()` gives them and then reversed, u and v
+    ascending within each; it counts the moves instead of listing them,
+    and makes the same single `rng.randrange(total)` call."""
+    rows, full = g.rows, (1 << g.n) - 1
     edges = list(g.edges())
-    moves = []
+    blocks = []  # (count, s, t, u, the mask of the v that complete the move)
     for s, t in edges + [(b, a) for a, b in edges]:
-        not_v = g.rows[s] | 1 << s | 1 << t
-        for u in range(g.n):
-            if u != s and u != t and not g.has_edge(t, u):
-                moves += [(s, t, v, u) for v in g.neighbors(u) if not (not_v >> v) & 1]
-    return moves
+        free_v = ~(rows[s] | 1 << s | 1 << t)
+        us = full & ~(rows[t] | 1 << s | 1 << t)
+        while us:
+            low = us & -us
+            us ^= low
+            u = low.bit_length() - 1
+            vs = rows[u] & free_v
+            if vs:
+                blocks.append((vs.bit_count(), s, t, u, vs))
+    if not blocks:
+        return None
+    k = rng.randrange(sum(block[0] for block in blocks))
+    for count, s, t, u, vs in blocks:
+        if k < count:
+            for _ in range(k):
+                vs &= vs - 1
+            return s, t, (vs & -vs).bit_length() - 1, u
+        k -= count
 
 
 def ls_verdicts(g: Graph, s: int, t: int, v: int, u: int) -> list[tuple[str, bool, str]]:
@@ -394,10 +412,10 @@ def local_switching_failures(rng: random.Random, trials: int) -> list[dict]:
     while done < trials and graphs < 200 * trials:
         graphs += 1
         g = random_connected_graph(rng, rng.randint(5, 9), 0.45)
-        moves = _switch_tuples(g)
-        if not moves:
+        move = _draw_switch(g, rng)
+        if move is None:
             continue
-        verdicts = ls_verdicts(g, *rng.choice(moves))
+        verdicts = ls_verdicts(g, *move)
         if verdicts:
             done += 1
             failures += failure_records(g.n, verdicts)

@@ -91,6 +91,15 @@ class TestConstructSpectrum:
             (["--family", "gd1", "--n", "10"], "gd1 needs delta"),
             (["--family", "profile", "--n", "9"], "profile needs delta"),
             (["--family", "profile", "--n", "9", "--delta", "4"], "profile needs a complement profile"),
+            # the default profiles are refused for the delta they cannot take,
+            # not for the profile they would become
+            *[
+                (["--family", "gdd", "--n", "10", "--delta", str(d)],
+                 f"gdd's default profile, one (delta-1)-cycle, needs delta >= 4, got {d}; give --profile")
+                for d in range(4)
+            ],
+            (["--family", "gd1", "--n", "10", "--delta", "0"],
+             "gd1's default profile, (delta-1)//2 type-1 edges, needs delta >= 1, got 0; give --profile"),
         ],
     )
     def test_refused_construct_messages(self, argv, message, capsys):

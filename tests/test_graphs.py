@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmax.graphs import (
+    G6_NUMPY_MIN_N,
+    MAX_N,
     CapabilityError,
     Graph,
     Graph6ParseError,
@@ -252,6 +254,32 @@ class TestGraph6:
         text = header + "".join(chr(int(bits[i : i + 6], 2) + 63) for i in range(0, len(bits), 6))
         want = nx.from_graph6_bytes(text.encode())
         assert graph6_decode(text) == Graph.build(n, want.edges())
+
+    # graph6_decode switches to numpy at G6_NUMPY_MIN_N; 62 and 63 sit on
+    # either side of the extended header
+    @pytest.mark.parametrize("n", [1, 2, G6_NUMPY_MIN_N - 1, G6_NUMPY_MIN_N, G6_NUMPY_MIN_N + 1, 62, 63, 300])
+    def test_roundtrip_with_networkx(self, n):
+        h = nx.gnp_random_graph(n, 0.5, seed=n)
+        text = nx.to_graph6_bytes(h, header=False).strip()
+        g = graph6_decode(text.decode())
+        assert g == Graph.build(n, h.edges())
+        assert graph6_encode(g).encode() == text
+        back = nx.from_graph6_bytes(graph6_encode(g).encode())
+        assert sorted(map(sorted, back.edges())) == sorted(map(sorted, h.edges()))
+
+    def test_roundtrip_dense_at_the_order_cap(self):
+        # networkx takes over 10 s and 350 MB to write a graph this dense,
+        # so the text is made here from bits drawn in graph6 order: column
+        # j lists the pairs (0, j), ..., (j - 1, j)
+        n = MAX_N
+        bits = np.random.default_rng(1).random(n * (n - 1) // 2) < 0.5
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        g = Graph.build(n, [pair for pair, bit in zip(pairs, bits.tolist()) if bit])
+        digits = np.append(bits, np.zeros(-bits.size % 6, bool)).reshape(-1, 6) @ [32, 16, 8, 4, 2, 1]
+        header = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+        text = header + (digits + 63).astype(np.uint8).tobytes().decode()
+        assert graph6_decode(text) == g
+        assert graph6_encode(g) == text
 
     @pytest.mark.parametrize(
         "text, message, offset",

@@ -1,10 +1,12 @@
 import itertools
+import json
 import random
 from pathlib import Path
 
 import pytest
 
 from specmax import suites
+from specmax.cli import main
 from specmax.families import (
     ComplementProfile,
     build_case2,
@@ -123,6 +125,91 @@ class TestLocalSwitching:
         for n in (9, 11):
             moved = apply(build_g2_1(n), SwitchMove("LS", (2, 5, 1, 6)))
             assert canonical_form(moved) == canonical_form(build_h2(n))
+
+
+def listed_moves(g):
+    """Every (s, t, v, u) of distinct vertices with st and uv edges and sv
+    and tu non-edges, by brute force over the vertices: the edges (s, t)
+    with s < t first, then the same edges reversed, u and v ascending."""
+    moves = []
+    for flip in (False, True):
+        for a in range(g.n):
+            for b in range(a + 1, g.n):
+                if not g.has_edge(a, b):
+                    continue
+                s, t = (b, a) if flip else (a, b)
+                for u in range(g.n):
+                    for v in range(g.n):
+                        if (
+                            len({s, t, v, u}) == 4
+                            and g.has_edge(u, v)
+                            and not g.has_edge(s, v)
+                            and not g.has_edge(t, u)
+                        ):
+                            moves.append((s, t, v, u))
+    return moves
+
+
+class TestDrawSwitch:
+    """`suites._draw_switch` counts the moves instead of listing them; it
+    must pick what `rng.choice` picks from the full list and leave the
+    generator in the same state, so every sweep sees the same moves."""
+
+    @staticmethod
+    def assert_same_draw(g, seed):
+        listed, counted = random.Random(seed), random.Random(seed)
+        moves = listed_moves(g)
+        want = listed.choice(moves) if moves else None
+        assert suites._draw_switch(g, counted) == want, (g.rows, seed)
+        assert counted.getstate() == listed.getstate()
+
+    def test_matches_choice_over_the_list(self):
+        rng = random.Random(16)
+        for trial in range(300):
+            g = random_connected_graph(rng, rng.randint(5, 9), rng.choice([0.2, 0.45, 0.8]))
+            self.assert_same_draw(g, trial)
+
+    def test_every_index_picks_its_listed_move(self):
+        class Fixed:
+            def randrange(self, total):
+                assert total == len(moves)
+                return k
+
+        rng = random.Random(9)
+        for g in [build_g2_1(9)] + [random_connected_graph(rng, 8, 0.45) for _ in range(5)]:
+            moves = listed_moves(g)
+            for k in range(len(moves)):
+                assert suites._draw_switch(g, Fixed()) == moves[k]
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph.build(4, itertools.combinations(range(4), 2)),  # K4
+            Graph.build(6, [(0, v) for v in range(1, 6)]),  # star
+            Graph.build(3, [(0, 1), (1, 2)]),
+        ],
+        ids=["K4", "star", "P3"],
+    )
+    def test_no_move(self, g):
+        assert listed_moves(g) == []
+        self.assert_same_draw(g, 0)
+
+
+class TestLemmaControls:
+    """Each local-switching check fails when what it checks is broken."""
+
+    def test_lowered_rho_fails_ls_monotone(self, monkeypatch, capsys):
+        # rho(G') read 1e-6 low: the moves that keep rho fail the check
+        monkeypatch.setattr(suites, "spectral_radius", lambda g: spectral_radius(g) - 1e-6)
+        assert main(["verify", "lemmas"]) == 1
+        checks = {record["check"] for record in json.loads(capsys.readouterr().out)["failures"]}
+        assert checks == {"ls_monotone"}
+
+    def test_no_moves_fails_ls_trials_completed(self, monkeypatch, capsys):
+        monkeypatch.setattr(suites, "_draw_switch", lambda g, rng: None)
+        assert main(["verify", "lemmas", "--trials", "2"]) == 1
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert failures == [{"check": "ls_trials_completed", "n": None, "witness": "0/2"}]
 
 
 class TestOp1:
