@@ -6,8 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .graphs import Graph, strict_int
-from .spectral import matrix_spectral_radius
 
 
 def _normalize_cells(g: Graph, cells) -> tuple[tuple[int, ...], ...]:
@@ -42,7 +43,9 @@ class QuotientSpec:
     equitable: bool
 
     def rho(self) -> float:
-        return matrix_spectral_radius(self.matrix)
+        """Spectral radius of the matrix, from its dense float eigenvalues."""
+        arr = np.array([[float(x) for x in row] for row in self.matrix])
+        return float(np.max(np.abs(np.linalg.eigvals(arr))))
 
     def to_json(self) -> list[list[list[int]]]:
         return [[[x.numerator, x.denominator] for x in row] for row in self.matrix]

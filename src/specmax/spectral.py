@@ -74,10 +74,3 @@ def spectral_radius(g: Graph) -> float:
     eigenvalue of its adjacency matrix, which is nonnegative and symmetric."""
     return float(np.linalg.eigvalsh(g.to_numpy())[-1])
 
-
-def matrix_spectral_radius(matrix) -> float:
-    """Spectral radius of a small nonnegative matrix via dense eigenvalues."""
-    arr = np.array([[float(x) for x in row] for row in matrix])
-    if arr.size == 0:
-        raise ValueError("empty matrix")
-    return float(np.max(np.abs(np.linalg.eigvals(arr))))

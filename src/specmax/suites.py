@@ -42,10 +42,6 @@ from .spectral import perron, spectral_radius
 from .switching import SwitchMove, apply
 
 
-class UsageError(ValueError):
-    pass
-
-
 def failure_records(n: int | None, verdicts) -> list[dict]:
     """The record `{"check", "n", "witness"}` of each `(check, holds,
     witness)` verdict that does not hold."""
@@ -131,7 +127,7 @@ def run_verify_signs(n_min: int = 59, n_max: int = 500) -> dict:
     """Exact sign table of the quartic comparisons at the four rational
     evaluation points, for every n in [n_min, n_max]."""
     if not 59 <= n_min <= n_max:
-        raise UsageError("signs suite needs 59 <= n_min <= n_max")
+        raise ValueError("signs suite needs 59 <= n_min <= n_max")
     check_quotient_order(n_max)
     failures = []
     for n in range(n_min, n_max + 1):
@@ -226,7 +222,7 @@ def _final_comparison_identities(n: int) -> list[str]:
 def run_compare_families(n: int) -> dict:
     """The order-n table and the violations of its exact ordering."""
     if n < 5:
-        raise UsageError("compare-families needs n >= 5")
+        raise ValueError("compare-families needs n >= 5")
     polys = _named_polys(n)
     return {
         "suite": "compare-families",
@@ -277,7 +273,7 @@ def run_theorem_n2(n_min: int = 5, n_max: int = 8) -> dict:
     """Exhaustive search over every class with maximum degree n-2: the
     maximizers are exactly the predicted join graphs, with their structure."""
     if not 5 <= n_min <= n_max <= EXHAUSTIVE_MAX_N:
-        raise UsageError(f"theorem-n2 needs 5 <= n_min <= n_max <= {EXHAUSTIVE_MAX_N}")
+        raise ValueError(f"theorem-n2 needs 5 <= n_min <= n_max <= {EXHAUSTIVE_MAX_N}")
     failures = []
     for n in range(n_min, n_max + 1):
         report = extremal_search(EnumSpec(n, n - 2))
@@ -297,7 +293,7 @@ def run_theorem_n2(n_min: int = 5, n_max: int = 8) -> dict:
 
 def run_theorem_n3(n_min: int = 59, n_max: int = 200) -> dict:
     if not 59 <= n_min <= n_max:
-        raise UsageError("theorem-n3 needs 59 <= n_min <= n_max")
+        raise ValueError("theorem-n3 needs 59 <= n_min <= n_max")
     check_quotient_order(n_max)
     failures = []
     for n in range(n_min, n_max + 1):
@@ -313,7 +309,7 @@ def default_profile(n: int, delta: int) -> ComplementProfile:
     """A canonical type-II-bearing profile for the (n, delta) family."""
     outer_pairs = (n - delta - 1) // 2
     if outer_pairs < 1 or delta < 1:
-        raise UsageError(f"no type-II profile exists for (n={n}, delta={delta})")
+        raise ValueError(f"no type-II profile exists for (n={n}, delta={delta})")
     if delta >= 4:
         return ComplementProfile(type1=outer_pairs - 1, type2=(1,), type3=(delta - 1,))
     return ComplementProfile(type1=outer_pairs - 1, type2=(delta,))
@@ -326,15 +322,15 @@ def run_sandwich(
     delta defaults to 5 for even n and 4 for odd n, the profile to
     `default_profile(n, delta)`."""
     if n < 59:
-        raise UsageError("sandwich suite needs n >= 59")
+        raise ValueError("sandwich suite needs n >= 59")
     if delta is None:
         delta = 5 if n % 2 == 0 else 4
     if not 3 <= delta <= n - 5:
-        raise UsageError("sandwich suite needs 3 <= delta <= n-5")
+        raise ValueError("sandwich suite needs 3 <= delta <= n-5")
     if profile is None:
         profile = default_profile(n, delta)
     if not profile.type2:
-        raise UsageError("sandwich profile needs at least one type-II component")
+        raise ValueError("sandwich profile needs at least one type-II component")
     g = build_from_profile(n, delta, profile)
     rho_g = perron(g).rho
     poly = named_quotient("B_delta", n, delta).closed_form
@@ -566,7 +562,7 @@ def case2_verdicts(g: Graph) -> list[tuple[str, bool, str]]:
 def run_lemmas(trials: int = 200, seed: int = 0) -> dict:
     """Randomized and family-based property sweep."""
     if trials < 0:
-        raise UsageError("lemmas suite needs trials >= 0")
+        raise ValueError("lemmas suite needs trials >= 0")
     rng = random.Random(seed)
     failures = local_switching_failures(rng, trials)
     failures += component_bound_failures(rng, trials, 3)

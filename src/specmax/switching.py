@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .graphs import Graph
 
-KINDS = ("LS", "Op1", "Op2", "Op3", "Op4", "Op5")
+KINDS = ("LS", "Op1", "Op2")
 
 
 @dataclass(frozen=True)
@@ -17,7 +17,6 @@ class SwitchMove:
 
     LS: (s, t, v, u) -- replaces edges uv, st by sv, tu.
     Op1/Op2: the complement path (v1, ..., vt) of a loop graph.
-    Op3/Op4: (u, v, t1, t2); Op5: (u, v, t1, t2, t3).
     """
 
     kind: str
@@ -46,8 +45,7 @@ def apply(g: Graph, move: SwitchMove) -> Graph:
     Each move is an edge edit on distinct vertices, so its added and removed
     edges are disjoint; `Graph.with_edges` refuses an added edge that is
     present, a removed edge that is absent and a dropped loop that is absent.
-    This function checks the rest: the complement-path shape of Op1/Op2, the
-    sub-maximal pair of Op3-Op5, and their conditions on pairs no edit touches.
+    This function checks the rest: the complement-path shape of Op1/Op2.
     """
     vs = move.vertices
     if len(set(vs)) != len(vs):
@@ -56,39 +54,14 @@ def apply(g: Graph, move: SwitchMove) -> Graph:
         s, t, v, u = vs
         return g.with_edges(add=[(s, v), (t, u)], remove=[(u, v), (s, t)])
 
-    if move.kind in ("Op1", "Op2"):
-        _check_complement_path(g, vs, move.kind)
-        if move.kind == "Op2":
-            if len(vs) < 4:
-                raise ValueError("Op2 needs a path on at least 4 vertices")
-            # Op2 on (v1, ..., vt) is Op1 on (v2, ..., vt)
-            vs = vs[1:]
-        if len(vs) > 4:
-            v1, v2, *_, vt1, vt = vs
-            return g.with_edges(add=[(v1, v2), (vt1, vt)], remove=[(v1, vt), (v2, vt1)])
-        # t = 3 or 4: the interior loops become the path's edges
-        return g.with_edges(add=list(zip(vs, vs[1:])), remove=[(vs[0], vs[-1])], drop_loops=vs[1:-1])
-
-    u, v, *ts = vs
-    degs = g.degrees()
-    if max(degs[u], degs[v]) >= max(degs):
-        raise ValueError(f"{move.kind}: u and v must both have sub-maximal degree")
-    if move.kind == "Op3":
-        t1, t2 = ts
-        if g.has_edge(v, t1) or g.has_edge(u, t2):
-            raise ValueError("Op3: t1 and t2 must avoid N(u) and N(v)")
-        return g.with_edges(add=[(u, t1), (v, t2)], remove=[(t1, t2)])
-
-    if move.kind == "Op4":
-        t1, t2 = ts
-        if not g.has_edge(u, t1):
-            raise ValueError("Op4: t1 must be a common neighbor of u and v")
-        return g.with_edges(add=[(t1, t2)], remove=[(v, t1), (u, t2)])
-
-    t1, t2, t3 = ts
-    if not g.has_edge(u, t1):
-        raise ValueError("Op5: t1 must be a common neighbor of u and v")
-    if g.has_edge(v, t3):
-        raise ValueError("Op5: t3 must avoid N(u) and N(v)")
-    return g.with_edges(add=[(t1, t2), (u, t3)], remove=[(v, t1), (t2, t3)])
-
+    _check_complement_path(g, vs, move.kind)
+    if move.kind == "Op2":
+        if len(vs) < 4:
+            raise ValueError("Op2 needs a path on at least 4 vertices")
+        # Op2 on (v1, ..., vt) is Op1 on (v2, ..., vt)
+        vs = vs[1:]
+    if len(vs) > 4:
+        v1, v2, *_, vt1, vt = vs
+        return g.with_edges(add=[(v1, v2), (vt1, vt)], remove=[(v1, vt), (v2, vt1)])
+    # t = 3 or 4: the interior loops become the path's edges
+    return g.with_edges(add=list(zip(vs, vs[1:])), remove=[(vs[0], vs[-1])], drop_loops=vs[1:-1])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmax.cli import main
+from specmax.enumeration import EXHAUSTIVE_MAX_N
 from specmax.families import FAMILY_TAGS
 from specmax.suites import (
     check_family_ordering,
@@ -272,14 +273,40 @@ class TestExitCodeContract:
     """0 = pass, 1 = verification failure, 2 = usage error, no tracebacks."""
 
     def test_signs_explicit_zero_n_min(self, capsys):
-        code, out, _ = run(capsys, "verify", "signs", "--n-min", "0", "--n-max", "60")
-        assert code == 2
-        assert out == ""
+        code, out, err = run(capsys, "verify", "signs", "--n-min", "0", "--n-max", "60")
+        assert (code, out, err) == (2, "", "usage error: signs suite needs 59 <= n_min <= n_max\n")
 
     def test_lemmas_negative_trials(self, capsys):
-        code, _, err = run(capsys, "verify", "lemmas", "--trials", "-3")
-        assert code == 2
-        assert "usage error" in err
+        code, out, err = run(capsys, "verify", "lemmas", "--trials", "-3")
+        assert (code, out, err) == (2, "", "usage error: lemmas suite needs trials >= 0\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compare-families", "--n", "4"], "compare-families needs n >= 5"),
+            (["verify", "theorem-n2", "--n-min", "4"], f"theorem-n2 needs 5 <= n_min <= n_max <= {EXHAUSTIVE_MAX_N}"),
+            (["verify", "theorem-n3", "--n-min", "70", "--n-max", "60"], "theorem-n3 needs 59 <= n_min <= n_max"),
+            (["verify", "sandwich", "--n-min", "58"], "sandwich suite needs n >= 59"),
+            (["verify", "sandwich", "--n-min", "60", "--delta", "56"], "sandwich suite needs 3 <= delta <= n-5"),
+        ],
+    )
+    def test_suite_range_messages(self, argv, message, capsys):
+        assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
+
+    def test_sandwich_profile_without_type_ii(self, tmp_path, capsys):
+        prof = tmp_path / "prof.json"
+        prof.write_text(json.dumps({"type1": 27}))
+        assert run(capsys, "verify", "sandwich", "--n-min", "60", "--delta", "5", "--profile", str(prof)) == (
+            2,
+            "",
+            "usage error: sandwich profile needs at least one type-II component\n",
+        )
+
+    def test_default_profile_message(self):
+        # run_sandwich checks 3 <= delta <= n-5 first, so no command reaches it
+        with pytest.raises(ValueError) as exc:
+            default_profile(60, 0)
+        assert str(exc.value) == "no type-II profile exists for (n=60, delta=0)"
 
     @pytest.mark.parametrize(
         "argv, unread",

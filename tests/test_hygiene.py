@@ -1,7 +1,8 @@
 """Source hygiene of the package, checked with the standard library's `ast`:
 no module under `src/specmax` imports a name it never uses, and every
 function, class, method and dataclass field it defines is read somewhere in
-the package.
+the package. Every switching move kind is built by some `SwitchMove` call in
+`suites.py`, so no rewrite stays in `switching` without a verdict.
 
 Reads are matched by name alone, not by the object read from. So a
 definition counts as read when any module reads an attribute of the same
@@ -14,6 +15,8 @@ from collections import defaultdict
 from pathlib import Path
 
 import pytest
+
+from specmax.switching import KINDS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "specmax"
 # the package's __init__ imports names only to export them
@@ -141,3 +144,34 @@ class Pair:
 
 def test_no_dead_names():
     assert dead_names({path.stem: path.read_text() for path in MODULES}) == []
+
+
+def unrun_move_kinds(source: str, kinds) -> list[str]:
+    """The move kinds that are not the string first argument of any
+    `SwitchMove(...)` call in the source: rewrites no verdict runs."""
+    run = {
+        node.args[0].value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "SwitchMove"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    }
+    return [kind for kind in kinds if kind not in run]
+
+
+def test_detects_unrun_move_kinds():
+    source = """
+def verdicts(g, move):
+    return apply(g, SwitchMove("LS", move))
+
+def other(g, kind):
+    SwitchMove(kind, (0, 1, 2))
+    Other("Op2", ())
+    return "Op1"
+"""
+    assert unrun_move_kinds(source, ("LS", "Op1", "Op2")) == ["Op1", "Op2"]
+
+
+def test_every_move_kind_has_a_verdict():
+    assert unrun_move_kinds((PACKAGE / "suites.py").read_text(), KINDS) == []

@@ -18,7 +18,13 @@ from specmax.families import (
 from specmax.graphs import Graph, canonical_form, random_connected_graph
 from specmax.partition import quotient
 from specmax.spectral import perron, spectral_radius
-from specmax.suites import case2_verdicts, ls_verdicts, path_op_verdicts, run_lemmas
+from specmax.suites import (
+    case2_verdicts,
+    ls_verdicts,
+    path_op_verdicts,
+    run_lemmas,
+    switch_improvement_failures,
+)
 from specmax.switching import SwitchMove, apply
 
 from graph_shapes import complement_shapes
@@ -196,7 +202,7 @@ class TestDrawSwitch:
 
 
 class TestLemmaControls:
-    """Each local-switching check fails when what it checks is broken."""
+    """Each switching check fails when what it checks is broken."""
 
     def test_lowered_rho_fails_ls_monotone(self, monkeypatch, capsys):
         # rho(G') read 1e-6 low: the moves that keep rho fail the check
@@ -210,6 +216,33 @@ class TestLemmaControls:
         assert main(["verify", "lemmas", "--trials", "2"]) == 1
         failures = json.loads(capsys.readouterr().out)["failures"]
         assert failures == [{"check": "ls_trials_completed", "n": None, "witness": "0/2"}]
+
+    @staticmethod
+    def skewed_apply(g, move):
+        # the input graph one edge up for Op1 (v1 v2 is a non-edge of the
+        # complement path) and one edge down for Op2 (v1 v3 is an edge), so
+        # rho moves by far more than the 1e-9 slack the wrong way
+        a, b, c = move.vertices[:3]
+        return g.with_edges(add=[(a, b)]) if move.kind == "Op1" else g.with_edges(remove=[(a, c)])
+
+    def test_skewed_path_ops_fail_their_checks(self, monkeypatch, capsys):
+        monkeypatch.setattr(suites, "apply", self.skewed_apply)
+        result = run_lemmas(trials=0)
+        assert {record["check"] for record in result["failures"]} == {"op1_sandwich", "op2_monotone"}
+        assert main(["verify", "lemmas", "--trials", "0"]) == 1
+        assert json.loads(capsys.readouterr().out) == result
+
+    def test_unchanged_graph_fails_g21_to_h2_strict(self, monkeypatch, capsys):
+        # H2(n) built as G2,1(n): the "after" graph is the "before" graph
+        monkeypatch.setattr(suites, "build_h2", build_g2_1)
+        rho = perron(build_g2_1(9)).rho
+        assert switch_improvement_failures([9]) == [
+            {"check": "g21_to_h2_strict", "n": 9, "witness": f"{rho} -> {rho}"}
+        ]
+        assert main(["verify", "lemmas", "--trials", "0"]) == 1
+        # the H2 family checks fail too; the switching record is among them
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert {"check": "g21_to_h2_strict", "n": 9, "witness": f"{rho} -> {rho}"} in failures
 
 
 class TestOp1:
@@ -330,42 +363,6 @@ class TestOp2:
         assert back == gl
 
 
-class TestOp345:
-    def test_op3_degree_shift(self):
-        g = build_case2(12, 5, 3, ComplementProfile(type2=(2,)))
-        degs = g.degrees()
-        outside = [
-            i for i in range(2, 12) if not g.has_edge(0, i) and not g.has_edge(1, i)
-        ]
-        t1, t2 = outside[0], outside[1]
-        out = apply(g, SwitchMove("Op3", (0, 1, t1, t2)))
-        after = out.degrees()
-        assert after[0] == degs[0] + 1 and after[1] == degs[1] + 1
-        assert after[t1] == degs[t1]
-        assert after[t2] == degs[t2]
-        back = out.with_edges(add=[(t1, t2)], remove=[(0, t1), (1, t2)])
-        assert back == g
-
-    def test_op4_op5(self):
-        g = build_case2(13, 6, 4, ComplementProfile(type1=1, type3=(3,)))
-        out4 = apply(g, SwitchMove("Op4", (0, 1, 2, 3)))
-        assert out4.degrees()[0] == 5 and out4.degrees()[1] == 3
-        t3 = [
-            i
-            for i in range(2, 13)
-            if not g.has_edge(0, i) and not g.has_edge(1, i) and g.has_edge(3, i)
-        ]
-        out5 = apply(g, SwitchMove("Op5", (0, 1, 2, 3, t3[0])))
-        assert out5.degrees()[0] == 7 and out5.degrees()[1] == 3
-
-    def test_validation(self):
-        g = build_case2(13, 6, 4, ComplementProfile(type1=1, type3=(3,)))
-        with pytest.raises(ValueError):
-            apply(g, SwitchMove("Op3", (0, 1, 2, 3)))  # 2,3 adjacent to u
-        with pytest.raises(ValueError):
-            apply(g, SwitchMove("Op4", (0, 1, 5, 3)))  # 5 not common neighbor
-
-
 class TestCase2Audit:
     """The two-low-vertex inequality chain that `verify lemmas` checks on
     both case-2 shapes."""
@@ -407,7 +404,7 @@ class TestApplyCharacterization:
     `Graph.with_edges`."""
 
     SEEDS = (1, 2, 6)
-    ARITY = {"LS": (4,), "Op1": (3, 4, 5, 6), "Op2": (3, 4, 5, 6), "Op3": (4,), "Op4": (4,), "Op5": (5,)}
+    ARITY = {"LS": (4,), "Op1": (3, 4, 5, 6), "Op2": (3, 4, 5, 6)}
 
     @staticmethod
     def graph(kind, seed):
@@ -436,3 +433,9 @@ class TestApplyCharacterization:
 
     def test_matches_golden(self):
         assert self.accepted() == (Path(__file__).parent / "golden" / "switching_apply.txt").read_text()
+
+    @pytest.mark.parametrize("kind", ["Op3", "Op4", "Op5", "ls"])
+    def test_unknown_kind_refused(self, kind):
+        with pytest.raises(ValueError) as exc:
+            SwitchMove(kind, (0, 1, 2, 3))
+        assert str(exc.value) == f"unknown move kind {kind!r}"
