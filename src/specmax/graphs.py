@@ -181,13 +181,7 @@ class Graph:
 
     def to_numpy(self) -> np.ndarray:
         """`adjacency()` as a float array, unpacked from the row bitmasks."""
-        width = (self.n + 7) // 8
-        packed = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in self.rows]), np.uint8)
-        mat = np.unpackbits(packed.reshape(-1, width), axis=1, count=self.n, bitorder="little").astype(float)
-        if self.loops:
-            loops = [v for v in range(self.n) if (self.loops >> v) & 1]
-            mat[loops, loops] = 2
-        return mat
+        return adjacency_stack([self])[0]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -216,6 +210,27 @@ class Graph:
         return Graph(g.n, g.rows, loops)
 
 
+def adjacency_stack(graphs: list[Graph]) -> np.ndarray:
+    """The float adjacency matrices of graphs of one order n, stacked as a
+    (k, n, n) array unpacked from the row bitmasks; loop diagonal entries
+    are 2."""
+    n = graphs[0].n
+    mats = _unpack_rows([row for g in graphs for row in g.rows], n).astype(float).reshape(len(graphs), n, n)
+    for mat, g in zip(mats, graphs):
+        if g.loops:
+            loops = [v for v in range(n) if (g.loops >> v) & 1]
+            mat[loops, loops] = 2
+    return mats
+
+
+def _unpack_rows(rows, n: int) -> np.ndarray:
+    """The n low bits of each bitmask in `rows`, one uint8 row of 0s and 1s
+    per mask, bit v in column v."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in rows]), np.uint8)
+    return np.unpackbits(packed.reshape(-1, width), axis=1, count=n, bitorder="little")
+
+
 def reach(rows, seen: int, within: int) -> int:
     """The bitmask of the vertices reached from the vertex set `seen` by
     paths whose other vertices all lie in `within`, `seen` included;
@@ -237,7 +252,10 @@ _G6_DIGITS = bytes(range(63, 127))
 # numpy from it on. Per body, median over 200 random G(n, 0.5) graphs on a
 # 2-core machine (Python 3.11, numpy 2.4): Python 13 / 35 / 38 / 54 us and
 # numpy 29 / 38 / 35 / 38 us at n = 9 / 16 / 17 / 20; one dense graph at
-# n = 2000 takes 21 ms with numpy and 0.87 s in Python.
+# n = 2000 takes 21 ms with numpy and 0.87 s in Python. graph6_encode
+# switches at the same order: Python 17 / 32 / 36 us and numpy 25 / 26 /
+# 26 us at n = 9 / 16 / 17, and H1(1998) takes 194 ms in Python, 27 ms with
+# numpy.
 G6_NUMPY_MIN_N = 17
 
 
@@ -261,9 +279,19 @@ def graph6_encode(g: Graph) -> str:
     """Standard graph6 encoding (upper triangle, column-major, 6-bit chunks)."""
     if g.loops:
         raise ValueError("graph6 encodes loop-free graphs only")
+    if g.n >= G6_NUMPY_MIN_N:
+        return (_g6_header(g.n) + _g6_body_numpy(g.rows, g.n)).decode("ascii")
     # column c lists rows 0..c-1, the reverse of the binary digits of rows[c]
     bits = "".join(format(g.rows[c] & ((1 << c) - 1), f"0{c}b")[::-1] for c in range(1, g.n))
     return _g6_pack(g.n, bits).decode("ascii")
+
+
+def _g6_body_numpy(rows, n: int) -> bytes:
+    """The graph6 body of the row bitmasks, `_g6_rows_numpy` run backwards:
+    the strict lower triangle read row by row, six bits to a byte."""
+    bits = _unpack_rows(rows, n)[np.tri(n, k=-1, dtype=bool)]
+    bits = np.concatenate([bits, np.zeros(-len(bits) % 6, np.uint8)]).reshape(-1, 6)
+    return ((np.packbits(bits, axis=1)[:, 0] >> 2) + 63).tobytes()
 
 
 def graph6_decode(text: str) -> Graph:

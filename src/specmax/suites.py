@@ -38,7 +38,7 @@ from .families import (
 from .graphs import Graph, canonical_form, graph6_encode, random_connected_graph
 from .intpoly import IntPolynomial, compare_max_real_roots, max_real_root, roots_below, scaled_value
 from .partition import quotient
-from .spectral import perron, spectral_radius
+from .spectral import PerronPair, perron, perron_all, spectral_radius
 from .switching import SwitchMove, apply
 
 
@@ -306,10 +306,10 @@ def run_theorem_n3(n_min: int = 59, n_max: int = 200) -> dict:
 
 
 def default_profile(n: int, delta: int) -> ComplementProfile:
-    """A canonical type-II-bearing profile for the (n, delta) family."""
+    """A canonical type-II-bearing profile for the (n, delta) family; the
+    sandwich suite's ranges 59 <= n and 3 <= delta <= n-5 give it at least
+    two outer pairs."""
     outer_pairs = (n - delta - 1) // 2
-    if outer_pairs < 1 or delta < 1:
-        raise ValueError(f"no type-II profile exists for (n={n}, delta={delta})")
     if delta >= 4:
         return ComplementProfile(type1=outer_pairs - 1, type2=(1,), type3=(delta - 1,))
     return ComplementProfile(type1=outer_pairs - 1, type2=(delta,))
@@ -386,12 +386,11 @@ def _draw_switch(g: Graph, rng: random.Random) -> tuple[int, int, int, int] | No
         k -= count
 
 
-def ls_verdicts(g: Graph, s: int, t: int, v: int, u: int) -> list[tuple[str, bool, str]]:
-    """(check, holds, witness) of local switching on (s, t, v, u): when the
-    hypothesis (x_s - x_u)(x_v - x_t) >= 0 holds on the Perron vector x of
-    g, rho(G') >= rho(G) - 1e-9; no verdict when it fails. The witness is
-    the graph6 line and the tuple."""
-    pair = perron(g)
+def ls_verdicts(g: Graph, pair: PerronPair, s: int, t: int, v: int, u: int) -> list[tuple[str, bool, str]]:
+    """(check, holds, witness) of local switching on (s, t, v, u), given the
+    Perron pair of g: when the hypothesis (x_s - x_u)(x_v - x_t) >= 0 holds
+    on its vector x, rho(G') >= rho(G) - 1e-9; no verdict when it fails. The
+    witness is the graph6 line and the tuple."""
     x = pair.vector
     if (x[s] - x[u]) * (x[v] - x[t]) < 0:
         return []
@@ -402,27 +401,32 @@ def ls_verdicts(g: Graph, s: int, t: int, v: int, u: int) -> list[tuple[str, boo
 def local_switching_failures(rng: random.Random, trials: int) -> list[dict]:
     """Local switching with a nonnegative hypothesis never lowers rho:
     `trials` such verdicts, one random move per random connected graph of
-    order 5..9, giving up after 200 graphs per trial."""
+    order 5..9, giving up after 200 graphs per trial. The graphs are drawn
+    in rounds and solved together; a graph gives at most one verdict, so a
+    round never draws a graph that drawing one at a time would not."""
     failures = []
     done = graphs = 0
     while done < trials and graphs < 200 * trials:
-        graphs += 1
-        g = random_connected_graph(rng, rng.randint(5, 9), 0.45)
-        move = _draw_switch(g, rng)
-        if move is None:
-            continue
-        verdicts = ls_verdicts(g, *move)
-        if verdicts:
-            done += 1
-            failures += failure_records(g.n, verdicts)
+        batch = min(trials - done, 200 * trials - graphs)
+        graphs += batch
+        moves = []
+        for _ in range(batch):
+            g = random_connected_graph(rng, rng.randint(5, 9), 0.45)
+            move = _draw_switch(g, rng)
+            if move is not None:
+                moves.append((g, move))
+        for (g, move), pair in zip(moves, perron_all([g for g, _ in moves])):
+            verdicts = ls_verdicts(g, pair, *move)
+            if verdicts:
+                done += 1
+                failures += failure_records(g.n, verdicts)
     return failures + failure_records(None, [("ls_trials_completed", done == trials, f"{done}/{trials}")])
 
 
-def component_bound_verdicts(g: Graph) -> list[tuple[str, bool, str]]:
+def component_bound_verdicts(g: Graph, pair: PerronPair) -> list[tuple[str, bool, str]]:
     """(check, holds, witness) of rho(G) * max Perron component < sqrt(max
-    degree) on a connected graph; the witness is the graph6 line and both
-    sides."""
-    pair = perron(g)
+    degree) on a connected graph, given its Perron pair; the witness is the
+    graph6 line and both sides."""
     lhs = pair.rho * float(pair.vector.max())
     rhs = sqrt(g.max_degree())
     return [("perron_component_bound", lhs < rhs, f"{graph6_encode(g)} {lhs} vs {rhs}")]
@@ -431,10 +435,10 @@ def component_bound_verdicts(g: Graph) -> list[tuple[str, bool, str]]:
 def component_bound_failures(rng: random.Random, trials: int, min_order: int) -> list[dict]:
     """The component bound on `trials` random connected graphs of order
     min_order..10."""
+    graphs = [random_connected_graph(rng, rng.randint(min_order, 10), 0.5) for _ in range(trials)]
     failures = []
-    for _ in range(trials):
-        g = random_connected_graph(rng, rng.randint(min_order, 10), 0.5)
-        failures += failure_records(g.n, component_bound_verdicts(g))
+    for g, pair in zip(graphs, perron_all(graphs)):
+        failures += failure_records(g.n, component_bound_verdicts(g, pair))
     return failures
 
 
@@ -461,16 +465,15 @@ def random_partition_cases(rng: random.Random, trials: int):
         yield g, [c for c in cells if c]
 
 
-def quotient_bound_verdicts(g: Graph, cells) -> list[tuple[str, bool, str]]:
+def quotient_bound_verdicts(g: Graph, cells, pair: PerronPair) -> list[tuple[str, bool, str]]:
     """(check, holds, witness) of the quotient bound rho(G) >= rho(B) on
-    one partition of a connected graph. Equality occurs exactly when the
-    Perron vector is constant on cells: equitable partitions of connected
-    graphs always are, some inequitable ones happen to be as well, and on
-    every other partition the bound is strict. The witness is the graph6
-    line and the partition."""
+    one partition of a connected graph, given its Perron pair. Equality
+    occurs exactly when the Perron vector is constant on cells: equitable
+    partitions of connected graphs always are, some inequitable ones happen
+    to be as well, and on every other partition the bound is strict. The
+    witness is the graph6 line and the partition."""
     witness = f"{graph6_encode(g)} {cells}"
     spec = quotient(g, cells)
-    pair = perron(g)
     rho_b = spec.rho()
     x = pair.vector
     verdicts = [("quotient_bound", pair.rho >= rho_b - 1e-9, witness)]
@@ -481,17 +484,28 @@ def quotient_bound_verdicts(g: Graph, cells) -> list[tuple[str, bool, str]]:
     return verdicts
 
 
-def family_quotient_verdicts(g: Graph, cells) -> list[tuple[str, bool, str]]:
+def quotient_bound_failures(rng: random.Random, trials: int) -> list[dict]:
+    """The quotient bound on the `random_partition_cases`."""
+    cases = list(random_partition_cases(rng, trials))
+    failures = []
+    for (g, cells), pair in zip(cases, perron_all([g for g, _ in cases])):
+        failures += failure_records(g.n, quotient_bound_verdicts(g, cells, pair))
+    return failures
+
+
+def family_quotient_verdicts(
+    g: Graph, cells, pair: PerronPair, looped_pair: PerronPair
+) -> list[tuple[str, bool, str]]:
     """(check, holds, witness) on a loop-free family graph with its
-    documented partition: the partition is equitable with rho(B) = rho(G),
+    documented partition, given the Perron pairs of g and of g with a loop
+    at every vertex: the partition is equitable with rho(B) = rho(G),
     and with a loop at every vertex its quotient is exactly B + 2I and both
     spectral radii shift by exactly 2. The witness is the graph6 line and
     the partition."""
     witness = f"{graph6_encode(g)} {cells}"
     base = quotient(g, cells)
-    looped = g.add_loops()
-    shifted = quotient(looped, cells)
-    rho_g = perron(g).rho
+    shifted = quotient(g.add_loops(), cells)
+    rho_g = pair.rho
     rho_b = base.rho()
     m = len(base.matrix)
     plus_2i = all(
@@ -504,7 +518,7 @@ def family_quotient_verdicts(g: Graph, cells) -> list[tuple[str, bool, str]]:
             "loop_shift",
             shifted.equitable
             and plus_2i
-            and abs(perron(looped).rho - (rho_g + 2)) < 1e-9
+            and abs(looped_pair.rho - (rho_g + 2)) < 1e-9
             and abs(shifted.rho() - (rho_b + 2)) < 1e-9,
             witness,
         ),
@@ -566,8 +580,7 @@ def run_lemmas(trials: int = 200, seed: int = 0) -> dict:
     rng = random.Random(seed)
     failures = local_switching_failures(rng, trials)
     failures += component_bound_failures(rng, trials, 3)
-    for g, cells in random_partition_cases(rng, trials):
-        failures += failure_records(g.n, quotient_bound_verdicts(g, cells))
+    failures += quotient_bound_failures(rng, trials)
 
     # equitable partitions and loop shift on the named families
     families = []
@@ -577,8 +590,9 @@ def run_lemmas(trials: int = 200, seed: int = 0) -> dict:
             families.append((build_h1(n), h1_partition(n)))
         else:
             families += [(build_h2(n), h2_partition(n)), (build_g2_1(n), g2_1_partition(n))]
-    for g, cells in families:
-        failures += failure_records(g.n, family_quotient_verdicts(g, cells))
+    pairs = perron_all([g for g, _ in families] + [g.add_loops() for g, _ in families])
+    for (g, cells), pair, looped_pair in zip(families, pairs, pairs[len(families) :]):
+        failures += failure_records(g.n, family_quotient_verdicts(g, cells, pair, looped_pair))
 
     # switching monotonicity on two profile instances
     gl = build_from_profile(15, 6, ComplementProfile(type1=3, type2=(3,), type3=(3,))).add_loops()

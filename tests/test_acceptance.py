@@ -23,7 +23,7 @@ from specmax.families import (
     named_quotient,
 )
 from specmax.intpoly import char_poly, compare_max_real_roots
-from specmax.spectral import perron
+from specmax.spectral import perron, perron_all
 from specmax.suites import (
     check_family_ordering,
     component_bound_failures,
@@ -166,7 +166,11 @@ def test_criterion_5_equitable_and_loop_lemmas():
                     case2_partition(n, 3, 1),
                 )
             )
-    failures = [f for g, cells in instances for f in failure_records(g.n, family_quotient_verdicts(g, cells))]
+    failures = [
+        f
+        for g, cells in instances
+        for f in failure_records(g.n, family_quotient_verdicts(g, cells, *perron_all([g, g.add_loops()])))
+    ]
     assert not failures, failures
     elapsed = time.time() - t0
     assert elapsed < 60, f"equitable/loop suite too slow: {elapsed:.1f}s"

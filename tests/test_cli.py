@@ -302,12 +302,6 @@ class TestExitCodeContract:
             "usage error: sandwich profile needs at least one type-II component\n",
         )
 
-    def test_default_profile_message(self):
-        # run_sandwich checks 3 <= delta <= n-5 first, so no command reaches it
-        with pytest.raises(ValueError) as exc:
-            default_profile(60, 0)
-        assert str(exc.value) == "no type-II profile exists for (n=60, delta=0)"
-
     @pytest.mark.parametrize(
         "argv, unread",
         [

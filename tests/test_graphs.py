@@ -255,8 +255,8 @@ class TestGraph6:
         want = nx.from_graph6_bytes(text.encode())
         assert graph6_decode(text) == Graph.build(n, want.edges())
 
-    # graph6_decode switches to numpy at G6_NUMPY_MIN_N; 62 and 63 sit on
-    # either side of the extended header
+    # graph6_decode and graph6_encode switch to numpy at G6_NUMPY_MIN_N; 62
+    # and 63 sit on either side of the extended header
     @pytest.mark.parametrize("n", [1, 2, G6_NUMPY_MIN_N - 1, G6_NUMPY_MIN_N, G6_NUMPY_MIN_N + 1, 62, 63, 300])
     def test_roundtrip_with_networkx(self, n):
         h = nx.gnp_random_graph(n, 0.5, seed=n)
@@ -266,6 +266,13 @@ class TestGraph6:
         assert graph6_encode(g).encode() == text
         back = nx.from_graph6_bytes(graph6_encode(g).encode())
         assert sorted(map(sorted, back.edges())) == sorted(map(sorted, h.edges()))
+
+    @pytest.mark.parametrize("n", [1, 2, G6_NUMPY_MIN_N - 1, G6_NUMPY_MIN_N, G6_NUMPY_MIN_N + 1, 62, 63, 300])
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.9, 1.0])
+    def test_encode_matches_networkx_at_every_density(self, n, p):
+        # at p = 0 and p = 1 the body is all zeros and all ones before padding
+        h = nx.gnp_random_graph(n, p, seed=n)
+        assert graph6_encode(from_nx(h)).encode() == nx.to_graph6_bytes(h, header=False).strip()
 
     def test_roundtrip_dense_at_the_order_cap(self):
         # networkx takes over 10 s and 350 MB to write a graph this dense,
@@ -280,6 +287,7 @@ class TestGraph6:
         text = header + (digits + 63).astype(np.uint8).tobytes().decode()
         assert graph6_decode(text) == g
         assert graph6_encode(g) == text
+        assert graph6_encode(graph6_decode(text)) == text
 
     @pytest.mark.parametrize(
         "text, message, offset",

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,10 @@ def complete(n):
 
 def star(n):
     return Graph.build(n, [(0, i) for i in range(1, n)])
+
+
+def family_verdicts(g, cells):
+    return family_quotient_verdicts(g, cells, perron(g), perron(g.add_loops()))
 
 
 class TestQuotient:
@@ -71,7 +76,7 @@ class TestQuotientBound:
     def test_equitable_equality(self):
         from specmax.families import build_h1, h1_partition
 
-        verdicts = quotient_bound_verdicts(build_h1(8), h1_partition(8))
+        verdicts = quotient_bound_verdicts(build_h1(8), h1_partition(8), perron(build_h1(8)))
         assert [(check, ok) for check, ok, _ in verdicts] == [
             ("quotient_bound", True),
             ("quotient_equitable_equality", True),
@@ -84,17 +89,47 @@ class TestQuotientBound:
         # the check names and witness of the failure records `verify lemmas`
         # prints
         witness = "Ds_ [[0, 1, 2, 3, 4]]"
-        assert quotient_bound_verdicts(g, cells) == [
+        assert quotient_bound_verdicts(g, cells, perron(g)) == [
             ("quotient_bound", True, witness),
             ("quotient_bound_strict", True, witness),
         ]
+
+    def test_rho_moved_past_the_bound_fails(self):
+        # negative controls, rho 1e-6 the wrong way: on an equitable
+        # partition rho(G) = rho(B) (test_equitable_equality), so a pair
+        # 1e-6 low fails the bound and 1e-6 either way fails the equality
+        from specmax.families import build_h1, h1_partition
+
+        g, cells = build_h1(8), h1_partition(8)
+        pair = perron(g)
+        for shift, want in [
+            (-1e-6, [("quotient_bound", False), ("quotient_equitable_equality", False)]),
+            (1e-6, [("quotient_bound", True), ("quotient_equitable_equality", False)]),
+        ]:
+            verdicts = quotient_bound_verdicts(g, cells, replace(pair, rho=pair.rho + shift))
+            assert [(check, ok) for check, ok, _ in verdicts] == want, shift
+
+    def test_rho_moved_past_rho_b_fails_strict(self):
+        # the star as one cell is inequitable with a Perron vector far from
+        # constant, so rho(G) = 2 lies well above rho(B) = 8/5; rho is put
+        # 1e-6 on either side of rho(B) instead
+        g, cells = star(5), [[0, 1, 2, 3, 4]]
+        pair = perron(g)
+        rho_b = quotient(g, cells).rho()
+        for rho, want in [
+            (rho_b + 1e-6, [("quotient_bound", True), ("quotient_bound_strict", True)]),
+            (rho_b, [("quotient_bound", True), ("quotient_bound_strict", False)]),
+            (rho_b - 1e-6, [("quotient_bound", False), ("quotient_bound_strict", False)]),
+        ]:
+            verdicts = quotient_bound_verdicts(g, cells, replace(pair, rho=rho))
+            assert [(check, ok) for check, ok, _ in verdicts] == want, rho
 
     def test_random_sweep_strict_unless_cell_constant(self):
         # equality rho(G) = rho(B) happens exactly when the Perron vector is
         # constant on cells (Rayleigh-Ritz); inequitable partitions usually
         # are not, and then the gap must be strictly positive
         cases = random_partition_cases(random.Random(31), 200)
-        verdicts = [v for g, cells in cases for v in quotient_bound_verdicts(g, cells)]
+        verdicts = [v for g, cells in cases for v in quotient_bound_verdicts(g, cells, perron(g))]
         assert all(ok for _, ok, _ in verdicts)
         assert sum(check == "quotient_bound_strict" for check, _, _ in verdicts) > 100
 
@@ -144,7 +179,7 @@ class TestQuotientBound:
 
 class TestLoopShift:
     def test_triangle_single_cell(self):
-        assert all(ok for _, ok, _ in family_quotient_verdicts(complete(3), [[0, 1, 2]]))
+        assert all(ok for _, ok, _ in family_verdicts(complete(3), [[0, 1, 2]]))
 
     def test_family_partitions(self):
         from specmax.families import (
@@ -156,7 +191,7 @@ class TestLoopShift:
 
         cases = [(build_g(7, 4), g_partition(7, 4)), (build_h2(9), h2_partition(9))]
         for g, cells in cases:
-            assert [(check, ok) for check, ok, _ in family_quotient_verdicts(g, cells)] == [
+            assert [(check, ok) for check, ok, _ in family_verdicts(g, cells)] == [
                 ("family_equitable", True),
                 ("family_quotient_rho", True),
                 ("loop_shift", True),
@@ -166,7 +201,7 @@ class TestLoopShift:
         # P3 as one cell: neither it nor the looped P3 is equitable, and the
         # average degree 4/3 falls short of rho = sqrt(2)
         p3 = Graph.build(3, [(0, 1), (1, 2)])
-        failures = failure_records(3, family_quotient_verdicts(p3, [[0, 1, 2]]))
+        failures = failure_records(3, family_verdicts(p3, [[0, 1, 2]]))
         assert failures == [
             {"check": check, "n": 3, "witness": "Bg [[0, 1, 2]]"}
             for check in ("family_equitable", "family_quotient_rho", "loop_shift")

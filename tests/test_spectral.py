@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from dataclasses import replace
 
 import networkx as nx
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specmax.families import build_g2_1
 from specmax.graphs import Graph, random_connected_graph
 from specmax.intpoly import char_poly, max_real_root
-from specmax.spectral import perron, spectral_radius
+from specmax.spectral import ConvergenceError, perron, perron_all, spectral_radius
 from specmax.suites import component_bound_verdicts
 
 
@@ -76,26 +78,117 @@ class TestPerron:
         b = perron(g, 1e-12)
         assert a.rho == b.rho and np.array_equal(a.vector, b.vector)
 
-    def test_nonconvergence_reports_residual(self, monkeypatch):
-        import specmax.spectral as spectral_mod
-
+    @pytest.mark.parametrize(
+        "solve", [perron, lambda g, tol: perron_all([g], tol)[0]], ids=["perron", "perron_all"]
+    )
+    def test_nonconvergence_reports_residual(self, monkeypatch, solve):
         real_eigh = np.linalg.eigh
 
         def perturbed(a):
+            # component 0 of the top eigenvector of every matrix in the stack
             w, v = real_eigh(a)
             v = v.copy()
-            v[0, -1] += 1e-6
+            v[..., 0, -1] += 1e-6
             return w, v
 
-        monkeypatch.setattr(spectral_mod.np.linalg, "eigh", perturbed)
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
         rng = random.Random(5)
         g = random_connected_graph(rng, 9, 0.5)
-        with pytest.raises(spectral_mod.ConvergenceError) as exc:
-            spectral_mod.perron(g, 1e-10)
+        with pytest.raises(ConvergenceError) as exc:
+            solve(g, 1e-10)
         assert exc.value.last_residual > 1e-10
+        assert str(exc.value) == f"residual {exc.value.last_residual:.3e} above tol 1.0e-10 at n=9"
 
     def test_one_dense_solve(self):
         assert perron(complete(4), 1e-12).iterations == 1
+
+
+def mixed_orders() -> list[Graph]:
+    """Seeded connected graphs of orders 1, 2, 3..10 and 40, with looped
+    family graphs, shuffled so that each order's graphs are scattered."""
+    from specmax.families import build_g, build_h1, build_h2
+
+    rng = random.Random(18)
+    graphs = [Graph.build(1, []), Graph.build(2, [(0, 1)]), complete(2).add_loops()]
+    graphs += [random_connected_graph(rng, rng.randint(3, 10), rng.choice([0.3, 0.5, 0.8])) for _ in range(150)]
+    graphs += [random_connected_graph(rng, 40, 0.2) for _ in range(3)]
+    for n in range(8, 13):
+        family = build_h1(n) if n % 2 == 0 else build_h2(n)
+        graphs += [build_g(n, 2), build_g(n, 2).add_loops(), family.add_loops()]
+    rng.shuffle(graphs)
+    return graphs
+
+
+def one_matrix_solve(g: Graph) -> tuple[float, np.ndarray, float]:
+    """rho, vector and residual by the same arithmetic on one unstacked
+    matrix, built from `adjacency()`: the reference for the stacked solve."""
+    a = np.array(g.adjacency(), dtype=float)
+    x = np.abs(np.linalg.eigh(a)[1][:, -1])
+    x /= np.linalg.norm(x)
+    ax = a @ x
+    rho = float(x @ ax)
+    return rho, x, float(np.max(np.abs(ax - rho * x)))
+
+
+class TestPerronAll:
+    """`perron_all` solves one stack per order; each pair must be the one
+    `perron` gives for its graph alone, and the one the same arithmetic
+    gives on one unstacked matrix, bit for bit."""
+
+    def test_matches_perron_bit_for_bit(self):
+        graphs = mixed_orders()
+        pairs = perron_all(graphs)
+        assert len(pairs) == len(graphs)
+        for g, pair in zip(graphs, pairs):
+            alone = perron(g)
+            assert pair.rho == alone.rho
+            assert np.array_equal(pair.vector, alone.vector)
+            assert pair.residual == alone.residual
+            rho, x, residual = one_matrix_solve(g)
+            assert (pair.rho, pair.residual) == (rho, residual)
+            assert np.array_equal(pair.vector, x)
+
+    def test_empty(self):
+        assert perron_all([]) == []
+
+    @pytest.mark.parametrize("at", [0, 5, -1])
+    def test_disconnected_anywhere_refused(self, at):
+        graphs = mixed_orders()[:20]
+        graphs.insert(at if at >= 0 else len(graphs), Graph.build(4, [(0, 1), (2, 3)]))
+        with pytest.raises(ValueError) as exc:
+            perron_all(graphs)
+        assert str(exc.value) == "perron requires a connected graph"
+
+    @pytest.mark.parametrize("tol", [1e-15, 1e-5])
+    def test_tol_refused_before_any_solve(self, monkeypatch, tol):
+        def no_solve(a):
+            raise AssertionError("solved before the tol check")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_solve)
+        # the tol check comes first, ahead of the connectivity check too
+        graphs = [complete(3), Graph.build(4, [(0, 1), (2, 3)])]
+        with pytest.raises(ValueError) as exc:
+            perron_all(graphs, tol)
+        assert str(exc.value) == f"tol {tol} outside [1e-14, 1e-6]"
+
+    def test_first_failing_graph_in_input_order_raises(self, monkeypatch):
+        real_eigh = np.linalg.eigh
+
+        def perturbed(a):
+            # the top eigenvector of the last matrix of each stack
+            w, v = real_eigh(a)
+            v = v.copy()
+            v[-1, 0, -1] += 1e-6
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        rng = random.Random(5)
+        fine, g9, late = (random_connected_graph(rng, n, 0.5) for n in (5, 9, 5))
+        # the order-5 stack is solved first and fails on `late`, but g9
+        # fails earlier in the input, as one solve per graph would find
+        with pytest.raises(ConvergenceError) as exc:
+            perron_all([fine, g9, late], 1e-10)
+        assert str(exc.value).endswith("at n=9")
 
 
 def _with_pendant(g: nx.Graph) -> Graph:
@@ -230,7 +323,7 @@ class TestDegreeBand:
 def component_bound_sides(g: Graph) -> tuple[bool, float, float]:
     """Whether the component bound holds, and its two sides, read back from
     the witness `<graph6> <lhs> vs <rhs>`."""
-    [(check, holds, witness)] = component_bound_verdicts(g)
+    [(check, holds, witness)] = component_bound_verdicts(g, perron(g))
     assert check == "perron_component_bound"
     _, lhs, _, rhs = witness.split()
     return holds, float(lhs), float(rhs)
@@ -241,7 +334,7 @@ class TestComponentBound:
         # the check name and witness of the failure record `verify lemmas`
         # prints; the last digits of the left side follow the eigensolver's
         # rounding
-        [(check, holds, witness)] = component_bound_verdicts(star(5))
+        [(check, holds, witness)] = component_bound_verdicts(star(5), perron(star(5)))
         code, lhs, vs, rhs = witness.split()
         assert (check, holds, code, vs, rhs) == ("perron_component_bound", True, "Ds_", "vs", "2.0")
         assert float(lhs) == pytest.approx(math.sqrt(2), abs=1e-9)
@@ -256,6 +349,16 @@ class TestComponentBound:
         for _ in range(120):
             g = random_connected_graph(rng, rng.randint(2, 10), 0.5)
             assert component_bound_sides(g)[0]
+
+    @pytest.mark.parametrize("g", [star(5), complete(5), build_g2_1(9)], ids=["star", "K5", "G2,1(9)"])
+    def test_rho_past_the_bound_fails(self, g):
+        # negative control: no honest pair comes near the bound, so rho is
+        # put 1e-6 on either side of sqrt(max degree) / max component
+        pair = perron(g)
+        edge = math.sqrt(g.max_degree()) / float(pair.vector.max())
+        [(_, below, _)] = component_bound_verdicts(g, replace(pair, rho=edge - 1e-6))
+        [(_, above, _)] = component_bound_verdicts(g, replace(pair, rho=edge + 1e-6))
+        assert (below, above) == (True, False)
 
 
 class TestSpectralRadius:

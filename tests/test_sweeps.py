@@ -1,0 +1,140 @@
+"""The randomized sweeps of `verify lemmas` draw their graphs first and solve
+them together with `perron_all`. They must check the graphs, moves and
+partitions, with the verdicts, that drawing and solving one graph at a time
+checks, and leave the generator in the same state. And a wrong rho from the
+stacked solve must fail the checks that read it, through the CLI."""
+
+import json
+import random
+from dataclasses import replace
+
+import pytest
+
+from specmax import suites
+from specmax.cli import main
+from specmax.graphs import graph6_encode, random_connected_graph
+from specmax.spectral import PerronPair, perron, perron_all
+from specmax.suites import component_bound_verdicts, ls_verdicts, quotient_bound_verdicts
+
+
+def serial_local_switching(rng, trials):
+    checked = []
+    done = graphs = 0
+    while done < trials and graphs < 200 * trials:
+        graphs += 1
+        g = random_connected_graph(rng, rng.randint(5, 9), 0.45)
+        move = suites._draw_switch(g, rng)
+        if move is None:
+            continue
+        verdicts = ls_verdicts(g, perron(g), *move)
+        done += bool(verdicts)
+        checked.append((graph6_encode(g), move, verdicts))
+    return checked
+
+
+def serial_component_bound(rng, trials):
+    checked = []
+    for _ in range(trials):
+        g = random_connected_graph(rng, rng.randint(3, 10), 0.5)
+        checked.append((graph6_encode(g), (), component_bound_verdicts(g, perron(g))))
+    return checked
+
+
+def serial_quotient_bound(rng, trials):
+    checked = []
+    for _ in range(trials):
+        g = random_connected_graph(rng, rng.randint(4, 10), 0.5)
+        k = rng.randint(1, g.n - 1)
+        cells = [[] for _ in range(k)]
+        for v in range(g.n):
+            cells[rng.randrange(k)].append(v)
+        cells = [c for c in cells if c]
+        checked.append((graph6_encode(g), (cells,), quotient_bound_verdicts(g, cells, perron(g))))
+    return checked
+
+
+SWEEPS = {
+    "local_switching": (
+        lambda rng, trials: suites.local_switching_failures(rng, trials),
+        "ls_verdicts",
+        serial_local_switching,
+    ),
+    "component_bound": (
+        lambda rng, trials: suites.component_bound_failures(rng, trials, 3),
+        "component_bound_verdicts",
+        serial_component_bound,
+    ),
+    "quotient_bound": (
+        lambda rng, trials: suites.quotient_bound_failures(rng, trials),
+        "quotient_bound_verdicts",
+        serial_quotient_bound,
+    ),
+}
+
+
+def record_checks(monkeypatch, name):
+    """Patch the verdict function `suites.<name>` to also record each call as
+    (graph6, its arguments but the Perron pair, its verdicts)."""
+    real = getattr(suites, name)
+    checked = []
+
+    def recorded(g, *args):
+        verdicts = real(g, *args)
+        rest = tuple(a for a in args if not isinstance(a, PerronPair))
+        checked.append((graph6_encode(g), rest, verdicts))
+        return verdicts
+
+    monkeypatch.setattr(suites, name, recorded)
+    return checked
+
+
+@pytest.mark.parametrize("trials", [0, 1, 7, 200])
+@pytest.mark.parametrize("sweep", list(SWEEPS))
+def test_same_draws_and_verdicts_as_one_graph_at_a_time(monkeypatch, sweep, trials):
+    run, verdict_function, serial = SWEEPS[sweep]
+    want_rng = random.Random(1800 + trials)
+    want = serial(want_rng, trials)
+    checked = record_checks(monkeypatch, verdict_function)
+    rng = random.Random(1800 + trials)
+    run(rng, trials)
+    assert checked == want
+    assert rng.getstate() == want_rng.getstate()
+
+
+def test_local_switching_gives_up_after_200_graphs_per_trial(monkeypatch):
+    drawn = []
+
+    def counted(rng, n, p):
+        drawn.append(n)
+        return random_connected_graph(rng, n, p)
+
+    monkeypatch.setattr(suites, "random_connected_graph", counted)
+    monkeypatch.setattr(suites, "_draw_switch", lambda g, rng: None)
+    rng, want = random.Random(2), random.Random(2)
+    failures = suites.local_switching_failures(rng, 2)
+    assert len(drawn) == 400
+    for _ in range(400):
+        random_connected_graph(want, want.randint(5, 9), 0.45)
+    assert rng.getstate() == want.getstate()
+    assert failures == [{"check": "ls_trials_completed", "n": None, "witness": "0/2"}]
+
+
+@pytest.mark.parametrize(
+    "shift, checks",
+    [
+        # on equitable partitions and family graphs rho(G) = rho(B)
+        (-1e-6, {"quotient_bound", "quotient_equitable_equality", "family_quotient_rho"}),
+        # the smallest strict gaps of the default sweep are below 0.1
+        (-0.1, {"quotient_bound", "quotient_bound_strict", "quotient_equitable_equality", "family_quotient_rho"}),
+        # the component bound has at least 0.4 of headroom on the default
+        # sweep, and every switch then lowers rho
+        (1.0, {"perron_component_bound", "ls_monotone", "quotient_equitable_equality", "family_quotient_rho"}),
+    ],
+)
+def test_shifted_rho_fails_verify_lemmas(monkeypatch, capsys, shift, checks):
+    def shifted(graphs, tol=1e-10):
+        return [replace(pair, rho=pair.rho + shift) for pair in perron_all(graphs, tol)]
+
+    monkeypatch.setattr(suites, "perron_all", shifted)
+    assert main(["verify", "lemmas"]) == 1
+    assert {record["check"] for record in json.loads(capsys.readouterr().out)["failures"]} == checks

@@ -61,14 +61,15 @@ class TestLocalSwitching:
         rho_after = spectral_radius(apply(c4, SwitchMove("LS", (0, 1, 2, 3))))
         assert rho_after == pytest.approx(pair.rho, abs=1e-9)
         # the hypothesis is 0 up to rounding, so there may be no verdict
-        assert holds(ls_verdicts(c4, 0, 1, 2, 3)) in ([], [("ls_monotone", True)])
+        assert holds(ls_verdicts(c4, pair, 0, 1, 2, 3)) in ([], [("ls_monotone", True)])
         # the equality case: x_s = x_u and x_v = x_t
         assert x[0] == pytest.approx(x[3], abs=1e-8) and x[2] == pytest.approx(x[1], abs=1e-8)
 
     def test_failure_record(self):
         # the check name and witness of the failure record `verify lemmas`
         # prints
-        assert ls_verdicts(build_g2_1(9), 2, 5, 1, 6) == [("ls_monotone", True, "HpTzr|} 2,5,1,6")]
+        g = build_g2_1(9)
+        assert ls_verdicts(g, perron(g), 2, 5, 1, 6) == [("ls_monotone", True, "HpTzr|} 2,5,1,6")]
 
     def test_no_verdict_when_hypothesis_fails(self, monkeypatch):
         # the first seeded move whose hypothesis is negative
@@ -84,7 +85,7 @@ class TestLocalSwitching:
                 break
         # the switched graph is not solved either
         monkeypatch.setattr(suites, "spectral_radius", None)
-        assert ls_verdicts(g, *cfg) == []
+        assert ls_verdicts(g, perron(g), *cfg) == []
 
     def test_precondition_validation(self):
         c4 = Graph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -101,7 +102,7 @@ class TestLocalSwitching:
             cfg = random_ls_config(rng, g)
             if cfg is None:
                 continue
-            verdicts = ls_verdicts(g, *cfg)
+            verdicts = ls_verdicts(g, perron(g), *cfg)
             if verdicts:
                 done += 1
                 assert holds(verdicts) == [("ls_monotone", True)]
@@ -124,7 +125,7 @@ class TestLocalSwitching:
             pair = perron(g)
             x = pair.vector
             assert (x[2] - x[6]) * (x[1] - x[5]) >= -1e-12
-            assert holds(ls_verdicts(g, 2, 5, 1, 6)) == [("ls_monotone", True)]
+            assert holds(ls_verdicts(g, pair, 2, 5, 1, 6)) == [("ls_monotone", True)]
             assert spectral_radius(apply(g, SwitchMove("LS", (2, 5, 1, 6)))) > pair.rho + 1e-9
 
     def test_g21_switch_lands_on_h2(self):
