@@ -78,29 +78,35 @@ class TestPerron:
         b = perron(g, 1e-12)
         assert a.rho == b.rho and np.array_equal(a.vector, b.vector)
 
-    @pytest.mark.parametrize(
-        "solve", [perron, lambda g, tol: perron_all([g], tol)[0]], ids=["perron", "perron_all"]
-    )
-    def test_nonconvergence_reports_residual(self, monkeypatch, solve):
-        real_eigh = np.linalg.eigh
+    def test_nonconvergence_reports_residual(self, monkeypatch):
+        assert_nonconvergence_reported(monkeypatch, perron)
 
-        def perturbed(a):
-            # component 0 of the top eigenvector of every matrix in the stack
-            w, v = real_eigh(a)
-            v = v.copy()
-            v[..., 0, -1] += 1e-6
-            return w, v
-
-        monkeypatch.setattr(np.linalg, "eigh", perturbed)
-        rng = random.Random(5)
-        g = random_connected_graph(rng, 9, 0.5)
-        with pytest.raises(ConvergenceError) as exc:
-            solve(g, 1e-10)
-        assert exc.value.last_residual > 1e-10
-        assert str(exc.value) == f"residual {exc.value.last_residual:.3e} above tol 1.0e-10 at n=9"
+    def test_nonconvergence_reports_residual_stacked(self, monkeypatch):
+        assert_nonconvergence_reported(monkeypatch, lambda g, tol: perron_all([g], tol)[0])
 
     def test_one_dense_solve(self):
         assert perron(complete(4), 1e-12).iterations == 1
+
+
+def assert_nonconvergence_reported(monkeypatch, solve) -> None:
+    """With the top eigenvector perturbed, `solve(g, tol)` must raise
+    ConvergenceError carrying the residual it saw."""
+    real_eigh = np.linalg.eigh
+
+    def perturbed(a):
+        # component 0 of the top eigenvector of every matrix in the stack
+        w, v = real_eigh(a)
+        v = v.copy()
+        v[..., 0, -1] += 1e-6
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    rng = random.Random(5)
+    g = random_connected_graph(rng, 9, 0.5)
+    with pytest.raises(ConvergenceError) as exc:
+        solve(g, 1e-10)
+    assert exc.value.last_residual > 1e-10
+    assert str(exc.value) == f"residual {exc.value.last_residual:.3e} above tol 1.0e-10 at n=9"
 
 
 def mixed_orders() -> list[Graph]:
