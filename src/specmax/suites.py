@@ -7,8 +7,9 @@ makes one check and reports its margins instead. Every lemma check is
 decided here, by a `*_verdicts` function that returns `(check, holds,
 witness)` triples, and `failure_records` turns the triples that fail
 into records; `switching`, `spectral` and `enumeration` rewrite, solve
-and search, and decide no check. The suites and the tests call the same
-verdict functions, the tests with their own inputs.
+and search, and decide no check. A verdict function is handed the Perron
+pairs it reads, which the suites solve with `perron_all`. The suites and
+the tests call the same verdict functions, the tests with their own inputs.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
+from itertools import islice
 from math import inf, nextafter, sqrt
 
 from .enumeration import EXHAUSTIVE_MAX_N, EnumSpec, extremal_search
@@ -235,19 +237,19 @@ def run_compare_families(n: int) -> dict:
 # -- verify: theorems -----------------------------------------------------
 
 
-def maximizer_verdicts(g: Graph) -> list[tuple[str, bool, dict]]:
+def maximizer_verdicts(g: Graph, pair: PerronPair) -> list[tuple[str, bool, dict]]:
     """(check, holds, witness) of the structure of an exhaustive maximizer
-    of order n and maximum degree n-2: the sub-maximal vertices induce a
-    clique, their Perron components order as their full-degree
-    neighborhoods nest (within 1e-9), each lies below every full-degree
-    component (by 1e-12), and exactly one vertex has degree below n-2. The
-    witness is the graph6 line and the degree sequence."""
+    of order n and maximum degree n-2, given its Perron pair: the
+    sub-maximal vertices induce a clique, their Perron components order as
+    their full-degree neighborhoods nest (within 1e-9), each lies below
+    every full-degree component (by 1e-12), and exactly one vertex has
+    degree below n-2. The witness is the graph6 line and the degree sequence."""
     n = g.n
     degs = g.degrees()
     top = max(degs)
     low = [v for v, d in enumerate(degs) if d < top]
     high = [v for v, d in enumerate(degs) if d == top]
-    x = perron(g).vector
+    x = pair.vector
     nbhd = {a: {w for w in g.neighbors(a) if degs[w] == top} for a in low}
     ordered = all(
         (not nbhd[b] <= nbhd[a] or x[b] <= x[a] + 1e-9) and (nbhd[b] <= nbhd[a] or not x[b] <= x[a] - 1e-9)
@@ -281,8 +283,8 @@ def run_theorem_n2(n_min: int = 5, n_max: int = 8) -> dict:
         want = {canonical_form(build_g(n, t)) for t in n2_winners(n)}
         witness = {"got": sorted(c.decode() for c in got), "want": sorted(c.decode() for c in want)}
         failures += failure_records(n, [("maximizer_set", got == want, witness)])
-        for g in report.maximizers:
-            failures += failure_records(n, maximizer_verdicts(g))
+        for g, pair in zip(report.maximizers, perron_all(report.maximizers)):
+            failures += failure_records(n, maximizer_verdicts(g, pair))
         print(
             f"theorem-n2 n={n}: {len(report.maximizers)} maximizer(s) over "
             f"{report.total_classes} classes, rho={report.rho_max:.9f}",
@@ -390,7 +392,10 @@ def ls_verdicts(g: Graph, pair: PerronPair, s: int, t: int, v: int, u: int) -> l
     """(check, holds, witness) of local switching on (s, t, v, u), given the
     Perron pair of g: when the hypothesis (x_s - x_u)(x_v - x_t) >= 0 holds
     on its vector x, rho(G') >= rho(G) - 1e-9; no verdict when it fails. The
-    witness is the graph6 line and the tuple."""
+    witness is the graph6 line and the tuple. The one verdict function that
+    solves: rho(G') is needed only when the hypothesis holds, and G' may be
+    disconnected (the 6-cycle s-a-v-u-b-t becomes two triangles), which
+    `perron_all` refuses, so it is the top eigenvalue by `spectral_radius`."""
     x = pair.vector
     if (x[s] - x[u]) * (x[v] - x[t]) < 0:
         return []
@@ -398,16 +403,22 @@ def ls_verdicts(g: Graph, pair: PerronPair, s: int, t: int, v: int, u: int) -> l
     return [("ls_monotone", rho_after >= pair.rho - 1e-9, f"{graph6_encode(g)} {s},{t},{v},{u}")]
 
 
+# the most graphs a randomized sweep draws before it solves them together,
+# so that its memory does not grow with the number of trials
+ROUND = 2000
+
+
 def local_switching_failures(rng: random.Random, trials: int) -> list[dict]:
     """Local switching with a nonnegative hypothesis never lowers rho:
     `trials` such verdicts, one random move per random connected graph of
     order 5..9, giving up after 200 graphs per trial. The graphs are drawn
-    in rounds and solved together; a graph gives at most one verdict, so a
-    round never draws a graph that drawing one at a time would not."""
+    in rounds of at most ROUND and solved together; a graph gives at most
+    one verdict, so a round never draws a graph that drawing one at a time
+    would not."""
     failures = []
     done = graphs = 0
     while done < trials and graphs < 200 * trials:
-        batch = min(trials - done, 200 * trials - graphs)
+        batch = min(trials - done, 200 * trials - graphs, ROUND)
         graphs += batch
         moves = []
         for _ in range(batch):
@@ -434,11 +445,12 @@ def component_bound_verdicts(g: Graph, pair: PerronPair) -> list[tuple[str, bool
 
 def component_bound_failures(rng: random.Random, trials: int, min_order: int) -> list[dict]:
     """The component bound on `trials` random connected graphs of order
-    min_order..10."""
-    graphs = [random_connected_graph(rng, rng.randint(min_order, 10), 0.5) for _ in range(trials)]
+    min_order..10, drawn and solved in rounds of ROUND."""
+    draws = (random_connected_graph(rng, rng.randint(min_order, 10), 0.5) for _ in range(trials))
     failures = []
-    for g, pair in zip(graphs, perron_all(graphs)):
-        failures += failure_records(g.n, component_bound_verdicts(g, pair))
+    while graphs := list(islice(draws, ROUND)):
+        for g, pair in zip(graphs, perron_all(graphs)):
+            failures += failure_records(g.n, component_bound_verdicts(g, pair))
     return failures
 
 
@@ -485,11 +497,13 @@ def quotient_bound_verdicts(g: Graph, cells, pair: PerronPair) -> list[tuple[str
 
 
 def quotient_bound_failures(rng: random.Random, trials: int) -> list[dict]:
-    """The quotient bound on the `random_partition_cases`."""
-    cases = list(random_partition_cases(rng, trials))
+    """The quotient bound on the `random_partition_cases`, drawn and solved
+    in rounds of ROUND."""
+    cases = random_partition_cases(rng, trials)
     failures = []
-    for (g, cells), pair in zip(cases, perron_all([g for g, _ in cases])):
-        failures += failure_records(g.n, quotient_bound_verdicts(g, cells, pair))
+    while batch := list(islice(cases, ROUND)):
+        for (g, cells), pair in zip(batch, perron_all([g for g, _ in batch])):
+            failures += failure_records(g.n, quotient_bound_verdicts(g, cells, pair))
     return failures
 
 
@@ -525,28 +539,29 @@ def family_quotient_verdicts(
     ]
 
 
-def path_op_verdicts(gloop: Graph, move: SwitchMove) -> list[tuple[str, bool, str]]:
-    """(check, holds, witness) of a path operation on a loop graph, within
+def path_op_verdicts(
+    gloop: Graph, move: SwitchMove, before: PerronPair, after: PerronPair
+) -> list[tuple[str, bool, str]]:
+    """(check, holds, witness) of a path operation on a loop graph, given
+    the Perron pairs of G = gloop and of G~ = apply(gloop, move), within
     1e-9: Op1 gives rho(G~) <= rho(G) <= rho(G~) + 2 (x1 - x2)^2, with x
     the Perron vector of G, and Op2 does not lower rho. The witness is the
     loop graph's JSON (graph6 carries no loops), the move and both spectral
     radii."""
     if move.kind not in ("Op1", "Op2"):
         raise ValueError("move must be an Op1 or an Op2")
-    before = perron(gloop)
-    after = perron(apply(gloop, move)).rho
-    witness = f"{gloop.to_json()} {move.kind} {list(move.vertices)} {before.rho} -> {after}"
+    witness = f"{gloop.to_json()} {move.kind} {list(move.vertices)} {before.rho} -> {after.rho}"
     if move.kind == "Op2":
-        return [("op2_monotone", after >= before.rho - 1e-9, witness)]
+        return [("op2_monotone", after.rho >= before.rho - 1e-9, witness)]
     x1, x2 = (float(before.vector[v]) for v in move.vertices[:2])
-    upper = after + 2.0 * (x1 - x2) ** 2
-    return [("op1_sandwich", after <= before.rho + 1e-9 and before.rho <= upper + 1e-9, witness)]
+    upper = after.rho + 2.0 * (x1 - x2) ** 2
+    return [("op1_sandwich", after.rho <= before.rho + 1e-9 and before.rho <= upper + 1e-9, witness)]
 
 
-def case2_verdicts(g: Graph) -> list[tuple[str, bool, str]]:
+def case2_verdicts(g: Graph, pair: PerronPair) -> list[tuple[str, bool, str]]:
     """(check, holds, witness) of the two-low-vertex inequality chain on a
-    graph with exactly two sub-maximal vertices u and v, u of the larger
-    degree (on a tie, of the larger Perron component):
+    graph with exactly two sub-maximal vertices u and v, given its Perron
+    pair, u of the larger degree (on a tie, of the larger Perron component):
       case2_min_gap:  (lambda + 1)(M - m) <= 2M - (x_u + x_v)
       case2_diff_gap: (d_u - d_v) m <= (lambda + 1)(x_u - x_v)
     where m and M are the least and greatest Perron components over the
@@ -557,7 +572,6 @@ def case2_verdicts(g: Graph) -> list[tuple[str, bool, str]]:
     low = [v for v, d in enumerate(degs) if d < top]
     if len(low) != 2:
         raise ValueError(f"case-2 checks need exactly 2 sub-maximal vertices, got {len(low)}")
-    pair = perron(g)
     lam, x = pair.rho, pair.vector
     u, v = sorted(low, key=lambda w: (degs[w], x[w]), reverse=True)
     full = [float(x[w]) for w, d in enumerate(degs) if d == top]
@@ -595,20 +609,24 @@ def run_lemmas(trials: int = 200, seed: int = 0) -> dict:
         failures += failure_records(g.n, family_quotient_verdicts(g, cells, pair, looped_pair))
 
     # switching monotonicity on two profile instances
-    gl = build_from_profile(15, 6, ComplementProfile(type1=3, type2=(3,), type3=(3,))).add_loops()
-    failures += failure_records(15, path_op_verdicts(gl, SwitchMove("Op1", (13, 1, 2, 3, 14))))
-    gl = build_from_profile(17, 12, ComplementProfile(type2=(6, 6))).add_loops()
-    failures += failure_records(17, path_op_verdicts(gl, SwitchMove("Op2", (13, 1, 2, 3, 4, 5, 6, 14))))
+    for n, delta, profile, move in (
+        (15, 6, ComplementProfile(type1=3, type2=(3,), type3=(3,)), SwitchMove("Op1", (13, 1, 2, 3, 14))),
+        (17, 12, ComplementProfile(type2=(6, 6)), SwitchMove("Op2", (13, 1, 2, 3, 4, 5, 6, 14))),
+    ):
+        gl = build_from_profile(n, delta, profile).add_loops()
+        failures += failure_records(n, path_op_verdicts(gl, move, *perron_all([gl, apply(gl, move)])))
 
     # the two-low-vertex inequality chain on both case-2 shapes
     case2 = [build_case2(n, 4, 4, ComplementProfile(type3=(3,))) for n in range(12, 41, 4)]
-    for g in case2 + [build_case2(12, 3, 1, ComplementProfile(type1=1))]:
-        failures += failure_records(g.n, case2_verdicts(g))
+    case2.append(build_case2(12, 3, 1, ComplementProfile(type1=1)))
+    for g, pair in zip(case2, perron_all(case2)):
+        failures += failure_records(g.n, case2_verdicts(g, pair))
 
     failures += switch_improvement_failures(range(9, 32, 2))
     for n in (5, 6):
-        for g in extremal_search(EnumSpec(n, n - 2)).maximizers:
-            failures += failure_records(n, maximizer_verdicts(g))
+        maximizers = extremal_search(EnumSpec(n, n - 2)).maximizers
+        for g, pair in zip(maximizers, perron_all(maximizers)):
+            failures += failure_records(n, maximizer_verdicts(g, pair))
     return {
         "suite": "lemmas",
         "trials": trials,

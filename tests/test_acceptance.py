@@ -36,7 +36,7 @@ from specmax.suites import (
     run_verify_signs,
     switch_improvement_failures,
 )
-from specmax.switching import SwitchMove
+from specmax.switching import SwitchMove, apply
 
 
 def profile_partition(n: int, delta: int) -> list[list[int]]:
@@ -196,7 +196,8 @@ def test_criterion_6_switching_properties():
         gl = build_from_profile(n, delta, prof).add_loops()
         first_end = delta + 1 + 2 * prof.type1
         path = (first_end, 1, 2, 3, first_end + 1)
-        [(check, ok, witness)] = path_op_verdicts(gl, SwitchMove("Op1", path))
+        move = SwitchMove("Op1", path)
+        [(check, ok, witness)] = path_op_verdicts(gl, move, *perron_all([gl, apply(gl, move)]))
         assert (check, ok) == ("op1_sandwich", True), f"Op1 n={n}: {witness}"
         # the (0, 2) profile at the top admissible degree; n-5 always has
         # the right parity
@@ -204,7 +205,8 @@ def test_criterion_6_switching_properties():
         prof2 = ComplementProfile(type2=(3, delta2 - 3))
         gl2 = build_from_profile(n, delta2, prof2).add_loops()
         path2 = (delta2 + 1, 1, 2, 3, delta2 + 2)
-        [(check, ok, witness)] = path_op_verdicts(gl2, SwitchMove("Op2", path2))
+        move = SwitchMove("Op2", path2)
+        [(check, ok, witness)] = path_op_verdicts(gl2, move, *perron_all([gl2, apply(gl2, move)]))
         assert (check, ok) == ("op2_monotone", True), f"Op2 n={n}: {witness}"
     elapsed = time.time() - t0
     assert elapsed < 120, f"switching suite too slow: {elapsed:.1f}s"

@@ -3,14 +3,16 @@ import io
 import json
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specmax import suites
 from specmax.cli import main
 from specmax.enumeration import EXHAUSTIVE_MAX_N
-from specmax.families import FAMILY_TAGS
+from specmax.families import FAMILY_TAGS, build_g
 from specmax.suites import (
     check_family_ordering,
     default_profile,
@@ -20,11 +22,13 @@ from specmax.suites import (
     run_verify_signs,
 )
 from specmax.intpoly import char_poly, max_real_root
+from specmax.spectral import perron
 from specmax.graphs import (
     FAMILY_MAX_N,
     QUOTIENT_MAX_N,
     Graph,
     _g6_pack,
+    canonical_form,
     graph6_encode,
     random_connected_graph,
 )
@@ -173,6 +177,16 @@ class TestVerifySuites:
         assert code == 0
         assert json.loads(out)["pass"]
 
+    def test_wrong_winner_fails_maximizer_set(self, monkeypatch, capsys):
+        # t = 2 is the winner at n = 5 and 6, where it is the only
+        # admissible t, and wrong at n = 7, where G(7, 4) wins
+        monkeypatch.setattr(suites, "n2_winners", lambda n: (2,))
+        code, out, _ = run(capsys, "verify", "theorem-n2", "--n-min", "5", "--n-max", "7")
+        assert code == 1
+        [record] = json.loads(out)["failures"]
+        assert (record["check"], record["n"]) == ("maximizer_set", 7)
+        assert record["witness"]["want"] == [canonical_form(build_g(7, 2)).decode()]
+
     def test_theorem_n3_window(self, capsys):
         code, out, _ = run(capsys, "verify", "theorem-n3", "--n-min", "59", "--n-max", "62")
         assert code == 0
@@ -187,6 +201,23 @@ class TestVerifySuites:
         assert result["rho_quotient"] <= result["rho_graph"] < (
             result["rho_quotient"] + result["width"]
         )
+
+    @pytest.mark.parametrize(
+        "offset, ok",
+        [(0.0, True), (1 / 60**2 - 1e-6, True), (1 / 60**2 + 1e-6, False), (-1e-6, False)],
+        ids=["at-root", "inside-width", "above-width", "below-root"],
+    )
+    def test_moved_rho_fails_sandwich(self, monkeypatch, capsys, offset, ok):
+        # the default sandwich (n = 60, width 1/n^2) with rho(G) read as
+        # rho(B_delta) + offset: it passes on [0, 1/n^2) only
+        rho_b = run_sandwich()["rho_quotient"]
+
+        def moved(g, tol=1e-10):
+            return replace(perron(g, tol), rho=rho_b + offset)
+
+        monkeypatch.setattr(suites, "perron", moved)
+        code, out, _ = run(capsys, "verify", "sandwich")
+        assert (code, json.loads(out)["pass"]) == (0 if ok else 1, ok)
 
     def test_sandwich_cli_with_profile_file(self, tmp_path, capsys):
         prof = tmp_path / "prof.json"

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from specmax.enumeration import EnumSpec, enumerate_graphs, extremal_search
 from specmax.families import build_g
 from specmax.graphs import CapabilityError, Graph, canonical_form, graph6_encode
+from specmax.spectral import perron
 from specmax.suites import maximizer_verdicts
 
 
@@ -240,12 +242,20 @@ class TestExtremalSearch:
 CHECKS = ("maximizer_low_clique", "maximizer_component_order", "maximizer_separation", "maximizer_degrees")
 
 
+def moved(pair, v, value):
+    """The Perron pair with component v of its vector set to value."""
+    x = pair.vector.copy()
+    x[v] = value
+    return replace(pair, vector=x)
+
+
 class TestStructureAudit:
     """`suites.maximizer_verdicts`: the structure of the maximizers."""
 
     def test_family_maximizers(self):
         for n, t in [(5, 2), (7, 4), (8, 2), (8, 4)]:
-            assert [(check, ok) for check, ok, _ in maximizer_verdicts(build_g(n, t))] == [
+            g = build_g(n, t)
+            assert [(check, ok) for check, ok, _ in maximizer_verdicts(g, perron(g))] == [
                 (check, True) for check in CHECKS
             ], (n, t)
 
@@ -255,6 +265,29 @@ class TestStructureAudit:
         # vertices have degree below n - 2 = 3
         p5 = Graph.build(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         witness = {"graph6": "DhC", "degrees": [2, 2, 2, 1, 1]}
-        assert maximizer_verdicts(p5) == [
+        assert maximizer_verdicts(p5, perron(p5)) == [
             (check, ok, witness) for check, ok in zip(CHECKS, (False, True, True, False))
         ]
+
+    def test_unequal_components_fail_component_order(self):
+        # P5's low vertices 0 and 4 have the full-degree neighborhoods {1}
+        # and {3}, neither inside the other, so x0 and x4 must agree within
+        # 1e-9; x0 moved 1e-6 up breaks that and nothing else
+        p5 = Graph.build(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        pair = perron(p5)
+        for shift, ok in ((1e-10, True), (1e-6, False)):
+            verdicts = maximizer_verdicts(p5, moved(pair, 0, pair.vector[0] + shift))
+            got = [(check, holds) for check, holds, _ in verdicts]
+            assert got == list(zip(CHECKS, (False, ok, True, False)))
+
+    def test_low_component_above_a_full_degree_one_fails_separation(self):
+        # vertex 0 is G(7, 4)'s one low vertex; set 1e-6 above the least
+        # full-degree component, it is no longer separated from it
+        g = build_g(7, 4)
+        pair = perron(g)
+        least_full = float(pair.vector[1:].min())
+        for shift, ok in ((-1e-6, True), (1e-6, False)):
+            verdicts = maximizer_verdicts(g, moved(pair, 0, least_full + shift))
+            assert [(check, holds) for check, holds, _ in verdicts] == [
+                (check, ok or check != "maximizer_separation") for check in CHECKS
+            ]

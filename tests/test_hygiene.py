@@ -2,7 +2,8 @@
 no module under `src/specmax` imports a name it never uses, and every
 function, class, method and dataclass field it defines is read somewhere in
 the package. Every switching move kind is built by some `SwitchMove` call in
-`suites.py`, so no rewrite stays in `switching` without a verdict.
+`suites.py`, so no rewrite stays in `switching` without a verdict, and no
+verdict function in `suites.py` makes a Perron solve of its own.
 
 Reads are matched by name alone, not by the object read from. So a
 definition counts as read when any module reads an attribute of the same
@@ -175,3 +176,41 @@ def other(g, kind):
 
 def test_every_move_kind_has_a_verdict():
     assert unrun_move_kinds((PACKAGE / "suites.py").read_text(), KINDS) == []
+
+
+def solving_verdict_functions(source: str) -> list[str]:
+    """The functions named `*_verdicts` that call `perron` or `perron_all`,
+    by name or as an attribute: verdicts that solve instead of reading the
+    Perron pairs they are handed."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, FUNCTIONS) and node.name.endswith("_verdicts"):
+            called = {
+                getattr(call.func, "id", getattr(call.func, "attr", None))
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+            }
+            if called & {"perron", "perron_all"}:
+                bad.append(node.name)
+    return bad
+
+
+def test_detects_a_solving_verdict_function():
+    source = """
+def handed_verdicts(g, pair):
+    return [("a", pair.rho > 0, "")]
+
+def solving_verdicts(g):
+    return [("b", perron(g).rho > 0, "")]
+
+def stacked_verdicts(graphs):
+    return [("c", spectral.perron_all(graphs)[0].rho > 0, "")]
+
+def sweep(g):
+    return handed_verdicts(g, perron(g))
+"""
+    assert solving_verdict_functions(source) == ["solving_verdicts", "stacked_verdicts"]
+
+
+def test_verdict_functions_do_not_solve():
+    assert solving_verdict_functions((PACKAGE / "suites.py").read_text()) == []

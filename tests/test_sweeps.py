@@ -1,8 +1,9 @@
-"""The randomized sweeps of `verify lemmas` draw their graphs first and solve
-them together with `perron_all`. They must check the graphs, moves and
-partitions, with the verdicts, that drawing and solving one graph at a time
-checks, and leave the generator in the same state. And a wrong rho from the
-stacked solve must fail the checks that read it, through the CLI."""
+"""The randomized sweeps of `verify lemmas` draw their graphs in rounds of at
+most `suites.ROUND` and solve each round together with `perron_all`. They
+must check the graphs, moves and partitions, with the verdicts, that drawing
+and solving one graph at a time checks, and leave the generator in the same
+state. And a wrong rho from the stacked solve must fail the checks that read
+it, through the CLI."""
 
 import json
 import random
@@ -88,9 +89,7 @@ def record_checks(monkeypatch, name):
     return checked
 
 
-@pytest.mark.parametrize("trials", [0, 1, 7, 200])
-@pytest.mark.parametrize("sweep", list(SWEEPS))
-def test_same_draws_and_verdicts_as_one_graph_at_a_time(monkeypatch, sweep, trials):
+def assert_same_as_serial(monkeypatch, sweep, trials):
     run, verdict_function, serial = SWEEPS[sweep]
     want_rng = random.Random(1800 + trials)
     want = serial(want_rng, trials)
@@ -99,6 +98,28 @@ def test_same_draws_and_verdicts_as_one_graph_at_a_time(monkeypatch, sweep, tria
     run(rng, trials)
     assert checked == want
     assert rng.getstate() == want_rng.getstate()
+
+
+@pytest.mark.parametrize("trials", [0, 1, 7, 200])
+@pytest.mark.parametrize("sweep", list(SWEEPS))
+def test_same_draws_and_verdicts_as_one_graph_at_a_time(monkeypatch, sweep, trials):
+    assert_same_as_serial(monkeypatch, sweep, trials)
+
+
+@pytest.mark.parametrize("trials", [7, 200])
+@pytest.mark.parametrize("sweep", list(SWEEPS))
+def test_rounds_of_at_most_round_graphs(monkeypatch, sweep, trials):
+    # with rounds of 3 graphs, every sweep here takes several rounds
+    sizes = []
+
+    def counted(graphs, tol=1e-10):
+        sizes.append(len(graphs))
+        return perron_all(graphs, tol)
+
+    monkeypatch.setattr(suites, "ROUND", 3)
+    monkeypatch.setattr(suites, "perron_all", counted)
+    assert_same_as_serial(monkeypatch, sweep, trials)
+    assert len(sizes) > 1 and max(sizes) <= 3
 
 
 def test_local_switching_gives_up_after_200_graphs_per_trial(monkeypatch):
@@ -119,13 +140,18 @@ def test_local_switching_gives_up_after_200_graphs_per_trial(monkeypatch):
     assert failures == [{"check": "ls_trials_completed", "n": None, "witness": "0/2"}]
 
 
+# the checks that hold with equality: rho(G) = rho(B) on equitable partitions
+# and family graphs, and (d_u - d_v) m = (lambda + 1)(x_u - x_v) on the
+# pendant case-2 pair
+EQUALITIES = {"quotient_bound", "quotient_equitable_equality", "family_quotient_rho", "case2_diff_gap"}
+
+
 @pytest.mark.parametrize(
     "shift, checks",
     [
-        # on equitable partitions and family graphs rho(G) = rho(B)
-        (-1e-6, {"quotient_bound", "quotient_equitable_equality", "family_quotient_rho"}),
+        (-1e-6, EQUALITIES),
         # the smallest strict gaps of the default sweep are below 0.1
-        (-0.1, {"quotient_bound", "quotient_bound_strict", "quotient_equitable_equality", "family_quotient_rho"}),
+        (-0.1, EQUALITIES | {"quotient_bound_strict"}),
         # the component bound has at least 0.4 of headroom on the default
         # sweep, and every switch then lowers rho
         (1.0, {"perron_component_bound", "ls_monotone", "quotient_equitable_equality", "family_quotient_rho"}),

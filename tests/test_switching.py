@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from specmax.families import (
 )
 from specmax.graphs import Graph, canonical_form, random_connected_graph
 from specmax.partition import quotient
-from specmax.spectral import perron, spectral_radius
+from specmax.spectral import perron, perron_all, spectral_radius
 from specmax.suites import (
     case2_verdicts,
     ls_verdicts,
@@ -50,6 +51,16 @@ def has_loop(g, v):
 
 def holds(verdicts) -> list[tuple[str, bool]]:
     return [(check, ok) for check, ok, _ in verdicts]
+
+
+def op_verdicts(gl, move):
+    """`path_op_verdicts` given the Perron pairs of gl and of its rewrite."""
+    return path_op_verdicts(gl, move, *perron_all([gl, apply(gl, move)]))
+
+
+def case2_solved(g):
+    """`case2_verdicts` given the Perron pair of g."""
+    return case2_verdicts(g, perron(g))
 
 
 class TestLocalSwitching:
@@ -256,7 +267,7 @@ class TestOp1:
         # the check name and witness of the failure record `verify lemmas`
         # prints: the loop graph, the move and both spectral radii
         witness = f"{gl.to_json()} Op1 [13, 1, 2, 3, 14] {perron(gl).rho} -> {perron(apply(gl, move)).rho}"
-        assert path_op_verdicts(gl, move) == [("op1_sandwich", True, witness)]
+        assert op_verdicts(gl, move) == [("op1_sandwich", True, witness)]
         out = apply(gl, move)
         # the type-II component became a type-I edge plus a 3-cycle:
         # quotient of the rewrite is the three-cell matrix plus 2I
@@ -276,7 +287,7 @@ class TestOp1:
     def test_t4_variant(self):
         gl = self.build(13, 2, ComplementProfile(type1=4, type2=(2,)))
         move = SwitchMove("Op1", (11, 1, 2, 12))
-        assert holds(path_op_verdicts(gl, move)) == [("op1_sandwich", True)]
+        assert holds(op_verdicts(gl, move)) == [("op1_sandwich", True)]
         out = apply(gl, move)
         # middle vertices lose their loops but keep total degree
         assert not has_loop(out, 1) and not has_loop(out, 2)
@@ -287,7 +298,7 @@ class TestOp1:
     def test_t3_variant(self):
         gl = self.build(13, 4, ComplementProfile(type1=3, type2=(1,), type3=(3,)))
         move = SwitchMove("Op1", (11, 1, 12))
-        assert holds(path_op_verdicts(gl, move)) == [("op1_sandwich", True)]
+        assert holds(op_verdicts(gl, move)) == [("op1_sandwich", True)]
         out = apply(gl, move)
         assert not has_loop(out, 1)
         assert out.degrees() == gl.degrees()
@@ -323,9 +334,9 @@ class TestOp2:
         m1 = SwitchMove("Op2", (13, 1, 2, 3, 4, 5, 6, 14))
         m2 = SwitchMove("Op2", (15, 7, 8, 9, 10, 11, 12, 16))
         witness = f"{gl.to_json()} Op2 [13, 1, 2, 3, 4, 5, 6, 14] {perron(gl).rho} -> {perron(apply(gl, m1)).rho}"
-        assert path_op_verdicts(gl, m1) == [("op2_monotone", True, witness)]
+        assert op_verdicts(gl, m1) == [("op2_monotone", True, witness)]
         step = apply(gl, m1)
-        assert holds(path_op_verdicts(step, m2)) == [("op2_monotone", True)]
+        assert holds(op_verdicts(step, m2)) == [("op2_monotone", True)]
         out = apply(step, m2)
         centers = [1, 7]
         ends = [13, 14, 15, 16]
@@ -348,11 +359,11 @@ class TestOp2:
 
     def test_t5_branch(self):
         gl = build_from_profile(19, 14, ComplementProfile(type2=(3, 11))).add_loops()
-        assert holds(path_op_verdicts(gl, SwitchMove("Op2", (15, 1, 2, 3, 16)))) == [("op2_monotone", True)]
+        assert holds(op_verdicts(gl, SwitchMove("Op2", (15, 1, 2, 3, 16)))) == [("op2_monotone", True)]
 
     def test_t4_branch(self):
         gl = build_from_profile(13, 8, ComplementProfile(type2=(2, 6))).add_loops()
-        assert holds(path_op_verdicts(gl, SwitchMove("Op2", (9, 1, 2, 10)))) == [("op2_monotone", True)]
+        assert holds(op_verdicts(gl, SwitchMove("Op2", (9, 1, 2, 10)))) == [("op2_monotone", True)]
 
     def test_degrees_preserved_and_reversible(self):
         n, delta = 17, 12
@@ -371,26 +382,56 @@ class TestCase2Audit:
     BOTH = [("case2_min_gap", True), ("case2_diff_gap", True)]
 
     def test_equal_degrees(self):
-        assert holds(case2_verdicts(build_case2(12, 4, 4, ComplementProfile(type3=(3,))))) == self.BOTH
+        assert holds(case2_solved(build_case2(12, 4, 4, ComplementProfile(type3=(3,))))) == self.BOTH
 
     def test_pendant_pair(self):
         g = build_case2(12, 3, 1, ComplementProfile(type1=1))
-        assert holds(case2_verdicts(g)) == self.BOTH
+        assert holds(case2_solved(g)) == self.BOTH
         # u is the degree-3 vertex, so the difference side (d_u - d_v) m is 2m > 0
-        _, _, witness = case2_verdicts(g)[1]
+        _, _, witness = case2_solved(g)[1]
         assert float(witness.split()[1]) > 0
 
     def test_family_sweep(self):
         for n in range(12, 41, 4):
-            assert holds(case2_verdicts(build_case2(n, 4, 4, ComplementProfile(type3=(3,))))) == self.BOTH, n
+            assert holds(case2_solved(build_case2(n, 4, 4, ComplementProfile(type3=(3,))))) == self.BOTH, n
+
+    @staticmethod
+    def low_vertices(g):
+        degs = g.degrees()
+        return [v for v, d in enumerate(degs) if d < max(degs)]
+
+    def test_raised_low_components_fail_min_gap(self):
+        # raising x_u + x_v by the slack of (lambda + 1)(M - m) <= 2M - (x_u +
+        # x_v) and 1e-6 more leaves M and m as they are and breaks the check
+        g = build_case2(12, 4, 4, ComplementProfile(type3=(3,)))
+        pair = perron(g)
+        _, lhs, _, rhs = case2_verdicts(g, pair)[0][2].split()
+        slack = float(rhs) - float(lhs)
+        for excess, ok in ((-1e-6, True), (1e-6, False)):
+            x = pair.vector.copy()
+            x[self.low_vertices(g)] += (slack + excess) / 2
+            verdicts = case2_verdicts(g, replace(pair, vector=x))
+            assert holds(verdicts) == [("case2_min_gap", ok), ("case2_diff_gap", True)]
+
+    def test_lowered_u_fails_diff_gap(self):
+        # on the pendant pair (d_u - d_v) m = (lambda + 1)(x_u - x_v) holds
+        # with equality, so x_u moved 1e-6 down breaks it
+        g = build_case2(12, 3, 1, ComplementProfile(type1=1))
+        pair = perron(g)
+        u = max(self.low_vertices(g), key=g.degree)
+        for shift, ok in ((1e-6, True), (-1e-6, False)):
+            x = pair.vector.copy()
+            x[u] += shift
+            verdicts = case2_verdicts(g, replace(pair, vector=x))
+            assert holds(verdicts) == [("case2_min_gap", True), ("case2_diff_gap", ok)]
 
     def test_wrong_shape_rejected(self):
         g = build_from_profile(9, 4, ComplementProfile(type1=2, type3=(4,)))
         with pytest.raises(ValueError):
-            case2_verdicts(g)
+            case2_solved(g)
 
     def test_failure_reaches_lemmas(self, monkeypatch):
-        monkeypatch.setattr(suites, "case2_verdicts", lambda g: [("case2_min_gap", False, "planted")])
+        monkeypatch.setattr(suites, "case2_verdicts", lambda g, pair: [("case2_min_gap", False, "planted")])
         result = run_lemmas(trials=0)
         assert not result["pass"]
         assert {"check": "case2_min_gap", "n": 12, "witness": "planted"} in result["failures"]
