@@ -6,12 +6,14 @@ Generation proceeds by vertex augmentation: level k holds one canonical
 representative per isomorphism class of connected k-vertex graphs with
 max degree <= the target.  Every connected graph has a non-cut vertex, so
 each class at level k arises from some class at level k-1.  A child is
-kept only if its new vertex has maximum degree among the vertices whose
-deletion stays in the previous level (McKay's canonical deletion, its
-invariant half), which rejects most children before a canonical form is
-computed.  Of the neighbourhoods of the new vertex that are one orbit of
-the parent's automorphism group, only the first is tried: the children
-are isomorphic.  The canonical forms remove the remaining duplicates, which
+kept only if its new vertex has the largest refined colour among the
+vertices whose deletion stays in the previous level (McKay's canonical
+deletion, its invariant half), which rejects most children before their
+canonical search.  Of the neighbourhoods of the new vertex that are one
+orbit of the parent's automorphism group, only the first is tried: the
+children are isomorphic.  Each class carries the automorphism group
+generators of the search that gave its canonical form, so no parent is
+searched again.  The canonical forms remove the remaining duplicates, which
 keeps the level sets small (about 10^4 classes at n=8) and the memory flat.
 """
 
@@ -20,12 +22,22 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
-from .graphs import CapabilityError, Graph, automorphisms, canonical_form, graph6_decode, reach, subset_orbit
+from .graphs import (
+    CapabilityError,
+    Graph,
+    _refined_colors,
+    canonical_search,
+    graph6_decode,
+    graph6_encode,
+    reach,
+    subset_orbit,
+)
 from .intpoly import char_poly, compare_max_real_roots
-from .spectral import spectral_radius
+from .spectral import ROUND, spectral_radii
 
 EXHAUSTIVE_MAX_N = 9
 
@@ -53,30 +65,41 @@ class ExtremalReport:
     total_classes: int
 
 
-def _level_up(codes: list[bytes], cap: int) -> list[bytes]:
+def _level_up(
+    level: dict[bytes, tuple[bytes, ...]], cap: int, last: bool
+) -> dict[bytes, tuple[bytes, ...]] | set[bytes]:
     """Extend every canonical k-vertex class by one attached vertex.
+
+    `level` maps each class's canonical code to generators of its
+    automorphism group in canonical labels; so does the result, unless
+    `last`, when it is the set of the children's codes alone.
 
     The new vertex attaches to at least one vertex of the connected parent,
     so every child is connected.  A vertex is deletable if removing it
     keeps the graph in the previous level, i.e. it is not a cut vertex.  A
     child keeps its new vertex k only if no deletable vertex has a higher
-    degree than k, and only kept children get a canonical form.  No class
-    is lost: take a deletable vertex w of maximum degree in a class C;
-    C - w lies in the previous level, and its representative plus w's
-    neighbourhood, carried over by the isomorphism, is a child isomorphic
-    to C (k playing w) that passes the test and every cap check.  A mask
-    is tried only if no mask in its orbit under Aut(parent) was: an
-    automorphism γ extended by k -> k maps the child of a mask onto the
-    child of its image, and since γ preserves degrees, cut vertices and the
-    cap, every mask of an orbit passes the tests or none does.  The set of
-    canonical forms removes the remaining duplicates, so the level lists
-    depend on neither rule.
+    refined colour (`_refined_colors`) than k, and only kept children get a
+    canonical search.  Colour ids are label-free, and their order refines
+    the degree order: the first palette is the sorted degrees, and every
+    later one sorts by the previous colour first.  So a child with a
+    deletable vertex of higher degree than k is rejected before its colours
+    are computed, and they are handed to the search.  No class is lost:
+    take a deletable vertex w of maximum colour in a class C; C - w lies in
+    the previous level, and its representative plus w's neighbourhood,
+    carried over by the isomorphism, is a child isomorphic to C (k playing
+    w) that passes the test and every cap check.  A mask is tried only if
+    no mask in its orbit under Aut(parent) was: an automorphism γ extended
+    by k -> k maps the child of a mask onto the child of its image, and
+    since γ preserves colours, cut vertices and the cap, every mask of an
+    orbit passes the tests or none does.  The set of canonical forms
+    removes the remaining duplicates, so the level lists depend on neither
+    rule.  Each class keeps the generators of the first search that
+    found it.
     """
-    out: set[bytes] = set()
-    for code in codes:
+    out: dict[bytes, tuple[bytes, ...]] | set[bytes] = set() if last else {}
+    for code, gens in level.items():
         g = graph6_decode(code.decode("ascii"))
         k = g.n
-        gens = automorphisms(g)
         done: set[int] = set()  # the Aut(g) orbits of the masks tried
         degs = [g.rows[v].bit_count() for v in range(k)]
         # v is not a cut vertex of a child iff k reaches every other vertex
@@ -91,8 +114,19 @@ def _level_up(codes: list[bytes], cap: int) -> list[bytes]:
             if any(rows[v].bit_count() > d and reach(rows, 1 << k, rests[v]) == rests[v] for v in range(k)):
                 continue
             done |= subset_orbit(mask, gens)
-            out.add(canonical_form(Graph(k + 1, tuple(rows))))
-    return sorted(out)
+            child = Graph(k + 1, tuple(rows))
+            colors = _refined_colors(child)
+            if any(
+                colors[v] > colors[k] and rows[v].bit_count() == d and reach(rows, 1 << k, rests[v]) == rests[v]
+                for v in range(k)
+            ):
+                continue
+            form, child_gens = canonical_search(child, colors)
+            if last:
+                out.add(form)
+            else:
+                out.setdefault(form, child_gens)
+    return out
 
 
 def _write_checkpoint(path: Path, state: dict) -> None:
@@ -110,10 +144,12 @@ def _write_checkpoint(path: Path, state: dict) -> None:
         raise
 
 
-def _resume(state, spec: EnumSpec) -> tuple[int, list[bytes]] | None:
-    """The level and codes of a checkpoint, or None if it was written for
-    another spec; a malformed one raises ValueError.  The codes must be
-    distinct canonical forms: at level n they are emitted as they stand."""
+def _resume(state, spec: EnumSpec) -> tuple[int, dict[bytes, tuple[bytes, ...]]] | None:
+    """The level of a checkpoint and its codes, each mapped to the
+    automorphism group generators of the search that validates it, or None
+    if it was written for another spec; a malformed one raises ValueError.
+    The codes must be distinct canonical forms: at level n they are emitted
+    as they stand."""
     if not isinstance(state, dict):
         raise ValueError("checkpoint is not a JSON object")
     if (state.get("n"), state.get("max_degree"), state.get("connected", True)) != (
@@ -127,12 +163,14 @@ def _resume(state, spec: EnumSpec) -> tuple[int, list[bytes]] | None:
         raise ValueError("checkpoint codes are not a nonempty list of graph6 strings")
     if len(set(codes)) != len(codes):
         raise ValueError("checkpoint codes repeat a graph")
+    resumed = {}
     for c in codes:
         g = graph6_decode(c)
         if (g.n != level or g.max_degree() > spec.max_degree or not g.is_connected()
-                or canonical_form(g) != c.encode("ascii")):
+                or (found := canonical_search(g))[0] != c.encode("ascii")):
             raise ValueError(f"checkpoint code {c!r} is not the canonical form of a level-{level} graph")
-    return level, [c.encode("ascii") for c in codes]
+        resumed[found[0]] = found[1]
+    return level, resumed
 
 
 def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[Graph]:
@@ -145,13 +183,14 @@ def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[
     spec that does not hold a level's graphs raises ValueError.
     """
     start_level = 1
-    codes = [canonical_form(Graph.build(1, []))]
+    # the one-vertex graph is its own canonical form, with a trivial group
+    codes = {graph6_encode(Graph.build(1, [])).encode("ascii"): ()}
     if checkpoint and Path(checkpoint).exists():
         resumed = _resume(json.loads(Path(checkpoint).read_text()), spec)
         if resumed:
             start_level, codes = resumed
     for level in range(start_level, spec.n):
-        codes = _level_up(codes, spec.max_degree)
+        codes = _level_up(codes, spec.max_degree, level + 1 == spec.n)
         if checkpoint:
             _write_checkpoint(
                 Path(checkpoint),
@@ -160,9 +199,12 @@ def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[
                     "max_degree": spec.max_degree,
                     "connected": True,
                     "level": level + 1,
-                    "codes": [c.decode("ascii") for c in codes],
+                    "codes": sorted(c.decode("ascii") for c in codes),
                 },
             )
+    # the sorted list alone outlives this line: the last level's set is
+    # freed before its graphs are built
+    codes = sorted(codes)
     for code in codes:
         g = graph6_decode(code.decode("ascii"))
         degs = g.degrees()
@@ -184,14 +226,15 @@ def extremal_search(spec: EnumSpec) -> ExtremalReport:
     best: list[tuple[float, Graph]] = []
     rho_max = float("-inf")
     total = 0
-    for g in enumerate_graphs(spec):
-        total += 1
-        rho = spectral_radius(g)
-        if rho > rho_max:
-            rho_max = rho
-            best = [(r, h) for r, h in best if r >= rho_max - 1e-7]
-        if rho >= rho_max - 1e-7:
-            best.append((rho, g))
+    graphs = enumerate_graphs(spec)
+    while batch := list(islice(graphs, ROUND)):
+        total += len(batch)
+        for g, rho in zip(batch, spectral_radii(batch)):
+            if rho > rho_max:
+                rho_max = rho
+                best = [(r, h) for r, h in best if r >= rho_max - 1e-7]
+            if rho >= rho_max - 1e-7:
+                best.append((rho, g))
     if not best:
         return ExtremalReport([], float("nan"), 0)
     # the exact maximum over every class within float reach of the float one
@@ -204,6 +247,8 @@ def extremal_search(spec: EnumSpec) -> ExtremalReport:
             top, maximizers = poly, [g]
         elif order == 0:
             maximizers.append(g)
-    maximizers.sort(key=canonical_form)
+    # the maximizers are canonical representatives: their graph6 lines are
+    # their canonical forms
+    maximizers.sort(key=graph6_encode)
     return ExtremalReport(maximizers, rho_max, total)
 

@@ -388,11 +388,11 @@ def _refined_colors(g: Graph) -> list[int]:
         colors = [palette[s] for s in sigs]
 
 
-def _search(g: Graph) -> tuple[list[int], list[list[int]]]:
+def _search(g: Graph, colors: list[int] | None = None) -> tuple[list[int], list[list[int]]]:
     """An ordering of g's vertices that gives the canonical matrix (see
     `canonical_form`), and generators of Aut(g): one automorphism per leaf
     whose string equals the best one, the map from the best ordering to the
-    leaf's.
+    leaf's. `colors`, when given, is `_refined_colors(g)`.
 
     These generate Aut(g). The leaves with the minimal string are the
     images of the first one under Aut(g), which acts freely on them. Each is
@@ -405,7 +405,8 @@ def _search(g: Graph) -> tuple[list[int], list[list[int]]]:
     if g.n > CANONICAL_MAX_N:
         raise CapabilityError(f"canonical_form capped at n={CANONICAL_MAX_N}")
     n, rows = g.n, g.rows
-    colors = _refined_colors(g)
+    if colors is None:
+        colors = _refined_colors(g)
     if len(set(colors)) == n:  # discrete: the search would follow one path
         return sorted(range(n), key=colors.__getitem__), []
     pos_color = sorted(colors)
@@ -461,9 +462,9 @@ def _search(g: Graph) -> tuple[list[int], list[list[int]]]:
     return best_path, gens
 
 
-def subset_orbit(mask: int, perms: list[list[int]]) -> set[int]:
+def subset_orbit(mask: int, perms) -> set[int]:
     """The images of a vertex subset, as bitmasks, under the group the
-    permutations generate."""
+    permutations generate, each the sequence of images of 0..n-1."""
     orbit = {mask}
     todo = [mask]
     while todo:
@@ -499,16 +500,24 @@ def canonical_form(g: Graph) -> bytes:
     The result is packed as graph6 bytes, so the canonical labeling can be
     decoded back with graph6_decode.
     """
-    order = _search(g)[0]
+    return canonical_search(g)[0]
+
+
+def canonical_search(g: Graph, colors: list[int] | None = None) -> tuple[bytes, tuple[bytes, ...]]:
+    """`canonical_form(g)` and generators of the automorphism group of the
+    graph it decodes to (n <= 12), from one search: byte v of a generator is
+    the image of vertex v in canonical labels, and there are none when the
+    group is trivial. `colors`, when given, is `_refined_colors(g)`, which
+    the search would otherwise compute."""
+    order, gens = _search(g, colors)
     rows = [g.rows[v] for v in order]
     # column p of the canonical matrix lists rows 0..p-1
-    return _g6_pack(g.n, "".join(str(rows[i] >> order[p] & 1) for p in range(1, g.n) for i in range(p)))
-
-
-def automorphisms(g: Graph) -> list[list[int]]:
-    """Generators of the automorphism group of g (n <= 12), each the list of
-    images of 0..n-1; none when the group is trivial."""
-    return _search(g)[1]
+    code = _g6_pack(g.n, "".join(str(rows[i] >> order[p] & 1) for p in range(1, g.n) for i in range(p)))
+    # canonical vertex p is g's vertex order[p]
+    pos = [0] * g.n
+    for p, v in enumerate(order):
+        pos[v] = p
+    return code, tuple(bytes([pos[perm[v]] for v in order]) for perm in gens)
 
 
 # -- helpers for randomized sweeps --------------------------------------

@@ -40,7 +40,7 @@ from .families import (
 from .graphs import Graph, canonical_form, graph6_encode, random_connected_graph
 from .intpoly import IntPolynomial, compare_max_real_roots, max_real_root, roots_below, scaled_value
 from .partition import quotient
-from .spectral import PerronPair, perron, perron_all, spectral_radius
+from .spectral import ROUND, PerronPair, perron, perron_all, spectral_radius
 from .switching import SwitchMove, apply
 
 
@@ -401,11 +401,6 @@ def ls_verdicts(g: Graph, pair: PerronPair, s: int, t: int, v: int, u: int) -> l
         return []
     rho_after = spectral_radius(apply(g, SwitchMove("LS", (s, t, v, u))))
     return [("ls_monotone", rho_after >= pair.rho - 1e-9, f"{graph6_encode(g)} {s},{t},{v},{u}")]
-
-
-# the most graphs a randomized sweep draws before it solves them together,
-# so that its memory does not grow with the number of trials
-ROUND = 2000
 
 
 def local_switching_failures(rng: random.Random, trials: int) -> list[dict]:

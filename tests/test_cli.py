@@ -191,6 +191,21 @@ class TestVerifySuites:
         code, out, _ = run(capsys, "verify", "theorem-n3", "--n-min", "59", "--n-max", "62")
         assert code == 0
 
+    def test_swapped_winner_fails_family_ordering(self, monkeypatch, capsys):
+        # B2 wins the n3 table at n = 59 and B_n5 is its runner-up; with the
+        # two closed forms swapped, B_n5 is named as beating the winner
+        polys = suites._named_polys(59)
+        i, j = [k for k, (table, _, _, _) in enumerate(polys) if table == "n3"][:2]
+        assert (polys[i][1], polys[j][1]) == ("B2", "B_n5")
+        polys[i], polys[j] = polys[i][:3] + polys[j][3:], polys[j][:3] + polys[i][3:]
+        assert [v.split(":")[:2] for v in check_family_ordering(59, polys)] == [["n3", "B_n5"]]
+        monkeypatch.setattr(suites, "_named_polys", lambda n: polys)
+        code, out, _ = run(capsys, "verify", "theorem-n3", "--n-min", "59", "--n-max", "59")
+        assert code == 1
+        [record] = json.loads(out)["failures"]
+        assert (record["check"], record["n"]) == ("family_ordering", 59)
+        assert record["witness"][0].startswith("n3:B_n5: root ")
+
     def test_lemmas(self):
         result = run_lemmas(trials=25, seed=7)
         assert result["pass"], result["failures"]

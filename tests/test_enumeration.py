@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -8,9 +9,22 @@ import pytest
 
 from specmax.enumeration import EnumSpec, enumerate_graphs, extremal_search
 from specmax.families import build_g
-from specmax.graphs import CapabilityError, Graph, canonical_form, graph6_encode
-from specmax.spectral import perron
+from specmax.graphs import CapabilityError, Graph, canonical_form, canonical_search, graph6_encode
+from specmax.spectral import perron, spectral_radius
 from specmax.suites import maximizer_verdicts
+
+# sha256 of the sorted level lists of EnumSpec(8, 6), levels 2..8, one code
+# per line; level 8 holds the 10,073 connected graphs of order 8 with
+# maximum degree <= 6
+LEVELS_8_6 = [
+    "fae4bfc454bd04363dcd5222772f2973b1193e1ff6f676e822a427323a677ef9",
+    "5966edf890849db6cb03626431916231a81a30c9db9a4781a4a8f2e5dc7e6129",
+    "b0024cb6b9eb3ef85ae992cd8b602640c1806b2e8f7e7a2cf8c6d7ab7603aee5",
+    "acf6fe668c55241c00d0e6c094ccee87bfd823cffeee2dcfe94c08d3e4ae84a1",
+    "324241b733f99ff10ef55653a3ea097a0fc57814490950d5cd464c83a3263100",
+    "9baf595cc7ef2ce9e1ac64ffac689895b5f6846267f2a90dd0e981d8eeeb5876",
+    "d20b70fc463d1b7bfe6363f7d542d16e9036676d47677aac8d49c77b3b4b285f",
+]
 
 
 def brute_force_classes(n, max_degree):
@@ -118,47 +132,61 @@ class TestEnumerate:
         assert resumed == full
 
     def test_degree_rule_prunes_canonical_forms(self, monkeypatch):
-        # 6,430 calls at (7, 5) before children were rejected by degree
+        # 6,430 canonical forms at (7, 5) before children were rejected by
+        # degree, 1,164 before they were rejected by refined colour
         import specmax.enumeration as enumeration
 
         calls = []
-        real = enumeration.canonical_form
+        real = enumeration.canonical_search
 
-        def counting(g):
+        def counting(g, colors=None):
             calls.append(g.n)
-            return real(g)
+            return real(g, colors)
 
-        monkeypatch.setattr(enumeration, "canonical_form", counting)
+        monkeypatch.setattr(enumeration, "canonical_search", counting)
         assert sum(1 for _ in enumerate_graphs(EnumSpec(7, 5))) == 344
-        assert len(calls) <= 3215
+        assert len(calls) <= 850
 
     def test_orbit_pruning_keeps_level_lists(self, monkeypatch):
         # at (7, 5), one mask per Aut(parent) orbit gives the level lists of
-        # every mask, with fewer canonical forms
+        # every mask, with fewer canonical searches
         import specmax.enumeration as enumeration
 
         def levels():
             calls.clear()
-            codes = [canonical_form(Graph.build(1, []))]
+            level = dict([canonical_search(Graph.build(1, []))])
             out = []
-            for _ in range(6):
-                codes = enumeration._level_up(codes, 5)
-                out.append(codes)
+            for k in range(2, 8):
+                level = enumeration._level_up(level, 5, k == 7)
+                out.append(sorted(level))
             return out, len(calls)
 
         calls = []
-        real = enumeration.canonical_form
+        real = enumeration.canonical_search
 
-        def counting(g):
+        def counting(g, colors=None):
             calls.append(g.n)
-            return real(g)
+            return real(g, colors)
 
-        monkeypatch.setattr(enumeration, "canonical_form", counting)
+        monkeypatch.setattr(enumeration, "canonical_search", counting)
         pruned, pruned_calls = levels()
-        monkeypatch.setattr(enumeration, "automorphisms", lambda g: [])
+        monkeypatch.setattr(enumeration, "subset_orbit", lambda mask, gens: {mask})
         full, full_calls = levels()
         assert pruned == full
         assert pruned_calls < 0.7 * full_calls
+
+    def test_level_lists_at_8_6(self):
+        # sha256 of each level's sorted codes, one per line, recorded before
+        # children were rejected by refined colour: the colour rule above
+        # the atlas keeps every class
+        import specmax.enumeration as enumeration
+
+        level = dict([canonical_search(Graph.build(1, []))])
+        got = []
+        for k in range(2, 9):
+            level = enumeration._level_up(level, 6, k == 8)
+            got.append(hashlib.sha256(b"".join(c + b"\n" for c in sorted(level))).hexdigest())
+        assert got == LEVELS_8_6
 
 
 class TestAgainstGraphAtlas:
@@ -208,18 +236,18 @@ class TestExtremalSearch:
 
         spec = EnumSpec(6, 4)
         want = {canonical_form(g) for g in extremal_search(spec).maximizers}
-        rho = {canonical_form(g): enumeration.spectral_radius(g) for g in enumerate_graphs(spec)}
+        rho = {canonical_form(g): spectral_radius(g) for g in enumerate_graphs(spec)}
         top = max(rho.values())
         runner_up = max((f for f in rho if f not in want), key=rho.get)
 
-        def swapped(g, tol=1e-12):
+        def swapped(g):
             # the runner-up floats to the top, the maximizers stay within 1e-7
             form = canonical_form(g)
             if form == runner_up:
                 return top
             return top - 5e-8 if form in want else rho[form]
 
-        monkeypatch.setattr(enumeration, "spectral_radius", swapped)
+        monkeypatch.setattr(enumeration, "spectral_radii", lambda graphs: [swapped(g) for g in graphs])
         got = {canonical_form(g) for g in extremal_search(spec).maximizers}
         assert got == want
 

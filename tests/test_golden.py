@@ -27,7 +27,7 @@ import pytest
 
 from specmax.cli import main
 from specmax.enumeration import _level_up
-from specmax.graphs import Graph, canonical_form, graph6_encode
+from specmax.graphs import Graph, canonical_form, canonical_search, graph6_encode
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = {
@@ -156,10 +156,10 @@ def test_enumerate_files_match_golden(tmp_path):
 
 def test_level_lists_match_golden():
     # every level of EnumSpec(7, 5), one line each
-    codes = [canonical_form(Graph.build(1, []))]
-    levels = [codes]
-    for _ in range(6):
-        codes = _level_up(codes, 5)
-        levels.append(codes)
-    got = b"".join(b" ".join(level) + b"\n" for level in levels)
+    level = dict([canonical_search(Graph.build(1, []))])
+    levels = [level]
+    for k in range(2, 8):
+        level = _level_up(level, 5, k == 7)
+        levels.append(level)
+    got = b"".join(b" ".join(sorted(level)) + b"\n" for level in levels)
     assert got == (GOLDEN / "levels_7_5.txt").read_bytes()

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from specmax.graphs import (
     G6_NUMPY_MIN_N,
@@ -14,8 +16,8 @@ from specmax.graphs import (
     CapabilityError,
     Graph,
     Graph6ParseError,
-    automorphisms,
     canonical_form,
+    canonical_search,
     graph6_decode,
     graph6_encode,
     random_connected_graph,
@@ -442,19 +444,46 @@ def group_order(n, gens):
 
 
 class TestAutomorphisms:
+    """The generators `canonical_search` returns are automorphisms of the
+    graph its code decodes to, in canonical labels, and generate the whole
+    group."""
+
     def test_generators_preserve_adjacency(self):
         rng = random.Random(9)
-        graphs = [from_nx(h) for h in SYMMETRIC_12.values()]
+        graphs = [relabeled(from_nx(h), rng.sample(range(12), 12)) for h in SYMMETRIC_12.values()]
         graphs += [random_connected_graph(rng, rng.randint(2, 12), rng.uniform(0.2, 0.8)) for _ in range(100)]
         for g in graphs:
-            for perm in automorphisms(g):
+            code, gens = canonical_search(g)
+            assert code == canonical_form(g)
+            canon = graph6_decode(code.decode("ascii"))
+            for perm in gens:
                 assert sorted(perm) == list(range(g.n))
-                assert all(g.has_edge(perm[u], perm[v]) for u, v in g.edges())
+                assert all(canon.has_edge(perm[u], perm[v]) for u, v in canon.edges())
 
     def test_group_orders_match_networkx_on_atlas(self):
         for h in ATLAS:
             want = sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
-            gens = automorphisms(from_nx(h))
+            code, gens = canonical_search(from_nx(h))
+            canon = graph6_decode(code.decode("ascii"))
+            assert all(canon.has_edge(perm[u], perm[v]) for perm in gens for u, v in canon.edges())
             assert group_order(h.number_of_nodes(), gens) == want
             # no generator is the identity, so an asymmetric graph has none
-            assert (gens == []) == (want == 1)
+            assert (gens == ()) == (want == 1)
+
+    def test_group_orders_of_symmetric_order_12(self):
+        # sympy's Schreier-Sims order against the closed forms: these groups
+        # are too large to list, as networkx would have to
+        want = {
+            "edgeless": math.factorial(12),
+            "K6,6": 2 * math.factorial(6) ** 2,
+            "6K2": 2**6 * math.factorial(6),
+            "3K4": math.factorial(4) ** 3 * math.factorial(3),
+            "C12": 24,
+            "icosahedron": 120,
+        }
+        for name, h in SYMMETRIC_12.items():
+            g = relabeled(from_nx(h), random.Random(name).sample(range(12), 12))
+            code, gens = canonical_search(g)
+            canon = graph6_decode(code.decode("ascii"))
+            assert all(canon.has_edge(perm[u], perm[v]) for perm in gens for u, v in canon.edges()), name
+            assert PermutationGroup([Permutation(list(perm)) for perm in gens]).order() == want[name], name

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specmax.enumeration import EnumSpec, enumerate_graphs
 from specmax.families import build_g2_1
 from specmax.graphs import Graph, random_connected_graph
 from specmax.intpoly import char_poly, max_real_root
-from specmax.spectral import ConvergenceError, perron, perron_all, spectral_radius
+from specmax.spectral import ConvergenceError, perron, perron_all, spectral_radii, spectral_radius
 from specmax.suites import component_bound_verdicts
 
 
@@ -264,6 +265,12 @@ class TestAgainstCharPoly:
         union = Graph.build(offset, edges)
         want = max(_exact_rho(part) for part in parts)
         assert spectral_radius(union) == pytest.approx(want, abs=1e-9)
+
+    def test_spectral_radii_match_one_at_a_time(self):
+        # every class `extremal_search` solves at n = 5..7, bit for bit
+        for n in (5, 6, 7):
+            graphs = list(enumerate_graphs(EnumSpec(n, n - 2)))
+            assert spectral_radii(graphs) == [spectral_radius(g) for g in graphs]
 
 
 class TestLoopShift:
