@@ -22,7 +22,7 @@ from .graphs import (
     graph6_encode,
 )
 from .intpoly import IntPolynomial, char_poly, compare_max_real_roots, max_real_root
-from .spectral import ConvergenceError, PerronPair, perron, perron_all, spectral_radius
+from .spectral import ConvergenceError, PerronPair, perron, perron_all
 from .partition import QuotientSpec, quotient
 from .families import (
     ComplementProfile,

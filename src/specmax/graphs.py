@@ -165,22 +165,9 @@ class Graph:
 
     # -- matrices and serialization -----------------------------------
 
-    def adjacency(self) -> list[list[int]]:
-        """Integer adjacency matrix; loop diagonal entries are 2."""
-        mat = [[0] * self.n for _ in range(self.n)]
-        for v in range(self.n):
-            row = self.rows[v]
-            out = mat[v]
-            while row:
-                low = row & -row
-                out[low.bit_length() - 1] = 1
-                row ^= low
-            if (self.loops >> v) & 1:
-                out[v] = 2
-        return mat
-
     def to_numpy(self) -> np.ndarray:
-        """`adjacency()` as a float array, unpacked from the row bitmasks."""
+        """The n x n float adjacency matrix, unpacked from the row bitmasks;
+        loop diagonal entries are 2."""
         return adjacency_stack([self])[0]
 
     def to_json(self) -> str:

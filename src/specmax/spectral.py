@@ -69,22 +69,17 @@ def perron_all(graphs: list[Graph], tol: float = 1e-10) -> list[PerronPair]:
         raise ValueError(f"tol {tol} outside [1e-14, 1e-6]")
     if not all(g.is_connected() for g in graphs):
         raise ValueError("perron requires a connected graph")
-    by_order: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        by_order.setdefault(g.n, []).append(i)
-    solved = [None] * len(graphs)
-    for idx in by_order.values():
-        a = adjacency_stack([graphs[i] for i in idx])
+
+    def top_pairs(a):
         x = np.abs(np.linalg.eigh(a)[1][:, :, -1])
         x /= np.sqrt(np.matmul(x[:, None, :], x[:, :, None]))[:, 0]
         ax = np.matmul(a, x[:, :, None])[:, :, 0]
         rho = np.matmul(x[:, None, :], ax[:, :, None])[:, 0, 0]
         residual = np.max(np.abs(ax - rho[:, None] * x), axis=1)
-        positive = np.min(x, axis=1) > 0.0
-        for j, i in enumerate(idx):
-            solved[i] = (float(rho[j]), x[j], float(residual[j]), bool(positive[j]))
+        return zip(rho.tolist(), x, residual.tolist(), (np.min(x, axis=1) > 0.0).tolist())
+
     pairs = []
-    for g, (rho, x, residual, positive) in zip(graphs, solved):
+    for g, (rho, x, residual, positive) in zip(graphs, _solve_by_order(graphs, top_pairs)):
         if residual > tol:
             raise ConvergenceError(f"residual {residual:.3e} above tol {tol:.1e} at n={g.n}", residual)
         if g.n > 1 and not positive:
@@ -93,14 +88,23 @@ def perron_all(graphs: list[Graph], tol: float = 1e-10) -> list[PerronPair]:
     return pairs
 
 
-def spectral_radius(g: Graph) -> float:
-    """Spectral radius of a graph that may be disconnected: the top
-    eigenvalue of its adjacency matrix, which is nonnegative and symmetric."""
-    return float(np.linalg.eigvalsh(g.to_numpy())[-1])
-
-
 def spectral_radii(graphs: list[Graph]) -> list[float]:
-    """`spectral_radius` of each of the graphs, which have one order, in
-    input order, from one stacked `eigvalsh`: bit for bit what the solve of
-    each graph alone gives."""
-    return np.linalg.eigvalsh(adjacency_stack(graphs))[:, -1].tolist()
+    """Spectral radii of graphs of any orders, connected or not, in input
+    order: the top eigenvalue of each adjacency matrix, which is symmetric
+    and nonnegative, from one stacked `numpy.linalg.eigvalsh` per order, bit
+    for bit what the solve of each graph alone gives."""
+    return _solve_by_order(graphs, lambda a: np.linalg.eigvalsh(a)[:, -1].tolist())
+
+
+def _solve_by_order(graphs: list[Graph], solve) -> list:
+    """`solve` of the adjacency matrices of each order n among the graphs,
+    stacked as one (k, n, n) array, one call per order; its k results per
+    call put back in input order."""
+    by_order: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        by_order.setdefault(g.n, []).append(i)
+    solved = [None] * len(graphs)
+    for idx in by_order.values():
+        for i, result in zip(idx, solve(adjacency_stack([graphs[i] for i in idx]))):
+            solved[i] = result
+    return solved

@@ -7,9 +7,10 @@ makes one check and reports its margins instead. Every lemma check is
 decided here, by a `*_verdicts` function that returns `(check, holds,
 witness)` triples, and `failure_records` turns the triples that fail
 into records; `switching`, `spectral` and `enumeration` rewrite, solve
-and search, and decide no check. A verdict function is handed the Perron
-pairs it reads, which the suites solve with `perron_all`. The suites and
-the tests call the same verdict functions, the tests with their own inputs.
+and search, and decide no check. A verdict function solves nothing: it is
+handed the Perron pairs and spectral radii it reads, which the suites solve
+with `perron_all` and `spectral_radii`. The suites and the tests call the
+same verdict functions, the tests with their own inputs.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .families import (
 from .graphs import Graph, canonical_form, graph6_encode, random_connected_graph
 from .intpoly import IntPolynomial, compare_max_real_roots, max_real_root, roots_below, scaled_value
 from .partition import quotient
-from .spectral import ROUND, PerronPair, perron, perron_all, spectral_radius
+from .spectral import ROUND, PerronPair, perron, perron_all, spectral_radii
 from .switching import SwitchMove, apply
 
 
@@ -388,28 +389,33 @@ def _draw_switch(g: Graph, rng: random.Random) -> tuple[int, int, int, int] | No
         k -= count
 
 
-def ls_verdicts(g: Graph, pair: PerronPair, s: int, t: int, v: int, u: int) -> list[tuple[str, bool, str]]:
-    """(check, holds, witness) of local switching on (s, t, v, u), given the
-    Perron pair of g: when the hypothesis (x_s - x_u)(x_v - x_t) >= 0 holds
-    on its vector x, rho(G') >= rho(G) - 1e-9; no verdict when it fails. The
-    witness is the graph6 line and the tuple. The one verdict function that
-    solves: rho(G') is needed only when the hypothesis holds, and G' may be
-    disconnected (the 6-cycle s-a-v-u-b-t becomes two triangles), which
-    `perron_all` refuses, so it is the top eigenvalue by `spectral_radius`."""
+def ls_hypothesis(pair: PerronPair, move: tuple) -> bool:
+    """Whether local switching on move = (s, t, v, u) meets its hypothesis
+    (x_s - x_u)(x_v - x_t) >= 0 on the Perron vector x of the pair: a float
+    sign, which rounding sets where the product is exactly 0 (on C4)."""
+    s, t, v, u = move
     x = pair.vector
-    if (x[s] - x[u]) * (x[v] - x[t]) < 0:
-        return []
-    rho_after = spectral_radius(apply(g, SwitchMove("LS", (s, t, v, u))))
-    return [("ls_monotone", rho_after >= pair.rho - 1e-9, f"{graph6_encode(g)} {s},{t},{v},{u}")]
+    return (x[s] - x[u]) * (x[v] - x[t]) >= 0
+
+
+def ls_verdicts(g: Graph, pair: PerronPair, move: tuple, rho_after: float) -> list[tuple[str, bool, str]]:
+    """(check, holds, witness) of local switching on a move = (s, t, v, u)
+    that meets `ls_hypothesis`, given the Perron pair of g and rho(G') of the
+    switched graph: rho(G') >= rho(G) - 1e-9. The witness is the graph6 line
+    and the tuple."""
+    return [("ls_monotone", rho_after >= pair.rho - 1e-9, f"{graph6_encode(g)} {','.join(map(str, move))}")]
 
 
 def local_switching_failures(rng: random.Random, trials: int) -> list[dict]:
     """Local switching with a nonnegative hypothesis never lowers rho:
     `trials` such verdicts, one random move per random connected graph of
     order 5..9, giving up after 200 graphs per trial. The graphs are drawn
-    in rounds of at most ROUND and solved together; a graph gives at most
-    one verdict, so a round never draws a graph that drawing one at a time
-    would not."""
+    in rounds of at most ROUND; each round solves its graphs with
+    `perron_all`, keeps the moves that meet `ls_hypothesis`, and solves the
+    graphs those moves switch with one `spectral_radii` call, which accepts
+    the disconnected ones (the 6-cycle s-a-v-u-b-t becomes two triangles).
+    A graph gives at most one verdict, so a round never draws a graph that
+    drawing one at a time would not."""
     failures = []
     done = graphs = 0
     while done < trials and graphs < 200 * trials:
@@ -421,11 +427,12 @@ def local_switching_failures(rng: random.Random, trials: int) -> list[dict]:
             move = _draw_switch(g, rng)
             if move is not None:
                 moves.append((g, move))
-        for (g, move), pair in zip(moves, perron_all([g for g, _ in moves])):
-            verdicts = ls_verdicts(g, pair, *move)
-            if verdicts:
-                done += 1
-                failures += failure_records(g.n, verdicts)
+        pairs = perron_all([g for g, _ in moves])
+        held = [(g, move, pair) for (g, move), pair in zip(moves, pairs) if ls_hypothesis(pair, move)]
+        switched = spectral_radii([apply(g, SwitchMove("LS", move)) for g, move, _ in held])
+        for (g, move, pair), rho_after in zip(held, switched):
+            failures += failure_records(g.n, ls_verdicts(g, pair, move, rho_after))
+        done += len(held)
     return failures + failure_records(None, [("ls_trials_completed", done == trials, f"{done}/{trials}")])
 
 

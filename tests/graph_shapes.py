@@ -1,6 +1,13 @@
-"""Graph-shape checks computed by networkx, independently of specmax."""
+"""Graph matrices and shapes computed independently of specmax's matrix
+code: adjacency lists read edge by edge, component shapes by networkx."""
 
 import networkx as nx
+
+
+def adjacency_lists(g) -> list[list[int]]:
+    """The integer adjacency matrix of g read one vertex pair at a time with
+    `has_edge`, loop diagonal entries 2."""
+    return [[2 * (g.loops >> u & 1) if u == v else int(g.has_edge(u, v)) for v in range(g.n)] for u in range(g.n)]
 
 
 def complement_shapes(g, vertices) -> list[tuple[int, int]]:

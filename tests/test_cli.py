@@ -21,7 +21,7 @@ from specmax.suites import (
     run_sandwich,
     run_verify_signs,
 )
-from specmax.intpoly import char_poly, max_real_root
+from specmax.intpoly import IntPolynomial, char_poly, max_real_root
 from specmax.spectral import perron
 from specmax.graphs import (
     FAMILY_MAX_N,
@@ -32,6 +32,8 @@ from specmax.graphs import (
     graph6_encode,
     random_connected_graph,
 )
+
+from graph_shapes import adjacency_lists
 
 
 def run(capsys, *argv):
@@ -69,7 +71,7 @@ class TestConstructSpectrum:
             outs.append(out)
         assert outs == [outs[0]] * 3
         assert json.loads(outs[0])["rho"] == pytest.approx(
-            max_real_root(char_poly(build_g(6, 2).adjacency())) + 2, abs=1e-9
+            max_real_root(char_poly(adjacency_lists(build_g(6, 2)))) + 2, abs=1e-9
         )
 
     def test_construct_h1_header_collision(self, tmp_path, capsys):
@@ -252,6 +254,72 @@ _MISTYPED_PROFILES = [
     {"typo3": [4]},
     {"type1": True},
 ]
+
+
+class TestSignAndIdentityControls:
+    """Every row of the sign table and every closing identity holds at every
+    order, so stdout alone cannot show that a check still decides anything:
+    each fails, by its name, when one expected sign or one coefficient is
+    moved."""
+
+    @pytest.mark.parametrize("row", range(10))
+    def test_moved_sign_fails_its_row(self, monkeypatch, capsys, row):
+        real = suites._sign_table
+
+        def moved(n):
+            table = real(n)
+            check, sign, p, point, q = table[row]
+            table[row] = (check, -sign or 1, p, point, q)
+            return table
+
+        monkeypatch.setattr(suites, "_sign_table", moved)
+        code, out, _ = run(capsys, "verify", "signs", "--n-min", "59", "--n-max", "60")
+        assert code == 1
+        name = real(59)[row][0]
+        assert [(r["check"], r["n"]) for r in json.loads(out)["failures"]] == [(name, 59), (name, 60)]
+
+    @staticmethod
+    def move_constant_term(monkeypatch, which, n, delta=None):
+        """Patch `suites.named_quotient` so that the closed form of (which,
+        n, delta) has its constant term one higher."""
+        real = suites.named_quotient
+        target = (which, n, real(which, n, delta).delta)
+
+        def moved(name, order, d=None):
+            nq = real(name, order, d)
+            if (name, order, nq.delta) != target:
+                return nq
+            c = nq.closed_form.coeffs
+            return replace(nq, closed_form=IntPolynomial((c[0] + 1,) + c[1:]))
+
+        monkeypatch.setattr(suites, "named_quotient", moved)
+
+    @pytest.mark.parametrize(
+        "which, n, delta, names",
+        [
+            # B2 and B1 each enter two identities, and neither is in the n3
+            # table at these orders; B_d1 enters one
+            ("B2", 60, None, ["identity:lamP_dd-f2", "identity:P_n41-f2"]),
+            ("B1", 59, None, ["identity:lamP_dd-f1", "identity:P_31-f1"]),
+            ("B_d1", 59, 55, ["identity:P_n41-f2"]),
+            ("B_d1", 59, 3, ["identity:P_31-f1"]),
+        ],
+        ids=["lamP_dd-f2", "lamP_dd-f1", "P_n41-f2", "P_31-f1"],
+    )
+    def test_moved_coefficient_fails_its_identity(self, monkeypatch, capsys, which, n, delta, names):
+        self.move_constant_term(monkeypatch, which, n, delta)
+        code, out, _ = run(capsys, "verify", "theorem-n3", "--n-min", str(n), "--n-max", str(n))
+        assert code == 1
+        [record] = json.loads(out)["failures"]
+        assert (record["check"], record["n"], record["witness"]) == ("family_ordering", n, names)
+
+    def test_moved_tie_fails_n2_tie(self, monkeypatch, capsys):
+        # at even n, G(n, 2) and G(n, n-4) tie through equal closed forms
+        self.move_constant_term(monkeypatch, "A_delta", 60, 56)
+        code, out, _ = run(capsys, "verify", "theorem-n3", "--n-min", "60", "--n-max", "60")
+        assert code == 1
+        [record] = json.loads(out)["failures"]
+        assert (record["check"], record["n"], record["witness"]) == ("family_ordering", 60, ["n2:f(2)!=f(n-4)"])
 
 
 class TestMistypedProfile:

@@ -10,7 +10,7 @@ import pytest
 from specmax.enumeration import EnumSpec, enumerate_graphs, extremal_search
 from specmax.families import build_g
 from specmax.graphs import CapabilityError, Graph, canonical_form, canonical_search, graph6_encode
-from specmax.spectral import perron, spectral_radius
+from specmax.spectral import perron, spectral_radii
 from specmax.suites import maximizer_verdicts
 
 # sha256 of the sorted level lists of EnumSpec(8, 6), levels 2..8, one code
@@ -236,7 +236,8 @@ class TestExtremalSearch:
 
         spec = EnumSpec(6, 4)
         want = {canonical_form(g) for g in extremal_search(spec).maximizers}
-        rho = {canonical_form(g): spectral_radius(g) for g in enumerate_graphs(spec)}
+        graphs = list(enumerate_graphs(spec))
+        rho = {canonical_form(g): r for g, r in zip(graphs, spectral_radii(graphs))}
         top = max(rho.values())
         runner_up = max((f for f in rho if f not in want), key=rho.get)
 

@@ -3,7 +3,7 @@ no module under `src/specmax` imports a name it never uses, and every
 function, class, method and dataclass field it defines is read somewhere in
 the package. Every switching move kind is built by some `SwitchMove` call in
 `suites.py`, so no rewrite stays in `switching` without a verdict, and no
-verdict function in `suites.py` makes a Perron solve of its own.
+verdict function in `suites.py` makes an eigensolve of its own.
 
 Reads are matched by name alone, not by the object read from. So a
 definition counts as read when any module reads an attribute of the same
@@ -178,10 +178,16 @@ def test_every_move_kind_has_a_verdict():
     assert unrun_move_kinds((PACKAGE / "suites.py").read_text(), KINDS) == []
 
 
+# the eigensolve entry points of `specmax.spectral`
+SOLVES = {"perron", "perron_all", "spectral_radius", "spectral_radii"}
+
+
 def solving_verdict_functions(source: str) -> list[str]:
-    """The functions named `*_verdicts` that call `perron` or `perron_all`,
-    by name or as an attribute: verdicts that solve instead of reading the
-    Perron pairs they are handed."""
+    """The functions named `*_verdicts` that call one of `SOLVES`, by name
+    or as an attribute: verdicts that solve instead of reading the Perron
+    pairs and spectral radii they are handed. `QuotientSpec.rho`, which the
+    quotient verdicts call on their quotient matrices, is not an entry point
+    here: deciding those verdicts exactly is ROADMAP item 5."""
     bad = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, FUNCTIONS) and node.name.endswith("_verdicts"):
@@ -190,7 +196,7 @@ def solving_verdict_functions(source: str) -> list[str]:
                 for call in ast.walk(node)
                 if isinstance(call, ast.Call)
             }
-            if called & {"perron", "perron_all"}:
+            if called & SOLVES:
                 bad.append(node.name)
     return bad
 
@@ -208,8 +214,24 @@ def stacked_verdicts(graphs):
 
 def sweep(g):
     return handed_verdicts(g, perron(g))
+
+def switched_verdicts(g, move):
+    return [("d", spectral_radii([apply(g, move)])[0] > 0, "")]
+
+# local switching as it was when it solved the switched graph itself
+def ls_verdicts(g: Graph, pair: PerronPair, s: int, t: int, v: int, u: int) -> list[tuple[str, bool, str]]:
+    x = pair.vector
+    if (x[s] - x[u]) * (x[v] - x[t]) < 0:
+        return []
+    rho_after = spectral_radius(apply(g, SwitchMove("LS", (s, t, v, u))))
+    return [("ls_monotone", rho_after >= pair.rho - 1e-9, f"{graph6_encode(g)} {s},{t},{v},{u}")]
 """
-    assert solving_verdict_functions(source) == ["solving_verdicts", "stacked_verdicts"]
+    assert solving_verdict_functions(source) == [
+        "solving_verdicts",
+        "stacked_verdicts",
+        "switched_verdicts",
+        "ls_verdicts",
+    ]
 
 
 def test_verdict_functions_do_not_solve():

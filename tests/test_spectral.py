@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -13,8 +14,10 @@ from specmax.enumeration import EnumSpec, enumerate_graphs
 from specmax.families import build_g2_1
 from specmax.graphs import Graph, random_connected_graph
 from specmax.intpoly import char_poly, max_real_root
-from specmax.spectral import ConvergenceError, perron, perron_all, spectral_radii, spectral_radius
+from specmax.spectral import ConvergenceError, perron, perron_all, spectral_radii
 from specmax.suites import component_bound_verdicts
+
+from graph_shapes import adjacency_lists
 
 
 def complete(n):
@@ -68,7 +71,7 @@ class TestPerron:
         for _ in range(25):
             g = random_connected_graph(rng, rng.randint(2, 10), 0.5)
             rho = perron(g, 1e-12).rho
-            p = char_poly(g.adjacency())
+            p = char_poly(adjacency_lists(g))
             exact = max_real_root(p)
             assert rho == pytest.approx(exact, abs=1e-9)
 
@@ -128,8 +131,8 @@ def mixed_orders() -> list[Graph]:
 
 def one_matrix_solve(g: Graph) -> tuple[float, np.ndarray, float]:
     """rho, vector and residual by the same arithmetic on one unstacked
-    matrix, built from `adjacency()`: the reference for the stacked solve."""
-    a = np.array(g.adjacency(), dtype=float)
+    matrix, built from `adjacency_lists`: the reference for the stacked solve."""
+    a = np.array(adjacency_lists(g), dtype=float)
     x = np.abs(np.linalg.eigh(a)[1][:, -1])
     x /= np.linalg.norm(x)
     ax = a @ x
@@ -244,7 +247,7 @@ def connected_graphs(draw, max_n=10):
 
 
 def _exact_rho(g: Graph) -> float:
-    return max_real_root(char_poly(g.adjacency()))
+    return max_real_root(char_poly(adjacency_lists(g)))
 
 
 class TestAgainstCharPoly:
@@ -264,13 +267,28 @@ class TestAgainstCharPoly:
             offset += part.n
         union = Graph.build(offset, edges)
         want = max(_exact_rho(part) for part in parts)
-        assert spectral_radius(union) == pytest.approx(want, abs=1e-9)
+        assert spectral_radii([union])[0] == pytest.approx(want, abs=1e-9)
 
     def test_spectral_radii_match_one_at_a_time(self):
-        # every class `extremal_search` solves at n = 5..7, bit for bit
-        for n in (5, 6, 7):
-            graphs = list(enumerate_graphs(EnumSpec(n, n - 2)))
-            assert spectral_radii(graphs) == [spectral_radius(g) for g in graphs]
+        # every class `extremal_search` solves at n = 5..7, and one shuffled
+        # input of mixed orders with looped and disconnected graphs: each
+        # rho bit for bit the one-graph `eigvalsh`, and networkx's spectrum
+        # within 1e-9
+        rng = random.Random(21)
+        mixed = mixed_orders()[:60] + [Graph.build(4, [(0, 1), (2, 3)]), Graph.build(3, [])]
+        for n in range(1, 11):
+            mixed.append(Graph.build(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.2]))
+        rng.shuffle(mixed)
+        assert len({g.n for g in mixed}) > 5 and sum(not g.is_connected() for g in mixed) > 5
+        for graphs in [list(enumerate_graphs(EnumSpec(n, n - 2))) for n in (5, 6, 7)] + [mixed]:
+            radii = spectral_radii(graphs)
+            assert radii == [float(np.linalg.eigvalsh(np.array(adjacency_lists(g), dtype=float))[-1]) for g in graphs]
+            for g, rho in zip(graphs, radii):
+                h = nx.empty_graph(g.n)
+                h.add_edges_from(g.edges())
+                h.add_edges_from((v, v, {"weight": 2}) for v in range(g.n) if g.loops >> v & 1)
+                assert rho == pytest.approx(float(max(nx.adjacency_spectrum(h).real)), abs=1e-9)
+        assert spectral_radii([]) == []
 
 
 class TestLoopShift:
@@ -377,4 +395,4 @@ class TestComponentBound:
 class TestSpectralRadius:
     def test_disconnected(self):
         g = Graph.build(5, [(0, 1), (2, 3), (3, 4), (2, 4)])
-        assert spectral_radius(g) == pytest.approx(2, abs=1e-10)
+        assert spectral_radii([g]) == [pytest.approx(2, abs=1e-10)]

@@ -1,21 +1,24 @@
 """The randomized sweeps of `verify lemmas` draw their graphs in rounds of at
-most `suites.ROUND` and solve each round together with `perron_all`. They
-must check the graphs, moves and partitions, with the verdicts, that drawing
-and solving one graph at a time checks, and leave the generator in the same
-state. And a wrong rho from the stacked solve must fail the checks that read
-it, through the CLI."""
+most `suites.ROUND` and solve each round together with `perron_all`, and the
+local-switching sweep solves the round's switched graphs with one
+`spectral_radii` call. They must check the graphs, moves and partitions, with
+the verdicts, that drawing and solving one graph at a time checks, and leave
+the generator in the same state. And a wrong rho from the stacked solve must
+fail the checks that read it, through the CLI."""
 
 import json
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from specmax import suites
 from specmax.cli import main
 from specmax.graphs import graph6_encode, random_connected_graph
-from specmax.spectral import PerronPair, perron, perron_all
-from specmax.suites import component_bound_verdicts, ls_verdicts, quotient_bound_verdicts
+from specmax.spectral import PerronPair, perron, perron_all, spectral_radii
+from specmax.suites import component_bound_verdicts, ls_hypothesis, ls_verdicts, quotient_bound_verdicts
+from specmax.switching import SwitchMove, apply
 
 
 def serial_local_switching(rng, trials):
@@ -27,9 +30,12 @@ def serial_local_switching(rng, trials):
         move = suites._draw_switch(g, rng)
         if move is None:
             continue
-        verdicts = ls_verdicts(g, perron(g), *move)
-        done += bool(verdicts)
-        checked.append((graph6_encode(g), move, verdicts))
+        pair = perron(g)
+        if ls_hypothesis(pair, move):
+            # the switched graph, which may be disconnected, solved on its own
+            rho_after = float(np.linalg.eigvalsh(apply(g, SwitchMove("LS", move)).to_numpy())[-1])
+            done += 1
+            checked.append((graph6_encode(g), (move, rho_after), ls_verdicts(g, pair, move, rho_after)))
     return checked
 
 
@@ -100,7 +106,7 @@ def assert_same_as_serial(monkeypatch, sweep, trials):
     assert rng.getstate() == want_rng.getstate()
 
 
-@pytest.mark.parametrize("trials", [0, 1, 7, 200])
+@pytest.mark.parametrize("trials", [0, 1, 7, 200, 2000])
 @pytest.mark.parametrize("sweep", list(SWEEPS))
 def test_same_draws_and_verdicts_as_one_graph_at_a_time(monkeypatch, sweep, trials):
     assert_same_as_serial(monkeypatch, sweep, trials)
@@ -110,16 +116,23 @@ def test_same_draws_and_verdicts_as_one_graph_at_a_time(monkeypatch, sweep, tria
 @pytest.mark.parametrize("sweep", list(SWEEPS))
 def test_rounds_of_at_most_round_graphs(monkeypatch, sweep, trials):
     # with rounds of 3 graphs, every sweep here takes several rounds
-    sizes = []
+    sizes, switched_sizes = [], []
 
     def counted(graphs, tol=1e-10):
         sizes.append(len(graphs))
         return perron_all(graphs, tol)
 
+    def switched_counted(graphs):
+        switched_sizes.append(len(graphs))
+        return spectral_radii(graphs)
+
     monkeypatch.setattr(suites, "ROUND", 3)
     monkeypatch.setattr(suites, "perron_all", counted)
+    monkeypatch.setattr(suites, "spectral_radii", switched_counted)
     assert_same_as_serial(monkeypatch, sweep, trials)
     assert len(sizes) > 1 and max(sizes) <= 3
+    assert max(switched_sizes, default=0) <= 3
+    assert (sum(switched_sizes) > 0) == (sweep == "local_switching")
 
 
 def test_local_switching_gives_up_after_200_graphs_per_trial(monkeypatch):

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from specmax import suites
@@ -18,9 +19,10 @@ from specmax.families import (
 )
 from specmax.graphs import Graph, canonical_form, random_connected_graph
 from specmax.partition import quotient
-from specmax.spectral import perron, perron_all, spectral_radius
+from specmax.spectral import perron, perron_all, spectral_radii
 from specmax.suites import (
     case2_verdicts,
+    ls_hypothesis,
     ls_verdicts,
     path_op_verdicts,
     run_lemmas,
@@ -58,6 +60,11 @@ def op_verdicts(gl, move):
     return path_op_verdicts(gl, move, *perron_all([gl, apply(gl, move)]))
 
 
+def switched_rho(g, move):
+    """rho of g after local switching on move, solved on its own by numpy."""
+    return float(np.linalg.eigvalsh(apply(g, SwitchMove("LS", move)).to_numpy())[-1])
+
+
 def case2_solved(g):
     """`case2_verdicts` given the Perron pair of g."""
     return case2_verdicts(g, perron(g))
@@ -69,10 +76,11 @@ class TestLocalSwitching:
         pair = perron(c4)
         x = pair.vector
         assert (x[0] - x[3]) * (x[2] - x[1]) == pytest.approx(0, abs=1e-10)
-        rho_after = spectral_radius(apply(c4, SwitchMove("LS", (0, 1, 2, 3))))
+        rho_after = switched_rho(c4, (0, 1, 2, 3))
         assert rho_after == pytest.approx(pair.rho, abs=1e-9)
-        # the hypothesis is 0 up to rounding, so there may be no verdict
-        assert holds(ls_verdicts(c4, pair, 0, 1, 2, 3)) in ([], [("ls_monotone", True)])
+        # the hypothesis is 0 up to rounding, so its float sign may go either
+        # way; the verdict holds
+        assert holds(ls_verdicts(c4, pair, (0, 1, 2, 3), rho_after)) == [("ls_monotone", True)]
         # the equality case: x_s = x_u and x_v = x_t
         assert x[0] == pytest.approx(x[3], abs=1e-8) and x[2] == pytest.approx(x[1], abs=1e-8)
 
@@ -80,7 +88,8 @@ class TestLocalSwitching:
         # the check name and witness of the failure record `verify lemmas`
         # prints
         g = build_g2_1(9)
-        assert ls_verdicts(g, perron(g), 2, 5, 1, 6) == [("ls_monotone", True, "HpTzr|} 2,5,1,6")]
+        move = (2, 5, 1, 6)
+        assert ls_verdicts(g, perron(g), move, switched_rho(g, move)) == [("ls_monotone", True, "HpTzr|} 2,5,1,6")]
 
     def test_no_verdict_when_hypothesis_fails(self, monkeypatch):
         # the first seeded move whose hypothesis is negative
@@ -94,9 +103,17 @@ class TestLocalSwitching:
             x = perron(g).vector
             if (x[s] - x[u]) * (x[v] - x[t]) < 0:
                 break
-        # the switched graph is not solved either
-        monkeypatch.setattr(suites, "spectral_radius", None)
-        assert ls_verdicts(g, perron(g), *cfg) == []
+        assert not ls_hypothesis(perron(g), cfg)
+        # a sweep that draws only this move hands no verdict function a
+        # move, and solves no switched graph
+        solved = []
+        monkeypatch.setattr(suites, "random_connected_graph", lambda rng, n, p: g)
+        monkeypatch.setattr(suites, "_draw_switch", lambda g, rng: cfg)
+        monkeypatch.setattr(suites, "ls_verdicts", None)
+        monkeypatch.setattr(suites, "spectral_radii", lambda graphs: solved.extend(graphs) or [])
+        failures = suites.local_switching_failures(random.Random(0), 1)
+        assert failures == [{"check": "ls_trials_completed", "n": None, "witness": "0/1"}]
+        assert solved == []
 
     def test_precondition_validation(self):
         c4 = Graph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -113,10 +130,10 @@ class TestLocalSwitching:
             cfg = random_ls_config(rng, g)
             if cfg is None:
                 continue
-            verdicts = ls_verdicts(g, perron(g), *cfg)
-            if verdicts:
+            pair = perron(g)
+            if ls_hypothesis(pair, cfg):
                 done += 1
-                assert holds(verdicts) == [("ls_monotone", True)]
+                assert holds(ls_verdicts(g, pair, cfg, switched_rho(g, cfg))) == [("ls_monotone", True)]
 
     def test_reversible(self):
         rng = random.Random(77)
@@ -136,8 +153,10 @@ class TestLocalSwitching:
             pair = perron(g)
             x = pair.vector
             assert (x[2] - x[6]) * (x[1] - x[5]) >= -1e-12
-            assert holds(ls_verdicts(g, pair, 2, 5, 1, 6)) == [("ls_monotone", True)]
-            assert spectral_radius(apply(g, SwitchMove("LS", (2, 5, 1, 6)))) > pair.rho + 1e-9
+            rho_after = switched_rho(g, (2, 5, 1, 6))
+            assert ls_hypothesis(pair, (2, 5, 1, 6))
+            assert holds(ls_verdicts(g, pair, (2, 5, 1, 6), rho_after)) == [("ls_monotone", True)]
+            assert rho_after > pair.rho + 1e-9
 
     def test_g21_switch_lands_on_h2(self):
         for n in (9, 11):
@@ -218,7 +237,7 @@ class TestLemmaControls:
 
     def test_lowered_rho_fails_ls_monotone(self, monkeypatch, capsys):
         # rho(G') read 1e-6 low: the moves that keep rho fail the check
-        monkeypatch.setattr(suites, "spectral_radius", lambda g: spectral_radius(g) - 1e-6)
+        monkeypatch.setattr(suites, "spectral_radii", lambda graphs: [r - 1e-6 for r in spectral_radii(graphs)])
         assert main(["verify", "lemmas"]) == 1
         checks = {record["check"] for record in json.loads(capsys.readouterr().out)["failures"]}
         assert checks == {"ls_monotone"}
