@@ -14,10 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .graphs import FAMILY_MAX_N, QUOTIENT_MAX_N, CapabilityError, Graph, strict_int
+from .graphs import MAX_N, CapabilityError, Graph, strict_int
 from .intpoly import IntPolynomial, char_poly
-
-NAMED_QUOTIENTS = ("A_delta", "B1", "B2", "B_delta", "B_n5", "B_dd", "B_d1")
 
 
 @dataclass(frozen=True)
@@ -89,9 +87,9 @@ FAMILY_TAGS = ("g", "h1", "h2", "g21", "profile", "gdd", "gd1")
 
 
 def _require_order(n: int) -> None:
-    """Refuse, before any edge is listed, an order above FAMILY_MAX_N."""
-    if n > FAMILY_MAX_N:
-        raise CapabilityError(f"family graphs capped at n={FAMILY_MAX_N}")
+    """Refuse, before any edge is listed, an order above MAX_N."""
+    if n > MAX_N:
+        raise CapabilityError(f"family graphs capped at n={MAX_N}")
 
 
 def build_family(tag: str, n: int, delta: int | None = None, profile: ComplementProfile | None = None) -> Graph:
@@ -325,9 +323,16 @@ _FORMS = {
 }
 _GRID = [(n, d) for n in range(5) for d in range(5)]
 # which -> (least n, delta as a function of n) for the quotients of fixed delta
-_FIXED_DELTA = {"B1": (6, lambda n: 1), "B2": (9, lambda n: 2), "B_n5": (10, lambda n: n - 5)}
-# which -> (least delta, n minus the largest delta, even delta required)
-_DELTA_RANGE = {"A_delta": (2, 3, True), "B_delta": (3, 5, False), "B_dd": (4, 4, False), "B_d1": (3, 4, False)}
+FIXED_DELTA = {"B1": (6, lambda n: 1), "B2": (9, lambda n: 2), "B_n5": (10, lambda n: n - 5)}
+# which -> (least delta, n minus the largest delta, even delta required, whether
+# the order-n table lists delta)
+_DELTA_RANGE = {
+    "A_delta": (2, 3, True, lambda n, d: d % 2 == 0),
+    # the single-low-vertex degree is odd for even n, even for odd n
+    "B_delta": (3, 5, False, lambda n, d: (n + d) % 2 == 1),
+    "B_dd": (4, 4, False, lambda n, d: True),
+    "B_d1": (3, 4, False, lambda n, d: d % 2 == 1),
+}
 
 
 def _grid_mismatches(form) -> list[tuple[int, int]]:
@@ -351,8 +356,8 @@ def named_quotient(which: str, n: int, delta: int | None = None) -> NamedQuotien
     (even n) and H2 (odd n); both are returned at either parity, since the
     sign table and the closing identities use each form at every order.
     """
-    if which in _FIXED_DELTA:
-        least, fixed = _FIXED_DELTA[which]
+    if which in FIXED_DELTA:
+        least, fixed = FIXED_DELTA[which]
         if n < least:
             raise ValueError(f"{which} needs n >= {least}, got {n}")
         delta = fixed(n)
@@ -360,15 +365,21 @@ def named_quotient(which: str, n: int, delta: int | None = None) -> NamedQuotien
         if delta is None:
             raise ValueError(f"{which} requires delta")
         delta = int(delta)
-        least, gap, even = _DELTA_RANGE[which]
+        least, gap, even, _ = _DELTA_RANGE[which]
         if not (least <= delta <= n - gap and (delta % 2 == 0 or not even)):
             parity = "even " if even else ""
             raise ValueError(f"{which} needs {parity}delta in [{least}, n-{gap}], got {delta}, n={n}")
     else:
-        raise ValueError(f"unknown quotient name {which!r}; use one of {NAMED_QUOTIENTS}")
+        raise ValueError(f"unknown quotient name {which!r}; use one of {tuple(_FORMS)}")
     _prove_closed_form(which)
     matrix, coeffs = _FORMS[which](n, delta)
     return NamedQuotient(delta, matrix, IntPolynomial(coeffs))
+
+
+# the quotient tables list O(n) parameter values per order, each decided by
+# integer certificates: at n = 20000 one `compare-families` order takes
+# about 2 s and 72 MB on a 2-core machine
+QUOTIENT_MAX_N = 20000
 
 
 def check_quotient_order(n: int) -> None:
@@ -381,16 +392,9 @@ def check_quotient_order(n: int) -> None:
 def admissible_deltas(which: str, n: int) -> list[int]:
     """Parity-correct parameter values for a named quotient at order n."""
     check_quotient_order(n)
-    if which == "A_delta":
-        return [d for d in range(2, n - 2) if d % 2 == 0]
-    if which == "B_delta":
-        # the single-low-vertex degree is odd for even n, even for odd n
-        want = 1 if n % 2 == 0 else 0
-        return [d for d in range(3, n - 4) if d % 2 == want]
-    if which == "B_dd":
-        return list(range(4, n - 3))
-    if which == "B_d1":
-        return [d for d in range(3, n - 3) if d % 2 == 1]
-    if which in ("B1", "B2", "B_n5"):
+    if which in FIXED_DELTA:
         return []
-    raise ValueError(f"unknown quotient name {which!r}")
+    if which not in _DELTA_RANGE:
+        raise ValueError(f"unknown quotient name {which!r}")
+    least, gap, _, listed = _DELTA_RANGE[which]
+    return [d for d in range(least, n - gap + 1) if listed(n, d)]

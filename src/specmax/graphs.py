@@ -24,11 +24,7 @@ CANONICAL_MAX_N = 12
 # `verify sandwich` takes about 1.3 s and 187 MB on a 2-core machine, nearly
 # all of it in the eigensolve. Graph files are held to the same order,
 # checked as soon as their vertex count is read.
-FAMILY_MAX_N = MAX_N = 2000
-# the quotient tables list O(n) parameter values per order, each decided by
-# integer certificates: at n = 20000 one `compare-families` order takes
-# about 2 s and 72 MB on a 2-core machine
-QUOTIENT_MAX_N = 20000
+MAX_N = 2000
 
 
 def strict_int(value) -> int:

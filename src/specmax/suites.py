@@ -23,6 +23,7 @@ from math import inf, nextafter, sqrt
 
 from .enumeration import EXHAUSTIVE_MAX_N, EnumSpec, extremal_search
 from .families import (
+    FIXED_DELTA,
     ComplementProfile,
     admissible_deltas,
     build_case2,
@@ -53,8 +54,6 @@ def failure_records(n: int | None, verdicts) -> list[dict]:
 
 # -- named quotient tables -------------------------------------------------
 
-FIXED_QUOTIENTS = ("B1", "B2", "B_n5")
-
 
 def _named_polys(n: int) -> list[tuple[str, str, int, IntPolynomial]]:
     """(table, family, delta, closed form) of every named quotient in the
@@ -65,7 +64,7 @@ def _named_polys(n: int) -> list[tuple[str, str, int, IntPolynomial]]:
         names += [("n3", name) for name in (winner, "B_n5", "B_delta", "B_dd", "B_d1")]
     polys = []
     for table, name in names:
-        deltas = [None] if name in FIXED_QUOTIENTS else admissible_deltas(name, n)
+        deltas = [None] if name in FIXED_DELTA else admissible_deltas(name, n)
         for d in deltas:
             nq = named_quotient(name, n, d)
             polys.append((table, name, nq.delta, nq.closed_form))
@@ -192,7 +191,7 @@ def check_family_ordering(n: int, polys=None) -> list[str]:
         bad += [f"n2:{name}" for name in _assert_strictly_larger(win, others)]
     if n >= 59:
         (_, winner), *rest = [
-            (family if family in FIXED_QUOTIENTS else f"{family}({d})", poly)
+            (family if family in FIXED_DELTA else f"{family}({d})", poly)
             for table, family, d, poly in polys
             if table == "n3"
         ]

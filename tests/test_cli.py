@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from specmax import suites
 from specmax.cli import main
 from specmax.enumeration import EXHAUSTIVE_MAX_N
-from specmax.families import FAMILY_TAGS, build_g
+from specmax.families import FAMILY_TAGS, QUOTIENT_MAX_N, build_g
 from specmax.suites import (
     check_family_ordering,
     default_profile,
@@ -24,8 +24,7 @@ from specmax.suites import (
 from specmax.intpoly import IntPolynomial, char_poly, max_real_root
 from specmax.spectral import perron
 from specmax.graphs import (
-    FAMILY_MAX_N,
-    QUOTIENT_MAX_N,
+    MAX_N,
     Graph,
     _g6_pack,
     canonical_form,
@@ -262,7 +261,7 @@ class TestSignAndIdentityControls:
     each fails, by its name, when one expected sign or one coefficient is
     moved."""
 
-    @pytest.mark.parametrize("row", range(10))
+    @pytest.mark.parametrize("row", range(len(suites._sign_table(59))))
     def test_moved_sign_fails_its_row(self, monkeypatch, capsys, row):
         real = suites._sign_table
 
@@ -477,7 +476,7 @@ class TestExitCodeContract:
         "argv",
         [
             ["construct", "--family", "g", "--n", "100000000", "--delta", "2"],
-            ["construct", "--family", "h1", "--n", str(FAMILY_MAX_N + 2)],
+            ["construct", "--family", "h1", "--n", str(MAX_N + 2)],
             ["verify", "sandwich", "--n-min", "100000000"],
         ],
     )
@@ -487,7 +486,7 @@ class TestExitCodeContract:
         assert time.perf_counter() - t0 < 1
         assert code == 2
         assert out == ""
-        assert err == f"usage error: family graphs capped at n={FAMILY_MAX_N}\n"
+        assert err == f"usage error: family graphs capped at n={MAX_N}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -509,9 +508,9 @@ class TestExitCodeContract:
     @pytest.mark.parametrize("fmt", ["json", "graph6"])
     @pytest.mark.parametrize("command", ["spectrum", "quotient"])
     def test_graph_file_beyond_capability(self, fmt, command, tmp_path, capsys):
-        # a path on FAMILY_MAX_N + 1 vertices is refused once its vertex
+        # a path on MAX_N + 1 vertices is refused once its vertex
         # count is read, before a row or a dense matrix is built
-        n = FAMILY_MAX_N + 1
+        n = MAX_N + 1
         path = tmp_path / "path.txt"
         if fmt == "json":
             path.write_text(json.dumps({"n": n, "edges": [[v, v + 1] for v in range(n - 1)]}))
@@ -526,7 +525,7 @@ class TestExitCodeContract:
         assert time.perf_counter() - t0 < 1
         assert code == 2
         assert out == ""
-        assert err.startswith(f"usage error: vertex count {n} outside [1, {FAMILY_MAX_N}]")
+        assert err.startswith(f"usage error: vertex count {n} outside [1, {MAX_N}]")
 
     @pytest.mark.parametrize(
         "graph",

@@ -330,13 +330,13 @@ class TestBuildFamily:
         assert str(exc.value) == "profile needs a complement profile"
 
     def test_checks_in_order(self):
-        from specmax.graphs import FAMILY_MAX_N, CapabilityError
+        from specmax.graphs import MAX_N, CapabilityError
 
         # tag before order, order before delta, delta before profile
         with pytest.raises(ValueError, match="unknown family tag"):
-            build_family("k5", FAMILY_MAX_N + 1)
+            build_family("k5", MAX_N + 1)
         with pytest.raises(CapabilityError):
-            build_family("profile", FAMILY_MAX_N + 1)
+            build_family("profile", MAX_N + 1)
         with pytest.raises(ValueError, match="^profile needs delta$"):
             build_family("profile", 9)
 

@@ -1,9 +1,11 @@
 """Source hygiene of the package, checked with the standard library's `ast`:
 no module under `src/specmax` imports a name it never uses, and every
 function, class, method and dataclass field it defines is read somewhere in
-the package. Every switching move kind is built by some `SwitchMove` call in
-`suites.py`, so no rewrite stays in `switching` without a verdict, and no
-verdict function in `suites.py` makes an eigensolve of its own.
+the package. The package root binds nothing but `os`. Every switching move
+kind is built by some `SwitchMove` call in `suites.py`, so no rewrite stays
+in `switching` without a verdict, no verdict function in `suites.py` makes
+an eigensolve of its own, and every check name `suites.py` can report is
+named in a test module.
 
 Reads are matched by name alone, not by the object read from. So a
 definition counts as read when any module reads an attribute of the same
@@ -20,8 +22,7 @@ import pytest
 from specmax.switching import KINDS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "specmax"
-# the package's __init__ imports names only to export them
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -147,6 +148,42 @@ def test_no_dead_names():
     assert dead_names({path.stem: path.read_text() for path in MODULES}) == []
 
 
+def bound_names(source: str) -> set[str]:
+    """The names a module binds at its top level, by import, assignment or
+    definition."""
+    bound = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return bound
+
+
+def test_detects_bound_names():
+    source = """
+import os.path
+from .graphs import Graph as G
+
+__version__ = "0"
+a, b = 1, 2
+c: int = 3
+
+def f(x):
+    y = x
+"""
+    assert bound_names(source) == {"os", "G", "__version__", "a", "b", "c", "f"}
+
+
+def test_package_root_binds_only_os():
+    # the root sets the BLAS thread defaults and exports nothing: every
+    # caller imports from the module that defines the name
+    assert bound_names((PACKAGE / "__init__.py").read_text()) == {"os"}
+
+
 def unrun_move_kinds(source: str, kinds) -> list[str]:
     """The move kinds that are not the string first argument of any
     `SwitchMove(...)` call in the source: rewrites no verdict runs."""
@@ -236,3 +273,86 @@ def ls_verdicts(g: Graph, pair: PerronPair, s: int, t: int, v: int, u: int) -> l
 
 def test_verdict_functions_do_not_solve():
     assert solving_verdict_functions((PACKAGE / "suites.py").read_text()) == []
+
+
+def _verdict_names(node: ast.AST):
+    """The string first element of each tuple under node that holds more
+    than strings: `("check", holds, witness)`, not `("Op1", "Op2")`."""
+    for t in ast.walk(node):
+        if (
+            isinstance(t, ast.Tuple)
+            and t.elts
+            and isinstance(t.elts[0], ast.Constant)
+            and isinstance(t.elts[0].value, str)
+            and not all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in t.elts)
+        ):
+            yield t.elts[0].value
+
+
+def check_names(source: str) -> set[str]:
+    """The check names a suites source can write into a failure record: the
+    first element of each verdict tuple in a `*_verdicts` function or in a
+    `failure_records(...)` call, and each string a list named `bad` appends
+    (the violation names a `family_ordering` record carries). The sign
+    table's rows are controlled by index, in `test_cli.py`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, FUNCTIONS) and node.name.endswith("_verdicts"):
+            names.update(_verdict_names(node))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "failure_records":
+            for arg in node.args:
+                names.update(_verdict_names(arg))
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "append"
+            and getattr(node.func.value, "id", None) == "bad"
+        ):
+            names.update(a.value for a in node.args if isinstance(a, ast.Constant) and isinstance(a.value, str))
+    return names
+
+
+def uncontrolled_checks(source: str, tests: list[str]) -> list[str]:
+    """The check names of `check_names(source)` that no string constant of
+    the test sources equals; the literal parts of an f-string do not count."""
+    named = set()
+    for test in tests:
+        nodes = list(ast.walk(ast.parse(test)))
+        parts = {id(part) for node in nodes if isinstance(node, ast.JoinedStr) for part in node.values}
+        named.update(
+            node.value
+            for node in nodes
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in parts
+        )
+    return sorted(check_names(source) - named)
+
+
+def test_detects_an_uncontrolled_check():
+    source = """
+def move_verdicts(g, move):
+    if move.kind not in ("Op1", "Op2"):
+        raise ValueError(move.kind)
+    return [(check, ok, "") for check, ok in (("tested", g.ok), ("untested", True))]
+
+def run(g):
+    failures = failure_records(g.n, [("run_tested", g.ok, ""), ("run_untested", g.ok, "")])
+    bad = []
+    if g.n > 5:
+        bad.append("bad_untested")
+    bad.append(f"bad:{g.n}")
+    rows = [("not_a_verdict", g.n)]
+    return failures + failure_records(g.n, [("ordering", not bad, bad)])
+"""
+    tests = ['assert records == ["tested", "run_tested"]\n', 'CHECK = "ordering"\nprint(f"untested{1}")\n']
+    assert check_names(source) == {
+        "tested", "untested", "run_tested", "run_untested", "bad_untested", "ordering"
+    }
+    assert uncontrolled_checks(source, tests) == ["bad_untested", "run_untested", "untested"]
+
+
+def test_every_check_name_is_named_in_a_test():
+    tests = [
+        path.read_text()
+        for path in sorted(PACKAGE.parent.parent.joinpath("tests").glob("test_*.py"))
+        if path.name not in ("test_hygiene.py", "test_golden.py")
+    ]
+    assert uncontrolled_checks((PACKAGE / "suites.py").read_text(), tests) == []

@@ -1,8 +1,12 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specmax
 from specmax.enumeration import EnumSpec, enumerate_graphs
 from specmax.families import build_g2_1
 from specmax.graphs import Graph, random_connected_graph
@@ -18,6 +23,29 @@ from specmax.spectral import ConvergenceError, perron, perron_all, spectral_radi
 from specmax.suites import component_bound_verdicts
 
 from graph_shapes import adjacency_lists
+
+
+class TestBlasThreadDefaults:
+    """`import specmax` sets one BLAS thread before numpy loads, and keeps a
+    count the caller chose. A fresh interpreter sees what the import does,
+    since this one loaded numpy long ago."""
+
+    @staticmethod
+    def after_import(**preset) -> list[str]:
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env.update(preset, PYTHONPATH=str(Path(specmax.__file__).resolve().parent.parent))
+        code = (
+            "import os, sys, specmax\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('MKL_NUM_THREADS'), 'numpy' in sys.modules)"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        return done.stdout.split()
+
+    def test_unset_counts_become_one_before_numpy(self):
+        assert self.after_import() == ["1", "1", "False"]
+
+    def test_preset_counts_are_kept(self):
+        assert self.after_import(OPENBLAS_NUM_THREADS="3", MKL_NUM_THREADS="3") == ["3", "3", "False"]
 
 
 def complete(n):
