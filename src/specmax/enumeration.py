@@ -15,6 +15,8 @@ children are isomorphic.  Each class carries the automorphism group
 generators of the search that gave its canonical form, so no parent is
 searched again.  The canonical forms remove the remaining duplicates, which
 keeps the level sets small (about 10^4 classes at n=8) and the memory flat.
+Unless a checkpoint is written, the last level searches only the children
+that can be emitted: nonregular, with maximum degree equal to the cap.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class ExtremalReport:
 
 
 def _level_up(
-    level: dict[bytes, tuple[bytes, ...]], cap: int, last: bool
+    level: dict[bytes, tuple[bytes, ...]], cap: int, last: bool, *, emitted_only: bool = False
 ) -> dict[bytes, tuple[bytes, ...]] | set[bytes]:
     """Extend every canonical k-vertex class by one attached vertex.
 
@@ -95,6 +97,12 @@ def _level_up(
     removes the remaining duplicates, so the level lists depend on neither
     rule.  Each class keeps the generators of the first search that
     found it.
+
+    With `last` and `emitted_only`, a child whose maximum degree is below
+    `cap` or which is regular is rejected before its cut vertices, colours
+    and search: `enumerate_graphs` would drop its class.  No emitted class
+    is lost: every mask of an orbit gives the same degree multiset, and the
+    child found above for a class C is isomorphic to C, so has its degrees.
     """
     out: dict[bytes, tuple[bytes, ...]] | set[bytes] = set() if last else {}
     for code, gens in level.items():
@@ -111,6 +119,8 @@ def _level_up(
             if mask & blocked or d > cap or mask in done:
                 continue
             rows = [r | (mask >> v & 1) << k for v, r in enumerate(g.rows)] + [mask]
+            if last and emitted_only and (len(ds := {r.bit_count() for r in rows}) == 1 or max(ds) < cap):
+                continue
             if any(rows[v].bit_count() > d and reach(rows, 1 << k, rests[v]) == rests[v] for v in range(k)):
                 continue
             done |= subset_orbit(mask, gens)
@@ -190,7 +200,7 @@ def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[
         if resumed:
             start_level, codes = resumed
     for level in range(start_level, spec.n):
-        codes = _level_up(codes, spec.max_degree, level + 1 == spec.n)
+        codes = _level_up(codes, spec.max_degree, level + 1 == spec.n, emitted_only=not checkpoint)
         if checkpoint:
             _write_checkpoint(
                 Path(checkpoint),

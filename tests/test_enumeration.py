@@ -134,16 +134,7 @@ class TestEnumerate:
     def test_degree_rule_prunes_canonical_forms(self, monkeypatch):
         # 6,430 canonical forms at (7, 5) before children were rejected by
         # degree, 1,164 before they were rejected by refined colour
-        import specmax.enumeration as enumeration
-
-        calls = []
-        real = enumeration.canonical_search
-
-        def counting(g, colors=None):
-            calls.append(g.n)
-            return real(g, colors)
-
-        monkeypatch.setattr(enumeration, "canonical_search", counting)
+        calls = counted_searches(monkeypatch)
         assert sum(1 for _ in enumerate_graphs(EnumSpec(7, 5))) == 344
         assert len(calls) <= 850
 
@@ -161,14 +152,7 @@ class TestEnumerate:
                 out.append(sorted(level))
             return out, len(calls)
 
-        calls = []
-        real = enumeration.canonical_search
-
-        def counting(g, colors=None):
-            calls.append(g.n)
-            return real(g, colors)
-
-        monkeypatch.setattr(enumeration, "canonical_search", counting)
+        calls = counted_searches(monkeypatch)
         pruned, pruned_calls = levels()
         monkeypatch.setattr(enumeration, "subset_orbit", lambda mask, gens: {mask})
         full, full_calls = levels()
@@ -187,6 +171,75 @@ class TestEnumerate:
             level = enumeration._level_up(level, 6, k == 8)
             got.append(hashlib.sha256(b"".join(c + b"\n" for c in sorted(level))).hexdigest())
         assert got == LEVELS_8_6
+
+
+def counted_searches(monkeypatch):
+    """The orders of the graphs `enumeration` searches, one entry per search."""
+    import specmax.enumeration as enumeration
+
+    calls = []
+    real = enumeration.canonical_search
+
+    def counting(g, colors=None):
+        calls.append(g.n)
+        return real(g, colors)
+
+    monkeypatch.setattr(enumeration, "canonical_search", counting)
+    return calls
+
+
+class TestEmittedOnlyRule:
+    """`_level_up(..., emitted_only=True)` rejects, at the last level, the
+    children `enumerate_graphs` would drop; no output may change."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_emitted_lines_match_rule_off(self, n, monkeypatch):
+        import specmax.enumeration as enumeration
+
+        specs = [EnumSpec(n, cap) for cap in range(2, n)]
+        on = [[graph6_encode(g) for g in enumerate_graphs(spec)] for spec in specs]
+        real = enumeration._level_up
+        monkeypatch.setattr(
+            enumeration, "_level_up", lambda level, cap, last, emitted_only: real(level, cap, last)
+        )
+        off = [[graph6_encode(g) for g in enumerate_graphs(spec)] for spec in specs]
+        assert on == off
+
+    def test_checkpoint_keeps_whole_last_level(self, tmp_path):
+        # a checkpoint at level n holds all 697 classes of (7, 5), and the
+        # 344 lines emitted alongside it are those of a run without one
+        from specmax.cli import main
+
+        plain, emit, ck = tmp_path / "plain.g6", tmp_path / "emit.g6", tmp_path / "frontier.json"
+        base = ["enumerate", "--n", "7", "--max-degree", "5", "--emit"]
+        assert main(base + [str(plain)]) == 0
+        assert main(base + [str(emit), "--checkpoint", str(ck)]) == 0
+        state = json.loads(ck.read_text())
+        assert (state["level"], len(state["codes"])) == (7, 697)
+        assert emit.read_text() == plain.read_text()
+        assert len(plain.read_text().splitlines()) == 344
+
+    def test_searches_bounded_at_8_6(self, monkeypatch):
+        # 11,092 searches with every last-level child searched, 4,682 with
+        # the rule
+        calls = counted_searches(monkeypatch)
+        assert sum(1 for _ in enumerate_graphs(EnumSpec(8, 6))) == 3686
+        assert len(calls) <= 5000
+
+    def test_oracle_above_the_atlas_at_8_7(self):
+        # with cap n - 1 the cap binds at no level: the rule-off levels hold
+        # every connected graph (OEIS A001349), and the emitted classes are
+        # the 1,044 graphs on 7 vertices (A000088), each joined to a
+        # dominating vertex, less K8; the rule's last level holds just these
+        import specmax.enumeration as enumeration
+
+        levels = [dict([canonical_search(Graph.build(1, []))])]
+        for k in range(2, 9):
+            levels.append(enumeration._level_up(levels[-1], 7, k == 8))
+        assert [len(level) for level in levels] == [1, 1, 2, 6, 21, 112, 853, 11117]
+        emitted = [graph6_encode(g).encode("ascii") for g in enumerate_graphs(EnumSpec(8, 7))]
+        assert len(emitted) == 1043
+        assert sorted(enumeration._level_up(levels[6], 7, True, emitted_only=True)) == emitted
 
 
 class TestAgainstGraphAtlas:
