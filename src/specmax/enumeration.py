@@ -4,19 +4,15 @@ structure of the maximizers is checked in `suites.maximizer_verdicts`.
 
 Generation proceeds by vertex augmentation: level k holds one canonical
 representative per isomorphism class of connected k-vertex graphs with
-max degree <= the target.  Every connected graph has a non-cut vertex, so
-each class at level k arises from some class at level k-1.  A child is
-kept only if its new vertex has the largest refined colour among the
-vertices whose deletion stays in the previous level (McKay's canonical
-deletion, its invariant half), which rejects most children before their
-canonical search.  Of the neighbourhoods of the new vertex that are one
-orbit of the parent's automorphism group, only the first is tried: the
-children are isomorphic.  Each class carries the automorphism group
-generators of the search that gave its canonical form, so no parent is
-searched again.  The canonical forms remove the remaining duplicates, which
-keeps the level sets small (about 10^4 classes at n=8) and the memory flat.
-Unless a checkpoint is written, the last level searches only the children
-that can be emitted: nonregular, with maximum degree equal to the cap.
+max degree <= the target.  Each level grows from the one below by McKay's
+canonical deletion (its invariant half), tries one neighbourhood of the
+new vertex per orbit of the parent's automorphism group, whose generators
+each class carries from its search, and removes the remaining duplicates
+by canonical form, which keeps the level sets small (about 10^4 classes at
+n=8) and the memory flat; `_level_up` states the rules and why no class is
+lost.  Unless a checkpoint is written, the last level searches only the
+children that can be emitted: nonregular, with maximum degree equal to the
+cap.
 """
 
 from __future__ import annotations
@@ -24,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
 from pathlib import Path
 from typing import Iterator
@@ -33,10 +30,10 @@ from .graphs import (
     Graph,
     _refined_colors,
     canonical_search,
+    components,
     graph6_decode,
     graph6_encode,
-    reach,
-    subset_orbit,
+    orbit,
 )
 from .intpoly import char_poly, compare_max_real_roots
 from .spectral import ROUND, spectral_radii
@@ -76,27 +73,35 @@ def _level_up(
     automorphism group in canonical labels; so does the result, unless
     `last`, when it is the set of the children's codes alone.
 
-    The new vertex attaches to at least one vertex of the connected parent,
-    so every child is connected.  A vertex is deletable if removing it
-    keeps the graph in the previous level, i.e. it is not a cut vertex.  A
-    child keeps its new vertex k only if no deletable vertex has a higher
-    refined colour (`_refined_colors`) than k, and only kept children get a
-    canonical search.  Colour ids are label-free, and their order refines
-    the degree order: the first palette is the sorted degrees, and every
-    later one sorts by the previous colour first.  So a child with a
-    deletable vertex of higher degree than k is rejected before its colours
-    are computed, and they are handed to the search.  No class is lost:
-    take a deletable vertex w of maximum colour in a class C; C - w lies in
-    the previous level, and its representative plus w's neighbourhood,
-    carried over by the isomorphism, is a child isomorphic to C (k playing
-    w) that passes the test and every cap check.  A mask is tried only if
-    no mask in its orbit under Aut(parent) was: an automorphism γ extended
-    by k -> k maps the child of a mask onto the child of its image, and
-    since γ preserves colours, cut vertices and the cap, every mask of an
-    orbit passes the tests or none does.  The set of canonical forms
+    The new vertex k attaches to a nonempty mask of the connected parent g,
+    so every child is connected.  A vertex is deletable if it is not a cut
+    vertex, i.e. removing it keeps the graph in the previous level.  A child
+    is kept, and searched, only if no deletable vertex has a higher refined
+    colour (`_refined_colors`) than k.  Colour ids are label-free and their
+    order refines the degree order (the first palette is the sorted degrees,
+    and every later one sorts by the previous colour first), so a child with
+    a deletable vertex of higher degree than k is rejected before its
+    colours are computed, and they are handed to the search.  No class is
+    lost: take a deletable vertex w of maximum colour in a class C; C - w
+    lies in the previous level, and its representative plus w's
+    neighbourhood, carried over by the isomorphism, is a child isomorphic to
+    C (k playing w) that passes the test and every cap check.  A mask is
+    tried only if no mask in its orbit under Aut(g) was: an automorphism γ
+    extended by k -> k maps the child of a mask onto the child of its image,
+    and since γ preserves colours, cut vertices and the cap, every mask of
+    an orbit passes the tests or none does.  The set of canonical forms
     removes the remaining duplicates, so the level lists depend on neither
-    rule.  Each class keeps the generators of the first search that
-    found it.
+    rule.
+
+    Each parent's tables decide the degree and cut-vertex tests before a
+    child is built: its degrees are g's plus the mask bits, and v is not
+    its cut vertex iff every component of g - v meets the mask.  A non-cut
+    vertex of g stays deletable, its degree not lower, in every child whose
+    mask has two vertices or more, so such a mask smaller than the largest
+    degree of one is rejected at once.  Each test keeps its verdict, and a
+    search's twin seeds change neither its code nor the group its generators
+    generate, so the same children are searched; each class keeps the
+    generators of the first search that found it.
 
     With `last` and `emitted_only`, a child whose maximum degree is below
     `cap` or which is regular is rejected before its cut vertices, colours
@@ -109,27 +114,26 @@ def _level_up(
         g = graph6_decode(code.decode("ascii"))
         k = g.n
         done: set[int] = set()  # the Aut(g) orbits of the masks tried
-        degs = [g.rows[v].bit_count() for v in range(k)]
-        # v is not a cut vertex of a child iff k reaches every other vertex
-        rests = [((2 << k) - 1) & ~(1 << v) for v in range(k)]
+        # per generator, the image of every mask: entry m is the image of m
+        tables = [reduce(lambda t, w: t + [m | 1 << w for m in t], perm, [0]) for perm in gens]
+        degs = [row.bit_count() for row in g.rows]
+        comps = [components(g.rows, ((1 << k) - 1) & ~(1 << v)) for v in range(k)]  # the components of g - v
+        least = max([degs[v] for v in range(k) if len(comps[v]) == 1], default=0)
         # subsets that keep every degree within the cap
         blocked = sum(1 << v for v in range(k) if degs[v] + 1 > cap)
         for mask in range(1, 1 << k):
             d = mask.bit_count()
-            if mask & blocked or d > cap or mask in done:
+            if mask & blocked or d > cap or 2 <= d < least or mask in done:
                 continue
-            rows = [r | (mask >> v & 1) << k for v, r in enumerate(g.rows)] + [mask]
-            if last and emitted_only and (len(ds := {r.bit_count() for r in rows}) == 1 or max(ds) < cap):
+            cdeg = [a + (mask >> v & 1) for v, a in enumerate(degs)]  # the child's degrees
+            if last and emitted_only and (max(cdeg) < cap and d < cap or cdeg.count(d) == k):
                 continue
-            if any(rows[v].bit_count() > d and reach(rows, 1 << k, rests[v]) == rests[v] for v in range(k)):
+            if any(cdeg[v] > d and all(c & mask for c in comps[v]) for v in range(k)):
                 continue
-            done |= subset_orbit(mask, gens)
-            child = Graph(k + 1, tuple(rows))
+            done |= orbit(mask, tables)
+            child = Graph(k + 1, tuple([r | (mask >> v & 1) << k for v, r in enumerate(g.rows)] + [mask]))
             colors = _refined_colors(child)
-            if any(
-                colors[v] > colors[k] and rows[v].bit_count() == d and reach(rows, 1 << k, rests[v]) == rests[v]
-                for v in range(k)
-            ):
+            if any(colors[v] > colors[k] and cdeg[v] == d and all(c & mask for c in comps[v]) for v in range(k)):
                 continue
             form, child_gens = canonical_search(child, colors)
             if last:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # the search prunes by automorphisms, so symmetric graphs stay cheap: at
-# n = 12 the edgeless graph, K6,6, 6K2, 3K4, C12 and the icosahedron each
-# take under 20 ms on a 2-core machine, random regular graphs under 40 ms
+# n = 12 the edgeless graph, K6,6, 6K2, 3K4 and the icosahedron each take
+# under 1 ms on a 2-core machine, C12 about 3 ms, random regular graphs under 10 ms
 CANONICAL_MAX_N = 12
 # family graphs are built from their sparse complements, but a Perron solve
 # fills a dense n x n matrix and graph6 text has n^2/12 bytes: at n = 1999
@@ -227,6 +227,15 @@ def reach(rows, seen: int, within: int) -> int:
     return seen
 
 
+def components(rows, within: int) -> list[int]:
+    """The vertex bitmasks of the components of the subgraph induced on `within`."""
+    comps = []
+    while within:
+        comps.append(reach(rows, within & -within, within))
+        within &= ~comps[-1]
+    return comps
+
+
 # -- graph6 ------------------------------------------------------------
 
 
@@ -351,11 +360,11 @@ def _g6_rows_numpy(body: bytes, n: int) -> list[int]:
 def _refined_colors(g: Graph) -> list[int]:
     """Iterated neighborhood color refinement; ids are isomorphism-invariant.
 
-    A vertex's signature is its color and the sorted colors of its
-    neighbours, taken as the negated count in each class, which sorts the
-    same. Each round refines the last, so the partition, and with it every
-    id, is stable once the class count stops growing."""
-    rows = g.rows
+    A vertex's signature is its color and then, per class, the negated count
+    of its neighbours there, as the digits of one integer in base n + 1 that
+    sorts as their tuple. Each round refines the last, so the partition, and
+    with it every id, is stable once the class count stops growing."""
+    n, rows = g.n, g.rows
     degs = [row.bit_count() for row in rows]
     palette = {d: i for i, d in enumerate(sorted(set(degs)))}
     colors = [palette[d] for d in degs]
@@ -363,7 +372,11 @@ def _refined_colors(g: Graph) -> list[int]:
         cells = [0] * len(palette)
         for v, c in enumerate(colors):
             cells[c] |= 1 << v
-        sigs = [(c, tuple([-(row & cell).bit_count() for cell in cells])) for c, row in zip(colors, rows)]
+        sigs = []
+        for sig, row in zip(colors, rows):
+            for cell in cells:
+                sig = sig * (n + 1) - (row & cell).bit_count()
+            sigs.append(sig)
         count = len(palette)
         palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
         if len(palette) == count:
@@ -373,14 +386,14 @@ def _refined_colors(g: Graph) -> list[int]:
 
 def _search(g: Graph, colors: list[int] | None = None) -> tuple[list[int], list[list[int]]]:
     """An ordering of g's vertices that gives the canonical matrix (see
-    `canonical_form`), and generators of Aut(g): one automorphism per leaf
-    whose string equals the best one, the map from the best ordering to the
-    leaf's. `colors`, when given, is `_refined_colors(g)`.
+    `canonical_form`), and generators of Aut(g): the twin swaps it starts
+    from and, per leaf whose string equals the best one, the map from the
+    best ordering to the leaf's. `colors`, when given, is `_refined_colors(g)`.
 
     These generate Aut(g). The leaves with the minimal string are the
     images of the first one under Aut(g), which acts freely on them. Each is
     reached, giving a generator, or lies in a pruned subtree, the image of a
-    searched one under a found automorphism; so all are images of the first
+    searched one under a known automorphism; so all are images of the first
     under the group the generators generate, which is then all of Aut(g).
     """
     if g.loops:
@@ -398,6 +411,12 @@ def _search(g: Graph, colors: list[int] | None = None) -> tuple[list[int], list[
     best_path: list[int] = []
     path: list[int] = []
     gens: list[list[int]] = []
+    twin: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        for key in (row, row | 1 << v):  # twins share an open or a closed neighbourhood
+            if key in twin:
+                gens.append([{v: twin[key], twin[key]: v}.get(u, u) for u in range(n)])
+            twin[key] = v
     changes = 0  # appends to, and decreases of, `best`
     # a leaf's string equals the best leaf's iff `best` has not changed
     # since that leaf: any change is followed by its own leaf
@@ -411,12 +430,10 @@ def _search(g: Graph, colors: list[int] | None = None) -> tuple[list[int], list[
                 best_changes = changes
                 best_path[:] = path
                 return n
-            perm = [0] * n
-            for a, b in zip(best_path, path):
-                perm[a] = b
-            gens.append(perm)
+            gens.append([b for _, b in sorted(zip(best_path, path))])
             return next(i for i in range(n) if path[i] != best_path[i])
         tried = 0
+        fixing, known = [], 0  # those of gens[:known] that fix `path` pointwise
         for ch, v in sorted([(chunk[v], v) for v in cells[pos_color[p]] if not used >> v & 1]):
             if p > 0:
                 if len(best) < p:
@@ -428,10 +445,10 @@ def _search(g: Graph, colors: list[int] | None = None) -> tuple[list[int], list[
                     best[p - 1] = ch
                     del best[p:]
                     changes += 1
-            if tried and gens:
-                fixing = [perm for perm in gens if all(perm[u] == u for u in path)]
-                if any(image & tried for image in subset_orbit(1 << v, fixing)):
-                    continue
+            if tried and known < len(gens):
+                fixing, known = [perm for perm in gens if all(perm[u] == u for u in path)], len(gens)
+            if tried and fixing and any(tried >> w & 1 for w in orbit(v, fixing)):
+                continue
             tried |= 1 << v
             path.append(v)
             row = rows[v]
@@ -445,19 +462,17 @@ def _search(g: Graph, colors: list[int] | None = None) -> tuple[list[int], list[
     return best_path, gens
 
 
-def subset_orbit(mask: int, perms) -> set[int]:
-    """The images of a vertex subset, as bitmasks, under the group the
-    permutations generate, each the sequence of images of 0..n-1."""
-    orbit = {mask}
-    todo = [mask]
+def orbit(point: int, maps) -> set[int]:
+    """The orbit of `point` under the group that `maps` generate, each map
+    the list of the images of 0, 1, 2, ...: a vertex under permutations, or
+    a vertex subset, as a bitmask, under their tables of subset images."""
+    found, todo = {point}, [point]
     while todo:
-        m = todo.pop()
-        for perm in perms:
-            image = sum(1 << w for v, w in enumerate(perm) if m >> v & 1)
-            if image not in orbit:
-                orbit.add(image)
-                todo.append(image)
-    return orbit
+        x = todo.pop()
+        grown = {image[x] for image in maps} - found
+        found |= grown
+        todo += grown
+    return found
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -478,7 +493,8 @@ def canonical_form(g: Graph) -> bytes:
       path leaves the best leaf's: the map between the two fixes the common
       prefix and carries the best leaf's subtree below it onto this one;
     - at a node, a candidate in the orbit of one already tried, under the
-      automorphisms found so far that fix the prefix pointwise, is skipped.
+      known automorphisms that fix the prefix pointwise, is skipped; swaps
+      of twins, two vertices adjacent to the same others, are known at once.
     The minimum is therefore the one the full search gives.
     The result is packed as graph6 bytes, so the canonical labeling can be
     decoded back with graph6_decode.

@@ -6,10 +6,11 @@ from dataclasses import replace
 
 import networkx as nx
 import pytest
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from specmax.enumeration import EnumSpec, enumerate_graphs, extremal_search
 from specmax.families import build_g
-from specmax.graphs import CapabilityError, Graph, canonical_form, canonical_search, graph6_encode
+from specmax.graphs import CapabilityError, Graph, canonical_form, canonical_search, components, graph6_encode
 from specmax.spectral import perron, spectral_radii
 from specmax.suites import maximizer_verdicts
 
@@ -154,7 +155,7 @@ class TestEnumerate:
 
         calls = counted_searches(monkeypatch)
         pruned, pruned_calls = levels()
-        monkeypatch.setattr(enumeration, "subset_orbit", lambda mask, gens: {mask})
+        monkeypatch.setattr(enumeration, "orbit", lambda mask, tables: {mask})
         full, full_calls = levels()
         assert pruned == full
         assert pruned_calls < 0.7 * full_calls
@@ -173,6 +174,78 @@ class TestEnumerate:
         assert got == LEVELS_8_6
 
 
+class TestParentTables:
+    """The tables `_level_up` builds once per parent decide what the built
+    child would: checked against networkx on every child at (7, 5)."""
+
+    @staticmethod
+    def parents():
+        """Each parent graph that `_level_up` extends on the way to (7, 5)."""
+        import specmax.enumeration as enumeration
+        from specmax.graphs import graph6_decode
+
+        level = dict([canonical_search(Graph.build(1, []))])
+        for k in range(2, 8):
+            yield from (graph6_decode(code.decode("ascii")) for code in level)
+            level = enumeration._level_up(level, 5, k == 7)
+
+    def test_component_test_matches_articulation_points(self):
+        # a child minus v is connected iff every component of g - v meets
+        # the mask; a mask of two or more vertices below the largest degree
+        # of a non-cut vertex of g leaves a non-cut vertex of higher degree
+        # than the new one
+        checked = 0
+        for g in self.parents():
+            k = g.n
+            comps = [components(g.rows, ((1 << k) - 1) & ~(1 << v)) for v in range(k)]
+            least = max([g.degree(v) for v in range(k) if len(comps[v]) == 1], default=0)
+            for mask in range(1, 1 << k):
+                child = Graph(k + 1, tuple([r | (mask >> v & 1) << k for v, r in enumerate(g.rows)] + [mask]))
+                if child.max_degree() > 5:
+                    continue
+                h = nx.Graph(list(child.edges()))
+                cut = set(nx.articulation_points(h))
+                assert [all(c & mask for c in comps[v]) for v in range(k)] == [v not in cut for v in range(k)]
+                if 2 <= mask.bit_count() < least:
+                    assert any(v not in cut and h.degree(v) > mask.bit_count() for v in range(k))
+                checked += 1
+        assert checked > 5000
+
+    def test_orbit_tables_map_masks_under_the_parent_group(self, monkeypatch):
+        # every table `_level_up` hands to `orbit` maps masks through one
+        # automorphism of the parent, and together they generate its whole
+        # group, as networkx counts it
+        import specmax.enumeration as enumeration
+
+        real_decode, real_orbit = enumeration.graph6_decode, enumeration.orbit
+        parents, seen = [], set()
+
+        def decode(text):
+            parents.append(real_decode(text))
+            return parents[-1]
+
+        def checked_orbit(mask, tables):
+            g = parents[-1]
+            if id(g) not in seen:
+                seen.add(id(g))
+                perms = [[table[1 << v].bit_length() - 1 for v in range(g.n)] for table in tables]
+                for perm, table in zip(perms, tables):
+                    assert sorted(perm) == list(range(g.n))
+                    images = [sum(1 << perm[v] for v in range(g.n) if m >> v & 1) for m in range(1 << g.n)]
+                    assert table == images
+                    assert all(g.has_edge(perm[u], perm[v]) for u, v in g.edges())
+                h = nx.Graph(list(g.edges()))
+                h.add_nodes_from(range(g.n))
+                group = PermutationGroup([Permutation(perm) for perm in perms] or [Permutation(g.n - 1)])
+                assert group.order() == sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+            return real_orbit(mask, tables)
+
+        monkeypatch.setattr(enumeration, "graph6_decode", decode)
+        monkeypatch.setattr(enumeration, "orbit", checked_orbit)
+        assert sum(1 for _ in enumerate_graphs(EnumSpec(7, 5))) == 344
+        assert len(seen) > 100
+
+
 def counted_searches(monkeypatch):
     """The orders of the graphs `enumeration` searches, one entry per search."""
     import specmax.enumeration as enumeration
@@ -188,6 +261,12 @@ def counted_searches(monkeypatch):
     return calls
 
 
+# canonical searches over every cap at each order n: 16,075 in all. Pruning
+# inside a search changes none of them, and the children searched are
+# fixed by the rules of `_level_up`
+SEARCHES = {3: 2, 4: 10, 5: 42, 6: 193, 7: 1298, 8: 14530}
+
+
 class TestEmittedOnlyRule:
     """`_level_up(..., emitted_only=True)` rejects, at the last level, the
     children `enumerate_graphs` would drop; no output may change."""
@@ -197,7 +276,9 @@ class TestEmittedOnlyRule:
         import specmax.enumeration as enumeration
 
         specs = [EnumSpec(n, cap) for cap in range(2, n)]
+        calls = counted_searches(monkeypatch)
         on = [[graph6_encode(g) for g in enumerate_graphs(spec)] for spec in specs]
+        assert len(calls) == SEARCHES[n]
         real = enumeration._level_up
         monkeypatch.setattr(
             enumeration, "_level_up", lambda level, cap, last, emitted_only: real(level, cap, last)

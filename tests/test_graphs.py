@@ -17,9 +17,12 @@ from specmax.graphs import (
     Graph,
     Graph6ParseError,
     canonical_form,
+    _refined_colors,
     canonical_search,
+    components,
     graph6_decode,
     graph6_encode,
+    orbit,
     random_connected_graph,
     reach,
 )
@@ -133,9 +136,10 @@ def _random_graphs(seed, count, max_n=12):
 
 
 class TestReach:
-    """`reach` against networkx: the connectivity test and the non-cut test
-    of enumeration's `_level_up`, on every atlas graph (up to 7 vertices)
-    and on seeded random graphs up to 12."""
+    """`reach` and `components` against networkx: the connectivity test, a
+    non-cut test and the components of induced subgraphs, which enumeration's
+    `_level_up` tabulates per parent, on every atlas graph (up to 7
+    vertices) and on seeded random graphs up to 12."""
 
     GRAPHS = [from_nx(h) for h in ATLAS] + list(_random_graphs(0, 300))
 
@@ -154,6 +158,14 @@ class TestReach:
             seeds = [1 << g.n - 1] * (g.n - 1) + [1]
             non_cut = {v for v in range(g.n) if reach(g.rows, seeds[v], rests[v]) == rests[v]}
             assert non_cut == set(range(g.n)) - set(nx.articulation_points(to_nx(g))), graph6_encode(g)
+
+    def test_components_match_networkx(self):
+        rng = random.Random(3)
+        for g in self.GRAPHS:
+            within = rng.getrandbits(g.n)
+            sub = to_nx(g).subgraph([v for v in range(g.n) if within >> v & 1])
+            want = sorted(sum(1 << v for v in c) for c in nx.connected_components(sub))
+            assert sorted(components(g.rows, within)) == want, graph6_encode(g)
 
     def test_mask_is_the_component_within(self):
         rng = random.Random(2)
@@ -340,6 +352,30 @@ class TestGraph6:
         assert back.degree_sequence() == [3, 3, 3, 3, 2]
 
 
+def tuple_refined_colors(g):
+    """Colour refinement with each signature a tuple: the colour, then the
+    negated count of neighbours in each class, ids by sorted signature."""
+    degs = [row.bit_count() for row in g.rows]
+    palette = {d: i for i, d in enumerate(sorted(set(degs)))}
+    colors = [palette[d] for d in degs]
+    while True:
+        cells = [sum(1 << v for v in range(g.n) if colors[v] == c) for c in range(len(palette))]
+        sigs = [(c, tuple(-(row & cell).bit_count() for cell in cells)) for c, row in zip(colors, g.rows)]
+        count = len(palette)
+        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        if len(palette) == count:
+            return colors
+        colors = [palette[s] for s in sigs]
+
+
+def test_refined_colors_match_tuple_signatures():
+    # the integer signatures give the ids the tuples give, up to n = 12
+    graphs = [from_nx(h) for h in ATLAS] + list(_random_graphs(4, 500))
+    graphs += [from_nx(h) for h in SYMMETRIC_12.values()] + list(TWIN_RICH.values())
+    for g in graphs:
+        assert _refined_colors(g) == tuple_refined_colors(g), graph6_encode(g)
+
+
 class TestCanonicalForm:
     def test_cycle_relabelings_agree(self):
         a = cycle(5)
@@ -431,8 +467,8 @@ class TestCanonicalForm:
             canonical_form(complete(3).add_loops())
 
 
-def group_order(n, gens):
-    """The order of the permutation group the generators generate."""
+def group_closure(n, gens):
+    """Every element of the permutation group the generators generate."""
     identity = tuple(range(n))
     group, todo = {identity}, [identity]
     while todo:
@@ -442,7 +478,12 @@ def group_order(n, gens):
             if b not in group:
                 group.add(b)
                 todo.append(b)
-    return len(group)
+    return group
+
+
+def group_order(n, gens):
+    """The order of the permutation group the generators generate."""
+    return len(group_closure(n, gens))
 
 
 class TestAutomorphisms:
@@ -489,3 +530,106 @@ class TestAutomorphisms:
             canon = graph6_decode(code.decode("ascii"))
             assert all(canon.has_edge(perm[u], perm[v]) for perm in gens for u, v in canon.edges()), name
             assert PermutationGroup([Permutation(list(perm)) for perm in gens]).order() == want[name], name
+
+
+def multipartite(*parts):
+    return from_nx(nx.complete_multipartite_graph(*parts))
+
+
+def pendant_twins(a, b, leaves):
+    """K_{a,b} with `leaves` pendant leaves on each vertex of its a-side:
+    each vertex's leaves are false twins, and leaves of two vertices share a
+    refined colour without being twins."""
+    edges = [(u, a + v) for u in range(a) for v in range(b)]
+    edges += [(u, a + b + u * leaves + i) for u in range(a) for i in range(leaves)]
+    return Graph.build(a + b + a * leaves, edges)
+
+
+def twin_classes(k3, k2):
+    """A clique of k3 true twins and k2 false-twin leaves, joined through a
+    path: c is adjacent to the whole clique, d to c and to every leaf."""
+    c, d = k3, k3 + 1
+    edges = list(itertools.combinations(range(k3), 2)) + [(v, c) for v in range(k3)] + [(c, d)]
+    edges += [(d, k3 + 2 + i) for i in range(k2)]
+    return Graph.build(k3 + 2 + k2, edges)
+
+
+# twin-rich graphs on at most 8 vertices, and their complements below
+TWIN_RICH = {
+    **{f"K1,{k}": star(k + 1) for k in range(2, 8)},
+    "K2,2,2": multipartite(2, 2, 2),
+    "K1,2,3": multipartite(1, 2, 3),
+    "K2,3,3": multipartite(2, 3, 3),
+    "K1,1,3,3": multipartite(1, 1, 3, 3),
+    "K3,4": multipartite(3, 4),
+    "K3,3": multipartite(3, 3),
+    "K2,2+2 pendant twins": pendant_twins(2, 2, 2),
+    "K1,3+3 pendant twins": pendant_twins(1, 3, 3),
+    "K2,1+2 pendant twins": pendant_twins(2, 1, 2),
+    "K3,1+1 pendant each": pendant_twins(3, 1, 1),
+    "K1,1,1,3": multipartite(1, 1, 1, 3),
+    "true 3, false 2": twin_classes(3, 2),
+    "true 4, false 2": twin_classes(4, 2),
+    "true 2, false 3": twin_classes(2, 3),
+}
+TWIN_RICH.update({f"co-({name})": g.complement() for name, g in list(TWIN_RICH.items())})
+
+
+def shuffled_twin_rich(name):
+    g = TWIN_RICH[name]
+    return relabeled(g, random.Random(name).sample(range(g.n), g.n))
+
+
+def upper_bits(g, order):
+    """The column-major upper-triangle adjacency bits of g listed in `order`."""
+    return "".join("1" if g.has_edge(order[i], order[p]) else "0" for p in range(1, g.n) for i in range(p))
+
+
+class TestTwinSeeding:
+    """The search starts from the swaps of twin vertices. On graphs full of
+    twins, its code is the brute-force minimum and its generators give the
+    whole automorphism group."""
+
+    @pytest.mark.parametrize("name", sorted(TWIN_RICH))
+    def test_code_is_the_minimum_over_cell_orderings(self, name):
+        # every ordering that lists the refined colour cells in order,
+        # vertices permuted within each cell
+        g = shuffled_twin_rich(name)
+        colors = _refined_colors(g)
+        cells = [[v for v in range(g.n) if colors[v] == c] for c in sorted(set(colors))]
+        want = min(
+            upper_bits(g, [v for part in parts for v in part])
+            for parts in itertools.product(*(itertools.permutations(cell) for cell in cells))
+        )
+        code = canonical_search(g)[0]
+        assert upper_bits(graph6_decode(code.decode("ascii")), range(g.n)) == want
+
+    @pytest.mark.parametrize("name", sorted(TWIN_RICH))
+    def test_generators_give_networkx_group_order(self, name):
+        g = shuffled_twin_rich(name)
+        code, gens = canonical_search(g)
+        canon = graph6_decode(code.decode("ascii"))
+        for perm in gens:
+            assert sorted(perm) == list(range(g.n))
+            assert all(canon.has_edge(perm[u], perm[v]) for u, v in canon.edges()), list(perm)
+        h = to_nx(g)
+        want = sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+        assert group_order(g.n, gens) == want
+
+
+class TestOrbit:
+    """`orbit` against the brute-force images under every group element, on
+    seeded random generator sets: of vertices under the permutations, and of
+    vertex subsets under their tables of subset images."""
+
+    def test_matches_group_closure(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            gens = [rng.sample(range(n), n) for _ in range(rng.randint(0, 3))]
+            group = group_closure(n, gens)
+            tables = [[sum(1 << perm[v] for v in range(n) if m >> v & 1) for m in range(1 << n)] for perm in gens]
+            for v in range(n):
+                assert orbit(v, gens) == {a[v] for a in group}
+            for mask in rng.sample(range(1 << n), min(8, 1 << n)):
+                assert orbit(mask, tables) == {sum(1 << a[v] for v in range(n) if mask >> v & 1) for a in group}
