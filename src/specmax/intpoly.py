@@ -1,6 +1,7 @@
 """Exact univariate polynomial machinery over the integers.
 
-Provides integer characteristic polynomials of small matrices, Sturm
+Provides characteristic polynomials of small integer matrices (integer
+trace recursion, products on numpy object arrays of Python ints), Sturm
 sequences built as primitive remainder sequences in Z[x], real-root
 counting and isolation, and the sign decisions used throughout the
 verification suites: ordering of maximum real roots and Descartes
@@ -11,9 +12,11 @@ only in the correctly rounded root and in its exactly checked Newton seed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, inf, isfinite, nextafter
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -50,54 +53,30 @@ class IntPolynomial:
 def char_poly(matrix) -> IntPolynomial:
     """Exact monic characteristic polynomial det(lambda*I - M).
 
-    Accepts a square matrix of ints (or integral Fractions).  Uses the
-    trace recursion M_k = M(M_{k-1} + c_{k-1} I), c_k = -tr(M_k)/k, whose
-    divisions are exact over the integers.
+    Accepts a square matrix of integers, Python or numpy.  Uses the trace
+    recursion M_k = M(M_{k-1} + c_{k-1} I), c_k = -tr(M_k)/k, whose
+    divisions are exact over the integers.  The products run on a numpy
+    object array of Python ints, so no entry overflows.
     """
-    rows = [list(r) for r in matrix]
+    try:
+        rows = [[operator.index(x) for x in r] for r in matrix]
+    except TypeError:
+        raise ValueError("matrix entries must be integers") from None
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    a = [[_as_int(x) for x in r] for r in rows]
-    work = [row[:] for row in a]
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
+    a = np.array(rows, dtype=object)
+    eye = np.identity(n, dtype=object)
+    work = a
+    coeffs = [0] * n + [1]
     for k in range(1, n + 1):
-        if k > 1:
-            work = _matmul(a, work)
-        tr = sum(work[i][i] for i in range(n))
-        q, r = divmod(-tr, k)
+        ck, r = divmod(-work.trace(), k)
         if r:
             raise ArithmeticError("non-integer trace division in char_poly")
-        ck = q
         coeffs[n - k] = ck
-        for i in range(n):
-            work[i][i] += ck
+        if k < n:
+            work = a @ (work + ck * eye)
     return IntPolynomial(tuple(coeffs))
-
-
-def _as_int(x) -> int:
-    if isinstance(x, int):
-        return x
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise ValueError(f"matrix entry {x} is not an integer")
-    return f.numerator
-
-
-def _matmul(a, b):
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(n):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                for j in range(n):
-                    oi[j] += aik * bk[j]
-    return out
 
 
 # -- integer coefficient helpers ------------------------------------------

@@ -9,8 +9,10 @@ witness)` triples, and `failure_records` turns the triples that fail
 into records; `switching`, `spectral` and `enumeration` rewrite, solve
 and search, and decide no check. A verdict function solves nothing: it is
 handed the Perron pairs and spectral radii it reads, which the suites solve
-with `perron_all` and `spectral_radii`. The suites and the tests call the
-same verdict functions, the tests with their own inputs.
+with `perron_all` and `spectral_radii`, except that `quotient_bound_verdicts`
+and `family_quotient_verdicts` call `QuotientSpec.rho()`, an `eigvals`
+solve, until they decide exactly. The suites and the tests call the same
+verdict functions, the tests with their own inputs.
 """
 
 from __future__ import annotations
@@ -457,11 +459,11 @@ def component_bound_failures(rng: random.Random, trials: int, min_order: int) ->
 
 def switch_improvement_failures(orders) -> list[dict]:
     """Switching G2,1(n) to H2(n) strictly raises rho, for every odd n in
-    `orders`."""
+    `orders`, all the graphs solved in one `perron_all`."""
+    orders = list(orders)
+    rho = [p.rho for p in perron_all([build_g2_1(n) for n in orders] + [build_h2(n) for n in orders])]
     failures = []
-    for n in orders:
-        before = perron(build_g2_1(n)).rho
-        after = perron(build_h2(n)).rho
+    for n, before, after in zip(orders, rho, rho[len(orders) :]):
         failures += failure_records(n, [("g21_to_h2_strict", after > before + 1e-12, f"{before} -> {after}")])
     return failures
 

@@ -218,13 +218,16 @@ def test_every_move_kind_has_a_verdict():
 # the eigensolve entry points of `specmax.spectral`
 SOLVES = {"perron", "perron_all", "spectral_radius", "spectral_radii"}
 
+# the verdicts that may call `QuotientSpec.rho`, an `eigvals` solve of their
+# quotient matrices, until they decide exactly (ROADMAP item 5)
+QUOTIENT_SOLVERS = {"quotient_bound_verdicts", "family_quotient_verdicts"}
+
 
 def solving_verdict_functions(source: str) -> list[str]:
     """The functions named `*_verdicts` that call one of `SOLVES`, by name
-    or as an attribute: verdicts that solve instead of reading the Perron
-    pairs and spectral radii they are handed. `QuotientSpec.rho`, which the
-    quotient verdicts call on their quotient matrices, is not an entry point
-    here: deciding those verdicts exactly is ROADMAP item 5."""
+    or as an attribute, or that call `.rho()` and are not one of
+    `QUOTIENT_SOLVERS`: verdicts that solve instead of reading the Perron
+    pairs and spectral radii they are handed."""
     bad = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, FUNCTIONS) and node.name.endswith("_verdicts"):
@@ -233,7 +236,7 @@ def solving_verdict_functions(source: str) -> list[str]:
                 for call in ast.walk(node)
                 if isinstance(call, ast.Call)
             }
-            if called & SOLVES:
+            if called & SOLVES or ("rho" in called and node.name not in QUOTIENT_SOLVERS):
                 bad.append(node.name)
     return bad
 
@@ -269,6 +272,23 @@ def ls_verdicts(g: Graph, pair: PerronPair, s: int, t: int, v: int, u: int) -> l
         "switched_verdicts",
         "ls_verdicts",
     ]
+
+
+def test_detects_a_verdict_function_solving_a_quotient():
+    source = """
+def quotient_bound_verdicts(g, cells, pair):
+    return [("a", pair.rho >= quotient(g, cells).rho() - 1e-9, "")]
+
+def family_quotient_verdicts(g, cells, pair, looped_pair):
+    return [("b", abs(pair.rho - quotient(g, cells).rho()) < 1e-9, "")]
+
+def handed_verdicts(g, pair):
+    return [("c", pair.rho > 0, "")]
+
+def cell_verdicts(g, cells, pair):
+    return [("d", pair.rho >= quotient(g, cells).rho() - 1e-9, "")]
+"""
+    assert solving_verdict_functions(source) == ["cell_verdicts"]
 
 
 def test_verdict_functions_do_not_solve():

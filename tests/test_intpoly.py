@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import inf, nextafter
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import assume, given, settings
@@ -72,6 +73,23 @@ class TestCharPoly:
     def test_fractional_entry_rejected(self):
         with pytest.raises(ValueError):
             char_poly([[Fraction(1, 2)]])
+
+    # diagonal 10^6 over small off-diagonal entries: the constant term is
+    # near 10^36 and the products near 10^30, far beyond int64
+    BIG = [[10**6 if i == j else (i * 7 + j * 3) % 5 - 2 for j in range(6)] for i in range(6)]
+
+    def test_coefficients_beyond_int64_match_sympy(self):
+        p = char_poly(self.BIG)
+        assert max(abs(c) for c in p.coeffs) > 2**63
+        assert p.coeffs == tuple(reversed(sympy.Matrix(self.BIG).charpoly().all_coeffs()))
+
+    def test_int64_array_matches_list(self):
+        assert char_poly(np.array(self.BIG, dtype=np.int64)) == char_poly(self.BIG)
+
+    @pytest.mark.parametrize("entry", [0.5, 1.0])
+    def test_float_entry_rejected(self, entry):
+        with pytest.raises(ValueError):
+            char_poly([[entry]])
 
 
 def sturm_count(p: IntPolynomial, lo=None, hi=None) -> int:
