@@ -2,17 +2,17 @@
 order and maximum degree, and the extremal search over them; the
 structure of the maximizers is checked in `suites.maximizer_verdicts`.
 
-Generation proceeds by vertex augmentation: level k holds one canonical
-representative per isomorphism class of connected k-vertex graphs with
-max degree <= the target.  Each level grows from the one below by McKay's
-canonical deletion (its invariant half), tries one neighbourhood of the
-new vertex per orbit of the parent's automorphism group, whose generators
-each class carries from its search, and removes the remaining duplicates
-by canonical form, which keeps the level sets small (about 10^4 classes at
-n=8) and the memory flat; `_level_up` states the rules and why no class is
-lost.  Unless a checkpoint is written, the last level searches only the
-children that can be emitted: nonregular, with maximum degree equal to the
-cap.
+Generation follows McKay's canonical construction path (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998): level k
+holds one representative per class of connected k-vertex graphs with max
+degree <= the target, in the labels it was built in, with generators of its
+automorphism group.  A level grows from the one below by one neighbourhood
+of the new vertex per orbit of the parent's group, and accepts a child
+exactly when its new vertex is, up to automorphism, the canonical one to
+delete: every class comes once, with no set of canonical forms, and most
+children need no canonical search (`_level_up` says why).  Unless a
+checkpoint is written, the last level holds only the classes that can be
+emitted: nonregular, with maximum degree equal to the cap.
 """
 
 from __future__ import annotations
@@ -28,7 +28,10 @@ from typing import Iterator
 from .graphs import (
     CapabilityError,
     Graph,
+    _ordered_code,
     _refined_colors,
+    _search,
+    canonical_form,
     canonical_search,
     components,
     graph6_decode,
@@ -64,60 +67,66 @@ class ExtremalReport:
     total_classes: int
 
 
-def _level_up(
-    level: dict[bytes, tuple[bytes, ...]], cap: int, last: bool, *, emitted_only: bool = False
-) -> dict[bytes, tuple[bytes, ...]] | set[bytes]:
-    """Extend every canonical k-vertex class by one attached vertex.
+def _level_up(level, cap: int, last: bool, *, emitted_only: bool = False) -> Iterator[tuple]:
+    """Extend every class of `level` by one attached vertex, and yield
+    each accepted child once per isomorphism class of the next level.
 
-    `level` maps each class's canonical code to generators of its
-    automorphism group in canonical labels; so does the result, unless
-    `last`, when it is the set of the children's codes alone.
+    `level` lists each class as its rows and generators of its automorphism
+    group, each the images of 0, 1, ... .  A child comes with its
+    `_refined_colors` and `_search(child, colours)`, its canonical order and
+    generators, or None at the `last` level if it needed no search.
 
     The new vertex k attaches to a nonempty mask of the connected parent g,
     so every child is connected.  A vertex is deletable if it is not a cut
-    vertex, i.e. removing it keeps the graph in the previous level.  A child
-    is kept, and searched, only if no deletable vertex has a higher refined
-    colour (`_refined_colors`) than k.  Colour ids are label-free and their
-    order refines the degree order (the first palette is the sorted degrees,
-    and every later one sorts by the previous colour first), so a child with
-    a deletable vertex of higher degree than k is rejected before its
-    colours are computed, and they are handed to the search.  No class is
-    lost: take a deletable vertex w of maximum colour in a class C; C - w
-    lies in the previous level, and its representative plus w's
-    neighbourhood, carried over by the isomorphism, is a child isomorphic to
-    C (k playing w) that passes the test and every cap check.  A mask is
-    tried only if no mask in its orbit under Aut(g) was: an automorphism γ
-    extended by k -> k maps the child of a mask onto the child of its image,
-    and since γ preserves colours, cut vertices and the cap, every mask of
-    an orbit passes the tests or none does.  The set of canonical forms
-    removes the remaining duplicates, so the level lists depend on neither
-    rule.
+    vertex, i.e. removing it keeps the graph in the previous level.  Let
+    m(C) be the deletable vertex of top refined colour that comes first in
+    the canonical order of C.  A child is accepted exactly when k lies in
+    the Aut(C)-orbit of m(C) (McKay 1998).  Colour ids are label-free and
+    their order refines the degree order (the first palette is the sorted
+    degrees, and every later one sorts by the previous colour first), so a
+    child with a deletable vertex of higher degree than k is rejected before
+    its colours are computed, and one of higher colour before any search.
+    If no other deletable vertex shares k's colour, k = m(C): the child is
+    accepted with no search.  Otherwise one search gives the canonical order
+    and the generators, so m(C) and the orbit of k.  A middle-level child is
+    searched for the generators its children need, but automorphisms fix a
+    discrete colouring, so then Aut(C) is trivial and `_search` returns at once.
+
+    Each class C is accepted exactly once.  At least once: C - m(C) is
+    connected and within the cap, so its class is in `level`; that
+    representative plus m(C)'s neighbourhood, carried over by the
+    isomorphism, is a child isomorphic to C with k playing m(C), and so is
+    the child of the mask tried for that mask's orbit (below).  At most
+    once: m(C) is canonical, since the canonical orders of two isomorphic
+    graphs differ by an isomorphism, so two accepted children isomorphic to
+    C are isomorphic by a map fixing k.  It restricts to an isomorphism of
+    their parents, which are then one class of `level`, one representative,
+    and maps one mask onto the other, and only one mask per orbit is tried.
+
+    A mask is tried only if no mask in its orbit under Aut(g) was: an
+    automorphism γ extended by k -> k maps the child of a mask onto the
+    child of its image, and since γ preserves colours, cut vertices and the
+    cap, every mask of an orbit passes the tests or none does.
 
     Each parent's tables decide the degree and cut-vertex tests before a
     child is built: its degrees are g's plus the mask bits, and v is not
     its cut vertex iff every component of g - v meets the mask.  A non-cut
     vertex of g stays deletable, its degree not lower, in every child whose
     mask has two vertices or more, so such a mask smaller than the largest
-    degree of one is rejected at once.  Each test keeps its verdict, and a
-    search's twin seeds change neither its code nor the group its generators
-    generate, so the same children are searched; each class keeps the
-    generators of the first search that found it.
+    degree of one is rejected at once.
 
     With `last` and `emitted_only`, a child whose maximum degree is below
-    `cap` or which is regular is rejected before its cut vertices, colours
-    and search: `enumerate_graphs` would drop its class.  No emitted class
-    is lost: every mask of an orbit gives the same degree multiset, and the
-    child found above for a class C is isomorphic to C, so has its degrees.
+    `cap` or which is regular is rejected before its cut vertices and
+    colours, as its class is not emitted: degrees are invariants, so every
+    mask of an orbit, and every child isomorphic to a class, fares alike.
     """
-    out: dict[bytes, tuple[bytes, ...]] | set[bytes] = set() if last else {}
-    for code, gens in level.items():
-        g = graph6_decode(code.decode("ascii"))
-        k = g.n
+    for rows, gens in level:
+        k = len(rows)
         done: set[int] = set()  # the Aut(g) orbits of the masks tried
         # per generator, the image of every mask: entry m is the image of m
         tables = [reduce(lambda t, w: t + [m | 1 << w for m in t], perm, [0]) for perm in gens]
-        degs = [row.bit_count() for row in g.rows]
-        comps = [components(g.rows, ((1 << k) - 1) & ~(1 << v)) for v in range(k)]  # the components of g - v
+        degs = [row.bit_count() for row in rows]
+        comps = [components(rows, ((1 << k) - 1) & ~(1 << v)) for v in range(k)]  # the components of g - v
         least = max([degs[v] for v in range(k) if len(comps[v]) == 1], default=0)
         # subsets that keep every degree within the cap
         blocked = sum(1 << v for v in range(k) if degs[v] + 1 > cap)
@@ -131,21 +140,25 @@ def _level_up(
             if any(cdeg[v] > d and all(c & mask for c in comps[v]) for v in range(k)):
                 continue
             done |= orbit(mask, tables)
-            child = Graph(k + 1, tuple([r | (mask >> v & 1) << k for v, r in enumerate(g.rows)] + [mask]))
+            child = Graph(k + 1, tuple([r | (mask >> v & 1) << k for v, r in enumerate(rows)] + [mask]))
             colors = _refined_colors(child)
-            if any(colors[v] > colors[k] and cdeg[v] == d and all(c & mask for c in comps[v]) for v in range(k)):
+            # the deletable vertices of k's colour or a higher one
+            rivals = [v for v in range(k)
+                      if cdeg[v] == d and colors[v] >= colors[k] and all(c & mask for c in comps[v])]
+            if any(colors[v] > colors[k] for v in rivals):
                 continue
-            form, child_gens = canonical_search(child, colors)
-            if last:
-                out.add(form)
-            else:
-                out.setdefault(form, child_gens)
-    return out
+            found = _search(child, colors) if rivals or not last else None
+            if rivals and next(v for v in found[0] if v == k or v in rivals) not in orbit(k, found[1]):
+                continue
+            yield child, colors, found
 
 
-def _write_checkpoint(path: Path, state: dict) -> None:
-    """Write a synced temp file beside `path`, then rename it over `path`:
-    a failed write leaves the previous checkpoint whole."""
+def _write_checkpoint(path: Path, spec: EnumSpec, level: int, codes: list[bytes]) -> None:
+    """Write the sorted canonical forms of a level's classes to a synced
+    temp file beside `path`, then rename it over `path`: a failed write
+    leaves the previous checkpoint whole."""
+    state = {"n": spec.n, "max_degree": spec.max_degree, "connected": True, "level": level,
+             "codes": sorted(c.decode("ascii") for c in codes)}
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w") as fh:
@@ -158,12 +171,12 @@ def _write_checkpoint(path: Path, state: dict) -> None:
         raise
 
 
-def _resume(state, spec: EnumSpec) -> tuple[int, dict[bytes, tuple[bytes, ...]]] | None:
-    """The level of a checkpoint and its codes, each mapped to the
-    automorphism group generators of the search that validates it, or None
-    if it was written for another spec; a malformed one raises ValueError.
-    The codes must be distinct canonical forms: at level n they are emitted
-    as they stand."""
+def _resume(state, spec: EnumSpec) -> tuple[int, list] | None:
+    """The level of a checkpoint and its classes, each as the rows of the
+    graph its code decodes to and the automorphism group generators of the
+    search that validates it, or None if it was written for another spec; a
+    malformed one raises ValueError.  The codes must be distinct canonical
+    forms: at level n they are emitted as they stand."""
     if not isinstance(state, dict):
         raise ValueError("checkpoint is not a JSON object")
     if (state.get("n"), state.get("max_degree"), state.get("connected", True)) != (
@@ -177,48 +190,57 @@ def _resume(state, spec: EnumSpec) -> tuple[int, dict[bytes, tuple[bytes, ...]]]
         raise ValueError("checkpoint codes are not a nonempty list of graph6 strings")
     if len(set(codes)) != len(codes):
         raise ValueError("checkpoint codes repeat a graph")
-    resumed = {}
+    resumed = []
     for c in codes:
         g = graph6_decode(c)
         if (g.n != level or g.max_degree() > spec.max_degree or not g.is_connected()
                 or (found := canonical_search(g))[0] != c.encode("ascii")):
             raise ValueError(f"checkpoint code {c!r} is not the canonical form of a level-{level} graph")
-        resumed[found[0]] = found[1]
+        resumed.append((g.rows, found[1]))
     return level, resumed
 
 
+def _parents(spec: EnumSpec, checkpoint: str | None = None) -> tuple[int, list]:
+    """Level n - 1 and its classes, as `_level_up` reads them; or level n,
+    when a checkpoint holds it.  A checkpoint written for this spec is
+    resumed, and every level built is written to it."""
+    start, level = 1, [((0,), ())]  # the one-vertex graph, with a trivial group
+    if checkpoint and Path(checkpoint).exists():
+        resumed = _resume(json.loads(Path(checkpoint).read_text()), spec)
+        if resumed:
+            start, level = resumed
+    for k in range(start + 1, spec.n):
+        parents, level, codes = level, [], []
+        for child, _, (order, gens) in _level_up(parents, spec.max_degree, False):
+            level.append((bytes(child.rows), tuple(map(bytes, gens))))  # 8 vertices at most: a row fits a byte
+            if checkpoint:
+                codes.append(_ordered_code(child, order))
+        if checkpoint:
+            _write_checkpoint(Path(checkpoint), spec, k, codes)
+    return max(start, spec.n - 1), level
+
+
 def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[Graph]:
-    """Yield one canonical representative per isomorphism class.
+    """Yield one canonical representative per isomorphism class: the graph
+    its canonical form decodes to, in sorted graph6 order.
 
     Emits connected nonregular graphs whose maximum degree equals
-    spec.max_degree exactly, in a deterministic order.
+    spec.max_degree exactly.  Each emitted class is searched once, by its
+    acceptance test or, if that needed none, for its canonical form.
     A checkpoint file, when given, persists the per-level frontier so an
     interrupted run resumes at the completed level; one written for this
     spec that does not hold a level's graphs raises ValueError.
     """
-    start_level = 1
-    # the one-vertex graph is its own canonical form, with a trivial group
-    codes = {graph6_encode(Graph.build(1, [])).encode("ascii"): ()}
-    if checkpoint and Path(checkpoint).exists():
-        resumed = _resume(json.loads(Path(checkpoint).read_text()), spec)
-        if resumed:
-            start_level, codes = resumed
-    for level in range(start_level, spec.n):
-        codes = _level_up(codes, spec.max_degree, level + 1 == spec.n, emitted_only=not checkpoint)
+    k, level = _parents(spec, checkpoint)
+    if k == spec.n:  # the canonical graphs of a finished run
+        codes = [graph6_encode(Graph(k, tuple(rows))).encode("ascii") for rows, _ in level]
+    else:
+        children = _level_up(level, spec.max_degree, True, emitted_only=not checkpoint)
+        codes = [_ordered_code(c, (found or _search(c, colors))[0]) for c, colors, found in children]
         if checkpoint:
-            _write_checkpoint(
-                Path(checkpoint),
-                {
-                    "n": spec.n,
-                    "max_degree": spec.max_degree,
-                    "connected": True,
-                    "level": level + 1,
-                    "codes": sorted(c.decode("ascii") for c in codes),
-                },
-            )
-    # the sorted list alone outlives this line: the last level's set is
-    # freed before its graphs are built
-    codes = sorted(codes)
+            _write_checkpoint(Path(checkpoint), spec, spec.n, codes)
+    del level  # the codes alone outlive this line, so the level below is freed before any graph is built
+    codes.sort()
     for code in codes:
         g = graph6_decode(code.decode("ascii"))
         degs = g.degrees()
@@ -230,17 +252,18 @@ def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[
 def extremal_search(spec: EnumSpec) -> ExtremalReport:
     """All isomorphism classes attaining the maximum spectral radius.
 
-    Every class within 1e-7 of the float maximum is re-examined exactly
-    through the integer characteristic polynomial of its adjacency matrix,
-    and the exact maximum is taken among them, so the reported maximizer
-    set contains exactly the classes whose spectral radius equals the
-    maximum as a real algebraic number, whatever the float order.
+    The classes are read as `_level_up` builds them, and only the maximizers
+    are put in canonical form.  Every class within 1e-7 of the float maximum
+    is re-examined exactly through the integer characteristic polynomial of
+    its adjacency matrix, and the exact maximum is taken among them, so the
+    reported maximizer set contains exactly the classes whose spectral radius
+    equals the maximum as a real algebraic number, whatever the float order.
     """
     # the classes within 1e-7 of the running float maximum
     best: list[tuple[float, Graph]] = []
     rho_max = float("-inf")
     total = 0
-    graphs = enumerate_graphs(spec)
+    graphs = (child for child, _, _ in _level_up(_parents(spec)[1], spec.max_degree, True, emitted_only=True))
     while batch := list(islice(graphs, ROUND)):
         total += len(batch)
         for g, rho in zip(batch, spectral_radii(batch)):
@@ -261,8 +284,6 @@ def extremal_search(spec: EnumSpec) -> ExtremalReport:
             top, maximizers = poly, [g]
         elif order == 0:
             maximizers.append(g)
-    # the maximizers are canonical representatives: their graph6 lines are
-    # their canonical forms
-    maximizers.sort(key=graph6_encode)
+    # the maximizers as canonical representatives, sorted by their forms
+    maximizers = [graph6_decode(code.decode("ascii")) for code in sorted(map(canonical_form, maximizers))]
     return ExtremalReport(maximizers, rho_max, total)
-

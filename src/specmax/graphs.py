@@ -509,14 +509,18 @@ def canonical_search(g: Graph, colors: list[int] | None = None) -> tuple[bytes, 
     group is trivial. `colors`, when given, is `_refined_colors(g)`, which
     the search would otherwise compute."""
     order, gens = _search(g, colors)
-    rows = [g.rows[v] for v in order]
-    # column p of the canonical matrix lists rows 0..p-1
-    code = _g6_pack(g.n, "".join(str(rows[i] >> order[p] & 1) for p in range(1, g.n) for i in range(p)))
     # canonical vertex p is g's vertex order[p]
     pos = [0] * g.n
     for p, v in enumerate(order):
         pos[v] = p
-    return code, tuple(bytes([pos[perm[v]] for v in order]) for perm in gens)
+    return _ordered_code(g, order), tuple(bytes([pos[perm[v]] for v in order]) for perm in gens)
+
+
+def _ordered_code(g: Graph, order: list[int]) -> bytes:
+    """The graph6 bytes of g with vertex order[p] relabelled p: its
+    canonical form when `order` is the ordering `_search` returns."""
+    rows = [g.rows[v] for v in order]  # column p lists rows 0..p-1
+    return _g6_pack(g.n, "".join(str(rows[i] >> order[p] & 1) for p in range(1, g.n) for i in range(p)))
 
 
 # -- helpers for randomized sweeps --------------------------------------

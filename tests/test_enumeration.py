@@ -8,9 +8,10 @@ import networkx as nx
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
+import specmax.enumeration as enumeration
 from specmax.enumeration import EnumSpec, enumerate_graphs, extremal_search
 from specmax.families import build_g
-from specmax.graphs import CapabilityError, Graph, canonical_form, canonical_search, components, graph6_encode
+from specmax.graphs import CapabilityError, Graph, canonical_form, components, graph6_encode
 from specmax.spectral import perron, spectral_radii
 from specmax.suites import maximizer_verdicts
 
@@ -26,6 +27,10 @@ LEVELS_8_6 = [
     "9baf595cc7ef2ce9e1ac64ffac689895b5f6846267f2a90dd0e981d8eeeb5876",
     "d20b70fc463d1b7bfe6363f7d542d16e9036676d47677aac8d49c77b3b4b285f",
 ]
+
+# sha256 of the lines `enumerate --emit` writes for every (n, cap) with
+# 3 <= n <= 8, in that order: 12,080 canonical forms
+EMITTED_3_8 = "9f83f6807ee495e6be8cbe29159ae809945190acf52a4a6d272b88b3ecfe0279"
 
 
 def brute_force_classes(n, max_degree):
@@ -134,43 +139,40 @@ class TestEnumerate:
 
     def test_degree_rule_prunes_canonical_forms(self, monkeypatch):
         # 6,430 canonical forms at (7, 5) before children were rejected by
-        # degree, 1,164 before they were rejected by refined colour
+        # degree, 1,164 before they were rejected by refined colour, 486
+        # before a child was accepted by its canonical deletion
         calls = counted_searches(monkeypatch)
         assert sum(1 for _ in enumerate_graphs(EnumSpec(7, 5))) == 344
-        assert len(calls) <= 850
+        assert len(calls) <= SEARCHES_7_5
 
     def test_orbit_pruning_keeps_level_lists(self, monkeypatch):
         # at (7, 5), one mask per Aut(parent) orbit gives the level lists of
-        # every mask, with fewer canonical searches
-        import specmax.enumeration as enumeration
-
-        def levels():
-            calls.clear()
-            level = dict([canonical_search(Graph.build(1, []))])
-            out = []
-            for k in range(2, 8):
-                level = enumeration._level_up(level, 5, k == 7)
-                out.append(sorted(level))
-            return out, len(calls)
-
+        # every mask, with fewer canonical searches. Parents without their
+        # generators try every mask, and then a class can come more than
+        # once: the first child of each is kept
         calls = counted_searches(monkeypatch)
-        pruned, pruned_calls = levels()
-        monkeypatch.setattr(enumeration, "orbit", lambda mask, tables: {mask})
-        full, full_calls = levels()
+        pruned = [sorted(canonical_form(g) for g, _, _ in level) for level in levels(7, 5)[1:]]
+        pruned_calls = len(calls)
+        calls.clear()
+        level, full = [((0,), ())], []
+        for k in range(2, 8):
+            firsts = {}
+            for child, _, _ in enumeration._level_up(level, 5, k == 7):
+                firsts.setdefault(canonical_form(child), child)
+            full.append(sorted(firsts))
+            level = [(g.rows, ()) for g in firsts.values()]
+        assert all(len(set(forms)) == len(forms) for forms in pruned)
         assert pruned == full
-        assert pruned_calls < 0.7 * full_calls
+        assert pruned_calls < 0.7 * len(calls)
 
     def test_level_lists_at_8_6(self):
-        # sha256 of each level's sorted codes, one per line, recorded before
-        # children were rejected by refined colour: the colour rule above
-        # the atlas keeps every class
-        import specmax.enumeration as enumeration
-
-        level = dict([canonical_search(Graph.build(1, []))])
+        # sha256 of each level's sorted canonical forms, one per line,
+        # recorded before children were rejected by refined colour: the
+        # colour rule and the acceptance test above the atlas keep every class
         got = []
-        for k in range(2, 9):
-            level = enumeration._level_up(level, 6, k == 8)
-            got.append(hashlib.sha256(b"".join(c + b"\n" for c in sorted(level))).hexdigest())
+        for level in levels(8, 6)[1:]:
+            codes = sorted(canonical_form(g) for g, _, _ in level)
+            got.append(hashlib.sha256(b"".join(c + b"\n" for c in codes)).hexdigest())
         assert got == LEVELS_8_6
 
 
@@ -181,13 +183,8 @@ class TestParentTables:
     @staticmethod
     def parents():
         """Each parent graph that `_level_up` extends on the way to (7, 5)."""
-        import specmax.enumeration as enumeration
-        from specmax.graphs import graph6_decode
-
-        level = dict([canonical_search(Graph.build(1, []))])
-        for k in range(2, 8):
-            yield from (graph6_decode(code.decode("ascii")) for code in level)
-            level = enumeration._level_up(level, 5, k == 7)
+        for level in levels(7, 5)[:-1]:
+            yield from (g for g, _, _ in level)
 
     def test_component_test_matches_articulation_points(self):
         # a child minus v is connected iff every component of g - v meets
@@ -215,16 +212,17 @@ class TestParentTables:
         # every table `_level_up` hands to `orbit` maps masks through one
         # automorphism of the parent, and together they generate its whole
         # group, as networkx counts it
-        import specmax.enumeration as enumeration
-
-        real_decode, real_orbit = enumeration.graph6_decode, enumeration.orbit
+        real_level_up, real_orbit = enumeration._level_up, enumeration.orbit
         parents, seen = [], set()
 
-        def decode(text):
-            parents.append(real_decode(text))
-            return parents[-1]
+        def tracked(level):
+            for rows, gens in level:
+                parents.append(Graph(len(rows), tuple(rows)))
+                yield rows, gens
 
         def checked_orbit(mask, tables):
+            # the first orbit a parent asks for is that of a mask; the later
+            # ones may be a child's orbit of k
             g = parents[-1]
             if id(g) not in seen:
                 seen.add(id(g))
@@ -240,31 +238,47 @@ class TestParentTables:
                 assert group.order() == sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
             return real_orbit(mask, tables)
 
-        monkeypatch.setattr(enumeration, "graph6_decode", decode)
+        monkeypatch.setattr(
+            enumeration, "_level_up", lambda level, *args, **kw: real_level_up(tracked(level), *args, **kw)
+        )
         monkeypatch.setattr(enumeration, "orbit", checked_orbit)
         assert sum(1 for _ in enumerate_graphs(EnumSpec(7, 5))) == 344
         assert len(seen) > 100
 
 
-def counted_searches(monkeypatch):
-    """The orders of the graphs `enumeration` searches, one entry per search."""
-    import specmax.enumeration as enumeration
+def levels(n, cap, *, emitted_only=False):
+    """Levels 1..n as `_level_up` builds them from the one-vertex graph: per
+    level, the (graph, colours, found) of each accepted child."""
+    out = [[(Graph.build(1, []), [0], ([0], []))]]
+    for k in range(2, n + 1):
+        parents = [(g.rows, found[1]) for g, _, found in out[-1]]
+        out.append(list(enumeration._level_up(parents, cap, k == n, emitted_only=emitted_only)))
+    return out
 
+
+def counted_searches(monkeypatch):
+    """The orders of the graphs `enumeration` searches, one entry per
+    search: a `_search` call on a colouring that is not discrete (on a
+    discrete one it returns at once)."""
     calls = []
-    real = enumeration.canonical_search
+    real = enumeration._search
 
     def counting(g, colors=None):
-        calls.append(g.n)
+        if colors is None or len(set(colors)) < g.n:
+            calls.append(g.n)
         return real(g, colors)
 
-    monkeypatch.setattr(enumeration, "canonical_search", counting)
+    monkeypatch.setattr(enumeration, "_search", counting)
     return calls
 
 
-# canonical searches over every cap at each order n: 16,075 in all. Pruning
+# canonical searches over every cap at each order n: 16,075 in all before
+# each class was accepted once by its canonical deletion, 11,806 since. Pruning
 # inside a search changes none of them, and the children searched are
 # fixed by the rules of `_level_up`
-SEARCHES = {3: 2, 4: 10, 5: 42, 6: 193, 7: 1298, 8: 14530}
+SEARCHES = {3: 2, 4: 10, 5: 42, 6: 185, 7: 1128, 8: 10439}
+SEARCHES_7_5 = 414
+SEARCHES_8_6 = 3428
 
 
 class TestEmittedOnlyRule:
@@ -273,15 +287,13 @@ class TestEmittedOnlyRule:
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_emitted_lines_match_rule_off(self, n, monkeypatch):
-        import specmax.enumeration as enumeration
-
         specs = [EnumSpec(n, cap) for cap in range(2, n)]
         calls = counted_searches(monkeypatch)
         on = [[graph6_encode(g) for g in enumerate_graphs(spec)] for spec in specs]
         assert len(calls) == SEARCHES[n]
         real = enumeration._level_up
         monkeypatch.setattr(
-            enumeration, "_level_up", lambda level, cap, last, emitted_only: real(level, cap, last)
+            enumeration, "_level_up", lambda level, cap, last, emitted_only=False: real(level, cap, last)
         )
         off = [[graph6_encode(g) for g in enumerate_graphs(spec)] for spec in specs]
         assert on == off
@@ -302,25 +314,61 @@ class TestEmittedOnlyRule:
 
     def test_searches_bounded_at_8_6(self, monkeypatch):
         # 11,092 searches with every last-level child searched, 4,682 with
-        # the rule
+        # the rule, 3,428 with each class accepted once by its canonical deletion
         calls = counted_searches(monkeypatch)
         assert sum(1 for _ in enumerate_graphs(EnumSpec(8, 6))) == 3686
-        assert len(calls) <= 5000
+        assert len(calls) <= SEARCHES_8_6
 
     def test_oracle_above_the_atlas_at_8_7(self):
         # with cap n - 1 the cap binds at no level: the rule-off levels hold
         # every connected graph (OEIS A001349), and the emitted classes are
         # the 1,044 graphs on 7 vertices (A000088), each joined to a
         # dominating vertex, less K8; the rule's last level holds just these
-        import specmax.enumeration as enumeration
-
-        levels = [dict([canonical_search(Graph.build(1, []))])]
-        for k in range(2, 9):
-            levels.append(enumeration._level_up(levels[-1], 7, k == 8))
-        assert [len(level) for level in levels] == [1, 1, 2, 6, 21, 112, 853, 11117]
+        built = levels(8, 7)
+        assert [len(level) for level in built] == [1, 1, 2, 6, 21, 112, 853, 11117]
         emitted = [graph6_encode(g).encode("ascii") for g in enumerate_graphs(EnumSpec(8, 7))]
         assert len(emitted) == 1043
-        assert sorted(enumeration._level_up(levels[6], 7, True, emitted_only=True)) == emitted
+        parents = [(g.rows, found[1]) for g, _, found in built[6]]
+        last = enumeration._level_up(parents, 7, True, emitted_only=True)
+        assert sorted(canonical_form(g) for g, _, _ in last) == emitted
+
+
+class TestCanonicalAugmentation:
+    """`_level_up` accepts a child C exactly when its new vertex lies in the
+    Aut(C)-orbit of m(C), the deletable vertex of top colour that comes
+    first in C's canonical order: each class is accepted once, and nothing
+    removes duplicates."""
+
+    def test_accepted_children_are_distinct_classes(self):
+        # every level of every (n, cap) with 3 <= n <= 8 holds pairwise
+        # distinct canonical forms, and the sorted forms of the last levels
+        # are the lines `enumerate --emit` writes for those (n, cap)
+        lines = []
+        for n in range(3, 9):
+            for cap in range(2, n):
+                for level in levels(n, cap, emitted_only=True):
+                    forms = [canonical_form(g) for g, _, _ in level]
+                    assert len(set(forms)) == len(forms), (n, cap)
+                lines += sorted(forms)
+        assert len(lines) == 12080
+        assert hashlib.sha256(b"".join(c + b"\n" for c in lines)).hexdigest() == EMITTED_3_8
+
+    def test_generators_give_the_group(self):
+        # the generators each middle-level class of (8, 6) carries generate
+        # its automorphism group, as networkx counts it; a class whose
+        # colouring is discrete is accepted with none, and its group is trivial
+        discrete = 0
+        for level in levels(8, 6)[1:-1]:
+            for g, colors, (_, gens) in level:
+                h = nx.Graph(list(g.edges()))
+                h.add_nodes_from(range(g.n))
+                count = sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+                group = PermutationGroup([Permutation(perm) for perm in gens] or [Permutation(g.n - 1)])
+                assert group.order() == count, graph6_encode(g)
+                if len(set(colors)) == g.n:
+                    assert (gens, count) == ([], 1)
+                    discrete += 1
+        assert discrete > 100
 
 
 class TestAgainstGraphAtlas:
@@ -366,8 +414,6 @@ class TestExtremalSearch:
         assert rep.maximizers[0].degree_sequence() == [5, 5, 5, 5, 5, 5, 4]
 
     def test_exact_maximum_ignores_float_order(self, monkeypatch):
-        import specmax.enumeration as enumeration
-
         spec = EnumSpec(6, 4)
         want = {canonical_form(g) for g in extremal_search(spec).maximizers}
         graphs = list(enumerate_graphs(spec))
