@@ -32,7 +32,6 @@ from .graphs import (
     _refined_colors,
     _search,
     canonical_form,
-    canonical_search,
     components,
     graph6_decode,
     graph6_encode,
@@ -67,7 +66,7 @@ class ExtremalReport:
     total_classes: int
 
 
-def _level_up(level, cap: int, last: bool, *, emitted_only: bool = False) -> Iterator[tuple]:
+def _level_up(level, cap: int, last: bool) -> Iterator[tuple]:
     """Extend every class of `level` by one attached vertex, and yield
     each accepted child once per isomorphism class of the next level.
 
@@ -115,10 +114,12 @@ def _level_up(level, cap: int, last: bool, *, emitted_only: bool = False) -> Ite
     mask has two vertices or more, so such a mask smaller than the largest
     degree of one is rejected at once.
 
-    With `last` and `emitted_only`, a child whose maximum degree is below
-    `cap` or which is regular is rejected before its cut vertices and
-    colours, as its class is not emitted: degrees are invariants, so every
-    mask of an orbit, and every child isomorphic to a class, fares alike.
+    The `last` level holds only the classes that are emitted: a child whose
+    maximum degree is below `cap` or which is regular is rejected before its
+    cut vertices and colours, as degrees are invariants, so every mask of an
+    orbit, and every child isomorphic to a class, fares alike.  A level
+    written to a checkpoint keeps every class, so it is built with `last`
+    false.
     """
     for rows, gens in level:
         k = len(rows)
@@ -135,7 +136,7 @@ def _level_up(level, cap: int, last: bool, *, emitted_only: bool = False) -> Ite
             if mask & blocked or d > cap or 2 <= d < least or mask in done:
                 continue
             cdeg = [a + (mask >> v & 1) for v, a in enumerate(degs)]  # the child's degrees
-            if last and emitted_only and (max(cdeg) < cap and d < cap or cdeg.count(d) == k):
+            if last and (max(cdeg) < cap and d < cap or cdeg.count(d) == k):
                 continue
             if any(cdeg[v] > d and all(c & mask for c in comps[v]) for v in range(k)):
                 continue
@@ -194,7 +195,7 @@ def _resume(state, spec: EnumSpec) -> tuple[int, list] | None:
     for c in codes:
         g = graph6_decode(c)
         if (g.n != level or g.max_degree() > spec.max_degree or not g.is_connected()
-                or (found := canonical_search(g))[0] != c.encode("ascii")):
+                or _ordered_code(g, (found := _search(g))[0]) != c.encode("ascii")):
             raise ValueError(f"checkpoint code {c!r} is not the canonical form of a level-{level} graph")
         resumed.append((g.rows, found[1]))
     return level, resumed
@@ -235,7 +236,7 @@ def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[
     if k == spec.n:  # the canonical graphs of a finished run
         codes = [graph6_encode(Graph(k, tuple(rows))).encode("ascii") for rows, _ in level]
     else:
-        children = _level_up(level, spec.max_degree, True, emitted_only=not checkpoint)
+        children = _level_up(level, spec.max_degree, not checkpoint)
         codes = [_ordered_code(c, (found or _search(c, colors))[0]) for c, colors, found in children]
         if checkpoint:
             _write_checkpoint(Path(checkpoint), spec, spec.n, codes)
@@ -263,7 +264,7 @@ def extremal_search(spec: EnumSpec) -> ExtremalReport:
     best: list[tuple[float, Graph]] = []
     rho_max = float("-inf")
     total = 0
-    graphs = (child for child, _, _ in _level_up(_parents(spec)[1], spec.max_degree, True, emitted_only=True))
+    graphs = (child for child, _, _ in _level_up(_parents(spec)[1], spec.max_degree, True))
     while batch := list(islice(graphs, ROUND)):
         total += len(batch)
         for g, rho in zip(batch, spectral_radii(batch)):

@@ -6,7 +6,8 @@ canonical partition on contiguous index ranges.  Every family graph has
 maximum degree n-2 or n-3, so each builder lists the edges of its sparse
 complement and returns the complement of that.  Matchings deleted from a
 complete block always pair consecutive labels: (first, second),
-(third, fourth), ...
+(third, fourth), ...  H1(n), H2(n) and G2,1(n) are complement profiles of
+one low vertex, rows of `PROFILE_FAMILIES` that `build_family` builds.
 """
 
 from __future__ import annotations
@@ -84,6 +85,16 @@ class NamedQuotient:
 
 
 FAMILY_TAGS = ("g", "h1", "h2", "g21", "profile", "gdd", "gd1")
+# tag -> (delta, least order, complement profile at order n) of the families
+# with one vertex of degree delta and all others of degree n-3; n has the
+# parity of the least order. H1: N(u) is one vertex, the interior of the one
+# path; H2: two adjacent ones, each the interior of a path; G2,1: two
+# nonadjacent ones, the interior of one path
+PROFILE_FAMILIES = {
+    "h1": (1, 8, lambda n: ComplementProfile((n - 4) // 2, (1,))),
+    "h2": (2, 9, lambda n: ComplementProfile((n - 7) // 2, (1, 1))),
+    "g21": (2, 9, lambda n: ComplementProfile((n - 5) // 2, (2,))),
+}
 
 
 def _require_order(n: int) -> None:
@@ -99,12 +110,12 @@ def build_family(tag: str, n: int, delta: int | None = None, profile: Complement
     if tag not in FAMILY_TAGS:
         raise ValueError(f"unknown family tag {tag!r}; use one of {FAMILY_TAGS}")
     _require_order(n)
-    if tag == "h1":
-        return build_h1(n)
-    if tag == "h2":
-        return build_h2(n)
-    if tag == "g21":
-        return build_g2_1(n)
+    if tag in PROFILE_FAMILIES:
+        delta, least, profile = PROFILE_FAMILIES[tag]
+        if n < least or (n - least) % 2:
+            raise ValueError(f"{tag} needs {('even', 'odd')[least % 2]} n >= {least}, got {n}")
+        _, inner, ends, block = profile_family_partition(tag, n)
+        return _profile_graph(n, profile(n), inner, block + ends)
     if delta is None:
         raise ValueError(f"{tag} needs delta")
     if tag == "g":
@@ -124,6 +135,15 @@ def build_family(tag: str, n: int, delta: int | None = None, profile: Complement
     if profile is None:
         raise ValueError("profile needs a complement profile")
     return build_from_profile(n, delta, profile)
+
+
+def profile_family_partition(tag: str, n: int) -> list[list[int]]:
+    """The equitable partition of a PROFILE_FAMILIES graph at order n, in
+    `build_family`'s labels: u=0; N(u)=1..delta, the path interiors; the
+    path endpoints; the matched block of the type-1 edges, labelled last."""
+    delta, _, profile = PROFILE_FAMILIES[tag]
+    ends = delta + 1 + 2 * len(profile(n).type2)
+    return [[0], list(range(1, delta + 1)), list(range(delta + 1, ends)), list(range(ends, n))]
 
 
 def _matching(lo: int, hi: int) -> list[tuple[int, int]]:
@@ -155,68 +175,6 @@ def g_partition(n: int, t: int) -> list[list[int]]:
     return [[0], list(range(1, t + 1)), list(range(t + 1, n))]
 
 
-# -- families for maximum degree n-3 --------------------------------------
-
-
-def build_h1(n: int) -> Graph:
-    """Even-order family with degree sequence (n-3, ..., n-3, 1).
-
-    Labels: u=0 (degree 1), v=1, pair block {2,3}, big matched block
-    4..n-1.  u-v edge; v adjacent to the big block; {2,3} is an edge fully
-    joined to the big block.
-    """
-    if n % 2 != 0:
-        raise ValueError(f"build_h1 needs even n, got {n}")
-    if n < 8:
-        raise ValueError(f"build_h1 needs n >= 8, got {n}")
-    non_edges = [(0, v) for v in range(2, n)] + [(1, 2), (1, 3)] + _matching(4, n)
-    return Graph.build(n, non_edges).complement()
-
-
-def h1_partition(n: int) -> list[list[int]]:
-    return [[0], [1], [2, 3], list(range(4, n))]
-
-
-def build_h2(n: int) -> Graph:
-    """Odd-order family with degree sequence (n-3, ..., n-3, 2).
-
-    Labels: u=0 adjacent to exactly v1=1 and v2=2; v1-v2 edge; {3,4,5,6}
-    induces K4 with v1 adjacent to {5,6} and v2 adjacent to {3,4}; the
-    matched block 7..n-1 is adjacent to everything except u and the
-    matched partner.
-    """
-    if n % 2 == 0:
-        raise ValueError(f"build_h2 needs odd n, got {n}")
-    if n < 9:
-        raise ValueError(f"build_h2 needs n >= 9, got {n}")
-    non_edges = [(0, v) for v in range(3, n)] + [(1, 3), (1, 4), (2, 5), (2, 6)] + _matching(7, n)
-    return Graph.build(n, non_edges).complement()
-
-
-def h2_partition(n: int) -> list[list[int]]:
-    return [[0], [1, 2], [3, 4, 5, 6], list(range(7, n))]
-
-
-def build_g2_1(n: int) -> Graph:
-    """Odd-order family with nonadjacent low-vertex neighbors.
-
-    Labels: u=0 adjacent to exactly v1=1 and v2=2 with v1,v2 nonadjacent;
-    v3=3 adjacent to everything except u,v1; v4=4 adjacent to everything
-    except u,v2; matched block 5..n-1 adjacent to 1..4 and within itself
-    minus the matching.  Degree sequence (n-3, ..., n-3, 2).
-    """
-    if n % 2 == 0:
-        raise ValueError(f"build_g2_1 needs odd n, got {n}")
-    if n < 9:
-        raise ValueError(f"build_g2_1 needs n >= 9, got {n}")
-    non_edges = [(0, v) for v in range(3, n)] + [(1, 2), (1, 3), (2, 4)] + _matching(5, n)
-    return Graph.build(n, non_edges).complement()
-
-
-def g2_1_partition(n: int) -> list[list[int]]:
-    return [[0], [1, 2], [3, 4], list(range(5, n))]
-
-
 # -- complement-profile constructions --------------------------------------
 
 
@@ -236,8 +194,13 @@ def build_from_profile(n: int, delta: int, profile: ComplementProfile) -> Graph:
         raise ValueError(f"delta must be even for odd n (got {delta}, n={n})")
     if not 1 <= delta <= n - 5:
         raise ValueError(f"delta={delta} outside [1, n-5] for n={n}")
-    inner = list(range(1, delta + 1))
-    outer = list(range(delta + 1, n))
+    return _profile_graph(n, profile, list(range(1, delta + 1)), list(range(delta + 1, n)))
+
+
+def _profile_graph(n: int, profile: ComplementProfile, inner: list[int], outer: list[int]) -> Graph:
+    """The order-n graph whose vertex 0 misses exactly `outer` and whose
+    other non-edges realize the profile, consuming `inner` (N(u)) and
+    `outer` in order."""
     non_edges = [(0, v) for v in outer]
     non_edges += _profile_complement_edges(profile, inner, outer, ("delta", "n-delta-1"))
     return Graph.build(n, non_edges).complement()

@@ -499,21 +499,7 @@ def canonical_form(g: Graph) -> bytes:
     The result is packed as graph6 bytes, so the canonical labeling can be
     decoded back with graph6_decode.
     """
-    return canonical_search(g)[0]
-
-
-def canonical_search(g: Graph, colors: list[int] | None = None) -> tuple[bytes, tuple[bytes, ...]]:
-    """`canonical_form(g)` and generators of the automorphism group of the
-    graph it decodes to (n <= 12), from one search: byte v of a generator is
-    the image of vertex v in canonical labels, and there are none when the
-    group is trivial. `colors`, when given, is `_refined_colors(g)`, which
-    the search would otherwise compute."""
-    order, gens = _search(g, colors)
-    # canonical vertex p is g's vertex order[p]
-    pos = [0] * g.n
-    for p, v in enumerate(order):
-        pos[v] = p
-    return _ordered_code(g, order), tuple(bytes([pos[perm[v]] for v in order]) for perm in gens)
+    return _ordered_code(g, _search(g)[0])
 
 
 def _ordered_code(g: Graph, order: list[int]) -> bytes:

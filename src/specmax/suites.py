@@ -29,17 +29,13 @@ from .families import (
     ComplementProfile,
     admissible_deltas,
     build_case2,
+    build_family,
     build_from_profile,
     build_g,
-    build_g2_1,
-    build_h1,
-    build_h2,
     check_quotient_order,
-    g2_1_partition,
     g_partition,
-    h1_partition,
-    h2_partition,
     named_quotient,
+    profile_family_partition,
 )
 from .graphs import Graph, canonical_form, graph6_encode, random_connected_graph
 from .intpoly import IntPolynomial, compare_max_real_roots, max_real_root, roots_below, scaled_value
@@ -461,7 +457,7 @@ def switch_improvement_failures(orders) -> list[dict]:
     """Switching G2,1(n) to H2(n) strictly raises rho, for every odd n in
     `orders`, all the graphs solved in one `perron_all`."""
     orders = list(orders)
-    rho = [p.rho for p in perron_all([build_g2_1(n) for n in orders] + [build_h2(n) for n in orders])]
+    rho = [p.rho for p in perron_all([build_family(tag, n) for tag in ("g21", "h2") for n in orders])]
     failures = []
     for n, before, after in zip(orders, rho, rho[len(orders) :]):
         failures += failure_records(n, [("g21_to_h2_strict", after > before + 1e-12, f"{before} -> {after}")])
@@ -603,10 +599,8 @@ def run_lemmas(trials: int = 200, seed: int = 0) -> dict:
     families = []
     for n in range(8, 41):
         families.append((build_g(n, 2), g_partition(n, 2)))
-        if n % 2 == 0:
-            families.append((build_h1(n), h1_partition(n)))
-        else:
-            families += [(build_h2(n), h2_partition(n)), (build_g2_1(n), g2_1_partition(n))]
+        for tag in ("h1",) if n % 2 == 0 else ("h2", "g21"):
+            families.append((build_family(tag, n), profile_family_partition(tag, n)))
     pairs = perron_all([g for g, _ in families] + [g.add_loops() for g, _ in families])
     for (g, cells), pair, looped_pair in zip(families, pairs, pairs[len(families) :]):
         failures += failure_records(g.n, family_quotient_verdicts(g, cells, pair, looped_pair))

@@ -13,14 +13,12 @@ from specmax.families import (
     ComplementProfile,
     admissible_deltas,
     build_case2,
+    build_family,
     build_from_profile,
     build_g,
-    build_h1,
-    build_h2,
     g_partition,
-    h1_partition,
-    h2_partition,
     named_quotient,
+    profile_family_partition,
 )
 from specmax.intpoly import char_poly, compare_max_real_roots
 from specmax.spectral import perron, perron_all
@@ -145,10 +143,10 @@ def test_criterion_5_equitable_and_loop_lemmas():
             if 2 <= t <= n - 3 and t % 2 == 0:
                 instances.append((build_g(n, t), g_partition(n, t)))
         if n % 2 == 0:
-            instances.append((build_h1(n), h1_partition(n)))
+            instances.append((build_family("h1", n), profile_family_partition("h1", n)))
         else:
             if n >= 9:
-                instances.append((build_h2(n), h2_partition(n)))
+                instances.append((build_family("h2", n), profile_family_partition("h2", n)))
         if n >= 12:
             delta = n - 5  # matches the required parity for both parities of n
             prof = ComplementProfile(type1=(n - delta - 1) // 2, type3=(delta,))

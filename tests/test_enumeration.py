@@ -157,7 +157,7 @@ class TestEnumerate:
         level, full = [((0,), ())], []
         for k in range(2, 8):
             firsts = {}
-            for child, _, _ in enumeration._level_up(level, 5, k == 7):
+            for child, _, _ in enumeration._level_up(level, 5, False):
                 firsts.setdefault(canonical_form(child), child)
             full.append(sorted(firsts))
             level = [(g.rows, ()) for g in firsts.values()]
@@ -248,11 +248,13 @@ class TestParentTables:
 
 def levels(n, cap, *, emitted_only=False):
     """Levels 1..n as `_level_up` builds them from the one-vertex graph: per
-    level, the (graph, colours, found) of each accepted child."""
+    level, the (graph, colours, found) of each accepted child. The last level
+    holds every class, as a checkpoint writes it, or with `emitted_only` the
+    classes `enumerate_graphs` emits."""
     out = [[(Graph.build(1, []), [0], ([0], []))]]
     for k in range(2, n + 1):
         parents = [(g.rows, found[1]) for g, _, found in out[-1]]
-        out.append(list(enumeration._level_up(parents, cap, k == n, emitted_only=emitted_only)))
+        out.append(list(enumeration._level_up(parents, cap, emitted_only and k == n)))
     return out
 
 
@@ -282,7 +284,7 @@ SEARCHES_8_6 = 3428
 
 
 class TestEmittedOnlyRule:
-    """`_level_up(..., emitted_only=True)` rejects, at the last level, the
+    """`_level_up(..., last=True)` rejects, at the last level, the
     children `enumerate_graphs` would drop; no output may change."""
 
     @pytest.mark.parametrize("n", range(3, 9))
@@ -293,7 +295,7 @@ class TestEmittedOnlyRule:
         assert len(calls) == SEARCHES[n]
         real = enumeration._level_up
         monkeypatch.setattr(
-            enumeration, "_level_up", lambda level, cap, last, emitted_only=False: real(level, cap, last)
+            enumeration, "_level_up", lambda level, cap, last: real(level, cap, False)
         )
         off = [[graph6_encode(g) for g in enumerate_graphs(spec)] for spec in specs]
         assert on == off
@@ -329,7 +331,7 @@ class TestEmittedOnlyRule:
         emitted = [graph6_encode(g).encode("ascii") for g in enumerate_graphs(EnumSpec(8, 7))]
         assert len(emitted) == 1043
         parents = [(g.rows, found[1]) for g, _, found in built[6]]
-        last = enumeration._level_up(parents, 7, True, emitted_only=True)
+        last = enumeration._level_up(parents, 7, True)
         assert sorted(canonical_form(g) for g, _, _ in last) == emitted
 
 

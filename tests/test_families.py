@@ -8,14 +8,9 @@ from specmax.families import (
     build_family,
     build_from_profile,
     build_g,
-    build_g2_1,
-    build_h1,
-    build_h2,
-    g2_1_partition,
     g_partition,
-    h1_partition,
-    h2_partition,
     named_quotient,
+    profile_family_partition,
 )
 from specmax import families
 from specmax.intpoly import IntPolynomial, char_poly, max_real_root
@@ -61,14 +56,14 @@ class TestBuildG:
 
 class TestBuildH1:
     def test_degrees(self):
-        assert build_h1(8).degree_sequence() == [5] * 7 + [1]
+        assert build_family("h1", 8).degree_sequence() == [5] * 7 + [1]
 
     def test_big_block_is_matched_clique(self):
         # the block's complement is the perfect matching (4, 5), (6, 7)
-        assert complement_shapes(build_h1(8), range(4, 8)) == [(2, 1), (2, 1)]
+        assert complement_shapes(build_family("h1", 8), range(4, 8)) == [(2, 1), (2, 1)]
 
     def test_quotient(self):
-        spec = quotient(build_h1(8), h1_partition(8))
+        spec = quotient(build_family("h1", 8), profile_family_partition("h1", 8))
         nq = named_quotient("B1", 8)
         assert spec.equitable
         assert spec.matrix == nq.matrix
@@ -78,21 +73,21 @@ class TestBuildH1:
         nq = named_quotient("B1", 60)
         assert nq.closed_form.coeffs == (58, 111, -115, -55, 1)
         exact = max_real_root(nq.closed_form)
-        assert perron(build_h1(60)).rho == pytest.approx(exact, abs=1e-9)
+        assert perron(build_family("h1", 60)).rho == pytest.approx(exact, abs=1e-9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            build_h1(9)
+            build_family("h1", 9)
         with pytest.raises(ValueError):
-            build_h1(6)
+            build_family("h1", 6)
 
 
 class TestBuildH2:
     def test_degrees(self):
-        assert build_h2(11).degree_sequence() == [8] * 10 + [2]
+        assert build_family("h2", 11).degree_sequence() == [8] * 10 + [2]
 
     def test_quotient(self):
-        spec = quotient(build_h2(11), h2_partition(11))
+        spec = quotient(build_family("h2", 11), profile_family_partition("h2", 11))
         nq = named_quotient("B2", 11)
         assert spec.equitable
         assert spec.matrix == nq.matrix
@@ -101,33 +96,89 @@ class TestBuildH2:
         nq = named_quotient("B2", 9)
         assert nq.closed_form.coeffs == (16, 10, -13, -4, 1)
         exact = max_real_root(nq.closed_form)
-        assert perron(build_h2(9), 1e-12).rho == pytest.approx(exact, abs=1e-9)
+        assert perron(build_family("h2", 9), 1e-12).rho == pytest.approx(exact, abs=1e-9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            build_h2(10)
+            build_family("h2", 10)
         with pytest.raises(ValueError):
-            build_h2(7)
+            build_family("h2", 7)
 
 
 class TestBuildG21:
     def test_degrees(self):
-        assert build_g2_1(9).degree_sequence() == [6] * 8 + [2]
+        assert build_family("g21", 9).degree_sequence() == [6] * 8 + [2]
 
     def test_complement_structure(self):
         # removing the low vertex and complementing leaves one 4-vertex path
         # plus (n-5)/2 disjoint edges
         for n in (9, 13):
-            shapes = complement_shapes(build_g2_1(n), range(1, n))
+            shapes = complement_shapes(build_family("g21", n), range(1, n))
             assert shapes == [(2, 1)] * ((n - 5) // 2) + [(4, 3)]
 
     def test_partition_equitable(self):
-        spec = quotient(build_g2_1(11), g2_1_partition(11))
+        spec = quotient(build_family("g21", 11), profile_family_partition("g21", 11))
         assert spec.equitable
 
     def test_below_h2(self):
         for n in (9, 11, 13):
-            assert perron(build_g2_1(n)).rho < perron(build_h2(n)).rho
+            assert perron(build_family("g21", n)).rho < perron(build_family("h2", n)).rho
+
+
+# H1(n), H2(n) and G2,1(n) as their own builders listed them before the
+# three became rows of PROFILE_FAMILIES: tag -> (parity of n, least n,
+# non-edges at order n, cells at order n)
+HAND_WRITTEN = {
+    "h1": ("even", 8,
+           lambda n: [(0, v) for v in range(2, n)] + [(1, 2), (1, 3)] + [(v, v + 1) for v in range(4, n - 1, 2)],
+           lambda n: [[0], [1], [2, 3], list(range(4, n))]),
+    "h2": ("odd", 9,
+           lambda n: [(0, v) for v in range(3, n)] + [(1, 3), (1, 4), (2, 5), (2, 6)]
+           + [(v, v + 1) for v in range(7, n - 1, 2)],
+           lambda n: [[0], [1, 2], [3, 4, 5, 6], list(range(7, n))]),
+    "g21": ("odd", 9,
+            lambda n: [(0, v) for v in range(3, n)] + [(1, 2), (1, 3), (2, 4)]
+            + [(v, v + 1) for v in range(5, n - 1, 2)],
+            lambda n: [[0], [1, 2], [3, 4], list(range(5, n))]),
+}
+
+
+def missing_pairs(g) -> set[tuple[int, int]]:
+    """The pairs u < v that g does not join, read off its rows bit by bit."""
+    pairs = set()
+    for u, row in enumerate(g.rows):
+        miss = ~row & ((1 << g.n) - 1) & ~((1 << (u + 1)) - 1)
+        while miss:
+            pairs.add((u, (miss & -miss).bit_length() - 1))
+            miss &= miss - 1
+    return pairs
+
+
+class TestProfileFamilies:
+    """`build_family` builds h1, h2 and g21 from their complement profiles
+    with the labels of their hand-written builders, and refuses the orders
+    those refused."""
+
+    @pytest.mark.parametrize("tag", sorted(HAND_WRITTEN))
+    def test_same_graphs_and_cells_as_hand_written(self, tag):
+        parity, least, non_edges, cells = HAND_WRITTEN[tag]
+        orders = [n for n in [*range(8, 202), 1998, 1999] if n >= least and n % 2 == least % 2]
+        assert len(orders) == 98
+        for n in orders:
+            g = build_family(tag, n)
+            assert (g.n, g.loops) == (n, 0)
+            assert missing_pairs(g) == set(non_edges(n)), n
+            assert profile_family_partition(tag, n) == cells(n), n
+
+    @pytest.mark.parametrize("tag, n", [("h1", 9), ("h1", 6), ("h1", 1999), ("h1", 0),
+                                        ("h2", 10), ("h2", 7), ("h2", 1998), ("g21", 8), ("g21", 7), ("g21", -1)])
+    def test_refused_orders_exit_2(self, tag, n, capsys):
+        from specmax.cli import main
+
+        parity, least, _, _ = HAND_WRITTEN[tag]
+        assert main(["construct", "--family", tag, "--n", str(n)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"usage error: {tag} needs {parity} n >= {least}, got {n}\n")
 
 
 class TestProfiles:

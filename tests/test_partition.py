@@ -76,9 +76,10 @@ class TestQuotient:
 
 class TestQuotientBound:
     def test_equitable_equality(self):
-        from specmax.families import build_h1, h1_partition
+        from specmax.families import build_family, profile_family_partition
 
-        verdicts = quotient_bound_verdicts(build_h1(8), h1_partition(8), perron(build_h1(8)))
+        g = build_family("h1", 8)
+        verdicts = quotient_bound_verdicts(g, profile_family_partition("h1", 8), perron(g))
         assert [(check, ok) for check, ok, _ in verdicts] == [
             ("quotient_bound", True),
             ("quotient_equitable_equality", True),
@@ -100,9 +101,9 @@ class TestQuotientBound:
         # negative controls, rho 1e-6 the wrong way: on an equitable
         # partition rho(G) = rho(B) (test_equitable_equality), so a pair
         # 1e-6 low fails the bound and 1e-6 either way fails the equality
-        from specmax.families import build_h1, h1_partition
+        from specmax.families import build_family, profile_family_partition
 
-        g, cells = build_h1(8), h1_partition(8)
+        g, cells = build_family("h1", 8), profile_family_partition("h1", 8)
         pair = perron(g)
         for shift, want in [
             (-1e-6, [("quotient_bound", False), ("quotient_equitable_equality", False)]),
@@ -150,18 +151,11 @@ class TestQuotientBound:
         assert spec.rho() == pytest.approx(2, abs=1e-12)
 
     def test_equitable_eigenvalues_contained(self):
-        from specmax.families import (
-            build_g,
-            build_h1,
-            build_h2,
-            g_partition,
-            h1_partition,
-            h2_partition,
-        )
+        from specmax.families import build_family, build_g, g_partition, profile_family_partition
 
         cases = [
-            (build_h2(11), h2_partition(11)),
-            (build_h1(12), h1_partition(12)),
+            (build_family("h2", 11), profile_family_partition("h2", 11)),
+            (build_family("h1", 12), profile_family_partition("h1", 12)),
             (build_g(9, 4), g_partition(9, 4)),
         ]
         for g, cells in cases:
@@ -184,14 +178,9 @@ class TestLoopShift:
         assert all(ok for _, ok, _ in family_verdicts(complete(3), [[0, 1, 2]]))
 
     def test_family_partitions(self):
-        from specmax.families import (
-            build_g,
-            build_h2,
-            g_partition,
-            h2_partition,
-        )
+        from specmax.families import build_family, build_g, g_partition, profile_family_partition
 
-        cases = [(build_g(7, 4), g_partition(7, 4)), (build_h2(9), h2_partition(9))]
+        cases = [(build_g(7, 4), g_partition(7, 4)), (build_family("h2", 9), profile_family_partition("h2", 9))]
         for g, cells in cases:
             assert [(check, ok) for check, ok, _ in family_verdicts(g, cells)] == [
                 ("family_equitable", True),

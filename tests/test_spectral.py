@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import specmax
 from specmax.enumeration import EnumSpec, enumerate_graphs
-from specmax.families import build_g2_1
+from specmax.families import build_family
 from specmax.graphs import Graph, random_connected_graph
 from specmax.intpoly import char_poly, max_real_root
 from specmax.spectral import ConvergenceError, perron, perron_all, spectral_radii
@@ -144,14 +144,14 @@ def assert_nonconvergence_reported(monkeypatch, solve) -> None:
 def mixed_orders() -> list[Graph]:
     """Seeded connected graphs of orders 1, 2, 3..10 and 40, with looped
     family graphs, shuffled so that each order's graphs are scattered."""
-    from specmax.families import build_g, build_h1, build_h2
+    from specmax.families import build_g
 
     rng = random.Random(18)
     graphs = [Graph.build(1, []), Graph.build(2, [(0, 1)]), complete(2).add_loops()]
     graphs += [random_connected_graph(rng, rng.randint(3, 10), rng.choice([0.3, 0.5, 0.8])) for _ in range(150)]
     graphs += [random_connected_graph(rng, 40, 0.2) for _ in range(3)]
     for n in range(8, 13):
-        family = build_h1(n) if n % 2 == 0 else build_h2(n)
+        family = build_family("h1", n) if n % 2 == 0 else build_family("h2", n)
         graphs += [build_g(n, 2), build_g(n, 2).add_loops(), family.add_loops()]
     rng.shuffle(graphs)
     return graphs
@@ -409,7 +409,7 @@ class TestComponentBound:
             g = random_connected_graph(rng, rng.randint(2, 10), 0.5)
             assert component_bound_sides(g)[0]
 
-    @pytest.mark.parametrize("g", [star(5), complete(5), build_g2_1(9)], ids=["star", "K5", "G2,1(9)"])
+    @pytest.mark.parametrize("g", [star(5), complete(5), build_family("g21", 9)], ids=["star", "K5", "G2,1(9)"])
     def test_rho_past_the_bound_fails(self, g):
         # negative control: no honest pair comes near the bound, so rho is
         # put 1e-6 on either side of sqrt(max degree) / max component

@@ -12,9 +12,8 @@ from specmax.cli import main
 from specmax.families import (
     ComplementProfile,
     build_case2,
+    build_family,
     build_from_profile,
-    build_g2_1,
-    build_h2,
     named_quotient,
 )
 from specmax.graphs import Graph, canonical_form, random_connected_graph
@@ -87,7 +86,7 @@ class TestLocalSwitching:
     def test_failure_record(self):
         # the check name and witness of the failure record `verify lemmas`
         # prints
-        g = build_g2_1(9)
+        g = build_family("g21", 9)
         move = (2, 5, 1, 6)
         assert ls_verdicts(g, perron(g), move, switched_rho(g, move)) == [("ls_monotone", True, "HpTzr|} 2,5,1,6")]
 
@@ -149,7 +148,7 @@ class TestLocalSwitching:
 
     def test_g21_to_h2_strict_increase(self):
         for n in (9, 11, 17, 31):
-            g = build_g2_1(n)
+            g = build_family("g21", n)
             pair = perron(g)
             x = pair.vector
             assert (x[2] - x[6]) * (x[1] - x[5]) >= -1e-12
@@ -160,8 +159,8 @@ class TestLocalSwitching:
 
     def test_g21_switch_lands_on_h2(self):
         for n in (9, 11):
-            moved = apply(build_g2_1(n), SwitchMove("LS", (2, 5, 1, 6)))
-            assert canonical_form(moved) == canonical_form(build_h2(n))
+            moved = apply(build_family("g21", n), SwitchMove("LS", (2, 5, 1, 6)))
+            assert canonical_form(moved) == canonical_form(build_family("h2", n))
 
 
 def listed_moves(g):
@@ -213,7 +212,7 @@ class TestDrawSwitch:
                 return k
 
         rng = random.Random(9)
-        for g in [build_g2_1(9)] + [random_connected_graph(rng, 8, 0.45) for _ in range(5)]:
+        for g in [build_family("g21", 9)] + [random_connected_graph(rng, 8, 0.45) for _ in range(5)]:
             moves = listed_moves(g)
             for k in range(len(moves)):
                 assert suites._draw_switch(g, Fixed()) == moves[k]
@@ -265,8 +264,8 @@ class TestLemmaControls:
 
     def test_unchanged_graph_fails_g21_to_h2_strict(self, monkeypatch, capsys):
         # H2(n) built as G2,1(n): the "after" graph is the "before" graph
-        monkeypatch.setattr(suites, "build_h2", build_g2_1)
-        rho = perron(build_g2_1(9)).rho
+        monkeypatch.setattr(suites, "build_family", lambda tag, n: build_family("g21" if tag == "h2" else tag, n))
+        rho = perron(build_family("g21", 9)).rho
         assert switch_improvement_failures([9]) == [
             {"check": "g21_to_h2_strict", "n": 9, "witness": f"{rho} -> {rho}"}
         ]
