@@ -1,17 +1,44 @@
-"""Vertex partitions and their exact rational quotient matrices, with the
-equitability flag the quotient-bound checks in `specmax.suites` rest on."""
+"""Vertex partitions and their quotient matrices, kept as integer edge counts
+between cells, with the equitability flag the quotient-bound checks in
+`specmax.suites` rest on. The radii of quotient matrices are solved in
+`specmax.spectral`, by `quotient_radii`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .graphs import Graph, strict_int
+from .spectral import quotient_radii
 
 
-def _normalize_cells(g: Graph, cells) -> tuple[tuple[int, ...], ...]:
+@dataclass(frozen=True)
+class QuotientSpec:
+    """Quotient matrix of a vertex partition, as integers: counts[i][j]
+    edges from cell i into cell j, a loop adding 2 to its own cell, and
+    sizes[i] vertices in cell i. Entry (i, j) of the matrix is the average
+    counts[i][j] / sizes[i]; the partition is equitable when every vertex of
+    cell i has the same number of edges into each cell j."""
+
+    counts: tuple[tuple[int, ...], ...]
+    sizes: tuple[int, ...]
+    equitable: bool
+
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(c, s) for c in row) for row, s in zip(self.counts, self.sizes))
+
+    def rho(self) -> float:
+        """Spectral radius of the matrix: `quotient_radii([self])[0]`."""
+        return quotient_radii([self])[0]
+
+    def to_json(self) -> list[list[list[int]]]:
+        return [[[x.numerator, x.denominator] for x in row] for row in self.matrix]
+
+
+def quotient(g: Graph, cells) -> QuotientSpec:
+    """Quotient of the partition, with exact equitability flag; a ValueError
+    when the cells are not a partition of g's vertices."""
     try:
         norm = tuple(tuple(sorted(map(strict_int, cell))) for cell in cells)
     except TypeError:
@@ -28,47 +55,12 @@ def _normalize_cells(g: Graph, cells) -> tuple[tuple[int, ...], ...]:
             seen |= 1 << v
     if seen != (1 << g.n) - 1:
         raise ValueError("partition does not cover the vertex set")
-    return norm
-
-
-@dataclass(frozen=True)
-class QuotientSpec:
-    """Exact rational quotient matrix of a vertex partition.
-
-    matrix[i][j] is the average number of edges from a vertex of cell i
-    into cell j, with a loop contributing 2 to its own diagonal block.
-    """
-
-    matrix: tuple[tuple[Fraction, ...], ...]
-    equitable: bool
-
-    def rho(self) -> float:
-        """Spectral radius of the matrix, from its dense float eigenvalues."""
-        arr = np.array([[float(x) for x in row] for row in self.matrix])
-        return float(np.max(np.abs(np.linalg.eigvals(arr))))
-
-    def to_json(self) -> list[list[list[int]]]:
-        return [[[x.numerator, x.denominator] for x in row] for row in self.matrix]
-
-
-def quotient(g: Graph, cells) -> QuotientSpec:
-    """Quotient matrix of the partition, with exact equitability flag."""
-    norm = _normalize_cells(g, cells)
     masks = [sum(1 << v for v in cell) for cell in norm]
-    m = len(norm)
-    matrix = []
-    equitable = True
-    for i, cell in enumerate(norm):
-        row = []
-        for j in range(m):
-            counts = []
-            for v in cell:
-                c = (g.rows[v] & masks[j]).bit_count()
-                if i == j and (g.loops >> v) & 1:
-                    c += 2
-                counts.append(c)
-            if any(c != counts[0] for c in counts):
-                equitable = False
-            row.append(Fraction(sum(counts), len(cell)))
-        matrix.append(tuple(row))
-    return QuotientSpec(tuple(matrix), equitable)
+    rows, loops = g.rows, g.loops
+    counts, equitable = [], True
+    for cell in norm:
+        # each vertex's edges into every cell, a loop adding 2 to its own
+        each = [tuple((rows[v] & m).bit_count() + 2 * ((loops & m) >> v & 1) for m in masks) for v in cell]
+        equitable = equitable and each.count(each[0]) == len(cell)
+        counts.append(tuple(map(sum, zip(*each))))
+    return QuotientSpec(tuple(counts), tuple(map(len, norm)), equitable)

@@ -1,4 +1,4 @@
-"""Floating point eigensolves: Perron eigenpairs and spectral radii.
+"""Floating point eigensolves: Perron eigenpairs, and spectral radii of graphs and quotients.
 
 Exact polynomial work (characteristic polynomials, root isolation,
 polynomial comparisons) lives in intpoly, and the spectral inequalities
@@ -70,7 +70,8 @@ def perron_all(graphs: list[Graph], tol: float = 1e-10) -> list[PerronPair]:
     if not all(g.is_connected() for g in graphs):
         raise ValueError("perron requires a connected graph")
 
-    def top_pairs(a):
+    def top_pairs(graphs):
+        a = adjacency_stack(graphs)
         x = np.abs(np.linalg.eigh(a)[1][:, :, -1])
         x /= np.sqrt(np.matmul(x[:, None, :], x[:, :, None]))[:, 0]
         ax = np.matmul(a, x[:, :, None])[:, :, 0]
@@ -93,18 +94,31 @@ def spectral_radii(graphs: list[Graph]) -> list[float]:
     order: the top eigenvalue of each adjacency matrix, which is symmetric
     and nonnegative, from one stacked `numpy.linalg.eigvalsh` per order, bit
     for bit what the solve of each graph alone gives."""
-    return _solve_by_order(graphs, lambda a: np.linalg.eigvalsh(a)[:, -1].tolist())
+    return _solve_by_order(graphs, lambda gs: np.linalg.eigvalsh(adjacency_stack(gs))[:, -1].tolist())
 
 
-def _solve_by_order(graphs: list[Graph], solve) -> list:
-    """`solve` of the adjacency matrices of each order n among the graphs,
-    stacked as one (k, n, n) array, one call per order; its k results per
-    call put back in input order."""
+def quotient_radii(specs) -> list[float]:
+    """Spectral radii max |lambda| of partition quotients, in input order, from
+    one stacked `numpy.linalg.eigvals` of counts / sizes per cell count, each
+    bit for bit the solve of its quotient alone: c / s rounds correctly and
+    `geev` runs per matrix."""
+
+    def radii(group):
+        b = np.array([spec.counts for spec in group], dtype=float)
+        b /= np.array([spec.sizes for spec in group], dtype=float)[:, :, None]
+        return np.max(np.abs(np.linalg.eigvals(b)), axis=1).tolist()
+
+    return _solve_by_order(specs, radii, order=lambda spec: len(spec.sizes))
+
+
+def _solve_by_order(items: list, solve, order=lambda g: g.n) -> list:
+    """`solve` of the items (graphs by default) of each order, one call per
+    order on the list of those items; its results put back in input order."""
     by_order: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        by_order.setdefault(g.n, []).append(i)
-    solved = [None] * len(graphs)
+    for i, item in enumerate(items):
+        by_order.setdefault(order(item), []).append(i)
+    solved = [None] * len(items)
     for idx in by_order.values():
-        for i, result in zip(idx, solve(adjacency_stack([graphs[i] for i in idx]))):
+        for i, result in zip(idx, solve([items[i] for i in idx])):
             solved[i] = result
     return solved

@@ -6,13 +6,13 @@ records `{"check": name, "n": order or None, "witness": ...}`; sandwich
 makes one check and reports its margins instead. Every lemma check is
 decided here, by a `*_verdicts` function that returns `(check, holds,
 witness)` triples, and `failure_records` turns the triples that fail
-into records; `switching`, `spectral` and `enumeration` rewrite, solve
-and search, and decide no check. A verdict function solves nothing: it is
-handed the Perron pairs and spectral radii it reads, which the suites solve
-with `perron_all` and `spectral_radii`, except that `quotient_bound_verdicts`
-and `family_quotient_verdicts` call `QuotientSpec.rho()`, an `eigvals`
-solve, until they decide exactly. The suites and the tests call the same
-verdict functions, the tests with their own inputs.
+into records; `switching`, `spectral`, `partition` and `enumeration`
+rewrite, solve, count and search, and decide no check. A verdict function
+solves nothing: it is handed the Perron pairs, spectral radii and quotients
+it reads, which the suites build with `quotient` and solve with
+`perron_all`, `spectral_radii` and `quotient_radii`, a round or a family
+table at a time. The suites and the tests call the same verdict functions,
+the tests with their own inputs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 from math import inf, nextafter, sqrt
 
 from .enumeration import EXHAUSTIVE_MAX_N, EnumSpec, extremal_search
@@ -40,7 +40,7 @@ from .families import (
 from .graphs import Graph, canonical_form, graph6_encode, random_connected_graph
 from .intpoly import IntPolynomial, compare_max_real_roots, max_real_root, roots_below, scaled_value
 from .partition import quotient
-from .spectral import ROUND, PerronPair, perron, perron_all, spectral_radii
+from .spectral import ROUND, PerronPair, perron, perron_all, quotient_radii, spectral_radii
 from .switching import SwitchMove, apply
 
 
@@ -360,30 +360,27 @@ def _draw_switch(g: Graph, rng: random.Random) -> tuple[int, int, int, int] | No
     and tu non-edges, a move local switching applies to, or None when g
     has none. The draw is `rng.choice` over the list of every move, edges
     (s, t) first as `edges()` gives them and then reversed, u and v
-    ascending within each; it counts the moves instead of listing them,
-    and makes the same single `rng.randrange(total)` call."""
-    rows, full = g.rows, (1 << g.n) - 1
+    ascending within each: one `rng.randrange` over the count, the sum over
+    s != u of |N(s) - N[u]| |N(u) - N[s]|, and a walk up to the move drawn."""
+    rows, full, total = g.rows, (1 << g.n) - 1, 0
+    for s, u in combinations(range(g.n), 2):  # the sum is symmetric in s and u
+        total += (rows[s] & ~(rows[u] | 1 << u)).bit_count() * (rows[u] & ~(rows[s] | 1 << s)).bit_count()
+    if not total:
+        return None
+    k = rng.randrange(2 * total)
     edges = list(g.edges())
-    blocks = []  # (count, s, t, u, the mask of the v that complete the move)
     for s, t in edges + [(b, a) for a, b in edges]:
         free_v = ~(rows[s] | 1 << s | 1 << t)
         us = full & ~(rows[t] | 1 << s | 1 << t)
         while us:
-            low = us & -us
-            us ^= low
-            u = low.bit_length() - 1
+            u = (us & -us).bit_length() - 1
+            us &= us - 1
             vs = rows[u] & free_v
-            if vs:
-                blocks.append((vs.bit_count(), s, t, u, vs))
-    if not blocks:
-        return None
-    k = rng.randrange(sum(block[0] for block in blocks))
-    for count, s, t, u, vs in blocks:
-        if k < count:
-            for _ in range(k):
-                vs &= vs - 1
-            return s, t, (vs & -vs).bit_length() - 1, u
-        k -= count
+            if k < (count := vs.bit_count()):
+                for _ in range(k):
+                    vs &= vs - 1
+                return s, t, (vs & -vs).bit_length() - 1, u
+            k -= count
 
 
 def ls_hypothesis(pair: PerronPair, move: tuple) -> bool:
@@ -476,16 +473,14 @@ def random_partition_cases(rng: random.Random, trials: int):
         yield g, [c for c in cells if c]
 
 
-def quotient_bound_verdicts(g: Graph, cells, pair: PerronPair) -> list[tuple[str, bool, str]]:
-    """(check, holds, witness) of the quotient bound rho(G) >= rho(B) on
-    one partition of a connected graph, given its Perron pair. Equality
-    occurs exactly when the Perron vector is constant on cells: equitable
-    partitions of connected graphs always are, some inequitable ones happen
-    to be as well, and on every other partition the bound is strict. The
-    witness is the graph6 line and the partition."""
+def quotient_bound_verdicts(g: Graph, cells, spec, pair: PerronPair, rho_b: float) -> list[tuple[str, bool, str]]:
+    """(check, holds, witness) of the quotient bound rho(G) >= rho(B) on a
+    partition of a connected graph, given B = `quotient(g, cells)`, g's
+    Perron pair and rho(B). Equality occurs exactly when the Perron vector
+    is constant on cells: equitable partitions of connected graphs always
+    are, some inequitable ones happen to be as well, and on every other
+    partition the bound is strict. The witness is the graph6 line and cells."""
     witness = f"{graph6_encode(g)} {cells}"
-    spec = quotient(g, cells)
-    rho_b = spec.rho()
     x = pair.vector
     verdicts = [("quotient_bound", pair.rho >= rho_b - 1e-9, witness)]
     if spec.equitable:
@@ -501,38 +496,35 @@ def quotient_bound_failures(rng: random.Random, trials: int) -> list[dict]:
     cases = random_partition_cases(rng, trials)
     failures = []
     while batch := list(islice(cases, ROUND)):
-        for (g, cells), pair in zip(batch, perron_all([g for g, _ in batch])):
-            failures += failure_records(g.n, quotient_bound_verdicts(g, cells, pair))
+        specs = [quotient(g, cells) for g, cells in batch]
+        for (g, cells), *solved in zip(batch, specs, perron_all([g for g, _ in batch]), quotient_radii(specs)):
+            failures += failure_records(g.n, quotient_bound_verdicts(g, cells, *solved))
     return failures
 
 
 def family_quotient_verdicts(
-    g: Graph, cells, pair: PerronPair, looped_pair: PerronPair
+    g: Graph, cells, base, looped, pair: PerronPair, looped_pair: PerronPair, rho_b: float, rho_looped: float
 ) -> list[tuple[str, bool, str]]:
     """(check, holds, witness) on a loop-free family graph with its
-    documented partition, given the Perron pairs of g and of g with a loop
-    at every vertex: the partition is equitable with rho(B) = rho(G),
-    and with a loop at every vertex its quotient is exactly B + 2I and both
-    spectral radii shift by exactly 2. The witness is the graph6 line and
-    the partition."""
+    documented partition, given the quotients (`quotient`), Perron pairs
+    and quotient radii of g and of g with a loop at every vertex: the
+    partition is equitable with rho(B) = rho(G), and with a loop at every
+    vertex its quotient is exactly B + 2I and both spectral radii shift by
+    exactly 2. The witness is the graph6 line and the partition."""
     witness = f"{graph6_encode(g)} {cells}"
-    base = quotient(g, cells)
-    shifted = quotient(g.add_loops(), cells)
-    rho_g = pair.rho
-    rho_b = base.rho()
-    m = len(base.matrix)
-    plus_2i = all(
-        shifted.matrix[i][j] == base.matrix[i][j] + 2 * (i == j) for i in range(m) for j in range(m)
+    rho_g, sizes = pair.rho, base.sizes
+    plus_2i = looped.sizes == sizes and looped.counts == tuple(
+        tuple(c + 2 * sizes[i] * (i == j) for j, c in enumerate(row)) for i, row in enumerate(base.counts)
     )
     return [
         ("family_equitable", base.equitable, witness),
         ("family_quotient_rho", abs(rho_g - rho_b) < 1e-9, witness),
         (
             "loop_shift",
-            shifted.equitable
+            looped.equitable
             and plus_2i
             and abs(looped_pair.rho - (rho_g + 2)) < 1e-9
-            and abs(shifted.rho() - (rho_b + 2)) < 1e-9,
+            and abs(rho_looped - (rho_b + 2)) < 1e-9,
             witness,
         ),
     ]
@@ -595,15 +587,17 @@ def run_lemmas(trials: int = 200, seed: int = 0) -> dict:
     failures += component_bound_failures(rng, trials, 3)
     failures += quotient_bound_failures(rng, trials)
 
-    # equitable partitions and loop shift on the named families
+    # equitable partitions and loop shift on the named families, solved together
     families = []
     for n in range(8, 41):
         families.append((build_g(n, 2), g_partition(n, 2)))
         for tag in ("h1",) if n % 2 == 0 else ("h2", "g21"):
             families.append((build_family(tag, n), profile_family_partition(tag, n)))
-    pairs = perron_all([g for g, _ in families] + [g.add_loops() for g, _ in families])
-    for (g, cells), pair, looped_pair in zip(families, pairs, pairs[len(families) :]):
-        failures += failure_records(g.n, family_quotient_verdicts(g, cells, pair, looped_pair))
+    graphs = [g for g, _ in families] + [g.add_loops() for g, _ in families]
+    specs = [quotient(g, cells) for g, (_, cells) in zip(graphs, families + families)]
+    pairs, radii, k = perron_all(graphs), quotient_radii(specs), len(families)
+    for (g, cells), *solved in zip(families, specs, specs[k:], pairs, pairs[k:], radii, radii[k:]):
+        failures += failure_records(g.n, family_quotient_verdicts(g, cells, *solved))
 
     # switching monotonicity on two profile instances
     for n, delta, profile, move in (

@@ -26,7 +26,6 @@ from specmax.suites import (
     check_family_ordering,
     component_bound_failures,
     failure_records,
-    family_quotient_verdicts,
     local_switching_failures,
     path_op_verdicts,
     run_sandwich,
@@ -37,6 +36,7 @@ from specmax.suites import (
 from specmax.switching import SwitchMove, apply
 
 from graph_shapes import adjacency_lists
+from quotient_inputs import family_verdicts
 
 
 def profile_partition(n: int, delta: int) -> list[list[int]]:
@@ -169,7 +169,7 @@ def test_criterion_5_equitable_and_loop_lemmas():
     failures = [
         f
         for g, cells in instances
-        for f in failure_records(g.n, family_quotient_verdicts(g, cells, *perron_all([g, g.add_loops()])))
+        for f in failure_records(g.n, family_verdicts(g, cells, *perron_all([g, g.add_loops()])))
     ]
     assert not failures, failures
     elapsed = time.time() - t0

@@ -216,18 +216,14 @@ def test_every_move_kind_has_a_verdict():
 
 
 # the eigensolve entry points of `specmax.spectral`
-SOLVES = {"perron", "perron_all", "spectral_radius", "spectral_radii"}
-
-# the verdicts that may call `QuotientSpec.rho`, an `eigvals` solve of their
-# quotient matrices, until they decide exactly (ROADMAP item 5)
-QUOTIENT_SOLVERS = {"quotient_bound_verdicts", "family_quotient_verdicts"}
+SOLVES = {"perron", "perron_all", "spectral_radius", "spectral_radii", "quotient_radii"}
 
 
 def solving_verdict_functions(source: str) -> list[str]:
     """The functions named `*_verdicts` that call one of `SOLVES`, by name
-    or as an attribute, or that call `.rho()` and are not one of
-    `QUOTIENT_SOLVERS`: verdicts that solve instead of reading the Perron
-    pairs and spectral radii they are handed."""
+    or as an attribute, or that call `.rho()`, the solve of one quotient:
+    verdicts that solve instead of reading the Perron pairs and spectral
+    radii they are handed."""
     bad = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, FUNCTIONS) and node.name.endswith("_verdicts"):
@@ -236,7 +232,7 @@ def solving_verdict_functions(source: str) -> list[str]:
                 for call in ast.walk(node)
                 if isinstance(call, ast.Call)
             }
-            if called & SOLVES or ("rho" in called and node.name not in QUOTIENT_SOLVERS):
+            if called & SOLVES or "rho" in called:
                 bad.append(node.name)
     return bad
 
@@ -276,19 +272,55 @@ def ls_verdicts(g: Graph, pair: PerronPair, s: int, t: int, v: int, u: int) -> l
 
 def test_detects_a_verdict_function_solving_a_quotient():
     source = """
-def quotient_bound_verdicts(g, cells, pair):
-    return [("a", pair.rho >= quotient(g, cells).rho() - 1e-9, "")]
+# the two quotient verdicts as they were when each solved its own quotients
+def quotient_bound_verdicts(g: Graph, cells, pair: PerronPair) -> list[tuple[str, bool, str]]:
+    witness = f"{graph6_encode(g)} {cells}"
+    spec = quotient(g, cells)
+    rho_b = spec.rho()
+    x = pair.vector
+    verdicts = [("quotient_bound", pair.rho >= rho_b - 1e-9, witness)]
+    if spec.equitable:
+        verdicts.append(("quotient_equitable_equality", abs(pair.rho - rho_b) < 1e-9, witness))
+    elif not all(max(x[v] for v in c) - min(x[v] for v in c) < 1e-7 for c in cells):
+        verdicts.append(("quotient_bound_strict", pair.rho > rho_b, witness))
+    return verdicts
 
-def family_quotient_verdicts(g, cells, pair, looped_pair):
-    return [("b", abs(pair.rho - quotient(g, cells).rho()) < 1e-9, "")]
+def family_quotient_verdicts(
+    g: Graph, cells, pair: PerronPair, looped_pair: PerronPair
+) -> list[tuple[str, bool, str]]:
+    witness = f"{graph6_encode(g)} {cells}"
+    base = quotient(g, cells)
+    shifted = quotient(g.add_loops(), cells)
+    rho_g = pair.rho
+    rho_b = base.rho()
+    m = len(base.matrix)
+    plus_2i = all(
+        shifted.matrix[i][j] == base.matrix[i][j] + 2 * (i == j) for i in range(m) for j in range(m)
+    )
+    return [
+        ("family_equitable", base.equitable, witness),
+        ("family_quotient_rho", abs(rho_g - rho_b) < 1e-9, witness),
+        (
+            "loop_shift",
+            shifted.equitable
+            and plus_2i
+            and abs(looped_pair.rho - (rho_g + 2)) < 1e-9
+            and abs(shifted.rho() - (rho_b + 2)) < 1e-9,
+            witness,
+        ),
+    ]
 
-def handed_verdicts(g, pair):
-    return [("c", pair.rho > 0, "")]
+def handed_verdicts(g, cells, spec, pair, rho_b):
+    return [("c", pair.rho >= rho_b - 1e-9 and spec.equitable, "")]
 
-def cell_verdicts(g, cells, pair):
-    return [("d", pair.rho >= quotient(g, cells).rho() - 1e-9, "")]
+def stacked_cell_verdicts(g, cells, pair):
+    return [("d", pair.rho >= quotient_radii([quotient(g, cells)])[0] - 1e-9, "")]
 """
-    assert solving_verdict_functions(source) == ["cell_verdicts"]
+    assert solving_verdict_functions(source) == [
+        "quotient_bound_verdicts",
+        "family_quotient_verdicts",
+        "stacked_cell_verdicts",
+    ]
 
 
 def test_verdict_functions_do_not_solve():

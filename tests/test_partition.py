@@ -6,17 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from specmax.families import build_family, build_g, g_partition, named_quotient, profile_family_partition
 from specmax.graphs import Graph, random_connected_graph
-from specmax.partition import quotient
-from specmax.spectral import perron
-from specmax.suites import (
-    failure_records,
-    family_quotient_verdicts,
-    quotient_bound_verdicts,
-    random_partition_cases,
-)
+from specmax.partition import QuotientSpec, quotient
+from specmax.spectral import perron, quotient_radii
+from specmax.suites import failure_records, random_partition_cases
 
 from graph_shapes import adjacency_lists
+from quotient_inputs import bound_verdicts, family_verdicts
 
 
 def complete(n):
@@ -27,8 +24,19 @@ def star(n):
     return Graph.build(n, [(0, i) for i in range(1, n)])
 
 
-def family_verdicts(g, cells):
-    return family_quotient_verdicts(g, cells, perron(g), perron(g.add_loops()))
+def looped_verdicts(g, cells):
+    return family_verdicts(g, cells, perron(g), perron(g.add_loops()))
+
+
+def family_cases():
+    """The family graphs of the lemma sweep at n = 8..16, each with its
+    documented partition."""
+    cases = []
+    for n in range(8, 17):
+        cases.append((build_g(n, 2), g_partition(n, 2)))
+        for tag in ("h1",) if n % 2 == 0 else ("h2", "g21"):
+            cases.append((build_family(tag, n), profile_family_partition(tag, n)))
+    return cases
 
 
 class TestQuotient:
@@ -44,8 +52,6 @@ class TestQuotient:
         assert spec.rho() == pytest.approx(math.sqrt(3), abs=1e-10)
 
     def test_family_three_cells(self):
-        from specmax.families import build_g, g_partition, named_quotient
-
         for n, t in [(7, 4), (9, 6), (12, 2)]:
             spec = quotient(build_g(n, t), g_partition(n, t))
             assert spec.equitable
@@ -72,14 +78,72 @@ class TestQuotient:
         spec = quotient(p3, [[0, 1, 2]])
         assert not spec.equitable
         assert spec.matrix[0][0] == Fraction(4, 3)
+        assert (spec.counts, spec.sizes) == (((4,),), (3,))
+
+
+def oracle_cases():
+    """Random partitions at several seeds, the family partitions with and
+    without a loop at every vertex, and the one-cell and all-singleton
+    partitions of a few of these graphs."""
+    cases = [case for seed in (0, 7, 31, 2024) for case in random_partition_cases(random.Random(seed), 60)]
+    family = family_cases()
+    cases += family + [(g.add_loops(), cells) for g, cells in family]
+    for g, _ in cases[::25]:
+        cases += [(g, [list(range(g.n))]), (g, [[v] for v in range(g.n)])]
+    return cases
+
+
+class TestQuotientOracle:
+    """`quotient`'s integer counts, cell sizes and equitability flag against
+    numpy on the adjacency matrix read edge by edge, loops counting 2 on the
+    diagonal: with P the 0/1 cell indicator, counts = P^T A P, sizes are the
+    column sums of P, and the partition is equitable exactly when the rows
+    of A P are constant on each cell."""
+
+    def test_counts_sizes_and_equitable_match_numpy(self):
+        cases = oracle_cases()
+        for g, cells in cases:
+            a = np.array(adjacency_lists(g), dtype=np.int64)
+            p = np.zeros((g.n, len(cells)), dtype=np.int64)
+            for j, cell in enumerate(cells):
+                p[cell, j] = 1
+            ap = a @ p
+            spec = quotient(g, cells)
+            assert spec.counts == tuple(map(tuple, (p.T @ ap).tolist())), (g, cells)
+            assert spec.sizes == tuple(p.sum(axis=0).tolist()), (g, cells)
+            assert spec.equitable == all((ap[cell] == ap[cell[0]]).all() for cell in cells), (g, cells)
+            assert spec.matrix == tuple(
+                tuple(Fraction(c, s) for c in row) for row, s in zip(spec.counts, spec.sizes)
+            )
+        # both verdicts of the flag occur, and a partition with loops
+        assert {quotient(g, cells).equitable for g, cells in cases} == {True, False}
+        assert any(g.loops for g, _ in cases)
+
+
+class TestQuotientRadii:
+    def test_stacked_radii_are_bit_for_bit_each_spec_alone(self):
+        # a shuffled mix of cell counts from 1 to 10, so that each stacked
+        # call mixes specs that come from far apart in the input
+        specs = [quotient(g, cells) for g, cells in oracle_cases()]
+        random.Random(5).shuffle(specs)
+        assert len({len(spec.sizes) for spec in specs}) >= 8
+        for spec, rho in zip(specs, quotient_radii(specs)):
+            alone = np.array([[float(Fraction(c, s)) for c in row] for row, s in zip(spec.counts, spec.sizes)])
+            assert rho == float(np.max(np.abs(np.linalg.eigvals(alone)))), spec
+            assert spec.rho() == rho
+
+    def test_empty_input(self):
+        assert quotient_radii([]) == []
+
+    def test_order_of_the_input_is_kept(self):
+        star, triangle = QuotientSpec(((0, 3), (3, 0)), (1, 3), True), QuotientSpec(((6,),), (3,), True)
+        assert quotient_radii([star, triangle, star]) == pytest.approx([math.sqrt(3), 2, math.sqrt(3)], abs=1e-12)
 
 
 class TestQuotientBound:
     def test_equitable_equality(self):
-        from specmax.families import build_family, profile_family_partition
-
         g = build_family("h1", 8)
-        verdicts = quotient_bound_verdicts(g, profile_family_partition("h1", 8), perron(g))
+        verdicts = bound_verdicts(g, profile_family_partition("h1", 8), perron(g))
         assert [(check, ok) for check, ok, _ in verdicts] == [
             ("quotient_bound", True),
             ("quotient_equitable_equality", True),
@@ -92,7 +156,7 @@ class TestQuotientBound:
         # the check names and witness of the failure records `verify lemmas`
         # prints
         witness = "Ds_ [[0, 1, 2, 3, 4]]"
-        assert quotient_bound_verdicts(g, cells, perron(g)) == [
+        assert bound_verdicts(g, cells, perron(g)) == [
             ("quotient_bound", True, witness),
             ("quotient_bound_strict", True, witness),
         ]
@@ -101,15 +165,13 @@ class TestQuotientBound:
         # negative controls, rho 1e-6 the wrong way: on an equitable
         # partition rho(G) = rho(B) (test_equitable_equality), so a pair
         # 1e-6 low fails the bound and 1e-6 either way fails the equality
-        from specmax.families import build_family, profile_family_partition
-
         g, cells = build_family("h1", 8), profile_family_partition("h1", 8)
         pair = perron(g)
         for shift, want in [
             (-1e-6, [("quotient_bound", False), ("quotient_equitable_equality", False)]),
             (1e-6, [("quotient_bound", True), ("quotient_equitable_equality", False)]),
         ]:
-            verdicts = quotient_bound_verdicts(g, cells, replace(pair, rho=pair.rho + shift))
+            verdicts = bound_verdicts(g, cells, replace(pair, rho=pair.rho + shift))
             assert [(check, ok) for check, ok, _ in verdicts] == want, shift
 
     def test_rho_moved_past_rho_b_fails_strict(self):
@@ -124,7 +186,7 @@ class TestQuotientBound:
             (rho_b, [("quotient_bound", True), ("quotient_bound_strict", False)]),
             (rho_b - 1e-6, [("quotient_bound", False), ("quotient_bound_strict", False)]),
         ]:
-            verdicts = quotient_bound_verdicts(g, cells, replace(pair, rho=rho))
+            verdicts = bound_verdicts(g, cells, replace(pair, rho=rho))
             assert [(check, ok) for check, ok, _ in verdicts] == want, rho
 
     def test_random_sweep_strict_unless_cell_constant(self):
@@ -132,7 +194,7 @@ class TestQuotientBound:
         # constant on cells (Rayleigh-Ritz); inequitable partitions usually
         # are not, and then the gap must be strictly positive
         cases = random_partition_cases(random.Random(31), 200)
-        verdicts = [v for g, cells in cases for v in quotient_bound_verdicts(g, cells, perron(g))]
+        verdicts = [v for g, cells in cases for v in bound_verdicts(g, cells, perron(g))]
         assert all(ok for _, ok, _ in verdicts)
         assert sum(check == "quotient_bound_strict" for check, _, _ in verdicts) > 100
 
@@ -151,8 +213,6 @@ class TestQuotientBound:
         assert spec.rho() == pytest.approx(2, abs=1e-12)
 
     def test_equitable_eigenvalues_contained(self):
-        from specmax.families import build_family, build_g, g_partition, profile_family_partition
-
         cases = [
             (build_family("h2", 11), profile_family_partition("h2", 11)),
             (build_family("h1", 12), profile_family_partition("h1", 12)),
@@ -175,14 +235,12 @@ class TestQuotientBound:
 
 class TestLoopShift:
     def test_triangle_single_cell(self):
-        assert all(ok for _, ok, _ in family_verdicts(complete(3), [[0, 1, 2]]))
+        assert all(ok for _, ok, _ in looped_verdicts(complete(3), [[0, 1, 2]]))
 
     def test_family_partitions(self):
-        from specmax.families import build_family, build_g, g_partition, profile_family_partition
-
         cases = [(build_g(7, 4), g_partition(7, 4)), (build_family("h2", 9), profile_family_partition("h2", 9))]
         for g, cells in cases:
-            assert [(check, ok) for check, ok, _ in family_verdicts(g, cells)] == [
+            assert [(check, ok) for check, ok, _ in looped_verdicts(g, cells)] == [
                 ("family_equitable", True),
                 ("family_quotient_rho", True),
                 ("loop_shift", True),
@@ -192,7 +250,7 @@ class TestLoopShift:
         # P3 as one cell: neither it nor the looped P3 is equitable, and the
         # average degree 4/3 falls short of rho = sqrt(2)
         p3 = Graph.build(3, [(0, 1), (1, 2)])
-        failures = failure_records(3, family_verdicts(p3, [[0, 1, 2]]))
+        failures = failure_records(3, looped_verdicts(p3, [[0, 1, 2]]))
         assert failures == [
             {"check": check, "n": 3, "witness": "Bg [[0, 1, 2]]"}
             for check in ("family_equitable", "family_quotient_rho", "loop_shift")

@@ -1,7 +1,8 @@
 """The randomized sweeps of `verify lemmas` draw their graphs in rounds of at
-most `suites.ROUND` and solve each round together with `perron_all`, and the
+most `suites.ROUND` and solve each round together with `perron_all`. The
 local-switching sweep solves the round's switched graphs with one
-`spectral_radii` call. They must check the graphs, moves and partitions, with
+`spectral_radii` call, and the quotient-bound sweep the round's quotients with
+one `quotient_radii` call. They must check the graphs, moves and partitions, with
 the verdicts, that drawing and solving one graph at a time checks, and leave
 the generator in the same state. And a wrong rho from the stacked solve must
 fail the checks that read it, through the CLI."""
@@ -16,9 +17,11 @@ import pytest
 from specmax import suites
 from specmax.cli import main
 from specmax.graphs import graph6_encode, random_connected_graph
-from specmax.spectral import PerronPair, perron, perron_all, spectral_radii
+from specmax.spectral import PerronPair, perron, perron_all, quotient_radii, spectral_radii
 from specmax.suites import component_bound_verdicts, ls_hypothesis, ls_verdicts, quotient_bound_verdicts
 from specmax.switching import SwitchMove, apply
+
+from quotient_inputs import solved_quotient
 
 
 def serial_local_switching(rng, trials):
@@ -56,7 +59,9 @@ def serial_quotient_bound(rng, trials):
         for v in range(g.n):
             cells[rng.randrange(k)].append(v)
         cells = [c for c in cells if c]
-        checked.append((graph6_encode(g), (cells,), quotient_bound_verdicts(g, cells, perron(g))))
+        spec, rho_b = solved_quotient(g, cells)
+        verdicts = quotient_bound_verdicts(g, cells, spec, perron(g), rho_b)
+        checked.append((graph6_encode(g), (cells, spec, rho_b), verdicts))
     return checked
 
 
@@ -116,7 +121,7 @@ def test_same_draws_and_verdicts_as_one_graph_at_a_time(monkeypatch, sweep, tria
 @pytest.mark.parametrize("sweep", list(SWEEPS))
 def test_rounds_of_at_most_round_graphs(monkeypatch, sweep, trials):
     # with rounds of 3 graphs, every sweep here takes several rounds
-    sizes, switched_sizes = [], []
+    sizes, switched_sizes, quotient_sizes = [], [], []
 
     def counted(graphs, tol=1e-10):
         sizes.append(len(graphs))
@@ -126,13 +131,20 @@ def test_rounds_of_at_most_round_graphs(monkeypatch, sweep, trials):
         switched_sizes.append(len(graphs))
         return spectral_radii(graphs)
 
+    def quotients_counted(specs):
+        quotient_sizes.append(len(specs))
+        return quotient_radii(specs)
+
     monkeypatch.setattr(suites, "ROUND", 3)
     monkeypatch.setattr(suites, "perron_all", counted)
     monkeypatch.setattr(suites, "spectral_radii", switched_counted)
+    monkeypatch.setattr(suites, "quotient_radii", quotients_counted)
     assert_same_as_serial(monkeypatch, sweep, trials)
     assert len(sizes) > 1 and max(sizes) <= 3
     assert max(switched_sizes, default=0) <= 3
     assert (sum(switched_sizes) > 0) == (sweep == "local_switching")
+    # one quotient solve per round, of that round's partitions
+    assert quotient_sizes == (sizes if sweep == "quotient_bound" else [])
 
 
 def test_local_switching_gives_up_after_200_graphs_per_trial(monkeypatch):

@@ -217,18 +217,29 @@ class TestDrawSwitch:
             for k in range(len(moves)):
                 assert suites._draw_switch(g, Fixed()) == moves[k]
 
+    def test_matches_choice_on_sparse_and_dense_graphs(self):
+        # connected or not, from 2 to 12 vertices: the closed-form count
+        # must equal the list's length on every shape, not only on the
+        # connected graphs of order 5..9 the sweep draws
+        rng = random.Random(28)
+        for trial in range(400):
+            n, p = rng.randint(2, 12), rng.choice([0.1, 0.9])
+            g = Graph.build(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            self.assert_same_draw(g, trial)
+
     @pytest.mark.parametrize(
         "g",
-        [
-            Graph.build(4, itertools.combinations(range(4), 2)),  # K4
-            Graph.build(6, [(0, v) for v in range(1, 6)]),  # star
-            Graph.build(3, [(0, 1), (1, 2)]),
-        ],
-        ids=["K4", "star", "P3"],
+        [Graph.build(n, itertools.combinations(range(n), 2)) for n in (2, 3, 4, 7, 12)]
+        + [Graph.build(m + 1, [(0, v) for v in range(1, m + 1)]) for m in (2, 5, 11)]
+        + [Graph.build(3, [(0, 1), (1, 2)])],
+        ids=["K2", "K3", "K4", "K7", "K12", "K1,2", "star", "K1,11", "P3"],  # star is K1,5
     )
     def test_no_move(self, g):
         assert listed_moves(g) == []
         self.assert_same_draw(g, 0)
+        rng = random.Random(0)
+        assert suites._draw_switch(g, rng) is None
+        assert rng.getstate() == random.Random(0).getstate()
 
 
 class TestLemmaControls:
