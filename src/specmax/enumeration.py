@@ -12,7 +12,8 @@ exactly when its new vertex is, up to automorphism, the canonical one to
 delete: every class comes once, with no set of canonical forms, and most
 children need no canonical search (`_level_up` says why).  Unless a
 checkpoint is written, the last level holds only the classes that can be
-emitted: nonregular, with maximum degree equal to the cap.
+emitted: nonregular, with maximum degree equal to the cap.  They are
+emitted as the canonical graph6 lines the search computes.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .graphs import (
     canonical_form,
     components,
     graph6_decode,
-    graph6_encode,
     orbit,
 )
 from .intpoly import char_poly, compare_max_real_roots
@@ -221,33 +221,36 @@ def _parents(spec: EnumSpec, checkpoint: str | None = None) -> tuple[int, list]:
     return max(start, spec.n - 1), level
 
 
-def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[Graph]:
-    """Yield one canonical representative per isomorphism class: the graph
-    its canonical form decodes to, in sorted graph6 order.
+def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[str]:
+    """Yield the canonical graph6 line of each isomorphism class, sorted:
+    the form the generation computes, with no graph decoded or re-encoded.
 
     Emits connected nonregular graphs whose maximum degree equals
     spec.max_degree exactly.  Each emitted class is searched once, by its
     acceptance test or, if that needed none, for its canonical form.
     A checkpoint file, when given, persists the per-level frontier so an
     interrupted run resumes at the completed level; one written for this
-    spec that does not hold a level's graphs raises ValueError.
+    spec that does not hold a level's graphs raises ValueError.  A run with
+    a checkpoint builds its last level whole, and drops here the classes
+    that are not emitted.
     """
     k, level = _parents(spec, checkpoint)
-    if k == spec.n:  # the canonical graphs of a finished run
-        codes = [graph6_encode(Graph(k, tuple(rows))).encode("ascii") for rows, _ in level]
+    if k == spec.n:  # the canonical graphs of a finished run, each in its canonical labels
+        graphs = ((Graph(k, tuple(rows)), range(k)) for rows, _ in level)
     else:
         children = _level_up(level, spec.max_degree, not checkpoint)
-        codes = [_ordered_code(c, (found or _search(c, colors))[0]) for c, colors, found in children]
-        if checkpoint:
-            _write_checkpoint(Path(checkpoint), spec, spec.n, codes)
-    del level  # the codes alone outlive this line, so the level below is freed before any graph is built
-    codes.sort()
-    for code in codes:
-        g = graph6_decode(code.decode("ascii"))
-        degs = g.degrees()
-        if min(degs) == max(degs) or max(degs) != spec.max_degree:
-            continue
-        yield g
+        graphs = ((c, (found or _search(c, colors))[0]) for c, colors, found in children)
+    codes, emitted = [], []
+    for g, order in graphs:
+        codes.append(_ordered_code(g, order))
+        if not checkpoint or min(degs := g.degrees()) < max(degs) == spec.max_degree:
+            emitted.append(codes[-1])
+    if checkpoint and k < spec.n:
+        _write_checkpoint(Path(checkpoint), spec, spec.n, codes)
+    del level, codes  # the emitted codes alone outlive this line: the level below is freed before any line is handed out
+    emitted.sort()
+    for code in emitted:
+        yield code.decode("ascii")
 
 
 def extremal_search(spec: EnumSpec) -> ExtremalReport:

@@ -240,14 +240,15 @@ def components(rows, within: int) -> list[int]:
 
 
 _G6_DIGITS = bytes(range(63, 127))
-# graph6_decode builds rows in Python integers below this order and with
-# numpy from it on. Per body, median over 200 random G(n, 0.5) graphs on a
-# 2-core machine (Python 3.11, numpy 2.4): Python 13 / 35 / 38 / 54 us and
-# numpy 29 / 38 / 35 / 38 us at n = 9 / 16 / 17 / 20; one dense graph at
-# n = 2000 takes 21 ms with numpy and 0.87 s in Python. graph6_encode
-# switches at the same order: Python 17 / 32 / 36 us and numpy 25 / 26 /
-# 26 us at n = 9 / 16 / 17, and H1(1998) takes 194 ms in Python, 27 ms with
-# numpy.
+# graph6_encode builds the body in Python below this order and with numpy
+# from it on: per call, median over 200 random G(n, 0.5) graphs on a 2-core
+# machine (Python 3.11, numpy 2.4), Python 17 / 32 / 36 us and numpy 25 / 26
+# / 26 us at n = 9 / 16 / 17, and H1(1998) takes 194 ms in Python, 27 ms with
+# numpy. `certificates` encodes on both sides (lemma witnesses at n <= 10,
+# `construct` at n of 120-300). graph6_decode uses numpy at every order: a
+# Python decoder took 9-15 us per call at n = 9 against numpy's 19-22 us,
+# and 23-37 against 20-32 us at n = 16, but nothing decodes small graphs in
+# bulk, since `enumerate` emits the canonical lines it computes.
 G6_NUMPY_MIN_N = 17
 
 
@@ -279,7 +280,7 @@ def graph6_encode(g: Graph) -> str:
 
 
 def _g6_body_numpy(rows, n: int) -> bytes:
-    """The graph6 body of the row bitmasks, `_g6_rows_numpy` run backwards:
+    """The graph6 body of the row bitmasks, graph6_decode's rows run backwards:
     the strict lower triangle read row by row, six bits to a byte."""
     bits = _unpack_rows(rows, n)[np.tri(n, k=-1, dtype=bool)]
     bits = np.concatenate([bits, np.zeros(-len(bits) % 6, np.uint8)]).reshape(-1, 6)
@@ -322,36 +323,15 @@ def graph6_decode(text: str) -> Graph:
     # the 6 * nbytes - nbits padding bits are the low bits of the last byte
     if nbytes and (data[-1] - 63) & ((1 << (6 * nbytes - nbits)) - 1):
         raise Graph6ParseError("nonzero padding bits", len(data) - 1)
-    return Graph(n, tuple(_g6_rows(body, n) if n < G6_NUMPY_MIN_N else _g6_rows_numpy(body, n)))
-
-
-def _g6_rows(body: bytes, n: int) -> list[int]:
-    """The row bitmasks from a checked graph6 body, in Python integers."""
-    # bit k of `bits` is the k-th bit of the body, so column c, bits
-    # [c(c-1)/2, c(c+1)/2), lists rows 0..c-1 as the lower part of rows[c]
-    bits = int("".join([format(b - 63, "06b") for b in body])[::-1] or "0", 2)
-    rows = [0] * n
-    for c in range(1, n):
-        col = rows[c] = bits >> c * (c - 1) // 2 & ((1 << c) - 1)
-        while col:
-            low = col & -col
-            rows[low.bit_length() - 1] |= 1 << c
-            col ^= low
-    return rows
-
-
-def _g6_rows_numpy(body: bytes, n: int) -> list[int]:
-    """The row bitmasks from a checked graph6 body: the body bits fill the
-    strict lower triangle row by row, which is graph6's column-major order
-    of the upper one, and the matrix is closed under transpose."""
-    digits = np.frombuffer(body, np.uint8) - 63
-    bits = np.unpackbits(digits[:, None] << 2, axis=1, count=6).ravel()
+    # the body bits fill the strict lower triangle row by row, which is
+    # graph6's column-major order of the upper one; then close under transpose
+    bits = np.unpackbits((np.frombuffer(body, np.uint8) - 63)[:, None] << 2, axis=1, count=6).ravel()
     m = np.zeros((n, n), bool)
-    m[np.tri(n, k=-1, dtype=bool)] = bits[: n * (n - 1) // 2]
+    m[np.tri(n, k=-1, dtype=bool)] = bits[:nbits]
     m |= m.T
     width = (n + 7) // 8
     packed = np.packbits(m, axis=1, bitorder="little").tobytes()
-    return [int.from_bytes(packed[i : i + width], "little") for i in range(0, n * width, width)]
+    return Graph(n, tuple(int.from_bytes(packed[i : i + width], "little") for i in range(0, n * width, width)))
 
 
 # -- canonical form ----------------------------------------------------

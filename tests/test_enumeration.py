@@ -11,7 +11,7 @@ from sympy.combinatorics import Permutation, PermutationGroup
 import specmax.enumeration as enumeration
 from specmax.enumeration import EnumSpec, enumerate_graphs, extremal_search
 from specmax.families import build_g
-from specmax.graphs import CapabilityError, Graph, canonical_form, components, graph6_encode
+from specmax.graphs import CapabilityError, Graph, canonical_form, components, graph6_decode, graph6_encode
 from specmax.spectral import perron, spectral_radii
 from specmax.suites import maximizer_verdicts
 
@@ -45,7 +45,7 @@ def brute_force_classes(n, max_degree):
         degs = g.degrees()
         if max(degs) != max_degree or min(degs) == max(degs):
             continue
-        classes.add(canonical_form(g))
+        classes.add(canonical_form(g).decode())
     return classes
 
 
@@ -53,46 +53,44 @@ class TestEnumerate:
     def test_path_only_at_n4_d2(self):
         got = list(enumerate_graphs(EnumSpec(4, 2)))
         assert len(got) == 1
-        assert got[0].degree_sequence() == [2, 2, 1, 1]
+        assert graph6_decode(got[0]).degree_sequence() == [2, 2, 1, 1]
 
     def test_star_present_at_n5_d4(self):
         got = list(enumerate_graphs(EnumSpec(5, 4)))
         star = Graph.build(5, [(0, i) for i in range(1, 5)])
-        forms = {canonical_form(g) for g in got}
-        assert canonical_form(star) in forms
-        for g in got:
+        assert canonical_form(star).decode() in got
+        for g in map(graph6_decode, got):
             degs = g.degrees()
             assert max(degs) == 4 and min(degs) < 4
             assert g.is_connected()
 
     def test_family_graph_present_at_n5_d3(self):
-        forms = {canonical_form(g) for g in enumerate_graphs(EnumSpec(5, 3))}
-        assert canonical_form(build_g(5, 2)) in forms
+        assert canonical_form(build_g(5, 2)).decode() in enumerate_graphs(EnumSpec(5, 3))
 
     def test_matches_brute_force(self):
         for n in (4, 5):
             for d in range(2, n):
-                got = {canonical_form(g) for g in enumerate_graphs(EnumSpec(n, d))}
+                got = set(enumerate_graphs(EnumSpec(n, d)))
                 assert got == brute_force_classes(n, d)
 
     def test_matches_brute_force_n6(self):
-        got = {canonical_form(g) for g in enumerate_graphs(EnumSpec(6, 4))}
+        got = set(enumerate_graphs(EnumSpec(6, 4)))
         assert got == brute_force_classes(6, 4)
 
     def test_dominating_vertex_when_d_is_n_minus_1(self):
         for n in (4, 5, 6):
             got = list(enumerate_graphs(EnumSpec(n, n - 1)))
             assert got
-            for g in got:
-                assert max(g.degrees()) == n - 1
+            for line in got:
+                assert max(graph6_decode(line).degrees()) == n - 1
 
     def test_degree_sum_even(self):
-        for g in enumerate_graphs(EnumSpec(6, 3)):
-            assert sum(g.degrees()) % 2 == 0
+        for line in enumerate_graphs(EnumSpec(6, 3)):
+            assert sum(graph6_decode(line).degrees()) % 2 == 0
 
     def test_deterministic_order(self):
-        a = [graph6_encode(g) for g in enumerate_graphs(EnumSpec(6, 4))]
-        b = [graph6_encode(g) for g in enumerate_graphs(EnumSpec(6, 4))]
+        a = list(enumerate_graphs(EnumSpec(6, 4)))
+        b = list(enumerate_graphs(EnumSpec(6, 4)))
         assert a == b == sorted(a)
 
     def test_cap_enforced(self):
@@ -103,19 +101,17 @@ class TestEnumerate:
 
     def test_checkpoint_resume(self, tmp_path):
         ck = tmp_path / "frontier.json"
-        full = [graph6_encode(g) for g in enumerate_graphs(EnumSpec(6, 4))]
-        first = [graph6_encode(g) for g in enumerate_graphs(EnumSpec(6, 4), checkpoint=str(ck))]
+        full = list(enumerate_graphs(EnumSpec(6, 4)))
+        first = list(enumerate_graphs(EnumSpec(6, 4), checkpoint=str(ck)))
         assert ck.exists()
         state = json.loads(ck.read_text())
         assert state["level"] == 6
-        resumed = [
-            graph6_encode(g) for g in enumerate_graphs(EnumSpec(6, 4), checkpoint=str(ck))
-        ]
+        resumed = list(enumerate_graphs(EnumSpec(6, 4), checkpoint=str(ck)))
         assert full == first == resumed
 
     def test_failed_checkpoint_write_keeps_previous(self, tmp_path, monkeypatch):
         ck = tmp_path / "frontier.json"
-        full = [graph6_encode(g) for g in enumerate_graphs(EnumSpec(6, 4))]
+        full = list(enumerate_graphs(EnumSpec(6, 4)))
         real_replace = os.replace
         calls = []
 
@@ -132,9 +128,7 @@ class TestEnumerate:
         # the level-3 frontier survives whole and the temp file is gone
         assert json.loads(ck.read_text())["level"] == 3
         assert list(tmp_path.iterdir()) == [ck]
-        resumed = [
-            graph6_encode(g) for g in enumerate_graphs(EnumSpec(6, 4), checkpoint=str(ck))
-        ]
+        resumed = list(enumerate_graphs(EnumSpec(6, 4), checkpoint=str(ck)))
         assert resumed == full
 
     def test_degree_rule_prunes_canonical_forms(self, monkeypatch):
@@ -258,6 +252,13 @@ def levels(n, cap, *, emitted_only=False):
     return out
 
 
+def is_emitted(g, cap):
+    """Whether `enumerate --emit` writes the class of g: nonregular, with
+    maximum degree exactly `cap`."""
+    degs = g.degrees()
+    return min(degs) < max(degs) == cap
+
+
 def counted_searches(monkeypatch):
     """The orders of the graphs `enumeration` searches, one entry per
     search: a `_search` call on a colouring that is not discrete (on a
@@ -285,19 +286,23 @@ SEARCHES_8_6 = 3428
 
 class TestEmittedOnlyRule:
     """`_level_up(..., last=True)` rejects, at the last level, the
-    children `enumerate_graphs` would drop; no output may change."""
+    children that are not emitted: regular, or below the cap; no output
+    may change."""
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_emitted_lines_match_rule_off(self, n, monkeypatch):
         specs = [EnumSpec(n, cap) for cap in range(2, n)]
         calls = counted_searches(monkeypatch)
-        on = [[graph6_encode(g) for g in enumerate_graphs(spec)] for spec in specs]
+        on = [list(enumerate_graphs(spec)) for spec in specs]
         assert len(calls) == SEARCHES[n]
         real = enumeration._level_up
         monkeypatch.setattr(
             enumeration, "_level_up", lambda level, cap, last: real(level, cap, False)
         )
-        off = [[graph6_encode(g) for g in enumerate_graphs(spec)] for spec in specs]
+        # with the rule off, every class of the last level comes out, and
+        # the rule is applied here to the decoded graphs
+        off = [[line for line in enumerate_graphs(spec) if is_emitted(graph6_decode(line), spec.max_degree)]
+               for spec in specs]
         assert on == off
 
     def test_checkpoint_keeps_whole_last_level(self, tmp_path):
@@ -328,7 +333,7 @@ class TestEmittedOnlyRule:
         # dominating vertex, less K8; the rule's last level holds just these
         built = levels(8, 7)
         assert [len(level) for level in built] == [1, 1, 2, 6, 21, 112, 853, 11117]
-        emitted = [graph6_encode(g).encode("ascii") for g in enumerate_graphs(EnumSpec(8, 7))]
+        emitted = [line.encode("ascii") for line in enumerate_graphs(EnumSpec(8, 7))]
         assert len(emitted) == 1043
         parents = [(g.rows, found[1]) for g, _, found in built[6]]
         last = enumeration._level_up(parents, 7, True)
@@ -390,11 +395,14 @@ class TestAgainstGraphAtlas:
                 if h.number_of_nodes() != n or max(degs) != cap or min(degs) == cap or not nx.is_connected(h):
                     continue
                 matched += 1
-                want.add(canonical_form(Graph.build(n, h.edges())))
-            got = [canonical_form(g) for g in enumerate_graphs(EnumSpec(n, cap))]
+                want.add(canonical_form(Graph.build(n, h.edges())).decode())
+            got = list(enumerate_graphs(EnumSpec(n, cap)))
             assert len(want) == matched
             assert len(got) == len(set(got)) == matched, (n, cap)
             assert set(got) == want, (n, cap)
+            # each line is its own canonical form, and the lines ascend
+            assert all(a < b for a, b in zip(got, got[1:])), (n, cap)
+            assert all(canonical_form(graph6_decode(line)).decode() == line for line in got), (n, cap)
 
 
 class TestExtremalSearch:
@@ -418,7 +426,7 @@ class TestExtremalSearch:
     def test_exact_maximum_ignores_float_order(self, monkeypatch):
         spec = EnumSpec(6, 4)
         want = {canonical_form(g) for g in extremal_search(spec).maximizers}
-        graphs = list(enumerate_graphs(spec))
+        graphs = [graph6_decode(line) for line in enumerate_graphs(spec)]
         rho = {canonical_form(g): r for g, r in zip(graphs, spectral_radii(graphs))}
         top = max(rho.values())
         runner_up = max((f for f in rho if f not in want), key=rho.get)
@@ -502,3 +510,26 @@ class TestStructureAudit:
             assert [(check, holds) for check, holds, _ in verdicts] == [
                 (check, ok or check != "maximizer_separation") for check in CHECKS
             ]
+
+    def test_nested_neighborhoods_order_components(self):
+        # low vertices 3 (degree 2) and 6 (degree 1, pendant at 4) have the
+        # full-degree neighborhoods {2, 4} and {4}: x6 may lie anywhere
+        # below x3, but not more than 1e-9 above it
+        g = Graph.build(7, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3), (2, 5), (3, 4), (4, 6)])
+        pair = perron(g)
+        for shift, ok in ((-1e-6, True), (1e-6, False)):
+            verdicts = maximizer_verdicts(g, moved(pair, 6, pair.vector[3] + shift))
+            assert ("maximizer_component_order", ok) in [(check, holds) for check, holds, _ in verdicts], shift
+
+    def test_low_neighbor_is_not_in_the_neighborhood(self):
+        # K5 less the edge 34, vertex 5 joined to 3 and 4, and 6 pendant at
+        # 5: the low vertices 5 and 6 are adjacent, but only full-degree
+        # neighbors count, so their neighborhoods {3, 4} and {} are nested
+        # and x6 below x5 passes
+        g = Graph.build(7, [(a, b) for a, b in itertools.combinations(range(5), 2) if (a, b) != (3, 4)]
+                        + [(3, 5), (4, 5), (5, 6)])
+        pair = perron(g)
+        assert pair.vector[6] < pair.vector[5] - 1e-3
+        for x6, ok in ((pair.vector[6], True), (pair.vector[5] + 1e-6, False)):
+            verdicts = maximizer_verdicts(g, moved(pair, 6, x6))
+            assert [(check, holds) for check, holds, _ in verdicts] == list(zip(CHECKS, (True, ok, True, False)))

@@ -271,8 +271,9 @@ class TestGraph6:
         want = nx.from_graph6_bytes(text.encode())
         assert graph6_decode(text) == Graph.build(n, want.edges())
 
-    # graph6_decode and graph6_encode switch to numpy at G6_NUMPY_MIN_N; 62
-    # and 63 sit on either side of the extended header
+    # graph6_encode switches to numpy at G6_NUMPY_MIN_N, and graph6_decode
+    # uses numpy at every order; 62 and 63 sit on either side of the
+    # extended header
     @pytest.mark.parametrize("n", [1, 2, G6_NUMPY_MIN_N - 1, G6_NUMPY_MIN_N, G6_NUMPY_MIN_N + 1, 62, 63, 300])
     def test_roundtrip_with_networkx(self, n):
         h = nx.gnp_random_graph(n, 0.5, seed=n)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import specmax
 from specmax.enumeration import EnumSpec, enumerate_graphs
 from specmax.families import build_family
-from specmax.graphs import Graph, random_connected_graph
+from specmax.graphs import Graph, graph6_decode, random_connected_graph
 from specmax.intpoly import char_poly, max_real_root
 from specmax.spectral import ConvergenceError, perron, perron_all, spectral_radii
 from specmax.suites import component_bound_verdicts
@@ -308,7 +308,8 @@ class TestAgainstCharPoly:
             mixed.append(Graph.build(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.2]))
         rng.shuffle(mixed)
         assert len({g.n for g in mixed}) > 5 and sum(not g.is_connected() for g in mixed) > 5
-        for graphs in [list(enumerate_graphs(EnumSpec(n, n - 2))) for n in (5, 6, 7)] + [mixed]:
+        emitted = [[graph6_decode(line) for line in enumerate_graphs(EnumSpec(n, n - 2))] for n in (5, 6, 7)]
+        for graphs in emitted + [mixed]:
             radii = spectral_radii(graphs)
             assert radii == [float(np.linalg.eigvalsh(np.array(adjacency_lists(g), dtype=float))[-1]) for g in graphs]
             for g, rho in zip(graphs, radii):
