@@ -94,7 +94,7 @@ def cmd_quotient(args) -> int:
 
 def cmd_enumerate(args) -> int:
     spec = EnumSpec(args.n, args.max_degree)
-    # every class before --emit is opened: a bad checkpoint leaves it whole
+    # the text is built before --emit is opened: a failed checkpoint write leaves it whole
     text = "".join(line + "\n" for line in enumerate_graphs(spec, checkpoint=args.checkpoint))
     _write_text(args.emit, text)
     return 0

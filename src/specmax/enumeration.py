@@ -11,9 +11,11 @@ of the new vertex per orbit of the parent's group, and accepts a child
 exactly when its new vertex is, up to automorphism, the canonical one to
 delete: every class comes once, with no set of canonical forms, and most
 children need no canonical search (`_level_up` says why).  Unless a
-checkpoint is written, the last level holds only the classes that can be
+checkpoint is asked for, the last level holds only the classes that can be
 emitted: nonregular, with maximum degree equal to the cap.  They are
-emitted as the canonical graph6 lines the search computes.
+emitted as the canonical graph6 lines the search computes.  A checkpoint
+is the whole last level, written once when it is built; nothing here
+reads a file.
 """
 
 from __future__ import annotations
@@ -117,9 +119,9 @@ def _level_up(level, cap: int, last: bool) -> Iterator[tuple]:
     The `last` level holds only the classes that are emitted: a child whose
     maximum degree is below `cap` or which is regular is rejected before its
     cut vertices and colours, as degrees are invariants, so every mask of an
-    orbit, and every child isomorphic to a class, fares alike.  A level
-    written to a checkpoint keeps every class, so it is built with `last`
-    false.
+    orbit, and every child isomorphic to a class, fares alike.  A last
+    level written to a checkpoint keeps every class, so it is built with
+    `last` false.
     """
     for rows, gens in level:
         k = len(rows)
@@ -154,11 +156,11 @@ def _level_up(level, cap: int, last: bool) -> Iterator[tuple]:
             yield child, colors, found
 
 
-def _write_checkpoint(path: Path, spec: EnumSpec, level: int, codes: list[bytes]) -> None:
-    """Write the sorted canonical forms of a level's classes to a synced
-    temp file beside `path`, then rename it over `path`: a failed write
-    leaves the previous checkpoint whole."""
-    state = {"n": spec.n, "max_degree": spec.max_degree, "connected": True, "level": level,
+def _write_checkpoint(path: Path, spec: EnumSpec, codes: list[bytes]) -> None:
+    """Write the sorted canonical forms of the last level's classes to a
+    synced temp file beside `path`, then rename it over `path`: a failed
+    write leaves the previous file whole."""
+    state = {"n": spec.n, "max_degree": spec.max_degree, "connected": True, "level": spec.n,
              "codes": sorted(c.decode("ascii") for c in codes)}
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -172,53 +174,13 @@ def _write_checkpoint(path: Path, spec: EnumSpec, level: int, codes: list[bytes]
         raise
 
 
-def _resume(state, spec: EnumSpec) -> tuple[int, list] | None:
-    """The level of a checkpoint and its classes, each as the rows of the
-    graph its code decodes to and the automorphism group generators of the
-    search that validates it, or None if it was written for another spec; a
-    malformed one raises ValueError.  The codes must be distinct canonical
-    forms: at level n they are emitted as they stand."""
-    if not isinstance(state, dict):
-        raise ValueError("checkpoint is not a JSON object")
-    if (state.get("n"), state.get("max_degree"), state.get("connected", True)) != (
-        spec.n, spec.max_degree, True
-    ):
-        return None
-    level, codes = state.get("level"), state.get("codes")
-    if type(level) is not int or not 1 <= level <= spec.n:
-        raise ValueError(f"checkpoint level {level!r} outside [1, {spec.n}]")
-    if not isinstance(codes, list) or not codes or not all(isinstance(c, str) for c in codes):
-        raise ValueError("checkpoint codes are not a nonempty list of graph6 strings")
-    if len(set(codes)) != len(codes):
-        raise ValueError("checkpoint codes repeat a graph")
-    resumed = []
-    for c in codes:
-        g = graph6_decode(c)
-        if (g.n != level or g.max_degree() > spec.max_degree or not g.is_connected()
-                or _ordered_code(g, (found := _search(g))[0]) != c.encode("ascii")):
-            raise ValueError(f"checkpoint code {c!r} is not the canonical form of a level-{level} graph")
-        resumed.append((g.rows, found[1]))
-    return level, resumed
-
-
-def _parents(spec: EnumSpec, checkpoint: str | None = None) -> tuple[int, list]:
-    """Level n - 1 and its classes, as `_level_up` reads them; or level n,
-    when a checkpoint holds it.  A checkpoint written for this spec is
-    resumed, and every level built is written to it."""
-    start, level = 1, [((0,), ())]  # the one-vertex graph, with a trivial group
-    if checkpoint and Path(checkpoint).exists():
-        resumed = _resume(json.loads(Path(checkpoint).read_text()), spec)
-        if resumed:
-            start, level = resumed
-    for k in range(start + 1, spec.n):
-        parents, level, codes = level, [], []
-        for child, _, (order, gens) in _level_up(parents, spec.max_degree, False):
-            level.append((bytes(child.rows), tuple(map(bytes, gens))))  # 8 vertices at most: a row fits a byte
-            if checkpoint:
-                codes.append(_ordered_code(child, order))
-        if checkpoint:
-            _write_checkpoint(Path(checkpoint), spec, k, codes)
-    return max(start, spec.n - 1), level
+def _parents(spec: EnumSpec) -> list:
+    """The classes of level n - 1, as `_level_up` reads them."""
+    level = [((0,), ())]  # the one-vertex graph, with a trivial group
+    for _ in range(2, spec.n):
+        level = [(bytes(child.rows), tuple(map(bytes, gens)))  # 8 vertices at most: a row fits a byte
+                 for child, _, (_, gens) in _level_up(level, spec.max_degree, False)]
+    return level
 
 
 def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[str]:
@@ -228,26 +190,19 @@ def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[
     Emits connected nonregular graphs whose maximum degree equals
     spec.max_degree exactly.  Each emitted class is searched once, by its
     acceptance test or, if that needed none, for its canonical form.
-    A checkpoint file, when given, persists the per-level frontier so an
-    interrupted run resumes at the completed level; one written for this
-    spec that does not hold a level's graphs raises ValueError.  A run with
-    a checkpoint builds its last level whole, and drops here the classes
-    that are not emitted.
+    With a checkpoint path, the last level is built whole, its classes are
+    written there once it is done (over any file already there, which is
+    never read), and those that are not emitted are dropped here.
     """
-    k, level = _parents(spec, checkpoint)
-    if k == spec.n:  # the canonical graphs of a finished run, each in its canonical labels
-        graphs = ((Graph(k, tuple(rows)), range(k)) for rows, _ in level)
-    else:
-        children = _level_up(level, spec.max_degree, not checkpoint)
-        graphs = ((c, (found or _search(c, colors))[0]) for c, colors, found in children)
     codes, emitted = [], []
-    for g, order in graphs:
-        codes.append(_ordered_code(g, order))
+    # the generator is the only holder of the level below, freed when it ends
+    for g, colors, found in _level_up(_parents(spec), spec.max_degree, not checkpoint):
+        codes.append(_ordered_code(g, (found or _search(g, colors))[0]))
         if not checkpoint or min(degs := g.degrees()) < max(degs) == spec.max_degree:
             emitted.append(codes[-1])
-    if checkpoint and k < spec.n:
-        _write_checkpoint(Path(checkpoint), spec, spec.n, codes)
-    del level, codes  # the emitted codes alone outlive this line: the level below is freed before any line is handed out
+    if checkpoint:
+        _write_checkpoint(Path(checkpoint), spec, codes)
+    del codes  # the emitted codes alone outlive this line
     emitted.sort()
     for code in emitted:
         yield code.decode("ascii")
@@ -267,7 +222,7 @@ def extremal_search(spec: EnumSpec) -> ExtremalReport:
     best: list[tuple[float, Graph]] = []
     rho_max = float("-inf")
     total = 0
-    graphs = (child for child, _, _ in _level_up(_parents(spec)[1], spec.max_degree, True))
+    graphs = (child for child, _, _ in _level_up(_parents(spec), spec.max_degree, True))
     while batch := list(islice(graphs, ROUND)):
         total += len(batch)
         for g, rho in zip(batch, spectral_radii(batch)):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import random
 import time
 from dataclasses import replace
@@ -434,43 +435,21 @@ class TestExitCodeContract:
         assert code == 2
         assert "usage error" in err
 
-    @pytest.mark.parametrize(
-        "state",
-        [
-            [1, 2],
-            {"n": 7, "max_degree": 5},
-            {"n": 7, "max_degree": 5, "level": 9, "codes": ["F??}O"]},
-            {"n": 7, "max_degree": 5, "level": "7", "codes": ["F??}O"]},
-            {"n": 7, "max_degree": 5, "level": 3, "codes": []},
-            {"n": 7, "max_degree": 5, "level": 3, "codes": [3]},
-            {"n": 7, "max_degree": 5, "level": 6, "codes": ["F??}O"]},
-            {"n": 7, "max_degree": 5, "level": 7, "codes": ["F~~~w"]},
-            {"n": 7, "max_degree": 5, "level": 3, "codes": ["B?"]},
-            {"n": 7, "max_degree": 5, "level": 7, "codes": ["F|eGG"]},
-            {"n": 7, "max_degree": 5, "level": 7, "codes": ["FQGZw", "FQGZw"]},
-        ],
-        ids=["list", "no-level", "level-above-n", "level-str", "no-codes", "code-int",
-             "wrong-order", "above-cap", "disconnected", "not-canonical", "repeated"],
-    )
-    def test_enumerate_malformed_checkpoint(self, state, tmp_path, capsys):
-        # a checkpoint written for this spec is resumed only if it holds a
-        # level in [1, n] and that level's graphs
-        path = tmp_path / "frontier.json"
-        path.write_text(json.dumps(state))
-        code, out, err = run(capsys, "enumerate", "--n", "7", "--max-degree", "5", "--checkpoint", str(path))
-        assert (code, out) == (2, "")
-        assert err.startswith("usage error: ")
+    def test_failed_checkpoint_write_keeps_emit_file(self, tmp_path, capsys, monkeypatch):
+        # every line is built before --emit is opened for writing
+        emit, path = tmp_path / "old.g6", tmp_path / "ck"
 
-    def test_malformed_checkpoint_keeps_emit_file(self, tmp_path, capsys):
-        # the checkpoint is read before --emit is opened for writing
-        emit, path = tmp_path / "old.g6", tmp_path / "bad.json"
+        def failing_replace(src, dst):
+            raise OSError("no space left on device")
+
         emit.write_bytes(b"F??}O\n")
-        path.write_text("[1, 2]")
+        monkeypatch.setattr(os, "replace", failing_replace)
         code, out, _ = run(
             capsys, "enumerate", "--n", "7", "--max-degree", "5", "--emit", str(emit), "--checkpoint", str(path)
         )
         assert (code, out) == (2, "")
         assert emit.read_bytes() == b"F??}O\n"
+        assert list(tmp_path.iterdir()) == [emit]
 
     @pytest.mark.parametrize(
         "argv",

@@ -99,37 +99,31 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             EnumSpec(5, 5)
 
-    def test_checkpoint_resume(self, tmp_path):
-        ck = tmp_path / "frontier.json"
+    @pytest.mark.parametrize("previous", ["finished", "[1, 2]"], ids=["finished", "malformed"])
+    def test_existing_checkpoint_is_overwritten(self, previous, tmp_path):
+        # a file already at the checkpoint path is never read: a finished
+        # checkpoint or a malformed one gives way to a fresh run's bytes
+        fresh, ck = tmp_path / "fresh.json", tmp_path / "frontier.json"
         full = list(enumerate_graphs(EnumSpec(6, 4)))
-        first = list(enumerate_graphs(EnumSpec(6, 4), checkpoint=str(ck)))
-        assert ck.exists()
-        state = json.loads(ck.read_text())
-        assert state["level"] == 6
-        resumed = list(enumerate_graphs(EnumSpec(6, 4), checkpoint=str(ck)))
-        assert full == first == resumed
+        assert list(enumerate_graphs(EnumSpec(6, 4), checkpoint=str(fresh))) == full
+        assert json.loads(fresh.read_text())["level"] == 6
+        ck.write_bytes(fresh.read_bytes() if previous == "finished" else previous.encode())
+        assert list(enumerate_graphs(EnumSpec(6, 4), checkpoint=str(ck))) == full
+        assert ck.read_bytes() == fresh.read_bytes()
 
     def test_failed_checkpoint_write_keeps_previous(self, tmp_path, monkeypatch):
         ck = tmp_path / "frontier.json"
-        full = list(enumerate_graphs(EnumSpec(6, 4)))
-        real_replace = os.replace
-        calls = []
+        ck.write_bytes(b"previous")
 
-        def replace_failing_third(src, dst):
-            calls.append(src)
-            if len(calls) == 3:
-                raise OSError("no space left on device")
-            real_replace(src, dst)
+        def failing_replace(src, dst):
+            raise OSError("no space left on device")
 
-        monkeypatch.setattr(os, "replace", replace_failing_third)
+        monkeypatch.setattr(os, "replace", failing_replace)
         with pytest.raises(OSError):
             list(enumerate_graphs(EnumSpec(6, 4), checkpoint=str(ck)))
-        monkeypatch.undo()
-        # the level-3 frontier survives whole and the temp file is gone
-        assert json.loads(ck.read_text())["level"] == 3
+        # the previous file keeps its bytes and the temp file is gone
+        assert ck.read_bytes() == b"previous"
         assert list(tmp_path.iterdir()) == [ck]
-        resumed = list(enumerate_graphs(EnumSpec(6, 4), checkpoint=str(ck)))
-        assert resumed == full
 
     def test_degree_rule_prunes_canonical_forms(self, monkeypatch):
         # 6,430 canonical forms at (7, 5) before children were rejected by
