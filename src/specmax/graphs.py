@@ -8,6 +8,7 @@ canonical form for small-order isomorphism tests.
 
 from __future__ import annotations
 
+import binascii
 import json
 import operator
 import random
@@ -198,20 +199,15 @@ def adjacency_stack(graphs: list[Graph]) -> np.ndarray:
     (k, n, n) array unpacked from the row bitmasks; loop diagonal entries
     are 2."""
     n = graphs[0].n
-    mats = _unpack_rows([row for g in graphs for row in g.rows], n).astype(float).reshape(len(graphs), n, n)
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join([row.to_bytes(width, "little") for g in graphs for row in g.rows]), np.uint8)
+    bits = np.unpackbits(packed.reshape(-1, width), axis=1, count=n, bitorder="little")
+    mats = bits.astype(float).reshape(len(graphs), n, n)
     for mat, g in zip(mats, graphs):
         if g.loops:
             loops = [v for v in range(n) if (g.loops >> v) & 1]
             mat[loops, loops] = 2
     return mats
-
-
-def _unpack_rows(rows, n: int) -> np.ndarray:
-    """The n low bits of each bitmask in `rows`, one uint8 row of 0s and 1s
-    per mask, bit v in column v."""
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in rows]), np.uint8)
-    return np.unpackbits(packed.reshape(-1, width), axis=1, count=n, bitorder="little")
 
 
 def reach(rows, seen: int, within: int) -> int:
@@ -240,16 +236,10 @@ def components(rows, within: int) -> list[int]:
 
 
 _G6_DIGITS = bytes(range(63, 127))
-# graph6_encode builds the body in Python below this order and with numpy
-# from it on: per call, median over 200 random G(n, 0.5) graphs on a 2-core
-# machine (Python 3.11, numpy 2.4), Python 17 / 32 / 36 us and numpy 25 / 26
-# / 26 us at n = 9 / 16 / 17, and H1(1998) takes 194 ms in Python, 27 ms with
-# numpy. `certificates` encodes on both sides (lemma witnesses at n <= 10,
-# `construct` at n of 120-300). graph6_decode uses numpy at every order: a
-# Python decoder took 9-15 us per call at n = 9 against numpy's 19-22 us,
-# and 23-37 against 20-32 us at n = 16, but nothing decodes small graphs in
-# bulk, since `enumerate` emits the canonical lines it computes.
-G6_NUMPY_MIN_N = 17
+# a graph6 body is the base64 of its zero-padded bits, cut before base64's own
+# padding, in the digits chr(63)..chr(126) for base64's alphabet: _g6_pack writes
+# it at every order, and graph6_decode reads it back with numpy
+_BASE64_TO_G6 = bytes.maketrans(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", _G6_DIGITS)
 
 
 def _g6_header(n: int) -> bytes:
@@ -264,27 +254,21 @@ def _g6_pack(n: int, bits: str) -> bytes:
     """graph6 bytes of an n-vertex graph from its upper-triangle bits, a
     '0'/'1' string in column-major order; six bits to a byte, the last
     byte padded with zeros."""
-    bits += "0" * (-len(bits) % 6)
-    return _g6_header(n) + bytes(int(bits[i : i + 6], 2) + 63 for i in range(0, len(bits), 6))
+    pad = -len(bits) % 24  # base64 packs four six-bit groups per three bytes
+    data = (int(bits or "0", 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
+    return _g6_header(n) + binascii.b2a_base64(data, newline=False)[: -(-len(bits) // 6)].translate(_BASE64_TO_G6)
 
 
 def graph6_encode(g: Graph) -> str:
     """Standard graph6 encoding (upper triangle, column-major, 6-bit chunks)."""
     if g.loops:
         raise ValueError("graph6 encodes loop-free graphs only")
-    if g.n >= G6_NUMPY_MIN_N:
-        return (_g6_header(g.n) + _g6_body_numpy(g.rows, g.n)).decode("ascii")
-    # column c lists rows 0..c-1, the reverse of the binary digits of rows[c]
-    bits = "".join(format(g.rows[c] & ((1 << c) - 1), f"0{c}b")[::-1] for c in range(1, g.n))
+    # column c lists rows 0..c-1, the low c binary digits of rows[c] read
+    # backwards (bit c, set, keeps the leading zeros), so the columns are
+    # written last to first and the whole string reversed
+    rows = g.rows
+    bits = "".join([bin(rows[c] & ((1 << c) - 1) | 1 << c)[3:] for c in range(g.n - 1, 0, -1)])[::-1]
     return _g6_pack(g.n, bits).decode("ascii")
-
-
-def _g6_body_numpy(rows, n: int) -> bytes:
-    """The graph6 body of the row bitmasks, graph6_decode's rows run backwards:
-    the strict lower triangle read row by row, six bits to a byte."""
-    bits = _unpack_rows(rows, n)[np.tri(n, k=-1, dtype=bool)]
-    bits = np.concatenate([bits, np.zeros(-len(bits) % 6, np.uint8)]).reshape(-1, 6)
-    return ((np.packbits(bits, axis=1)[:, 0] >> 2) + 63).tobytes()
 
 
 def graph6_decode(text: str) -> Graph:

@@ -277,9 +277,10 @@ def run_theorem_n2(n_min: int = 5, n_max: int = 8) -> dict:
     failures = []
     for n in range(n_min, n_max + 1):
         report = extremal_search(EnumSpec(n, n - 2))
-        got = {canonical_form(g) for g in report.maximizers}
-        want = {canonical_form(build_g(n, t)) for t in n2_winners(n)}
-        witness = {"got": sorted(c.decode() for c in got), "want": sorted(c.decode() for c in want)}
+        # extremal_search hands each maximizer back decoded from its canonical form
+        got = {graph6_encode(g) for g in report.maximizers}
+        want = {canonical_form(build_g(n, t)).decode() for t in n2_winners(n)}
+        witness = {"got": sorted(got), "want": sorted(want)}
         failures += failure_records(n, [("maximizer_set", got == want, witness)])
         for g, pair in zip(report.maximizers, perron_all(report.maximizers)):
             failures += failure_records(n, maximizer_verdicts(g, pair))

@@ -1,0 +1,82 @@
+"""Per-layer timings, one stdlib harness; pytest does not collect it.
+
+It times the graph6 codec: `graphs.graph6_encode`, `graphs._ordered_code`
+(the packer behind every canonical code, here given a shuffled order) and
+`graphs.graph6_decode`, each on one seeded G(n, 1/2) graph per order. A
+sample is `timeit`'s autorange, at least 0.2 s of back-to-back calls, and
+each figure is the median over k samples of the time per call, in
+microseconds. The record names the machine: its platform, the cores this
+process may run on, and the Python and numpy versions.
+
+Run it from the repository root, on the tree whose `src` is on the path:
+
+    PYTHONPATH=src python tests/bench_layers.py --label change --out BENCH_graph6.json
+
+The record is stored under its label, and the other labels in the file are
+kept, so two trees can be timed into one file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import statistics
+import timeit
+from pathlib import Path
+
+import numpy as np
+
+from specmax.graphs import Graph, _ordered_code, graph6_decode, graph6_encode
+
+ORDERS = (9, 17, 40, 120, 300, 1999)
+
+
+def gnp_half(n: int) -> Graph:
+    rng = random.Random(n)
+    return Graph.build(n, [(u, v) for v in range(1, n) for u in range(v) if rng.random() < 0.5])
+
+
+def per_call_us(call, k: int) -> float:
+    timer = timeit.Timer(call)
+    number, _ = timer.autorange()
+    return statistics.median(timer.repeat(k, number)) / number * 1e6
+
+
+def measure(k: int) -> dict:
+    us: dict[str, dict[str, float]] = {}
+    for n in ORDERS:
+        g = gnp_half(n)
+        order = random.Random(-n).sample(range(n), n)
+        text = graph6_encode(g)
+        calls = {
+            "graph6_encode": lambda: graph6_encode(g),
+            "_ordered_code": lambda: _ordered_code(g, order),
+            "graph6_decode": lambda: graph6_decode(text),
+        }
+        for name, call in calls.items():
+            us.setdefault(name, {})[str(n)] = round(per_call_us(call, k), 2)
+    machine = {
+        "platform": platform.platform(),
+        "cores": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+    return {"k": k, "graph": "G(n, 1/2), seeded by n", "machine": machine, "median_us_per_call": us}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--k", type=int, default=9)
+    args = ap.parse_args()
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    data[args.label] = measure(args.k)
+    args.out.write_text(json.dumps(data, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -417,6 +417,12 @@ class TestExtremalSearch:
         assert canonical_form(rep.maximizers[0]) == canonical_form(build_g(7, 4))
         assert rep.maximizers[0].degree_sequence() == [5, 5, 5, 5, 5, 5, 4]
 
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_maximizers_are_their_own_canonical_forms(self, n):
+        # run_theorem_n2 reads the maximizers' canonical forms by encoding them
+        for m in extremal_search(EnumSpec(n, n - 2)).maximizers:
+            assert graph6_encode(m) == canonical_form(m).decode()
+
     def test_exact_maximum_ignores_float_order(self, monkeypatch):
         spec = EnumSpec(6, 4)
         want = {canonical_form(g) for g in extremal_search(spec).maximizers}

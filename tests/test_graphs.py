@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from specmax.graphs import (
-    G6_NUMPY_MIN_N,
     MAX_N,
     CapabilityError,
     Graph,
     Graph6ParseError,
     canonical_form,
+    _ordered_code,
     _refined_colors,
     _search,
     components,
@@ -219,6 +219,9 @@ class TestToNumpy:
             assert np.array_equal(got, np.array(adjacency_lists(h), dtype=float))
 
 
+G6_ORDERS = [*range(1, 25), 40, 62, 63, 120, 300]
+
+
 class TestGraph6:
     def test_k3_is_Bw(self):
         assert graph6_encode(complete(3)) == "Bw"
@@ -271,10 +274,10 @@ class TestGraph6:
         want = nx.from_graph6_bytes(text.encode())
         assert graph6_decode(text) == Graph.build(n, want.edges())
 
-    # graph6_encode switches to numpy at G6_NUMPY_MIN_N, and graph6_decode
-    # uses numpy at every order; 62 and 63 sit on either side of the
-    # extended header
-    @pytest.mark.parametrize("n", [1, 2, G6_NUMPY_MIN_N - 1, G6_NUMPY_MIN_N, G6_NUMPY_MIN_N + 1, 62, 63, 300])
+    # the writer packs four six-bit groups per base64 block, and n = 1..24
+    # gives every count of groups modulo 4; 62 and 63 sit on either side of
+    # the extended header
+    @pytest.mark.parametrize("n", G6_ORDERS)
     def test_roundtrip_with_networkx(self, n):
         h = nx.gnp_random_graph(n, 0.5, seed=n)
         text = nx.to_graph6_bytes(h, header=False).strip()
@@ -284,12 +287,21 @@ class TestGraph6:
         back = nx.from_graph6_bytes(graph6_encode(g).encode())
         assert sorted(map(sorted, back.edges())) == sorted(map(sorted, h.edges()))
 
-    @pytest.mark.parametrize("n", [1, 2, G6_NUMPY_MIN_N - 1, G6_NUMPY_MIN_N, G6_NUMPY_MIN_N + 1, 62, 63, 300])
+    @pytest.mark.parametrize("n", G6_ORDERS)
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.9, 1.0])
     def test_encode_matches_networkx_at_every_density(self, n, p):
         # at p = 0 and p = 1 the body is all zeros and all ones before padding
         h = nx.gnp_random_graph(n, p, seed=n)
         assert graph6_encode(from_nx(h)).encode() == nx.to_graph6_bytes(h, header=False).strip()
+
+    def test_ordered_code_matches_networkx(self):
+        # _ordered_code(g, order) writes g with vertex order[p] relabelled p
+        rng = random.Random(9)
+        for g in _random_graphs(8, 300):
+            order = rng.sample(range(g.n), g.n)
+            inverse = {v: p for p, v in enumerate(order)}
+            want = nx.to_graph6_bytes(to_nx(relabeled(g, inverse)), header=False).strip()
+            assert _ordered_code(g, order) == want, order
 
     def test_roundtrip_dense_at_the_order_cap(self):
         # networkx takes over 10 s and 350 MB to write a graph this dense,
