@@ -267,7 +267,9 @@ def build_case2(n: int, du: int, dv: int, profile: ComplementProfile) -> Graph:
 
 # which -> (matrix, closed form coefficients) at (n, delta). Every matrix entry is affine in
 # (n, delta), so each char_poly coefficient has degree <= 4 in each variable, as has each
-# closed-form coefficient: their difference is zero once it vanishes on a 5 x 5 grid.
+# closed-form coefficient: their difference is zero once it vanishes on a 5 x 5 grid, and a
+# coefficient's third difference in delta, of degree <= 4 in n and <= 1 in delta, once it
+# vanishes on a 5 x 2 grid. Then the coefficient has degree <= 2 in delta.
 _FORMS = {
     "A_delta": lambda n, d: (((0, d, 0), (1, d - 2, n - d - 1), (0, d, n - d - 2)),
                              (-(d * d + 2 * d - n * d), 4 - 2 * n, 4 - n, 1)),
@@ -287,14 +289,14 @@ _FORMS = {
 _GRID = [(n, d) for n in range(5) for d in range(5)]
 # which -> (least n, delta as a function of n) for the quotients of fixed delta
 FIXED_DELTA = {"B1": (6, lambda n: 1), "B2": (9, lambda n: 2), "B_n5": (10, lambda n: n - 5)}
-# which -> (least delta, n minus the largest delta, even delta required, whether
-# the order-n table lists delta)
+# which -> (least delta, n minus the largest delta, even delta required, the least
+# delta and the step of the progression the order-n table lists)
 _DELTA_RANGE = {
-    "A_delta": (2, 3, True, lambda n, d: d % 2 == 0),
+    "A_delta": (2, 3, True, lambda n: (2, 2)),
     # the single-low-vertex degree is odd for even n, even for odd n
-    "B_delta": (3, 5, False, lambda n, d: (n + d) % 2 == 1),
-    "B_dd": (4, 4, False, lambda n, d: True),
-    "B_d1": (3, 4, False, lambda n, d: d % 2 == 1),
+    "B_delta": (3, 5, False, lambda n: (3 + n % 2, 2)),
+    "B_dd": (4, 4, False, lambda n: (4, 1)),
+    "B_d1": (3, 4, False, lambda n: (3, 2)),
 }
 
 
@@ -304,10 +306,20 @@ def _grid_mismatches(form) -> list[tuple[int, int]]:
     return [(n, d) for n, d in _GRID if char_poly(form(n, d)[0]) != IntPolynomial(form(n, d)[1])]
 
 
+def _cubic_points(form) -> list[tuple[int, int]]:
+    """The (n, delta) of the 5 x 2 grid where a closed-form coefficient has a
+    nonzero third difference in delta; an empty list proves each coefficient
+    quadratic in delta everywhere."""
+    thirds = ((n, d, zip(*(form(n, d + i)[1] for i in (3, 2, 1, 0)))) for n, d in _GRID if d < 2)
+    return [(n, d) for n, d, coeffs in thirds if any(a - 3 * b + 3 * c - e for a, b, c, e in coeffs)]
+
+
 @cache
 def _prove_closed_form(which: str) -> None:
     if bad := _grid_mismatches(_FORMS[which]):
         raise AssertionError(f"closed-form mismatch for {which} at (n, delta) in {bad}")
+    if bad := _cubic_points(_FORMS[which]):
+        raise AssertionError(f"closed form of {which} is not quadratic in delta at (n, delta) in {bad}")
 
 
 def named_quotient(which: str, n: int, delta: int | None = None) -> NamedQuotient:
@@ -315,9 +327,10 @@ def named_quotient(which: str, n: int, delta: int | None = None) -> NamedQuotien
 
     The closed form is certified at every (n, delta): on first use of each
     name, char_poly is compared with it on a 5 x 5 grid (see `_FORMS`), and
-    a mismatch raises AssertionError. B1 and B2 are the quotients of H1
-    (even n) and H2 (odd n); both are returned at either parity, since the
-    sign table and the closing identities use each form at every order.
+    a mismatch raises AssertionError, as does a coefficient of degree above
+    2 in delta. B1 and B2 are the quotients of H1 (even n) and H2 (odd n);
+    both are returned at either parity, since the sign table and the
+    closing identities use each form at every order.
     """
     if which in FIXED_DELTA:
         least, fixed = FIXED_DELTA[which]
@@ -339,9 +352,9 @@ def named_quotient(which: str, n: int, delta: int | None = None) -> NamedQuotien
     return NamedQuotient(delta, matrix, IntPolynomial(coeffs))
 
 
-# the quotient tables list O(n) parameter values per order, each decided by
-# integer certificates: at n = 20000 one `compare-families` order takes
-# about 2 s and 72 MB on a 2-core machine
+# `compare-families` lists O(n) parameter values per order, each root found by
+# integer certificates: at n = 20000 one order takes about 2 s and 72 MB on a
+# 2-core machine; `theorem-n3` decides each family's progression at once
 QUOTIENT_MAX_N = 20000
 
 
@@ -352,12 +365,14 @@ def check_quotient_order(n: int) -> None:
         raise CapabilityError(f"quotient tables capped at n={QUOTIENT_MAX_N}")
 
 
-def admissible_deltas(which: str, n: int) -> list[int]:
-    """Parity-correct parameter values for a named quotient at order n."""
+def admissible_deltas(which: str, n: int) -> range:
+    """Parity-correct parameter values for a named quotient at order n, an
+    arithmetic progression."""
     check_quotient_order(n)
     if which in FIXED_DELTA:
-        return []
+        return range(0)
     if which not in _DELTA_RANGE:
         raise ValueError(f"unknown quotient name {which!r}")
-    least, gap, _, listed = _DELTA_RANGE[which]
-    return [d for d in range(least, n - gap + 1) if listed(n, d)]
+    _, gap, _, listed = _DELTA_RANGE[which]
+    first, step = listed(n)
+    return range(first, n - gap + 1, step)

@@ -321,6 +321,28 @@ def roots_below(p: IntPolynomial, x) -> bool:
     return _clear_from(p.coeffs, x.as_integer_ratio())
 
 
+def progression_below(first: list[IntPolynomial], count: int, x) -> bool:
+    """`roots_below(p_k, x)` for every k < count at once, where `first` is
+    p_0, p_1, p_2 (all of them when count < 3) and each coefficient of p_k
+    is a quadratic in k. `_shift` is linear, so each coefficient of the
+    shifted p_k times the shared leading coefficient is f(k) = e0 + k*d1 +
+    C(k, 2)*d2, and f > 0 on 0..count-1 when it is at both ends and, for
+    convex f, at its least integer point -(d1 // d2). False means undecided."""
+    if count < 3:
+        return all(roots_below(p, x) for p in first)
+    lead, size = first[0].coeffs[-1], len(first[0].coeffs)
+    if any(p.coeffs[-1] != lead or len(p.coeffs) != size for p in first):
+        return False
+    a, b = x.as_integer_ratio()
+    last = count - 1
+    for f0, f1, f2 in zip(*(_shift(p.coeffs, (-a, b)) for p in first)):
+        e0, d1, d2 = lead * f0, lead * (f1 - f0), lead * (f2 - 2 * f1 + f0)
+        ends = {0, last, min(max(-(d1 // d2), 0), last)} if d2 > 0 else {0, last}
+        if any(e0 + k * d1 + k * (k - 1) // 2 * d2 <= 0 for k in ends):
+            return False
+    return True
+
+
 def compare_max_real_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     """Exact three-way comparison of the maximum real roots of p and q."""
     chain_p, chain_q = _sturm_chain(p.coeffs), _sturm_chain(q.coeffs)

@@ -38,7 +38,7 @@ from .families import (
     profile_family_partition,
 )
 from .graphs import Graph, canonical_form, graph6_encode, random_connected_graph
-from .intpoly import IntPolynomial, compare_max_real_roots, max_real_root, roots_below, scaled_value
+from .intpoly import IntPolynomial, compare_max_real_roots, max_real_root, progression_below, roots_below, scaled_value
 from .partition import quotient
 from .spectral import ROUND, PerronPair, perron, perron_all, quotient_radii, spectral_radii
 from .switching import SwitchMove, apply
@@ -69,26 +69,37 @@ def _named_polys(n: int) -> list[tuple[str, str, int, IntPolynomial]]:
     return polys
 
 
-def _assert_strictly_larger(
-    winner: IntPolynomial, others: list[tuple[str, IntPolynomial]]
-) -> list[str]:
-    """Exact check that winner's max real root beats every other poly.
+def _assert_strictly_larger(n: int, winner: IntPolynomial, families: list[tuple[str, range | list]]) -> list[str]:
+    """Exact check that winner's max real root beats every closed form of
+    each (name, deltas) family at order n, deltas [None] for a fixed-delta
+    name.
 
     The separator is the double just below the winner's root: the root is
-    strictly above it because `max_real_root` rounds correctly.  A
-    competitor whose roots a Descartes certificate puts below the separator
-    loses; any other is compared with the winner exactly.  Returns the
-    names of violators (empty when all pass).
+    strictly above it because `max_real_root` rounds correctly. A
+    progression of delta that `progression_below` puts below the separator
+    loses (each closed-form coefficient is quadratic in delta, as
+    `named_quotient` proves); one it does not is halved, down to three
+    members. Each member of those that the Descartes certificate puts below
+    the separator loses, and any other is compared with the winner exactly.
+    Returns the names of violators (empty when all pass), in delta order.
     """
     winner_root = max_real_root(winner)
     sep = nextafter(winner_root, -inf)
     bad = []
-    for name, poly in others:
-        if roots_below(poly, sep):
+    todo = families[::-1]
+    while todo:
+        family, deltas = todo.pop()
+        if progression_below([named_quotient(family, n, d).closed_form for d in deltas[:3]], len(deltas), sep):
             continue
-        if compare_max_real_roots(poly, winner) < 0:
+        if len(deltas) > 3:
+            todo += [(family, deltas[len(deltas) // 2 :]), (family, deltas[: len(deltas) // 2])]
             continue
-        bad.append(f"{name}: root {max_real_root(poly):.12f} !< {winner_root:.12f}")
+        for d in deltas:
+            poly = named_quotient(family, n, d).closed_form
+            if roots_below(poly, sep) or compare_max_real_roots(poly, winner) < 0:
+                continue
+            name = family if d is None else f"{family}({d})"
+            bad.append(f"{name}: root {max_real_root(poly):.12f} !< {winner_root:.12f}")
     return bad
 
 
@@ -151,12 +162,11 @@ def run_verify_signs(n_min: int = 59, n_max: int = 500) -> dict:
 # -- compare families -----------------------------------------------------
 
 
-def family_table(n: int, polys=None) -> list[dict]:
-    """Rows (table, family, delta, rho) for every admissible named quotient;
-    `polys` is `_named_polys(n)` when the caller already built it."""
+def family_table(n: int) -> list[dict]:
+    """Rows (table, family, delta, rho) for every admissible named quotient."""
     rows = [
         {"table": table, "family": family, "delta": d, "rho": max_real_root(poly), "n": n}
-        for table, family, d, poly in (_named_polys(n) if polys is None else polys)
+        for table, family, d, poly in _named_polys(n)
     ]
     rows.sort(key=lambda r: (r["table"], -r["rho"], r["family"], r["delta"]))
     rank = {}
@@ -173,27 +183,19 @@ def n2_winners(n: int) -> tuple[int, ...]:
     return (n - 3,) if n % 2 else (2, n - 4)
 
 
-def check_family_ordering(n: int, polys=None) -> list[str]:
-    """Exact assertions behind the order-n table; returns violation names.
-    `polys` is `_named_polys(n)` when the caller already built it."""
-    bad = []
-    if polys is None:
-        polys = _named_polys(n)
-    n2 = {d: poly for table, _, d, poly in polys if table == "n2"}
-    if n2:
-        tops = n2_winners(n)
-        win = n2[tops[0]]
-        if n2[tops[-1]] != win:
-            bad.append("n2:f(2)!=f(n-4)")
-        others = [(f"A_delta({d})", poly) for d, poly in n2.items() if d not in tops]
-        bad += [f"n2:{name}" for name in _assert_strictly_larger(win, others)]
+def check_family_ordering(n: int) -> list[str]:
+    """Exact assertions behind the order-n table; returns violation names."""
+    tops = n2_winners(n)
+    win = named_quotient("A_delta", n, tops[0]).closed_form
+    bad = [] if named_quotient("A_delta", n, tops[-1]).closed_form == win else ["n2:f(2)!=f(n-4)"]
+    # the winners are A_delta's first and last delta, or its last
+    deltas = admissible_deltas("A_delta", n)
+    others = deltas[deltas[0] in tops : len(deltas) - (deltas[-1] in tops)]
+    bad += [f"n2:{name}" for name in _assert_strictly_larger(n, win, [("A_delta", others)])]
     if n >= 59:
-        (_, winner), *rest = [
-            (family if family in FIXED_DELTA else f"{family}({d})", poly)
-            for table, family, d, poly in polys
-            if table == "n3"
-        ]
-        bad += [f"n3:{name}" for name in _assert_strictly_larger(winner, rest)]
+        winner = named_quotient("B1" if n % 2 == 0 else "B2", n).closed_form
+        rest = [("B_n5", [None])] + [(name, admissible_deltas(name, n)) for name in ("B_delta", "B_dd", "B_d1")]
+        bad += [f"n3:{name}" for name in _assert_strictly_larger(n, winner, rest)]
         bad += _final_comparison_identities(n)
     return bad
 
@@ -223,12 +225,11 @@ def run_compare_families(n: int) -> dict:
     """The order-n table and the violations of its exact ordering."""
     if n < 5:
         raise ValueError("compare-families needs n >= 5")
-    polys = _named_polys(n)
     return {
         "suite": "compare-families",
         "n": n,
-        "rows": family_table(n, polys),
-        "violations": check_family_ordering(n, polys),
+        "rows": family_table(n),
+        "violations": check_family_ordering(n),
     }
 
 

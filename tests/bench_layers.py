@@ -1,16 +1,19 @@
 """Per-layer timings, one stdlib harness; pytest does not collect it.
 
-It times the graph6 codec: `graphs.graph6_encode`, `graphs._ordered_code`
-(the packer behind every canonical code, here given a shuffled order) and
-`graphs.graph6_decode`, each on one seeded G(n, 1/2) graph per order. A
-sample is `timeit`'s autorange, at least 0.2 s of back-to-back calls, and
-each figure is the median over k samples of the time per call, in
-microseconds. The record names the machine: its platform, the cores this
-process may run on, and the Python and numpy versions.
+It times one layer per run. `graph6` is the codec: `graphs.graph6_encode`,
+`graphs._ordered_code` (the packer behind every canonical code, here given
+a shuffled order) and `graphs.graph6_decode`, each on one seeded G(n, 1/2)
+graph per order. `ordering` is `suites.check_family_ordering`, every exact
+decision behind the order-n quotient tables, at n = 59, 300, 1000 and
+5000. A sample is `timeit`'s autorange, at least 0.2 s of back-to-back
+calls, and each figure is the median over k samples of the time per call,
+in microseconds. The record names the machine: its platform, the cores
+this process may run on, and the Python and numpy versions.
 
 Run it from the repository root, on the tree whose `src` is on the path:
 
-    PYTHONPATH=src python tests/bench_layers.py --label change --out BENCH_graph6.json
+    PYTHONPATH=src python tests/bench_layers.py --layer graph6 --label change --out BENCH_graph6.json
+    PYTHONPATH=src python tests/bench_layers.py --layer ordering --label change --out BENCH_ordering.json
 
 The record is stored under its label, and the other labels in the file are
 kept, so two trees can be timed into one file.
@@ -30,8 +33,10 @@ from pathlib import Path
 import numpy as np
 
 from specmax.graphs import Graph, _ordered_code, graph6_decode, graph6_encode
+from specmax.suites import check_family_ordering
 
 ORDERS = (9, 17, 40, 120, 300, 1999)
+TABLE_ORDERS = (59, 300, 1000, 5000)
 
 
 def gnp_half(n: int) -> Graph:
@@ -45,36 +50,52 @@ def per_call_us(call, k: int) -> float:
     return statistics.median(timer.repeat(k, number)) / number * 1e6
 
 
-def measure(k: int) -> dict:
-    us: dict[str, dict[str, float]] = {}
+def graph6_calls():
+    """(name, n, call) of the graph6 codec on G(n, 1/2)."""
     for n in ORDERS:
         g = gnp_half(n)
         order = random.Random(-n).sample(range(n), n)
         text = graph6_encode(g)
-        calls = {
-            "graph6_encode": lambda: graph6_encode(g),
-            "_ordered_code": lambda: _ordered_code(g, order),
-            "graph6_decode": lambda: graph6_decode(text),
-        }
-        for name, call in calls.items():
-            us.setdefault(name, {})[str(n)] = round(per_call_us(call, k), 2)
+        yield "graph6_encode", n, lambda: graph6_encode(g)
+        yield "_ordered_code", n, lambda: _ordered_code(g, order)
+        yield "graph6_decode", n, lambda: graph6_decode(text)
+
+
+def ordering_calls():
+    """(name, n, call) of the family-ordering decisions of the order-n tables."""
+    for n in TABLE_ORDERS:
+        yield "check_family_ordering", n, lambda n=n: check_family_ordering(n)
+
+
+LAYERS = {
+    "graph6": (graph6_calls, "G(n, 1/2), seeded by n"),
+    "ordering": (ordering_calls, "the order-n quotient tables"),
+}
+
+
+def measure(layer: str, k: int) -> dict:
+    calls, inputs = LAYERS[layer]
+    us: dict[str, dict[str, float]] = {}
+    for name, n, call in calls():
+        us.setdefault(name, {})[str(n)] = round(per_call_us(call, k), 2)
     machine = {
         "platform": platform.platform(),
         "cores": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
-    return {"k": k, "graph": "G(n, 1/2), seeded by n", "machine": machine, "median_us_per_call": us}
+    return {"k": k, "layer": layer, "input": inputs, "machine": machine, "median_us_per_call": us}
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--layer", required=True, choices=sorted(LAYERS))
     ap.add_argument("--label", required=True)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--k", type=int, default=9)
     args = ap.parse_args()
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data[args.label] = measure(args.k)
+    data[args.label] = measure(args.layer, args.k)
     args.out.write_text(json.dumps(data, indent=1) + "\n")
 
 

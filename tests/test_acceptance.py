@@ -120,14 +120,14 @@ def test_criterion_3_sign_table():
 
 def test_criterion_4_family_ordering():
     """The parity winner's max root strictly exceeds every competitor's for
-    n in [59, 300], with the four closing comparisons as exact identities."""
+    n in [59, 2000], with the four closing comparisons as exact identities."""
     t0 = time.time()
-    for n in range(59, 301):
+    for n in range(59, 2001):
         bad = check_family_ordering(n)
         assert not bad, f"n={n}: {bad}"
     elapsed = time.time() - t0
     assert elapsed < 60, f"family ordering too slow: {elapsed:.1f}s"
-    report("criterion-4 family-ordering", elapsed, "n=59..300")
+    report("criterion-4 family-ordering", elapsed, "n=59..2000")
 
 
 def test_criterion_5_equitable_and_loop_lemmas():

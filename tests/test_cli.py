@@ -5,15 +5,16 @@ import os
 import random
 import time
 from dataclasses import replace
+from math import inf, nextafter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmax import suites
+from specmax import families, suites
 from specmax.cli import main
 from specmax.enumeration import EXHAUSTIVE_MAX_N
-from specmax.families import FAMILY_TAGS, QUOTIENT_MAX_N, build_g
+from specmax.families import FAMILY_TAGS, QUOTIENT_MAX_N, admissible_deltas, build_g, named_quotient
 from specmax.suites import (
     check_family_ordering,
     default_profile,
@@ -22,7 +23,14 @@ from specmax.suites import (
     run_sandwich,
     run_verify_signs,
 )
-from specmax.intpoly import IntPolynomial, char_poly, max_real_root
+from specmax.intpoly import (
+    IntPolynomial,
+    char_poly,
+    compare_max_real_roots,
+    max_real_root,
+    progression_below,
+    roots_below,
+)
 from specmax.spectral import perron
 from specmax.graphs import (
     MAX_N,
@@ -195,13 +203,13 @@ class TestVerifySuites:
 
     def test_swapped_winner_fails_family_ordering(self, monkeypatch, capsys):
         # B2 wins the n3 table at n = 59 and B_n5 is its runner-up; with the
-        # two closed forms swapped, B_n5 is named as beating the winner
-        polys = suites._named_polys(59)
-        i, j = [k for k, (table, _, _, _) in enumerate(polys) if table == "n3"][:2]
-        assert (polys[i][1], polys[j][1]) == ("B2", "B_n5")
-        polys[i], polys[j] = polys[i][:3] + polys[j][3:], polys[j][:3] + polys[i][3:]
-        assert [v.split(":")[:2] for v in check_family_ordering(59, polys)] == [["n3", "B_n5"]]
-        monkeypatch.setattr(suites, "_named_polys", lambda n: polys)
+        # two closed forms swapped, B_n5 is named as beating the winner, and
+        # the closing identities that read f2 fail as well
+        b2, b_n5 = families._FORMS["B2"], families._FORMS["B_n5"]
+        monkeypatch.setitem(families._FORMS, "B2", b_n5)
+        monkeypatch.setitem(families._FORMS, "B_n5", b2)
+        bad = check_family_ordering(59)
+        assert [v.split(":")[:2] for v in bad] == [["n3", "B_n5"], ["identity", "lamP_dd-f2"], ["identity", "P_n41-f2"]]
         code, out, _ = run(capsys, "verify", "theorem-n3", "--n-min", "59", "--n-max", "59")
         assert code == 1
         [record] = json.loads(out)["failures"]
@@ -320,6 +328,87 @@ class TestSignAndIdentityControls:
         assert code == 1
         [record] = json.loads(out)["failures"]
         assert (record["check"], record["n"], record["witness"]) == ("family_ordering", 60, ["n2:f(2)!=f(n-4)"])
+
+
+# the delta each order-n table lists, written out as the tables were before
+# `admissible_deltas` gave a range
+TABLE_DELTAS = {
+    "A_delta": lambda n: [d for d in range(2, n - 2) if d % 2 == 0],
+    "B_delta": lambda n: [d for d in range(3, n - 4) if (n + d) % 2 == 1],
+    "B_dd": lambda n: list(range(4, n - 3)),
+    "B_d1": lambda n: [d for d in range(3, n - 3) if d % 2 == 1],
+}
+
+
+def per_delta_ordering(n, quotient=named_quotient):
+    """`check_family_ordering(n)` decided one delta at a time, with the
+    closed forms of `quotient(which, n, delta)`: a member loses when
+    `roots_below` puts it under the double below the winner's root, or else
+    when `compare_max_real_roots` puts its root below the winner's."""
+
+    def closed_form(which, d):
+        return quotient(which, n, d).closed_form
+
+    def beaten(winner, members):
+        root = max_real_root(winner)
+        sep = nextafter(root, -inf)
+        bad = []
+        for name, d in members:
+            poly = closed_form(name, d)
+            if not roots_below(poly, sep) and compare_max_real_roots(poly, winner) >= 0:
+                label = name if d is None else f"{name}({d})"
+                bad.append(f"{label}: root {max_real_root(poly):.12f} !< {root:.12f}")
+        return bad
+
+    tops = suites.n2_winners(n)
+    win = closed_form("A_delta", tops[0])
+    bad = [] if closed_form("A_delta", tops[-1]) == win else ["n2:f(2)!=f(n-4)"]
+    bad += ["n2:" + v for v in beaten(win, [("A_delta", d) for d in TABLE_DELTAS["A_delta"](n) if d not in tops])]
+    if n >= 59:
+        winner = closed_form("B1" if n % 2 == 0 else "B2", None)
+        rest = [("B_n5", None)] + [(name, d) for name in ("B_delta", "B_dd", "B_d1") for d in TABLE_DELTAS[name](n)]
+        bad += ["n3:" + v for v in beaten(winner, rest)]
+        bad += suites._final_comparison_identities(n)
+    return bad
+
+
+class TestProgressionCertificate:
+    """`check_family_ordering` settles each family's whole progression of
+    delta with one `progression_below` certificate; the per-delta loop of
+    `per_delta_ordering` is its oracle."""
+
+    # 11507 is the least order where a progression is not settled at once:
+    # the roots of B_n5 and B_delta(n-5) lie within two doubles of B2's, so
+    # B_delta's progression is halved down to its last members
+    @pytest.mark.parametrize("n", [*range(5, 131), 299, 300, 1000, 5000, 11507])
+    def test_matches_the_per_delta_loop(self, n):
+        for which, deltas in TABLE_DELTAS.items():
+            assert list(admissible_deltas(which, n)) == deltas(n), which
+        assert check_family_ordering(n) == per_delta_ordering(n)
+
+    def test_a_dip_between_two_deltas_falls_back(self, monkeypatch):
+        # B_dd's constant term plus n^3 (delta - 4)(delta - 56) at n = 60:
+        # still quadratic in delta, zero at both ends of the progression
+        # 4..56, and far below zero between them, so each shifted constant
+        # term is positive at both ends and dips below zero at the vertex
+        n, lo, hi = 60, 4, 56
+
+        def dipped(which, order, delta=None):
+            nq = named_quotient(which, order, delta)
+            if which != "B_dd":
+                return nq
+            c = nq.closed_form.coeffs
+            return replace(nq, closed_form=IntPolynomial((c[0] + order**3 * (delta - lo) * (delta - hi),) + c[1:]))
+
+        sep = nextafter(max_real_root(named_quotient("B1", n).closed_form), -inf)
+        first = [dipped("B_dd", n, d).closed_form for d in (lo, lo + 1, lo + 2)]
+        assert roots_below(dipped("B_dd", n, lo).closed_form, sep)
+        assert roots_below(dipped("B_dd", n, hi).closed_form, sep)
+        assert not progression_below(first, hi - lo + 1, sep)
+        monkeypatch.setattr(suites, "named_quotient", dipped)
+        bad = check_family_ordering(n)
+        assert bad == per_delta_ordering(n, dipped)
+        assert [v.split("(")[0] for v in bad] == ["n3:B_dd"] * (hi - lo - 1)
 
 
 class TestMistypedProfile:

@@ -335,6 +335,24 @@ class TestGridProof:
 
             assert families._grid_mismatches(patched), (which, k)
 
+    @pytest.mark.parametrize("which", sorted(families._FORMS))
+    def test_every_form_is_quadratic_in_delta(self, which):
+        assert families._cubic_points(families._FORMS[which]) == []
+
+    def test_refuses_a_form_cubic_in_delta(self, monkeypatch):
+        # delta I has the closed form (x - delta)^3, proved on the 5 x 5
+        # grid, but its constant term -delta^3 is no quadratic in delta
+        def cube(n, d):
+            return ((d, 0, 0), (0, d, 0), (0, 0, d)), (-(d**3), 3 * d * d, -3 * d, 1)
+
+        assert families._grid_mismatches(cube) == []
+        monkeypatch.setitem(families._FORMS, "cube", cube)
+        try:
+            with pytest.raises(AssertionError, match="closed form of cube is not quadratic in delta"):
+                families._prove_closed_form("cube")
+        finally:
+            families._prove_closed_form.cache_clear()
+
     def test_named_quotient_refuses_a_patched_form(self, monkeypatch):
         form = families._FORMS["B1"]
 

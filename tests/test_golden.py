@@ -111,8 +111,18 @@ def canonical_cases():
     return "".join(lines)
 
 
+def assert_same_lines(got: str, want: str) -> None:
+    """got == want, checked one line at a time: a failure shows the first
+    line that differs, not a diff of two whole texts, which pytest can take
+    minutes to build when every line differs."""
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for i, (a, b) in enumerate(zip(got_lines, want_lines), 1):
+        assert a == b, f"line {i} differs"
+    assert len(got_lines) == len(want_lines)
+
+
 def test_canonical_forms_match_golden():
-    assert canonical_cases() == (GOLDEN / "canonical_forms.txt").read_text()
+    assert_same_lines(canonical_cases(), (GOLDEN / "canonical_forms.txt").read_text())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -124,7 +134,7 @@ def test_output_matches_golden(name, capsys):
         got_rho, want_rho = (json.loads(text)["rho_graph"] for text in (out, want))
         assert got_rho == pytest.approx(want_rho, rel=1e-12, abs=0)
         out, want = (RHO_GRAPH.sub('"rho_graph":_', text) for text in (out, want))
-    assert out == want
+    assert_same_lines(out, want)
     # every stderr line but the closing timing line
     status = GOLDEN / f"{name}.err"
     want_err = status.read_text().splitlines() if status.exists() else []
@@ -143,7 +153,7 @@ def test_construct_matches_golden(tmp_path, capsys):
             argv += ["--profile", str(path)]
         assert main(argv) == 0
         lines.append(capsys.readouterr().out)
-    assert "".join(lines) == (GOLDEN / "families.g6").read_text()
+    assert_same_lines("".join(lines), (GOLDEN / "families.g6").read_text())
 
 
 def test_enumerate_files_match_golden(tmp_path):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import inf, nextafter
 
 import numpy as np
@@ -13,6 +14,7 @@ from specmax.intpoly import (
     char_poly,
     compare_max_real_roots,
     max_real_root,
+    progression_below,
     roots_below,
     scaled_value,
 )
@@ -367,6 +369,32 @@ class TestCertificates:
         for _ in range(3):
             near = [nextafter(near[0], -inf)] + near + [nextafter(near[-1], inf)]
         assert [r for r in near if _rounds_to(p.coeffs, r)] in ([], [want])
+
+    @SETTINGS
+    @given(
+        st.lists(st.tuples(st.integers(-3, 30), st.integers(-4, 4), st.integers(-3, 3), st.integers(0, 11)), max_size=4),
+        st.integers(1, 12),
+        st.just(Fraction(0)) | POINT,
+    )
+    def test_progression_below_is_roots_below_at_every_k(self, quadratics, count, x):
+        # p_k(t) = t^d + sum_i (e_i + b_i k + c_i (k - m_i)(k - m_i - 1)) t^i
+        family = [
+            IntPolynomial(tuple(e + b * k + c * (k - m) * (k - m - 1) for e, b, c, m in quadratics) + (1,))
+            for k in range(count)
+        ]
+        assert progression_below(family[:3], count, x) == all(roots_below(p, x) for p in family)
+
+    def test_progression_below_sees_a_dip_between_the_ends(self):
+        # constant term e + c (k - m)(k - m - 1) at x = 0, least at k = m and
+        # m + 1: every dip of depth e <= 0 inside 1..count-2, with both ends
+        # positive, is refused, and nothing else is
+        dips = 0
+        for e, c, m, count in product(range(-3, 4), range(3), range(7), range(1, 9)):
+            family = [IntPolynomial((e + c * (k - m) * (k - m - 1), 1, 1)) for k in range(count)]
+            want = all(roots_below(p, Fraction(0)) for p in family)
+            dips += not want and roots_below(family[0], Fraction(0)) and roots_below(family[-1], Fraction(0))
+            assert progression_below(family[:3], count, Fraction(0)) == want, (e, c, m, count)
+        assert dips > 50
 
     def test_rounding_certificate_decides_the_family_quartics(self):
         # B_n5 at n = 60 and 1000, B1 at n = 60: the seed is certified
