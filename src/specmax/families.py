@@ -266,10 +266,11 @@ def build_case2(n: int, du: int, dv: int, profile: ComplementProfile) -> Graph:
 
 
 # which -> (matrix, closed form coefficients) at (n, delta). Every matrix entry is affine in
-# (n, delta), so each char_poly coefficient has degree <= 4 in each variable, as has each
-# closed-form coefficient: their difference is zero once it vanishes on a 5 x 5 grid, and a
-# coefficient's third difference in delta, of degree <= 4 in n and <= 1 in delta, once it
+# (n, delta), so each char_poly coefficient has degree <= FORM_DEGREE = 4 in each variable, as
+# has each closed-form coefficient: their difference is zero once it vanishes on a 5 x 5 grid,
+# and a coefficient's third difference in delta, of degree <= 4 in n and <= 1 in delta, once it
 # vanishes on a 5 x 2 grid. Then the coefficient has degree <= 2 in delta.
+FORM_DEGREE = 4
 _FORMS = {
     "A_delta": lambda n, d: (((0, d, 0), (1, d - 2, n - d - 1), (0, d, n - d - 2)),
                              (-(d * d + 2 * d - n * d), 4 - 2 * n, 4 - n, 1)),
@@ -286,7 +287,7 @@ _FORMS = {
     "B_d1": lambda n, d: (((0, 1, 0, 0), (1, 0, d - 1, 0), (0, 1, d - 3, n - d - 1), (0, 0, d - 1, n - d - 2)),
                           (2 * n - d - 5, -d * d + d * n - d - 3, 5 - 2 * n, 5 - n, 1)),
 }
-_GRID = [(n, d) for n in range(5) for d in range(5)]
+_GRID = [(n, d) for n in range(FORM_DEGREE + 1) for d in range(FORM_DEGREE + 1)]
 # which -> (least n, delta as a function of n) for the quotients of fixed delta
 FIXED_DELTA = {"B1": (6, lambda n: 1), "B2": (9, lambda n: 2), "B_n5": (10, lambda n: n - 5)}
 # which -> (least delta, n minus the largest delta, even delta required, the least
@@ -353,8 +354,8 @@ def named_quotient(which: str, n: int, delta: int | None = None) -> NamedQuotien
 
 
 # `compare-families` lists O(n) parameter values per order, each root found by
-# integer certificates: at n = 20000 one order takes about 2 s and 72 MB on a
-# 2-core machine; `theorem-n3` decides each family's progression at once
+# integer certificates: at n = 20000 one order takes about 1.3-1.7 s and 69 MB
+# on a 2-core machine; `theorem-n3` decides each family's progression at once
 QUOTIENT_MAX_N = 20000
 
 

@@ -26,6 +26,7 @@ from math import inf, nextafter, sqrt
 from .enumeration import EXHAUSTIVE_MAX_N, EnumSpec, extremal_search
 from .families import (
     FIXED_DELTA,
+    FORM_DEGREE,
     ComplementProfile,
     admissible_deltas,
     build_case2,
@@ -110,50 +111,105 @@ F2_T1_SERIES = IntPolynomial((-3, -35, 244, 52, -969, -194, 2076, 718, -2789, -1
 G_T1_SERIES = IntPolynomial((1, -62, 190, 172, -817, -420, 1750, 808, -2489, -1870, 1400, 2000, 625))
 
 
+# the rational points a(n)/b(n), a and b polynomials in n, constant term first
+_T1 = (IntPolynomial((5, 4, -2, -3, 1)), IntPolynomial((0, 0, 0, 1)))  # n - 3 - 2/n + 4/n^2 + 5/n^3
+_T2 = (IntPolynomial((0, 1)), IntPolynomial((2,)))  # n/2
+_T3 = (IntPolynomial(()), IntPolynomial((1,)))  # 0
+_T4 = (IntPolynomial((-4, -2, -1)), IntPolynomial((0, 0, 1)))  # -1 - 2/n - 4/n^2
+_N3 = (IntPolynomial((-3, 1)), IntPolynomial((1,)))  # n - 3
+_ZERO = IntPolynomial(())
+
+# (check, expected sign, named quotient, (a, b), q), a, b and q polynomials in n: b^4 * p(a/b)
+# - q has the expected sign, p the quotient's closed form at order n. q is 0 for a sign check;
+# an identity scales both sides by b^4 and has sign 0.
+_SIGN_ROWS = [
+    ("g(t4)<0", -1, "B_n5", _T4, _ZERO),
+    ("g(t3)>0", 1, "B_n5", _T3, _ZERO),
+    ("g(t2)<0", -1, "B_n5", _T2, _ZERO),
+    ("g(t1)>0", 1, "B_n5", _T1, _ZERO),
+    ("f2(t1)<0", -1, "B2", _T1, _ZERO),
+    ("f2(n-3)>0", 1, "B2", _N3, _ZERO),
+    ("g(n-3)>0", 1, "B_n5", _N3, _ZERO),
+    # n^12 times the 1/n expansion, a degree-12 polynomial in n
+    ("f2(t1) expansion", 0, "B2", _T1, IntPolynomial(F2_T1_SERIES.coeffs[::-1])),
+    ("g(t1) expansion", 0, "B_n5", _T1, IntPolynomial(G_T1_SERIES.coeffs[::-1])),
+    # 16 * (-n^4/16 + 7n^2/2 - 4n - 17)
+    ("g(t2) closed form", 0, "B_n5", _T2, IntPolynomial((-272, -64, 56, 0, -1))),
+]
+
+# a bound on each row's degree in n, checked by `_prove_sign_degrees`
+SIGN_DEGREE = 20
+
+
 def _sign_table(n: int) -> list[tuple[str, int, IntPolynomial, tuple[int, int], int]]:
-    """(check, expected sign, p, (a, b), q) of the quartic comparisons at the
-    four rational points: b^4 * p(a/b) - q has the expected sign. q is 0 for a
-    sign check; an identity scales both sides by b^4 and has sign 0."""
-    t1 = (n**4 - 3 * n**3 - 2 * n * n + 4 * n + 5, n**3)  # n - 3 - 2/n + 4/n^2 + 5/n^3
-    t2, t3, t4 = (n, 2), (0, 1), (-n * n - 2 * n - 4, n * n)
-    g = named_quotient("B_n5", n).closed_form
-    f2 = named_quotient("B2", n).closed_form
-    return [
-        ("g(t4)<0", -1, g, t4, 0),
-        ("g(t3)>0", 1, g, t3, 0),
-        ("g(t2)<0", -1, g, t2, 0),
-        ("g(t1)>0", 1, g, t1, 0),
-        ("f2(t1)<0", -1, f2, t1, 0),
-        ("f2(n-3)>0", 1, f2, (n - 3, 1), 0),
-        ("g(n-3)>0", 1, g, (n - 3, 1), 0),
-        # n^12 times the 1/n expansion, a degree-12 polynomial in 1/n
-        ("f2(t1) expansion", 0, f2, t1, scaled_value(F2_T1_SERIES.coeffs, (1, n))),
-        ("g(t1) expansion", 0, g, t1, scaled_value(G_T1_SERIES.coeffs, (1, n))),
-        # 16 * (-n^4/16 + 7n^2/2 - 4n - 17)
-        ("g(t2) closed form", 0, g, t2, -(n**4) + 56 * n * n - 64 * n - 272),
-    ]
+    """(check, expected sign, p, (a, b), q) of each row of `_SIGN_ROWS` at order n."""
+    forms = {name: named_quotient(name, n).closed_form for name in ("B_n5", "B2")}
+
+    def at(poly):
+        return scaled_value(poly.coeffs, (n, 1))
+
+    return [(check, sign, forms[name], (at(a), at(b)), at(q)) for check, sign, name, (a, b), q in _SIGN_ROWS]
+
+
+def _prove_sign_degrees() -> None:
+    """Raise AssertionError unless each row's V(n) = b^4 * p(a/b) - q has
+    degree at most SIGN_DEGREE in n. For p = sum_i c_i t^i of degree d,
+    b^4 * p(a/b) = sum_i c_i a^i b^(d-i), and each c_i has degree at most
+    FORM_DEGREE in n (`families._FORMS`)."""
+    for check, _, name, (a, b), q in _SIGN_ROWS:
+        d = named_quotient(name, 59).closed_form.degree
+        if max(FORM_DEGREE + d * max(a.degree, b.degree), q.degree) > SIGN_DEGREE:
+            raise AssertionError(f"sign row {check} may have degree above {SIGN_DEGREE} in n")
+
+
+def _sign_verdict(check, sign, p, point, q):
+    value = scaled_value(p.coeffs, point) - q
+    ok = (value > 0) - (value < 0) == sign
+    return check, ok, "" if ok else str(Fraction(value, point[1] ** p.degree))
+
+
+def _holds_onward(rows) -> bool:
+    """Certificate that one sign-table row holds at every n >= n_min, given
+    the row at n_min, ..., n_min + SIGN_DEGREE + 1: its forward differences
+    Δ^j V(n_min) end in a zero (the degree bound) and either all have the
+    expected sign, the first strictly, or all vanish for an identity. Then
+    V(n_min + k) = sum_j Δ^j V(n_min) C(k, j) with every C(k, j) >= 0."""
+    sign = rows[0][1]
+    diffs = [scaled_value(p.coeffs, point) - q for _, _, p, point, q in rows]
+    heads = []
+    while diffs:
+        heads.append(diffs[0])
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+    if heads[-1]:
+        return False
+    if sign:
+        return sign * heads[0] > 0 and all(sign * h >= 0 for h in heads)
+    return not any(heads)
 
 
 def run_verify_signs(n_min: int = 59, n_max: int = 500) -> dict:
     """Exact sign table of the quartic comparisons at the four rational
-    evaluation points, for every n in [n_min, n_max]."""
+    evaluation points, for every n in [n_min, n_max].
+
+    Each row is settled once, for every n >= n_min, by `_holds_onward` on
+    its values at n_min, ..., n_min + SIGN_DEGREE + 1, which rests on the
+    degree bound `_prove_sign_degrees` checks. A row that is not certified
+    is evaluated at each n; the failure records come in n-major order."""
     if not 59 <= n_min <= n_max:
         raise ValueError("signs suite needs 59 <= n_min <= n_max")
     check_quotient_order(n_max)
+    _prove_sign_degrees()
+    tables = [_sign_table(n) for n in range(n_min, n_min + SIGN_DEGREE + 2)]
+    open_rows = [i for i, rows in enumerate(zip(*tables)) if not _holds_onward(rows)]
     failures = []
-    for n in range(n_min, n_max + 1):
+    for n in range(n_min, n_max + 1) if open_rows else ():
         table = _sign_table(n)
-        verdicts = []
-        for check, sign, p, (a, b), q in table:
-            value = scaled_value(p.coeffs, (a, b)) - q
-            ok = (value > 0) - (value < 0) == sign
-            verdicts.append((check, ok, "" if ok else str(Fraction(value, b**p.degree))))
-        failures += failure_records(n, verdicts)
+        failures += failure_records(n, [_sign_verdict(*table[i]) for i in open_rows])
     return {
         "suite": "signs",
         "n_min": n_min,
         "n_max": n_max,
-        "checks_per_n": len(table),
+        "checks_per_n": len(tables[0]),
         "failures": failures,
         "pass": not failures,
     }

@@ -5,15 +5,19 @@ It times one layer per run. `graph6` is the codec: `graphs.graph6_encode`,
 a shuffled order) and `graphs.graph6_decode`, each on one seeded G(n, 1/2)
 graph per order. `ordering` is `suites.check_family_ordering`, every exact
 decision behind the order-n quotient tables, at n = 59, 300, 1000 and
-5000. A sample is `timeit`'s autorange, at least 0.2 s of back-to-back
-calls, and each figure is the median over k samples of the time per call,
-in microseconds. The record names the machine: its platform, the cores
-this process may run on, and the Python and numpy versions.
+5000. `signs` is `suites.run_verify_signs(59, m)` for m = 80, 500, 2000
+and 20000, and `suites.family_table` (a correctly rounded root per named
+quotient) at the same orders as `ordering`. A sample is `timeit`'s
+autorange, at least 0.2 s of back-to-back calls, and each figure is the
+median over k samples of the time per call, in microseconds. The record
+names the machine: its platform, the cores this process may run on, and
+the Python and numpy versions.
 
 Run it from the repository root, on the tree whose `src` is on the path:
 
     PYTHONPATH=src python tests/bench_layers.py --layer graph6 --label change --out BENCH_graph6.json
     PYTHONPATH=src python tests/bench_layers.py --layer ordering --label change --out BENCH_ordering.json
+    PYTHONPATH=src python tests/bench_layers.py --layer signs --label change --out BENCH_signs.json
 
 The record is stored under its label, and the other labels in the file are
 kept, so two trees can be timed into one file.
@@ -33,10 +37,11 @@ from pathlib import Path
 import numpy as np
 
 from specmax.graphs import Graph, _ordered_code, graph6_decode, graph6_encode
-from specmax.suites import check_family_ordering
+from specmax.suites import check_family_ordering, family_table, run_verify_signs
 
 ORDERS = (9, 17, 40, 120, 300, 1999)
 TABLE_ORDERS = (59, 300, 1000, 5000)
+SIGN_MAXES = (80, 500, 2000, 20000)
 
 
 def gnp_half(n: int) -> Graph:
@@ -67,9 +72,18 @@ def ordering_calls():
         yield "check_family_ordering", n, lambda n=n: check_family_ordering(n)
 
 
+def signs_calls():
+    """(name, n, call) of the sign table up to each n and of the order-n family tables."""
+    for m in SIGN_MAXES:
+        yield "run_verify_signs", m, lambda m=m: run_verify_signs(59, m)
+    for n in TABLE_ORDERS:
+        yield "family_table", n, lambda n=n: family_table(n)
+
+
 LAYERS = {
     "graph6": (graph6_calls, "G(n, 1/2), seeded by n"),
     "ordering": (ordering_calls, "the order-n quotient tables"),
+    "signs": (signs_calls, "the sign table on 59..n and the order-n quotient tables"),
 }
 
 

@@ -3,11 +3,15 @@ import io
 import json
 import os
 import random
+import re
 import time
 from dataclasses import replace
-from math import inf, nextafter
+from fractions import Fraction
+from math import comb, inf, nextafter, prod
+from types import SimpleNamespace
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +34,7 @@ from specmax.intpoly import (
     max_real_root,
     progression_below,
     roots_below,
+    scaled_value,
 )
 from specmax.spectral import perron
 from specmax.graphs import (
@@ -264,6 +269,20 @@ _MISTYPED_PROFILES = [
 ]
 
 
+def _signs_moved(rows):
+    """`suites._sign_table` with the expected sign of each row in rows moved."""
+    real = suites._sign_table
+
+    def moved(n):
+        table = real(n)
+        for row in rows:
+            check, sign, p, point, q = table[row]
+            table[row] = (check, -sign or 1, p, point, q)
+        return table
+
+    return moved
+
+
 class TestSignAndIdentityControls:
     """Every row of the sign table and every closing identity holds at every
     order, so stdout alone cannot show that a check still decides anything:
@@ -272,18 +291,10 @@ class TestSignAndIdentityControls:
 
     @pytest.mark.parametrize("row", range(len(suites._sign_table(59))))
     def test_moved_sign_fails_its_row(self, monkeypatch, capsys, row):
-        real = suites._sign_table
-
-        def moved(n):
-            table = real(n)
-            check, sign, p, point, q = table[row]
-            table[row] = (check, -sign or 1, p, point, q)
-            return table
-
-        monkeypatch.setattr(suites, "_sign_table", moved)
+        name = suites._sign_table(59)[row][0]
+        monkeypatch.setattr(suites, "_sign_table", _signs_moved([row]))
         code, out, _ = run(capsys, "verify", "signs", "--n-min", "59", "--n-max", "60")
         assert code == 1
-        name = real(59)[row][0]
         assert [(r["check"], r["n"]) for r in json.loads(out)["failures"]] == [(name, 59), (name, 60)]
 
     @staticmethod
@@ -328,6 +339,125 @@ class TestSignAndIdentityControls:
         assert code == 1
         [record] = json.loads(out)["failures"]
         assert (record["check"], record["n"], record["witness"]) == ("family_ordering", 60, ["n2:f(2)!=f(n-4)"])
+
+
+def per_n_sign_failures(n_min, n_max, table):
+    """The failure records of every row of `table(n)` at every n in [n_min,
+    n_max], n-major, each value p(a/b) - q/b^4 taken in `Fraction`s."""
+    records = []
+    for n in range(n_min, n_max + 1):
+        for check, sign, p, (a, b), q in table(n):
+            value = sum(c * Fraction(a, b) ** i for i, c in enumerate(p.coeffs)) - Fraction(q, b**p.degree)
+            if (value > 0) - (value < 0) != sign:
+                records.append({"check": check, "n": n, "witness": str(value)})
+    return records
+
+
+class TestSignCertificate:
+    """`run_verify_signs` settles each row of the sign table for every n >=
+    n_min from its forward differences at n_min; the per-n loop of
+    `per_n_sign_failures` is its oracle."""
+
+    DEGREES = [8, 1, 4, 12, 12, 2, 2]  # the seven sign rows; the three identities vanish
+
+    def test_row_degrees_in_n(self, monkeypatch):
+        # each row's value b^4 * p(a/b) - q in sympy, in a symbol n, with the
+        # closed forms of `families._FORMS` at each name's fixed delta; it is
+        # a polynomial in n, and it agrees with the row at three orders
+        n, t = sympy.symbols("n t")
+
+        def symbolic(which, order, delta=None):
+            coeffs = families._FORMS[which](order, families.FIXED_DELTA[which][1](order))[1]
+            return SimpleNamespace(closed_form=SimpleNamespace(coeffs=coeffs, degree=len(coeffs) - 1))
+
+        monkeypatch.setattr(suites, "named_quotient", symbolic)
+        polys = []
+        for check, sign, p, (a, b), q in suites._sign_table(n):
+            quartic = sympy.Poly(list(reversed(p.coeffs)), t).as_expr()
+            num, den = sympy.fraction(sympy.cancel(quartic.subs(t, sympy.sympify(a) / b) * b**p.degree - q))
+            assert den == 1, check
+            polys.append(sympy.Poly(num, n))
+        monkeypatch.undo()
+        for order in (59, 1000, 20000):
+            rows = suites._sign_table(order)
+            assert [poly.eval(order) for poly in polys] == [scaled_value(p.coeffs, x) - q for _, _, p, x, q in rows]
+        degrees = [None if poly.is_zero else poly.degree() for poly in polys]
+        assert degrees == self.DEGREES + [None] * 3
+        assert max(self.DEGREES) <= suites.SIGN_DEGREE
+
+    @pytest.mark.parametrize(
+        "row, point, q",
+        [
+            # q = n^21 on the identity g(t2) closed form
+            (9, suites._T2, IntPolynomial((0,) * 21 + (1,))),
+            # a = n^5 at t1: 4 + 4 * 5 = 24 for the closed-form coefficients of degree <= 4
+            (3, (IntPolynomial((0,) * 5 + (1,)), suites._T1[1]), suites._ZERO),
+        ],
+        ids=["q-of-degree-21", "point-of-degree-5"],
+    )
+    def test_row_past_the_degree_bound_is_refused(self, monkeypatch, row, point, q):
+        rows = list(suites._SIGN_ROWS)
+        check, sign, name, _, _ = rows[row]
+        rows[row] = (check, sign, name, point, q)
+        monkeypatch.setattr(suites, "_SIGN_ROWS", rows)
+        with pytest.raises(AssertionError, match=re.escape(f"sign row {check} may have degree above 20")):
+            run_verify_signs(59, 60)
+
+    @pytest.mark.parametrize("n_min, n_max", [(59, 500), (60, 81), (60, 82), (100, 150), (59, 2000)])
+    def test_matches_the_per_n_loop(self, n_min, n_max):
+        result = run_verify_signs(n_min, n_max)
+        assert result["failures"] == per_n_sign_failures(n_min, n_max, suites._sign_table) == []
+        assert result["checks_per_n"] == 10
+
+    @pytest.mark.parametrize("row", range(10))
+    def test_moved_sign_fails_at_every_order(self, monkeypatch, capsys, row):
+        moved = _signs_moved([row])
+        monkeypatch.setattr(suites, "_sign_table", moved)
+        code, out, _ = run(capsys, "verify", "signs", "--n-min", "59", "--n-max", "500")
+        failures = json.loads(out)["failures"]
+        assert code == 1
+        name = moved(59)[row][0]
+        assert [(r["check"], r["n"]) for r in failures] == [(name, n) for n in range(59, 501)]
+        assert failures == per_n_sign_failures(59, 500, moved)
+
+    def test_two_moved_rows_fail_n_major(self, monkeypatch):
+        moved = _signs_moved([7, 1])
+        monkeypatch.setattr(suites, "_sign_table", moved)
+        failures = run_verify_signs(59, 500)["failures"]
+        names = [row[0] for row in moved(59)]
+        assert [(r["check"], r["n"]) for r in failures] == [(names[i], n) for n in range(59, 501) for i in (1, 7)]
+        assert failures == per_n_sign_failures(59, 500, moved)
+
+    @pytest.mark.parametrize(
+        "row, added, first",
+        [
+            # exact at the 21 orders 59..79, with a nonzero 21st difference
+            (9, lambda n: prod(n - 59 - j for j in range(suites.SIGN_DEGREE + 1)), 80),
+            # exact at 59 and 60, with a nonzero second difference
+            (7, lambda n: (n - 59) * (n - 60), 61),
+            # 5n - 17 - 5(n - 59)^2 is positive at 59..66 and its second
+            # difference is negative
+            (1, lambda n: 5 * (n - 59) ** 2, 67),
+            # adds C(k, 21) - C(k, 22) at k = n - 59: the differences up to the
+            # 21st are >= 0, so only the degree guard (a nonzero 21st
+            # difference) sends the row back to the loop
+            (1, lambda n: comb(n - 59, 22) - comb(n - 59, 21), 103),
+        ],
+        ids=["identity-past-the-degree-bound", "identity-off-late", "sign-turning-late", "sign-past-the-degree-bound"],
+    )
+    def test_perturbed_row_falls_back(self, monkeypatch, row, added, first):
+        real = suites._sign_table
+
+        def raised(n):
+            table = real(n)
+            check, sign, p, point, q = table[row]
+            table[row] = (check, sign, p, point, q + added(n))
+            return table
+
+        monkeypatch.setattr(suites, "_sign_table", raised)
+        failures = run_verify_signs(59, 500)["failures"]
+        assert [(r["check"], r["n"]) for r in failures] == [(real(59)[row][0], n) for n in range(first, 501)]
+        assert failures == per_n_sign_failures(59, 500, raised)
 
 
 # the delta each order-n table lists, written out as the tables were before
