@@ -353,9 +353,9 @@ def named_quotient(which: str, n: int, delta: int | None = None) -> NamedQuotien
     return NamedQuotient(delta, matrix, IntPolynomial(coeffs))
 
 
-# `compare-families` lists O(n) parameter values per order, each root found by
-# integer certificates: at n = 20000 one order takes about 1.3-1.7 s and 69 MB
-# on a 2-core machine; `theorem-n3` decides each family's progression at once
+# `compare-families` lists O(n) parameter values per order, their roots certified
+# a family's progression at a time: at n = 20000 one order takes about 0.7-1.2 s
+# and 57 MB on a 2-core machine; `theorem-n3` decides each progression at once
 QUOTIENT_MAX_N = 20000
 
 

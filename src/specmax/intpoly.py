@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import gcd, inf, isfinite, nextafter
+from math import floor, gcd, inf, isfinite, nextafter, sqrt
 
 import numpy as np
 
@@ -219,11 +219,23 @@ def _clear_from(c, x) -> bool:
     return all(v * lead > 0 for v in _shift(c, (-x[0], x[1])))
 
 
+def _samuelson_bound(c) -> float:
+    """mean + sqrt((d - 1) var) of the roots, read from the top three
+    coefficients: above every root when all of them are real (Laguerre;
+    Samuelson, "How deviant can you be?", 1968). Only a Newton start."""
+    d, lead, b = len(c) - 1, c[-1], c[-2]
+    r = (d - 1) * ((d - 1) * b * b - 2 * d * lead * (c[-3] if d > 1 else 0))
+    return (sqrt(max(r, 0)) - (b if lead > 0 else -b)) / (abs(lead) * d)
+
+
 def _newton_seed(c) -> float:
-    """Float Newton iterate from the Cauchy bound down toward the maximum
-    real root; a guess only, possibly wrong or non-finite."""
-    f = [float(v) for v in reversed(c)]
-    x = float(_root_bound(c))
+    """Float Newton iterate from the Laguerre-Samuelson bound down toward the
+    maximum real root; a guess only, possibly wrong or non-finite (inf when
+    the coefficients or the bound overflow a float)."""
+    try:
+        f, x = [float(v) for v in reversed(c)], _samuelson_bound(c)
+    except OverflowError:
+        return inf
     for _ in range(200):
         val = slope = 0.0
         for v in f:
@@ -235,17 +247,30 @@ def _newton_seed(c) -> float:
     return x
 
 
-def _rounds_to(c, r: float) -> bool:
-    """Exact certificate that r is the correctly rounded maximum real root:
-    p has no root at or above the midpoint from r to the next double up,
-    and p has the sign opposite to its leading coefficient at the midpoint
-    from r to the next double down, so a root lies strictly between."""
+def _midpoints(r: float):
+    """The midpoints from r to the next double down and to the next double
+    up, as integer ratios; None when r or a neighbour is not finite."""
     up, down = nextafter(r, inf), nextafter(r, -inf)
     if not (isfinite(up) and isfinite(down)):
-        return False
+        return None
     r = r.as_integer_ratio()
-    below, above = _mid(down.as_integer_ratio(), r), _mid(r, up.as_integer_ratio())
-    return _sign_at(c, below) * c[-1] < 0 and _clear_from(c, above)
+    return _mid(down.as_integer_ratio(), r), _mid(r, up.as_integer_ratio())
+
+
+def _rounds_to(c, r: float) -> bool:
+    """Exact certificate that r is the correctly rounded maximum real root:
+    p has the sign opposite to its leading coefficient at the midpoint below
+    r, and no root from the midpoint above r on (`_clear_from`)."""
+    mids = _midpoints(r)
+    return mids is not None and _sign_at(c, mids[0]) * c[-1] < 0 and _clear_from(c, mids[1])
+
+
+def _straddles(c, r: float) -> bool:
+    """`_rounds_to` for a p with at most one root, counted with multiplicity,
+    above the midpoint below r: its upper test is p's leading sign at the
+    midpoint above r."""
+    mids = _midpoints(r)
+    return mids is not None and _sign_at(c, mids[0]) * c[-1] < 0 < _sign_at(c, mids[1]) * c[-1]
 
 
 def _max_root_bracket(chain):
@@ -290,10 +315,7 @@ def max_real_root(p: IntPolynomial) -> float:
     """
     if p.degree < 1:
         raise ValueError("polynomial must be nonconstant")
-    try:
-        seed = _newton_seed(p.coeffs)
-    except OverflowError:
-        seed = inf
+    seed = _newton_seed(p.coeffs)
     if _rounds_to(p.coeffs, seed):
         return seed
     chain = _sturm_chain(p.coeffs)
@@ -321,26 +343,54 @@ def roots_below(p: IntPolynomial, x) -> bool:
     return _clear_from(p.coeffs, x.as_integer_ratio())
 
 
+def _progression_signs(first: list[IntPolynomial], count: int, x) -> list[int] | None:
+    """The sign that each coefficient of b^d * p_k(t + a/b) times the leading
+    coefficient keeps for every k < count, constant term first, for x =
+    (a, b), given p_0, p_1, p_2 of a progression whose coefficients are
+    quadratic in k. `_shift` is linear, so each such coefficient times its
+    sign s at k = 0 is f(k) = e0 + k*d1 + C(k, 2)*d2, > 0 on 0..count-1 when
+    it is at both ends and, for convex f, at its least integer point
+    -(d1 // d2). None when a sign is not shown or the leads or sizes differ."""
+    lead, size = first[0].coeffs[-1], len(first[0].coeffs)
+    if any(p.coeffs[-1] != lead or len(p.coeffs) != size for p in first):
+        return None
+    last, signs = count - 1, []
+    for f0, f1, f2 in zip(*(_shift(p.coeffs, (-x[0], x[1])) for p in first)):
+        s = lead if lead * f0 > 0 else -lead
+        e0, d1, d2 = s * f0, s * (f1 - f0), s * (f2 - 2 * f1 + f0)
+        ends = {0, last, min(max(-(d1 // d2), 0), last)} if d2 > 0 else {0, last}
+        if any(e0 + k * d1 + k * (k - 1) // 2 * d2 <= 0 for k in ends):
+            return None
+        signs.append(1 if s == lead else -1)
+    return signs
+
+
 def progression_below(first: list[IntPolynomial], count: int, x) -> bool:
     """`roots_below(p_k, x)` for every k < count at once, where `first` is
     p_0, p_1, p_2 (all of them when count < 3) and each coefficient of p_k
-    is a quadratic in k. `_shift` is linear, so each coefficient of the
-    shifted p_k times the shared leading coefficient is f(k) = e0 + k*d1 +
-    C(k, 2)*d2, and f > 0 on 0..count-1 when it is at both ends and, for
-    convex f, at its least integer point -(d1 // d2). False means undecided."""
+    is a quadratic in k: every shifted coefficient keeps the leading sign
+    (`_progression_signs`). False means undecided."""
     if count < 3:
         return all(roots_below(p, x) for p in first)
-    lead, size = first[0].coeffs[-1], len(first[0].coeffs)
-    if any(p.coeffs[-1] != lead or len(p.coeffs) != size for p in first):
-        return False
-    a, b = x.as_integer_ratio()
-    last = count - 1
-    for f0, f1, f2 in zip(*(_shift(p.coeffs, (-a, b)) for p in first)):
-        e0, d1, d2 = lead * f0, lead * (f1 - f0), lead * (f2 - 2 * f1 + f0)
-        ends = {0, last, min(max(-(d1 // d2), 0), last)} if d2 > 0 else {0, last}
-        if any(e0 + k * d1 + k * (k - 1) // 2 * d2 <= 0 for k in ends):
-            return False
-    return True
+    signs = _progression_signs(first, count, x.as_integer_ratio())
+    return signs is not None and min(signs) > 0
+
+
+def progression_max_roots(family: list[IntPolynomial]) -> list[float]:
+    """`[max_real_root(p) for p in family]`, each coefficient of p_k quadratic
+    in k. When the Newton seeds are finite and `_progression_signs` shows
+    from p_0, p_1, p_2 that every shifted p_k(t + u), t = floor(min seed) - 1,
+    has one sign pattern with one change, Descartes' rule leaves each p_k one
+    root above t, and `_straddles` certifies its seed. A refused family or
+    seed goes to `max_real_root`, which seeds it again."""
+    if any(p.degree < 1 for p in family):
+        raise ValueError("polynomial must be nonconstant")
+    seeds = [_newton_seed(p.coeffs) for p in family]
+    signs = None
+    if len(family) > 2 and all(map(isfinite, seeds)):
+        signs = _progression_signs(family[:3], len(family), (floor(min(seeds)) - 1, 1))
+    single = signs is not None and sum(a != b for a, b in zip(signs, signs[1:])) == 1
+    return [r if single and _straddles(p.coeffs, r) else max_real_root(p) for p, r in zip(family, seeds)]
 
 
 def compare_max_real_roots(p: IntPolynomial, q: IntPolynomial) -> int:

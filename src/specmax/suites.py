@@ -39,7 +39,8 @@ from .families import (
     profile_family_partition,
 )
 from .graphs import Graph, canonical_form, graph6_encode, random_connected_graph
-from .intpoly import IntPolynomial, compare_max_real_roots, max_real_root, progression_below, roots_below, scaled_value
+from .intpoly import IntPolynomial, compare_max_real_roots, max_real_root, progression_below, progression_max_roots
+from .intpoly import roots_below, scaled_value
 from .partition import quotient
 from .spectral import ROUND, PerronPair, perron, perron_all, quotient_radii, spectral_radii
 from .switching import SwitchMove, apply
@@ -54,20 +55,18 @@ def failure_records(n: int | None, verdicts) -> list[dict]:
 # -- named quotient tables -------------------------------------------------
 
 
-def _named_polys(n: int) -> list[tuple[str, str, int, IntPolynomial]]:
-    """(table, family, delta, closed form) of every named quotient in the
-    order-n tables; the n3 table starts with its winner, B1 or B2."""
+def _named_families(n: int) -> list[tuple[str, str, range | list]]:
+    """(table, family, deltas) of every named quotient family in the order-n
+    tables, a fixed-delta name with its one delta; the n3 table starts with
+    its winner, B1 or B2."""
     names = [("n2", "A_delta")]
     if n >= 59:
         winner = "B1" if n % 2 == 0 else "B2"
         names += [("n3", name) for name in (winner, "B_n5", "B_delta", "B_dd", "B_d1")]
-    polys = []
-    for table, name in names:
-        deltas = [None] if name in FIXED_DELTA else admissible_deltas(name, n)
-        for d in deltas:
-            nq = named_quotient(name, n, d)
-            polys.append((table, name, nq.delta, nq.closed_form))
-    return polys
+    return [
+        (table, name, [FIXED_DELTA[name][1](n)] if name in FIXED_DELTA else admissible_deltas(name, n))
+        for table, name in names
+    ]
 
 
 def _assert_strictly_larger(n: int, winner: IntPolynomial, families: list[tuple[str, range | list]]) -> list[str]:
@@ -219,11 +218,12 @@ def run_verify_signs(n_min: int = 59, n_max: int = 500) -> dict:
 
 
 def family_table(n: int) -> list[dict]:
-    """Rows (table, family, delta, rho) for every admissible named quotient."""
-    rows = [
-        {"table": table, "family": family, "delta": d, "rho": max_real_root(poly), "n": n}
-        for table, family, d, poly in _named_polys(n)
-    ]
+    """Rows (table, family, delta, rho) for every admissible named quotient,
+    each family's roots from one `progression_max_roots` call."""
+    rows = []
+    for table, family, deltas in _named_families(n):
+        radii = progression_max_roots([named_quotient(family, n, d).closed_form for d in deltas])
+        rows += [{"table": table, "family": family, "delta": d, "rho": rho, "n": n} for d, rho in zip(deltas, radii)]
     rows.sort(key=lambda r: (r["table"], -r["rho"], r["family"], r["delta"]))
     rank = {}
     for row in rows:
@@ -561,16 +561,16 @@ def quotient_bound_failures(rng: random.Random, trials: int) -> list[dict]:
 
 
 def family_quotient_verdicts(
-    g: Graph, cells, base, looped, pair: PerronPair, looped_pair: PerronPair, rho_b: float, rho_looped: float
+    g: Graph, cells, base, looped, rho_g: float, rho_g_looped: float, rho_b: float, rho_looped: float
 ) -> list[tuple[str, bool, str]]:
     """(check, holds, witness) on a loop-free family graph with its
-    documented partition, given the quotients (`quotient`), Perron pairs
+    documented partition, given the quotients (`quotient`), spectral radii
     and quotient radii of g and of g with a loop at every vertex: the
     partition is equitable with rho(B) = rho(G), and with a loop at every
     vertex its quotient is exactly B + 2I and both spectral radii shift by
     exactly 2. The witness is the graph6 line and the partition."""
     witness = f"{graph6_encode(g)} {cells}"
-    rho_g, sizes = pair.rho, base.sizes
+    sizes = base.sizes
     plus_2i = looped.sizes == sizes and looped.counts == tuple(
         tuple(c + 2 * sizes[i] * (i == j) for j, c in enumerate(row)) for i, row in enumerate(base.counts)
     )
@@ -581,7 +581,7 @@ def family_quotient_verdicts(
             "loop_shift",
             looped.equitable
             and plus_2i
-            and abs(looped_pair.rho - (rho_g + 2)) < 1e-9
+            and abs(rho_g_looped - (rho_g + 2)) < 1e-9
             and abs(rho_looped - (rho_b + 2)) < 1e-9,
             witness,
         ),
@@ -653,8 +653,8 @@ def run_lemmas(trials: int = 200, seed: int = 0) -> dict:
             families.append((build_family(tag, n), profile_family_partition(tag, n)))
     graphs = [g for g, _ in families] + [g.add_loops() for g, _ in families]
     specs = [quotient(g, cells) for g, (_, cells) in zip(graphs, families + families)]
-    pairs, radii, k = perron_all(graphs), quotient_radii(specs), len(families)
-    for (g, cells), *solved in zip(families, specs, specs[k:], pairs, pairs[k:], radii, radii[k:]):
+    rho, radii, k = spectral_radii(graphs), quotient_radii(specs), len(families)
+    for (g, cells), *solved in zip(families, specs, specs[k:], rho, rho[k:], radii, radii[k:]):
         failures += failure_records(g.n, family_quotient_verdicts(g, cells, *solved))
 
     # switching monotonicity on two profile instances

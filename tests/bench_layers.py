@@ -7,7 +7,9 @@ graph per order. `ordering` is `suites.check_family_ordering`, every exact
 decision behind the order-n quotient tables, at n = 59, 300, 1000 and
 5000. `signs` is `suites.run_verify_signs(59, m)` for m = 80, 500, 2000
 and 20000, and `suites.family_table` (a correctly rounded root per named
-quotient) at the same orders as `ordering`. A sample is `timeit`'s
+quotient) at the same orders as `ordering`. `roots` is `family_table` at
+those orders again, and `intpoly.max_real_root` over every closed form of
+the n = 300 tables, one row at a time, as one call. A sample is `timeit`'s
 autorange, at least 0.2 s of back-to-back calls, and each figure is the
 median over k samples of the time per call, in microseconds. The record
 names the machine: its platform, the cores this process may run on, and
@@ -18,6 +20,7 @@ Run it from the repository root, on the tree whose `src` is on the path:
     PYTHONPATH=src python tests/bench_layers.py --layer graph6 --label change --out BENCH_graph6.json
     PYTHONPATH=src python tests/bench_layers.py --layer ordering --label change --out BENCH_ordering.json
     PYTHONPATH=src python tests/bench_layers.py --layer signs --label change --out BENCH_signs.json
+    PYTHONPATH=src python tests/bench_layers.py --layer roots --label change --out BENCH_roots.json
 
 The record is stored under its label, and the other labels in the file are
 kept, so two trees can be timed into one file.
@@ -36,7 +39,9 @@ from pathlib import Path
 
 import numpy as np
 
+from specmax.families import FIXED_DELTA, admissible_deltas, named_quotient
 from specmax.graphs import Graph, _ordered_code, graph6_decode, graph6_encode
+from specmax.intpoly import max_real_root
 from specmax.suites import check_family_ordering, family_table, run_verify_signs
 
 ORDERS = (9, 17, 40, 120, 300, 1999)
@@ -80,10 +85,22 @@ def signs_calls():
         yield "family_table", n, lambda n=n: family_table(n)
 
 
+def roots_calls():
+    """(name, n, call) of the order-n family tables, and of `max_real_root`
+    on every closed form of the n = 300 tables (n2, and n3 with B1)."""
+    for n in TABLE_ORDERS:
+        yield "family_table", n, lambda n=n: family_table(n)
+    names = ("A_delta", "B1", "B_n5", "B_delta", "B_dd", "B_d1")
+    deltas = {name: [None] if name in FIXED_DELTA else admissible_deltas(name, 300) for name in names}
+    polys = [named_quotient(name, 300, d).closed_form for name in names for d in deltas[name]]
+    yield "max_real_root", 300, lambda: [max_real_root(p) for p in polys]
+
+
 LAYERS = {
     "graph6": (graph6_calls, "G(n, 1/2), seeded by n"),
     "ordering": (ordering_calls, "the order-n quotient tables"),
     "signs": (signs_calls, "the sign table on 59..n and the order-n quotient tables"),
+    "roots": (roots_calls, "the order-n quotient tables"),
 }
 
 

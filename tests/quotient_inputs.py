@@ -19,8 +19,8 @@ def bound_verdicts(g, cells, pair):
     return quotient_bound_verdicts(g, cells, spec, pair, rho_b)
 
 
-def family_verdicts(g, cells, pair, looped_pair):
-    """`family_quotient_verdicts` of the partition, given the Perron pairs of
-    g and of g with a loop at every vertex."""
+def family_verdicts(g, cells, rho_g, rho_g_looped):
+    """`family_quotient_verdicts` of the partition, given the spectral radii
+    of g and of g with a loop at every vertex."""
     (base, rho_b), (looped, rho_looped) = solved_quotient(g, cells), solved_quotient(g.add_loops(), cells)
-    return family_quotient_verdicts(g, cells, base, looped, pair, looped_pair, rho_b, rho_looped)
+    return family_quotient_verdicts(g, cells, base, looped, rho_g, rho_g_looped, rho_b, rho_looped)

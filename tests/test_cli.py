@@ -15,7 +15,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmax import families, suites
+from specmax import families, intpoly, suites
 from specmax.cli import main
 from specmax.enumeration import EXHAUSTIVE_MAX_N
 from specmax.families import FAMILY_TAGS, QUOTIENT_MAX_N, admissible_deltas, build_g, named_quotient
@@ -582,6 +582,22 @@ class TestCompareFamilies:
     def test_ordering_certified(self):
         assert check_family_ordering(60) == []
         assert check_family_ordering(61) == []
+
+    @pytest.mark.parametrize("n", [300, 301])
+    def test_every_row_is_sympys_rounded_root(self, monkeypatch, n):
+        # sympy isolates each row's largest root above rho - 1 and refines it
+        # to 2^-70, where both ends round to one double; at most three rows
+        # miss the families' one-root certificate
+        fallbacks = []
+        monkeypatch.setattr(intpoly, "max_real_root", lambda p: fallbacks.append(p) or max_real_root(p))
+        rows = family_table(n)
+        assert len(fallbacks) <= 3
+        x = sympy.Symbol("x")
+        for r in rows:
+            poly = sympy.Poly(list(reversed(named_quotient(r["family"], n, r["delta"]).closed_form.coeffs)), x)
+            lo, hi = poly.intervals(inf=int(r["rho"]) - 1)[-1][0]
+            lo, hi = poly.refine_root(lo, hi, eps=sympy.Rational(1, 2**70))
+            assert int(lo.p) / int(lo.q) == r["rho"] == int(hi.p) / int(hi.q), r
 
     def test_small_n_table(self):
         rows = family_table(9)

@@ -9,16 +9,27 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from specmax import intpoly
 from specmax.intpoly import (
     IntPolynomial,
     char_poly,
     compare_max_real_roots,
     max_real_root,
     progression_below,
+    progression_max_roots,
     roots_below,
     scaled_value,
 )
-from specmax.intpoly import _newton_seed, _rounds_to, _shift, _sturm_chain, _variations
+from specmax.intpoly import (
+    _newton_seed,
+    _progression_signs,
+    _rounds_to,
+    _samuelson_bound,
+    _shift,
+    _straddles,
+    _sturm_chain,
+    _variations,
+)
 
 
 def bareiss_det(matrix):
@@ -401,6 +412,15 @@ class TestCertificates:
         for p in ((283, 162, -172, -54, 1), (4983, 2982, -2992, -994, 1), (58, 111, -115, -55, 1)):
             assert _rounds_to(p, _newton_seed(p))
 
+    def test_cubic_root_of_two_falls_back(self):
+        # x^3 - 2: the mean and variance its coefficients give are 0 (two
+        # roots are complex), so the Laguerre-Samuelson start 0 is below the
+        # real root, Newton stalls there, and the Sturm bisection rounds it
+        p = IntPolynomial((-2, 0, 0, 1))
+        assert _samuelson_bound(p.coeffs) == 0.0 < 2 ** (1 / 3)
+        assert not _rounds_to(p.coeffs, _newton_seed(p.coeffs))
+        assert max_real_root(p) == _rounded_root(p)
+
     def test_root_on_a_midpoint_falls_back(self):
         # 1 + 2^-53 is the midpoint between 1.0 and the next double up:
         # neither neighbour can be certified, and the bisection rounds to even
@@ -416,4 +436,102 @@ class TestCertificates:
         assert not roots_below(p, Fraction(3, 2))
         assert _sympy(p).count_roots(Fraction(3, 2), None) == 0
         assert not _rounds_to(p.coeffs, 1.0)
-        assert max_real_root(p) == 1.0
+        # Newton from the Laguerre-Samuelson start does not reach the real
+        # root, so the Sturm bisection rounds it
+        assert not _rounds_to(p.coeffs, _newton_seed(p.coeffs))
+        assert max_real_root(p) == _rounded_root(p) == 1.0
+
+
+def _decided(family):
+    """`progression_max_roots(family)`, the integer t its certificate shifted
+    to (None when it did not shift) and whether any row was certified under
+    the one-root certificate (`_straddles`)."""
+    seen = {"t": None, "single": False}
+
+    def signs(first, count, x):
+        seen["t"] = x[0]
+        return _progression_signs(first, count, x)
+
+    def straddles(c, r):
+        held = _straddles(c, r)
+        seen["single"] |= held
+        return held
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intpoly, "_progression_signs", signs)
+        mp.setattr(intpoly, "_straddles", straddles)
+        values = progression_max_roots(family)
+    return values, seen["t"], seen["single"]
+
+
+def _progression(base, step, curve, count):
+    """p_k = base + k * step + C(k, 2) * curve, k < count, where step and
+    curve move each coefficient below base's leading one (they are at least
+    that long): every coefficient is quadratic in k."""
+    return [
+        IntPolynomial(tuple(b + k * u + k * (k - 1) // 2 * v for b, u, v in zip(base[:-1], step, curve)) + base[-1:])
+        for k in range(count)
+    ]
+
+
+# a real-rooted p_0 of degree 2 to 5 moved by small steps in k: some members
+# keep one root far above the rest, some gain a second one near the top or
+# a complex pair, some lose every real root
+PROGRESSION = st.builds(
+    lambda roots, step, curve, count: _progression(_mul(*[[-r, 1] for r in roots]).coeffs, step, curve, count),
+    st.lists(st.integers(-40, 40), min_size=2, max_size=5),
+    st.lists(st.integers(-30, 30), min_size=5, max_size=5),
+    st.lists(st.integers(-4, 4), min_size=5, max_size=5),
+    st.integers(3, 10),
+)
+
+
+class TestProgressionRoots:
+    @SETTINGS
+    @given(PROGRESSION)
+    def test_progression_max_roots_is_max_real_root_at_every_k(self, family):
+        try:
+            want = [max_real_root(p) for p in family]
+        except ValueError:
+            # a member with no real root: the certificate cannot hold, and
+            # the member's fallback raises as max_real_root does
+            with pytest.raises(ValueError):
+                progression_max_roots(family)
+            return
+        values, t, single = _decided(family)
+        assert values == want
+        if single:
+            # certified: each member has exactly one distinct real root above t
+            assert all(_sympy(p).count_roots(t, None) == 1 for p in family)
+
+    def test_second_root_above_t_is_refused(self):
+        # (x - 40 - 2k)(2x - 79 - 2k)(x + 3): roots 40 + 2k and 39.5 + k, both
+        # above t <= 39, so Descartes sees two sign changes
+        family = [_mul([-40 - 2 * k, 1], [-79 - 2 * k, 2], [3, 1]) for k in range(6)]
+        values, t, single = _decided(family)
+        assert t <= 39 and not single
+        assert values == [max_real_root(p) for p in family] == [_rounded_root(p) for p in family]
+
+    def test_complex_pair_is_refused(self):
+        # (x - 1 - k)((x - 100)^2 + 1): the pair 100 +- i lies above every
+        # real root, so no shift below it leaves one sign change
+        family = [_mul([-1 - k, 1], [10001, -200, 1]) for k in range(5)]
+        values, _, single = _decided(family)
+        assert not single
+        assert values == [max_real_root(p) for p in family] == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    def test_flipped_sign_is_refused_with_the_same_values(self):
+        # (x - 30 - k)(x - 2)(x + 1)(x + 5) is certified; with its x^2
+        # coefficient negated, p_k(t + u) has three sign changes
+        family = [_mul([-30 - k, 1], [-2, 1], [1, 1], [5, 1]) for k in range(8)]
+        values, t, single = _decided(family)
+        assert single and values == [max_real_root(p) for p in family]
+        flipped = [IntPolynomial(p.coeffs[:2] + (-p.coeffs[2],) + p.coeffs[3:]) for p in family]
+        values, _, single = _decided(flipped)
+        assert not single
+        assert values == [max_real_root(p) for p in flipped] == [_rounded_root(p) for p in flipped]
+
+    def test_fewer_than_three_members_go_to_max_real_root(self):
+        family = [_mul([-3, 1], [1, 1]), _mul([-4, 1], [1, 1])]
+        assert _decided(family) == ([3.0, 4.0], None, False)
+        assert progression_max_roots([]) == []

@@ -9,7 +9,7 @@ import pytest
 from specmax.families import build_family, build_g, g_partition, named_quotient, profile_family_partition
 from specmax.graphs import Graph, random_connected_graph
 from specmax.partition import QuotientSpec, quotient
-from specmax.spectral import perron, quotient_radii
+from specmax.spectral import perron, quotient_radii, spectral_radii
 from specmax.suites import failure_records, random_partition_cases
 
 from graph_shapes import adjacency_lists
@@ -25,7 +25,7 @@ def star(n):
 
 
 def looped_verdicts(g, cells):
-    return family_verdicts(g, cells, perron(g), perron(g.add_loops()))
+    return family_verdicts(g, cells, *spectral_radii([g, g.add_loops()]))
 
 
 def family_cases():

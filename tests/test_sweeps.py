@@ -178,14 +178,30 @@ EQUALITIES = {"quotient_bound", "quotient_equitable_equality", "family_quotient_
         # the smallest strict gaps of the default sweep are below 0.1
         (-0.1, EQUALITIES | {"quotient_bound_strict"}),
         # the component bound has at least 0.4 of headroom on the default
-        # sweep, and every switch then lowers rho
-        (1.0, {"perron_component_bound", "ls_monotone", "quotient_equitable_equality", "family_quotient_rho"}),
+        # sweep; a switch compares two shifted radii, so ls_monotone holds
+        (1.0, {"perron_component_bound", "quotient_equitable_equality", "family_quotient_rho"}),
     ],
 )
 def test_shifted_rho_fails_verify_lemmas(monkeypatch, capsys, shift, checks):
+    # every graph solve the suite reads is shifted: the Perron pairs and the
+    # spectral radii of the switched and of the family graphs
     def shifted(graphs, tol=1e-10):
         return [replace(pair, rho=pair.rho + shift) for pair in perron_all(graphs, tol)]
 
     monkeypatch.setattr(suites, "perron_all", shifted)
+    monkeypatch.setattr(suites, "spectral_radii", lambda graphs: [r + shift for r in spectral_radii(graphs)])
     assert main(["verify", "lemmas"]) == 1
     assert {record["check"] for record in json.loads(capsys.readouterr().out)["failures"]} == checks
+
+
+def test_shifted_perron_pairs_fail_verify_lemmas(monkeypatch, capsys):
+    # the Perron pairs alone read 1.0 high: rho(G) then rises above the
+    # switched rho(G'), which `spectral_radii` solves, so ls_monotone fails
+    # too, while the family graphs' radii, also from `spectral_radii`, hold
+    def shifted(graphs, tol=1e-10):
+        return [replace(pair, rho=pair.rho + 1.0) for pair in perron_all(graphs, tol)]
+
+    monkeypatch.setattr(suites, "perron_all", shifted)
+    assert main(["verify", "lemmas"]) == 1
+    checks = {record["check"] for record in json.loads(capsys.readouterr().out)["failures"]}
+    assert checks == {"perron_component_bound", "ls_monotone", "quotient_equitable_equality"}

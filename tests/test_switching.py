@@ -246,11 +246,12 @@ class TestLemmaControls:
     """Each switching check fails when what it checks is broken."""
 
     def test_lowered_rho_fails_ls_monotone(self, monkeypatch, capsys):
-        # rho(G') read 1e-6 low: the moves that keep rho fail the check
+        # rho(G') read 1e-6 low: the moves that keep rho fail the check; the
+        # family graphs' radii, read as low, fail rho(G) = rho(B)
         monkeypatch.setattr(suites, "spectral_radii", lambda graphs: [r - 1e-6 for r in spectral_radii(graphs)])
         assert main(["verify", "lemmas"]) == 1
         checks = {record["check"] for record in json.loads(capsys.readouterr().out)["failures"]}
-        assert checks == {"ls_monotone"}
+        assert checks == {"ls_monotone", "family_quotient_rho"}
 
     def test_no_moves_fails_ls_trials_completed(self, monkeypatch, capsys):
         monkeypatch.setattr(suites, "_draw_switch", lambda g, rng: None)
