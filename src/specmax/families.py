@@ -1,5 +1,5 @@
 """Constructors for the extremal graph families and their named quotient
-matrices with closed-form integer characteristic polynomials.
+matrices (`_FORMS`) with closed-form integer characteristic polynomials.
 
 Labeling conventions (documented per constructor) put each family's
 canonical partition on contiguous index ranges.  Every family graph has
@@ -73,15 +73,6 @@ class ComplementProfile:
             return ComplementProfile(data.get("type1", 0), data.get("type2", ()), data.get("type3", ()))
         except TypeError as exc:
             raise ValueError(f"malformed profile: {exc}") from None
-
-
-@dataclass(frozen=True)
-class NamedQuotient:
-    """Integer quotient matrix with its closed-form characteristic polynomial."""
-
-    delta: int | None
-    matrix: tuple[tuple[int, ...], ...]
-    closed_form: IntPolynomial
 
 
 FAMILY_TAGS = ("g", "h1", "h2", "g21", "profile", "gdd", "gd1")
@@ -323,8 +314,8 @@ def _prove_closed_form(which: str) -> None:
         raise AssertionError(f"closed form of {which} is not quadratic in delta at (n, delta) in {bad}")
 
 
-def named_quotient(which: str, n: int, delta: int | None = None) -> NamedQuotient:
-    """Integer quotient matrix plus its closed-form characteristic polynomial.
+def named_quotient(which: str, n: int, delta: int | None = None) -> IntPolynomial:
+    """Closed-form characteristic polynomial of a named quotient matrix.
 
     The closed form is certified at every (n, delta): on first use of each
     name, char_poly is compared with it on a 5 x 5 grid (see `_FORMS`), and
@@ -349,13 +340,13 @@ def named_quotient(which: str, n: int, delta: int | None = None) -> NamedQuotien
     else:
         raise ValueError(f"unknown quotient name {which!r}; use one of {tuple(_FORMS)}")
     _prove_closed_form(which)
-    matrix, coeffs = _FORMS[which](n, delta)
-    return NamedQuotient(delta, matrix, IntPolynomial(coeffs))
+    return IntPolynomial(_FORMS[which](n, delta)[1])
 
 
 # `compare-families` lists O(n) parameter values per order, their roots certified
-# a family's progression at a time: at n = 20000 one order takes about 0.7-1.2 s
-# and 57 MB on a 2-core machine; `theorem-n3` decides each progression at once
+# a family's progression at a time from its first three closed forms: at n = 20000
+# one order takes about 0.7-1.2 s and 57 MB on a 2-core machine; `theorem-n3`
+# decides each progression at once
 QUOTIENT_MAX_N = 20000
 
 
@@ -368,10 +359,11 @@ def check_quotient_order(n: int) -> None:
 
 def admissible_deltas(which: str, n: int) -> range:
     """Parity-correct parameter values for a named quotient at order n, an
-    arithmetic progression."""
+    arithmetic progression; one delta for a fixed-delta name, from its least n."""
     check_quotient_order(n)
     if which in FIXED_DELTA:
-        return range(0)
+        least, fixed = FIXED_DELTA[which]
+        return range(fixed(n), fixed(n) + 1) if n >= least else range(0)
     if which not in _DELTA_RANGE:
         raise ValueError(f"unknown quotient name {which!r}")
     _, gap, _, listed = _DELTA_RANGE[which]

@@ -5,8 +5,8 @@ trace recursion, products on numpy object arrays of Python ints), Sturm
 sequences built as primitive remainder sequences in Z[x], real-root
 counting and isolation, and the sign decisions used throughout the
 verification suites: ordering of maximum real roots and Descartes
-certificates after a shift. Every decision runs on integer
-coefficients; a rational point a/b enters as b^d * p(a/b). Floats appear
+certificates after a shift, also for a progression given by its first
+three members and a count. Every decision runs on integer coefficients; a rational point a/b enters as b^d * p(a/b). Floats appear
 only in the correctly rounded root and in its exactly checked Newton seed.
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import floor, gcd, inf, isfinite, nextafter, sqrt
 
 import numpy as np
@@ -376,19 +377,25 @@ def progression_below(first: list[IntPolynomial], count: int, x) -> bool:
     return signs is not None and min(signs) > 0
 
 
-def progression_max_roots(family: list[IntPolynomial]) -> list[float]:
-    """`[max_real_root(p) for p in family]`, each coefficient of p_k quadratic
-    in k. When the Newton seeds are finite and `_progression_signs` shows
-    from p_0, p_1, p_2 that every shifted p_k(t + u), t = floor(min seed) - 1,
-    has one sign pattern with one change, Descartes' rule leaves each p_k one
-    root above t, and `_straddles` certifies its seed. A refused family or
-    seed goes to `max_real_root`, which seeds it again."""
+def progression_max_roots(first: list[IntPolynomial], count: int) -> list[float]:
+    """`[max_real_root(p_k) for k < count]`, the progression given as
+    `progression_below` takes it: each coefficient of p_k is the quadratic in
+    k through those of `first`, zero-padded. When the Newton seeds are finite
+    and `_progression_signs` shows that every shifted p_k(t + u), t =
+    floor(min seed) - 1, has one sign pattern with one change, Descartes' rule
+    leaves each p_k one root above t, and `_straddles` certifies its seed. A
+    refused progression or seed goes to `max_real_root`, which seeds it again."""
+    columns = list(zip_longest(*(p.coeffs for p in first), fillvalue=0))
+    family = first[:count] + [
+        IntPolynomial(tuple(a + k * (b - a) + k * (k - 1) // 2 * (c - 2 * b + a) for a, b, c in columns))
+        for k in range(3, count)
+    ]
     if any(p.degree < 1 for p in family):
         raise ValueError("polynomial must be nonconstant")
     seeds = [_newton_seed(p.coeffs) for p in family]
     signs = None
-    if len(family) > 2 and all(map(isfinite, seeds)):
-        signs = _progression_signs(family[:3], len(family), (floor(min(seeds)) - 1, 1))
+    if count > 2 and all(map(isfinite, seeds)):
+        signs = _progression_signs(first, count, (floor(min(seeds)) - 1, 1))
     single = signs is not None and sum(a != b for a, b in zip(signs, signs[1:])) == 1
     return [r if single and _straddles(p.coeffs, r) else max_real_root(p) for p, r in zip(family, seeds)]
 

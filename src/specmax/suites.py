@@ -55,7 +55,7 @@ def failure_records(n: int | None, verdicts) -> list[dict]:
 # -- named quotient tables -------------------------------------------------
 
 
-def _named_families(n: int) -> list[tuple[str, str, range | list]]:
+def _named_families(n: int) -> list[tuple[str, str, range]]:
     """(table, family, deltas) of every named quotient family in the order-n
     tables, a fixed-delta name with its one delta; the n3 table starts with
     its winner, B1 or B2."""
@@ -63,25 +63,22 @@ def _named_families(n: int) -> list[tuple[str, str, range | list]]:
     if n >= 59:
         winner = "B1" if n % 2 == 0 else "B2"
         names += [("n3", name) for name in (winner, "B_n5", "B_delta", "B_dd", "B_d1")]
-    return [
-        (table, name, [FIXED_DELTA[name][1](n)] if name in FIXED_DELTA else admissible_deltas(name, n))
-        for table, name in names
-    ]
+    return [(table, name, admissible_deltas(name, n)) for table, name in names]
 
 
-def _assert_strictly_larger(n: int, winner: IntPolynomial, families: list[tuple[str, range | list]]) -> list[str]:
+def _assert_strictly_larger(n: int, winner: IntPolynomial, families: list[tuple[str, range]]) -> list[str]:
     """Exact check that winner's max real root beats every closed form of
-    each (name, deltas) family at order n, deltas [None] for a fixed-delta
-    name.
+    each (name, deltas) family at order n.
 
     The separator is the double just below the winner's root: the root is
     strictly above it because `max_real_root` rounds correctly. A
     progression of delta that `progression_below` puts below the separator
-    loses (each closed-form coefficient is quadratic in delta, as
-    `named_quotient` proves); one it does not is halved, down to three
-    members. Each member of those that the Descartes certificate puts below
-    the separator loses, and any other is compared with the winner exactly.
-    Returns the names of violators (empty when all pass), in delta order.
+    from its first three closed forms loses (each coefficient is quadratic
+    in delta, as `named_quotient` proves); one it does not is halved, down
+    to three members. Each member of those that the Descartes certificate
+    puts below the separator loses, and any other is compared with the
+    winner exactly. Returns the names of violators (empty when all pass),
+    in delta order, a fixed-delta name bare.
     """
     winner_root = max_real_root(winner)
     sep = nextafter(winner_root, -inf)
@@ -89,16 +86,16 @@ def _assert_strictly_larger(n: int, winner: IntPolynomial, families: list[tuple[
     todo = families[::-1]
     while todo:
         family, deltas = todo.pop()
-        if progression_below([named_quotient(family, n, d).closed_form for d in deltas[:3]], len(deltas), sep):
+        if progression_below([named_quotient(family, n, d) for d in deltas[:3]], len(deltas), sep):
             continue
         if len(deltas) > 3:
             todo += [(family, deltas[len(deltas) // 2 :]), (family, deltas[: len(deltas) // 2])]
             continue
         for d in deltas:
-            poly = named_quotient(family, n, d).closed_form
+            poly = named_quotient(family, n, d)
             if roots_below(poly, sep) or compare_max_real_roots(poly, winner) < 0:
                 continue
-            name = family if d is None else f"{family}({d})"
+            name = family if family in FIXED_DELTA else f"{family}({d})"
             bad.append(f"{name}: root {max_real_root(poly):.12f} !< {winner_root:.12f}")
     return bad
 
@@ -142,7 +139,7 @@ SIGN_DEGREE = 20
 
 def _sign_table(n: int) -> list[tuple[str, int, IntPolynomial, tuple[int, int], int]]:
     """(check, expected sign, p, (a, b), q) of each row of `_SIGN_ROWS` at order n."""
-    forms = {name: named_quotient(name, n).closed_form for name in ("B_n5", "B2")}
+    forms = {name: named_quotient(name, n) for name in ("B_n5", "B2")}
 
     def at(poly):
         return scaled_value(poly.coeffs, (n, 1))
@@ -156,7 +153,7 @@ def _prove_sign_degrees() -> None:
     b^4 * p(a/b) = sum_i c_i a^i b^(d-i), and each c_i has degree at most
     FORM_DEGREE in n (`families._FORMS`)."""
     for check, _, name, (a, b), q in _SIGN_ROWS:
-        d = named_quotient(name, 59).closed_form.degree
+        d = named_quotient(name, 59).degree
         if max(FORM_DEGREE + d * max(a.degree, b.degree), q.degree) > SIGN_DEGREE:
             raise AssertionError(f"sign row {check} may have degree above {SIGN_DEGREE} in n")
 
@@ -219,10 +216,10 @@ def run_verify_signs(n_min: int = 59, n_max: int = 500) -> dict:
 
 def family_table(n: int) -> list[dict]:
     """Rows (table, family, delta, rho) for every admissible named quotient,
-    each family's roots from one `progression_max_roots` call."""
+    each family's roots from one `progression_max_roots` call on three closed forms."""
     rows = []
     for table, family, deltas in _named_families(n):
-        radii = progression_max_roots([named_quotient(family, n, d).closed_form for d in deltas])
+        radii = progression_max_roots([named_quotient(family, n, d) for d in deltas[:3]], len(deltas))
         rows += [{"table": table, "family": family, "delta": d, "rho": rho, "n": n} for d, rho in zip(deltas, radii)]
     rows.sort(key=lambda r: (r["table"], -r["rho"], r["family"], r["delta"]))
     rank = {}
@@ -241,17 +238,17 @@ def n2_winners(n: int) -> tuple[int, ...]:
 
 def check_family_ordering(n: int) -> list[str]:
     """Exact assertions behind the order-n table; returns violation names."""
+    [(_, family, deltas), *n3] = _named_families(n)
     tops = n2_winners(n)
-    win = named_quotient("A_delta", n, tops[0]).closed_form
-    bad = [] if named_quotient("A_delta", n, tops[-1]).closed_form == win else ["n2:f(2)!=f(n-4)"]
-    # the winners are A_delta's first and last delta, or its last
-    deltas = admissible_deltas("A_delta", n)
+    win = named_quotient(family, n, tops[0])
+    bad = [] if named_quotient(family, n, tops[-1]) == win else ["n2:f(2)!=f(n-4)"]
+    # the winners are the first and last delta, or the last
     others = deltas[deltas[0] in tops : len(deltas) - (deltas[-1] in tops)]
-    bad += [f"n2:{name}" for name in _assert_strictly_larger(n, win, [("A_delta", others)])]
-    if n >= 59:
-        winner = named_quotient("B1" if n % 2 == 0 else "B2", n).closed_form
-        rest = [("B_n5", [None])] + [(name, admissible_deltas(name, n)) for name in ("B_delta", "B_dd", "B_d1")]
-        bad += [f"n3:{name}" for name in _assert_strictly_larger(n, winner, rest)]
+    bad += [f"n2:{v}" for v in _assert_strictly_larger(n, win, [(family, others)])]
+    if n3:
+        [(_, family, deltas), *rest] = n3
+        winner = named_quotient(family, n, deltas[0])
+        bad += [f"n3:{v}" for v in _assert_strictly_larger(n, winner, [(name, ds) for _, name, ds in rest])]
         bad += _final_comparison_identities(n)
     return bad
 
@@ -259,19 +256,19 @@ def check_family_ordering(n: int) -> list[str]:
 def _final_comparison_identities(n: int) -> list[str]:
     """The four printed closing comparisons as exact polynomial identities."""
     bad = []
-    p_dd = named_quotient("B_dd", n, n - 4).closed_form
+    p_dd = named_quotient("B_dd", n, n - 4)
     # lam * P(B_{n-4,n-4}) shifted coefficients
     lam_p = IntPolynomial((0,) + p_dd.coeffs)
-    f1 = named_quotient("B1", n).closed_form
-    f2 = named_quotient("B2", n).closed_form
+    f1 = named_quotient("B1", n)
+    f2 = named_quotient("B2", n)
     if (lam_p - f2).coeffs != (2 - 2 * n, 2 * n - 2, -2):
         bad.append("identity:lamP_dd-f2")
     if (lam_p - f1).coeffs != (2 - n, 3 * n - 10, -2):
         bad.append("identity:lamP_dd-f1")
-    p_n41 = named_quotient("B_d1", n, n - 4).closed_form
+    p_n41 = named_quotient("B_d1", n, n - 4)
     if (p_n41 - f2).coeffs != (1 - n, 2):
         bad.append("identity:P_n41-f2")
-    p_31 = named_quotient("B_d1", n, 3).closed_form
+    p_31 = named_quotient("B_d1", n, 3)
     if (p_31 - f1).coeffs != (n - 6, n - 6):
         bad.append("identity:P_31-f1")
     return bad
@@ -391,7 +388,7 @@ def run_sandwich(
         raise ValueError("sandwich profile needs at least one type-II component")
     g = build_from_profile(n, delta, profile)
     rho_g = perron(g).rho
-    poly = named_quotient("B_delta", n, delta).closed_form
+    poly = named_quotient("B_delta", n, delta)
     rho_b = max_real_root(poly)
     width = 1.0 / (n * n)
     fine = 2 * (n - 1) / (3 * (n - 4) ** 3) + 2 * (n - 1) / (3 * (n - 4) ** 4)

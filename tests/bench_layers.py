@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from specmax.families import FIXED_DELTA, admissible_deltas, named_quotient
+from specmax.families import admissible_deltas, named_quotient
 from specmax.graphs import Graph, _ordered_code, graph6_decode, graph6_encode
 from specmax.intpoly import max_real_root
 from specmax.suites import check_family_ordering, family_table, run_verify_signs
@@ -91,8 +91,7 @@ def roots_calls():
     for n in TABLE_ORDERS:
         yield "family_table", n, lambda n=n: family_table(n)
     names = ("A_delta", "B1", "B_n5", "B_delta", "B_dd", "B_d1")
-    deltas = {name: [None] if name in FIXED_DELTA else admissible_deltas(name, 300) for name in names}
-    polys = [named_quotient(name, 300, d).closed_form for name in names for d in deltas[name]]
+    polys = [named_quotient(name, 300, d) for name in names for d in admissible_deltas(name, 300)]
     yield "max_real_root", 300, lambda: [max_real_root(p) for p in polys]
 
 

@@ -5,6 +5,7 @@ import os
 import random
 import re
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import comb, inf, nextafter, prod
@@ -302,14 +303,15 @@ class TestSignAndIdentityControls:
         """Patch `suites.named_quotient` so that the closed form of (which,
         n, delta) has its constant term one higher."""
         real = suites.named_quotient
-        target = (which, n, real(which, n, delta).delta)
+
+        def at(name, order, d):
+            return (name, order, families.FIXED_DELTA[name][1](order) if name in families.FIXED_DELTA else d)
 
         def moved(name, order, d=None):
-            nq = real(name, order, d)
-            if (name, order, nq.delta) != target:
-                return nq
-            c = nq.closed_form.coeffs
-            return replace(nq, closed_form=IntPolynomial((c[0] + 1,) + c[1:]))
+            poly = real(name, order, d)
+            if at(name, order, d) != at(which, n, delta):
+                return poly
+            return IntPolynomial((poly.coeffs[0] + 1,) + poly.coeffs[1:])
 
         monkeypatch.setattr(suites, "named_quotient", moved)
 
@@ -368,7 +370,7 @@ class TestSignCertificate:
 
         def symbolic(which, order, delta=None):
             coeffs = families._FORMS[which](order, families.FIXED_DELTA[which][1](order))[1]
-            return SimpleNamespace(closed_form=SimpleNamespace(coeffs=coeffs, degree=len(coeffs) - 1))
+            return SimpleNamespace(coeffs=coeffs, degree=len(coeffs) - 1)
 
         monkeypatch.setattr(suites, "named_quotient", symbolic)
         polys = []
@@ -477,7 +479,7 @@ def per_delta_ordering(n, quotient=named_quotient):
     when `compare_max_real_roots` puts its root below the winner's."""
 
     def closed_form(which, d):
-        return quotient(which, n, d).closed_form
+        return quotient(which, n, d)
 
     def beaten(winner, members):
         root = max_real_root(winner)
@@ -524,16 +526,16 @@ class TestProgressionCertificate:
         n, lo, hi = 60, 4, 56
 
         def dipped(which, order, delta=None):
-            nq = named_quotient(which, order, delta)
+            poly = named_quotient(which, order, delta)
             if which != "B_dd":
-                return nq
-            c = nq.closed_form.coeffs
-            return replace(nq, closed_form=IntPolynomial((c[0] + order**3 * (delta - lo) * (delta - hi),) + c[1:]))
+                return poly
+            c = poly.coeffs
+            return IntPolynomial((c[0] + order**3 * (delta - lo) * (delta - hi),) + c[1:])
 
-        sep = nextafter(max_real_root(named_quotient("B1", n).closed_form), -inf)
-        first = [dipped("B_dd", n, d).closed_form for d in (lo, lo + 1, lo + 2)]
-        assert roots_below(dipped("B_dd", n, lo).closed_form, sep)
-        assert roots_below(dipped("B_dd", n, hi).closed_form, sep)
+        sep = nextafter(max_real_root(named_quotient("B1", n)), -inf)
+        first = [dipped("B_dd", n, d) for d in (lo, lo + 1, lo + 2)]
+        assert roots_below(dipped("B_dd", n, lo), sep)
+        assert roots_below(dipped("B_dd", n, hi), sep)
         assert not progression_below(first, hi - lo + 1, sep)
         monkeypatch.setattr(suites, "named_quotient", dipped)
         bad = check_family_ordering(n)
@@ -579,6 +581,15 @@ class TestCompareFamilies:
         n3 = [r for r in rows if r["table"] == "n3"]
         assert n3[0]["family"] == "B1"
 
+    @pytest.mark.parametrize("n", [60, 61])
+    def test_three_closed_forms_per_family(self, monkeypatch, n):
+        calls = Counter()
+        real = suites.named_quotient
+        monkeypatch.setattr(suites, "named_quotient", lambda *args: calls.update([args[0]]) or real(*args))
+        family_table(n)
+        assert calls.keys() == {"A_delta", "B1" if n % 2 == 0 else "B2", "B_n5", "B_delta", "B_dd", "B_d1"}
+        assert max(calls.values()) <= 3
+
     def test_ordering_certified(self):
         assert check_family_ordering(60) == []
         assert check_family_ordering(61) == []
@@ -594,7 +605,7 @@ class TestCompareFamilies:
         assert len(fallbacks) <= 3
         x = sympy.Symbol("x")
         for r in rows:
-            poly = sympy.Poly(list(reversed(named_quotient(r["family"], n, r["delta"]).closed_form.coeffs)), x)
+            poly = sympy.Poly(list(reversed(named_quotient(r["family"], n, r["delta"]).coeffs)), x)
             lo, hi = poly.intervals(inf=int(r["rho"]) - 1)[-1][0]
             lo, hi = poly.refine_root(lo, hi, eps=sympy.Rational(1, 2**70))
             assert int(lo.p) / int(lo.q) == r["rho"] == int(hi.p) / int(hi.q), r

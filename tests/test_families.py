@@ -27,11 +27,9 @@ class TestBuildG:
     def test_order8(self):
         g = build_g(8, 4)
         assert g.degree_sequence() == [6] * 7 + [4]
-        nq = named_quotient("A_delta", 8, 4)
-        assert nq.closed_form.coeffs == (8, -12, -4, 1)
-        assert perron(g, 1e-12).rho == pytest.approx(
-            max_real_root(nq.closed_form), abs=1e-9
-        )
+        poly = named_quotient("A_delta", 8, 4)
+        assert poly.coeffs == (8, -12, -4, 1)
+        assert perron(g, 1e-12).rho == pytest.approx(max_real_root(poly), abs=1e-9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -45,7 +43,7 @@ class TestBuildG:
         for n, t in [(6, 2), (9, 4), (15, 10)]:
             spec = quotient(build_g(n, t), g_partition(n, t))
             assert spec.equitable
-            assert spec.matrix == named_quotient("A_delta", n, t).matrix
+            assert spec.matrix == families._FORMS["A_delta"](n, t)[0]
 
     def test_complement_without_low_vertex(self):
         # dropping the low vertex and complementing leaves exactly the
@@ -64,15 +62,14 @@ class TestBuildH1:
 
     def test_quotient(self):
         spec = quotient(build_family("h1", 8), profile_family_partition("h1", 8))
-        nq = named_quotient("B1", 8)
         assert spec.equitable
-        assert spec.matrix == nq.matrix
-        assert nq.closed_form.coeffs == (6, 7, -11, -3, 1)
+        assert spec.matrix == families._FORMS["B1"](8, 1)[0]
+        assert named_quotient("B1", 8).coeffs == (6, 7, -11, -3, 1)
 
     def test_order60_rho(self):
-        nq = named_quotient("B1", 60)
-        assert nq.closed_form.coeffs == (58, 111, -115, -55, 1)
-        exact = max_real_root(nq.closed_form)
+        poly = named_quotient("B1", 60)
+        assert poly.coeffs == (58, 111, -115, -55, 1)
+        exact = max_real_root(poly)
         assert perron(build_family("h1", 60)).rho == pytest.approx(exact, abs=1e-9)
 
     def test_validation(self):
@@ -88,14 +85,13 @@ class TestBuildH2:
 
     def test_quotient(self):
         spec = quotient(build_family("h2", 11), profile_family_partition("h2", 11))
-        nq = named_quotient("B2", 11)
         assert spec.equitable
-        assert spec.matrix == nq.matrix
+        assert spec.matrix == families._FORMS["B2"](11, 2)[0]
 
     def test_order9_rho(self):
-        nq = named_quotient("B2", 9)
-        assert nq.closed_form.coeffs == (16, 10, -13, -4, 1)
-        exact = max_real_root(nq.closed_form)
+        poly = named_quotient("B2", 9)
+        assert poly.coeffs == (16, 10, -13, -4, 1)
+        exact = max_real_root(poly)
         assert perron(build_family("h2", 9), 1e-12).rho == pytest.approx(exact, abs=1e-9)
 
     def test_validation(self):
@@ -213,7 +209,7 @@ class TestProfiles:
         # the low vertex, its neighborhood and the rest
         spec = quotient(g, [[0], [1, 2, 3, 4], [5, 6, 7, 8]])
         assert spec.equitable
-        assert spec.matrix == named_quotient("B_delta", 9, 4).matrix
+        assert spec.matrix == families._FORMS["B_delta"](9, 4)[0]
 
     def test_path_profile_complement_audit(self):
         g = build_from_profile(9, 4, ComplementProfile(type1=1, type2=(4,)))
@@ -227,10 +223,9 @@ class TestCase2:
         assert g.degree_sequence() == [7] * 8 + [4, 4]
         # {u, v}, their common neighborhood and the rest
         spec = quotient(g, [[0, 1], [2, 3, 4], [5, 6, 7, 8, 9]])
-        nq = named_quotient("B_dd", 10, 4)
         assert spec.equitable
-        assert spec.matrix == nq.matrix
-        assert nq.closed_form.coeffs == (39, -17, -5, 1)
+        assert spec.matrix == families._FORMS["B_dd"](10, 4)[0]
+        assert named_quotient("B_dd", 10, 4).coeffs == (39, -17, -5, 1)
 
     def test_pendant(self):
         g = build_case2(10, 3, 1, ComplementProfile(type1=1))
@@ -238,7 +233,7 @@ class TestCase2:
         # v, u, the common neighborhood and the rest
         spec = quotient(g, [[1], [0], [2, 3], [4, 5, 6, 7, 8, 9]])
         assert spec.equitable
-        assert spec.matrix == named_quotient("B_d1", 10, 3).matrix
+        assert spec.matrix == families._FORMS["B_d1"](10, 3)[0]
 
     def test_mixed_degrees(self):
         g = build_case2(12, 5, 3, ComplementProfile(type2=(2,)))
@@ -263,9 +258,9 @@ class TestCase2:
 
 class TestNamedQuotients:
     def test_printed_values(self):
-        assert named_quotient("A_delta", 7, 4).closed_form.coeffs == (4, -10, -3, 1)
-        assert named_quotient("B_n5", 59).closed_form.coeffs == (278, 159, -169, -53, 1)
-        assert named_quotient("B_dd", 10, 4).closed_form.coeffs == (39, -17, -5, 1)
+        assert named_quotient("A_delta", 7, 4).coeffs == (4, -10, -3, 1)
+        assert named_quotient("B_n5", 59).coeffs == (278, 159, -169, -53, 1)
+        assert named_quotient("B_dd", 10, 4).coeffs == (39, -17, -5, 1)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -278,25 +273,16 @@ class TestNamedQuotients:
             named_quotient("nope", 10, 3)
 
     def test_closed_forms_sample_grid(self):
-        def check(which, n, d=None):
-            nq = named_quotient(which, n, d)
-            assert char_poly(nq.matrix) == nq.closed_form, (which, n, d)
-
         for n in (8, 13, 20, 47, 101, 200):
-            for d in admissible_deltas("A_delta", n):
-                check("A_delta", n, d)
-            for d in admissible_deltas("B_delta", n):
-                check("B_delta", n, d)
-            for d in admissible_deltas("B_dd", n):
-                check("B_dd", n, d)
-            for d in admissible_deltas("B_d1", n):
-                check("B_d1", n, d)
-            if n % 2 == 0:
-                check("B1", n)
-            elif n >= 9:
-                check("B2", n)
-            if n >= 10:
-                check("B_n5", n)
+            for which in families._FORMS:
+                for d in admissible_deltas(which, n):
+                    assert char_poly(families._FORMS[which](n, d)[0]) == named_quotient(which, n, d), (which, n, d)
+
+    def test_fixed_delta_names_have_one_delta(self):
+        for n in (10, 59, 60, 61, 20000):
+            assert [list(admissible_deltas(which, n)) for which in ("B1", "B2", "B_n5")] == [[1], [2], [n - 5]]
+        # none below the least order: 9 for B2, 10 for B_n5
+        assert [list(admissible_deltas(which, 8)) for which in ("B1", "B2", "B_n5")] == [[1], [], []]
 
 
 class TestGridProof:
@@ -415,8 +401,8 @@ class TestDifferenceIdentities:
         for n in (8, 9, 15, 60):
             for d1 in admissible_deltas("A_delta", n):
                 for d2 in admissible_deltas("A_delta", n):
-                    p1 = named_quotient("A_delta", n, d1).closed_form
-                    p2 = named_quotient("A_delta", n, d2).closed_form
+                    p1 = named_quotient("A_delta", n, d1)
+                    p2 = named_quotient("A_delta", n, d2)
                     diff = p2 - p1
                     want = (d1 - d2) * (d1 + d2 - n + 2)
                     assert diff == IntPolynomial((want,))
@@ -431,8 +417,8 @@ class TestDifferenceIdentities:
         for n in (10, 14, 60):
             for d1 in admissible_deltas("B_dd", n):
                 for d2 in admissible_deltas("B_dd", n):
-                    p1 = named_quotient("B_dd", n, d1).closed_form
-                    p2 = named_quotient("B_dd", n, d2).closed_form
+                    p1 = named_quotient("B_dd", n, d1)
+                    p2 = named_quotient("B_dd", n, d2)
                     want = 2 * (d2 - d1) * (d1 + d2 - n + 2)
                     assert (p1 - p2) == IntPolynomial((want,))
 
@@ -441,8 +427,8 @@ class TestDifferenceIdentities:
             ds = admissible_deltas("B_d1", n)
             for d1 in ds:
                 for d2 in ds:
-                    p1 = named_quotient("B_d1", n, d1).closed_form
-                    p2 = named_quotient("B_d1", n, d2).closed_form
+                    p1 = named_quotient("B_d1", n, d1)
+                    p2 = named_quotient("B_d1", n, d2)
                     want = IntPolynomial(
                         ((d2 - d1), (d2 - d1) * (d2 + d1 - n + 1))
                     )

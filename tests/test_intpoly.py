@@ -443,9 +443,9 @@ class TestCertificates:
 
 
 def _decided(family):
-    """`progression_max_roots(family)`, the integer t its certificate shifted
-    to (None when it did not shift) and whether any row was certified under
-    the one-root certificate (`_straddles`)."""
+    """`progression_max_roots(family[:3], len(family))`, the integer t its
+    certificate shifted to (None when it did not shift) and whether any row
+    was certified under the one-root certificate (`_straddles`)."""
     seen = {"t": None, "single": False}
 
     def signs(first, count, x):
@@ -460,7 +460,7 @@ def _decided(family):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(intpoly, "_progression_signs", signs)
         mp.setattr(intpoly, "_straddles", straddles)
-        values = progression_max_roots(family)
+        values = progression_max_roots(family[:3], len(family))
     return values, seen["t"], seen["single"]
 
 
@@ -496,7 +496,7 @@ class TestProgressionRoots:
             # a member with no real root: the certificate cannot hold, and
             # the member's fallback raises as max_real_root does
             with pytest.raises(ValueError):
-                progression_max_roots(family)
+                progression_max_roots(family[:3], len(family))
             return
         values, t, single = _decided(family)
         assert values == want
@@ -534,4 +534,15 @@ class TestProgressionRoots:
     def test_fewer_than_three_members_go_to_max_real_root(self):
         family = [_mul([-3, 1], [1, 1]), _mul([-4, 1], [1, 1])]
         assert _decided(family) == ([3.0, 4.0], None, False)
-        assert progression_max_roots([]) == []
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 9])
+    def test_members_are_the_quadratic_through_first(self, count):
+        # each coefficient is quadratic in k; the cubic one, 2 - k, vanishes
+        # at k = 2, so p_2 is one shorter than p_0 and p_1, and the members
+        # past it are cubics again
+        def member(k):
+            return IntPolynomial(((k - 5) * (k + 3), 7 - k, k * k + 1, 2 - k))
+
+        family = [member(k) for k in range(count)]
+        assert [p.degree for p in family[:3]] == [3, 3, 2][:count]
+        assert progression_max_roots(family[:3], count) == [max_real_root(p) for p in family]

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from specmax.families import build_family, build_g, g_partition, named_quotient, profile_family_partition
+from specmax import families
+from specmax.families import build_family, build_g, g_partition, profile_family_partition
 from specmax.graphs import Graph, random_connected_graph
 from specmax.partition import QuotientSpec, quotient
 from specmax.spectral import perron, quotient_radii, spectral_radii
@@ -55,7 +56,7 @@ class TestQuotient:
         for n, t in [(7, 4), (9, 6), (12, 2)]:
             spec = quotient(build_g(n, t), g_partition(n, t))
             assert spec.equitable
-            assert spec.matrix == named_quotient("A_delta", n, t).matrix
+            assert spec.matrix == families._FORMS["A_delta"](n, t)[0]
 
     def test_discrete_partition_is_adjacency(self):
         rng = random.Random(4)

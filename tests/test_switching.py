@@ -7,14 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specmax import suites
+from specmax import families, suites
 from specmax.cli import main
 from specmax.families import (
     ComplementProfile,
     build_case2,
     build_family,
     build_from_profile,
-    named_quotient,
 )
 from specmax.graphs import Graph, canonical_form, random_connected_graph
 from specmax.partition import quotient
@@ -303,7 +302,7 @@ class TestOp1:
         # quotient of the rewrite is the three-cell matrix plus 2I
         spec = quotient(out, [[0], list(range(1, 7)), list(range(7, 15))])
         assert spec.equitable
-        base = named_quotient("B_delta", 15, 6).matrix
+        base = families._FORMS["B_delta"](15, 6)[0]
         assert [list(row) for row in spec.matrix] == [
             [x + (2 if i == j else 0) for j, x in enumerate(row)]
             for i, row in enumerate(base)
@@ -378,7 +377,7 @@ class TestOp2:
         ]
         spec = quotient(out, cells)
         assert spec.equitable
-        base = named_quotient("B_n5", n).matrix
+        base = families._FORMS["B_n5"](n, n - 5)[0]
         assert [list(row) for row in spec.matrix] == [
             [x + (2 if i == j else 0) for j, x in enumerate(row)]
             for i, row in enumerate(base)
