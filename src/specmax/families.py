@@ -281,14 +281,14 @@ _FORMS = {
 _GRID = [(n, d) for n in range(FORM_DEGREE + 1) for d in range(FORM_DEGREE + 1)]
 # which -> (least n, delta as a function of n) for the quotients of fixed delta
 FIXED_DELTA = {"B1": (6, lambda n: 1), "B2": (9, lambda n: 2), "B_n5": (10, lambda n: n - 5)}
-# which -> (least delta, n minus the largest delta, even delta required, the least
-# delta and the step of the progression the order-n table lists)
+# which -> (least delta, n minus the largest delta, even delta required, the slice of
+# the admissible deltas that the order-n table lists)
 _DELTA_RANGE = {
-    "A_delta": (2, 3, True, lambda n: (2, 2)),
+    "A_delta": (2, 3, True, lambda n: slice(None)),
     # the single-low-vertex degree is odd for even n, even for odd n
-    "B_delta": (3, 5, False, lambda n: (3 + n % 2, 2)),
-    "B_dd": (4, 4, False, lambda n: (4, 1)),
-    "B_d1": (3, 4, False, lambda n: (3, 2)),
+    "B_delta": (3, 5, False, lambda n: slice(n % 2, None, 2)),
+    "B_dd": (4, 4, False, lambda n: slice(None)),
+    "B_d1": (3, 4, False, lambda n: slice(None, None, 2)),
 }
 
 
@@ -314,6 +314,19 @@ def _prove_closed_form(which: str) -> None:
         raise AssertionError(f"closed form of {which} is not quadratic in delta at (n, delta) in {bad}")
 
 
+def _admissible(which: str, n: int) -> range:
+    """The deltas `named_quotient` takes for which at order n; `delta in
+    _admissible(which, n)` is the one admissibility test. A fixed-delta name
+    has its own delta from its least n on, a ranged one [least, n - gap]."""
+    if which in FIXED_DELTA:
+        least, fixed = FIXED_DELTA[which]
+        return range(fixed(n), fixed(n) + 1) if n >= least else range(0)
+    if which not in _DELTA_RANGE:
+        raise ValueError(f"unknown quotient name {which!r}; use one of {tuple(_FORMS)}")
+    least, gap, even, _ = _DELTA_RANGE[which]
+    return range(least, n - gap + 1, 1 + even)
+
+
 def named_quotient(which: str, n: int, delta: int | None = None) -> IntPolynomial:
     """Closed-form characteristic polynomial of a named quotient matrix.
 
@@ -322,31 +335,26 @@ def named_quotient(which: str, n: int, delta: int | None = None) -> IntPolynomia
     a mismatch raises AssertionError, as does a coefficient of degree above
     2 in delta. B1 and B2 are the quotients of H1 (even n) and H2 (odd n);
     both are returned at either parity, since the sign table and the
-    closing identities use each form at every order.
+    closing identities use each form at every order. A delta outside
+    `_admissible` raises ValueError; a fixed-delta name's may be left out.
     """
-    if which in FIXED_DELTA:
-        least, fixed = FIXED_DELTA[which]
-        if n < least:
-            raise ValueError(f"{which} needs n >= {least}, got {n}")
-        delta = fixed(n)
-    elif which in _DELTA_RANGE:
-        if delta is None:
-            raise ValueError(f"{which} requires delta")
-        delta = int(delta)
-        least, gap, even, _ = _DELTA_RANGE[which]
-        if not (least <= delta <= n - gap and (delta % 2 == 0 or not even)):
-            parity = "even " if even else ""
-            raise ValueError(f"{which} needs {parity}delta in [{least}, n-{gap}], got {delta}, n={n}")
-    else:
-        raise ValueError(f"unknown quotient name {which!r}; use one of {tuple(_FORMS)}")
+    allowed = _admissible(which, n)
+    if delta is None and which in FIXED_DELTA:
+        delta = FIXED_DELTA[which][1](n)
+    elif delta is None:
+        raise ValueError(f"{which} requires delta")
+    delta = int(delta)
+    if delta not in allowed:
+        shown = [*allowed] if len(allowed) < 4 else [*allowed[:2], "...", allowed[-1]]
+        raise ValueError(f"{which} at n={n} takes delta in {{{', '.join(map(str, shown))}}}, got {delta}")
     _prove_closed_form(which)
     return IntPolynomial(_FORMS[which](n, delta)[1])
 
 
 # `compare-families` lists O(n) parameter values per order, their roots certified
-# a family's progression at a time from its first three closed forms: at n = 20000
-# one order takes about 0.7-1.2 s and 57 MB on a 2-core machine; `theorem-n3`
-# decides each progression at once
+# a family's progression at a time from its first three closed forms, each distinct
+# form once: at n = 20000 one order takes about 0.6 s and 58 MB on a 2-core machine;
+# `theorem-n3` decides each progression at once
 QUOTIENT_MAX_N = 20000
 
 
@@ -359,13 +367,8 @@ def check_quotient_order(n: int) -> None:
 
 def admissible_deltas(which: str, n: int) -> range:
     """Parity-correct parameter values for a named quotient at order n, an
-    arithmetic progression; one delta for a fixed-delta name, from its least n."""
+    arithmetic progression within `_admissible`; one delta for a fixed-delta
+    name, from its least n."""
     check_quotient_order(n)
-    if which in FIXED_DELTA:
-        least, fixed = FIXED_DELTA[which]
-        return range(fixed(n), fixed(n) + 1) if n >= least else range(0)
-    if which not in _DELTA_RANGE:
-        raise ValueError(f"unknown quotient name {which!r}")
-    _, gap, _, listed = _DELTA_RANGE[which]
-    first, step = listed(n)
-    return range(first, n - gap + 1, step)
+    allowed = _admissible(which, n)
+    return allowed[_DELTA_RANGE[which][3](n)] if which in _DELTA_RANGE else allowed

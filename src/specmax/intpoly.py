@@ -15,9 +15,17 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import zip_longest
-from math import floor, gcd, inf, isfinite, nextafter, sqrt
+from math import floor, frexp, gcd, inf, isfinite, nextafter, sqrt
+from sys import float_info
 
 import numpy as np
+
+
+def _trimmed(c: tuple[int, ...]) -> tuple[int, ...]:
+    """c without its trailing zeros."""
+    while c and c[-1] == 0:
+        c = c[:-1]
+    return c
 
 
 @dataclass(frozen=True)
@@ -27,25 +35,14 @@ class IntPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        c = tuple(map(int, self.coeffs))
-        end = len(c)
-        while end and c[end - 1] == 0:
-            end -= 1
-        object.__setattr__(self, "coeffs", c[:end])
+        object.__setattr__(self, "coeffs", _trimmed(tuple(map(int, self.coeffs))))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1 if self.coeffs else -1
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        m = max(len(a), len(b))
-        return IntPolynomial(
-            tuple(
-                (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-                for i in range(m)
-            )
-        )
+        return IntPolynomial(tuple(a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
 
 
 # -- characteristic polynomial ------------------------------------------
@@ -250,12 +247,21 @@ def _newton_seed(c) -> float:
 
 def _midpoints(r: float):
     """The midpoints from r to the next double down and to the next double
-    up, as integer ratios; None when r or a neighbour is not finite."""
-    up, down = nextafter(r, inf), nextafter(r, -inf)
-    if not (isfinite(up) and isfinite(down)):
-        return None
-    r = r.as_integer_ratio()
-    return _mid(down.as_integer_ratio(), r), _mid(r, up.as_integer_ratio())
+    up, as integer ratios; None when r or a neighbour is not finite. A normal
+    r = f * 2^e, 1/2 <= |f| < 1, is a = f * 2^55 units of 2^(e-55), and each
+    midpoint 2 units off, 1 toward zero when |f| = 1/2 (the spacing halves
+    there); the denominators are unreduced powers of two. Zero, subnormals
+    and the ends of the normal range take `nextafter`."""
+    if not float_info.min < abs(r) < float_info.max:
+        up, down = nextafter(r, inf), nextafter(r, -inf)
+        if not (isfinite(up) and isfinite(down)):
+            return None
+        r = r.as_integer_ratio()
+        return _mid(down.as_integer_ratio(), r), _mid(r, up.as_integer_ratio())
+    f, e = frexp(r)
+    a, e = int(f * 2**55), e - 55
+    lo, hi = a - (1 if f == 0.5 else 2), a + (1 if f == -0.5 else 2)
+    return ((lo << e, 1), (hi << e, 1)) if e >= 0 else ((lo, 1 << -e), (hi, 1 << -e))
 
 
 def _rounds_to(c, r: float) -> bool:
@@ -380,24 +386,26 @@ def progression_below(first: list[IntPolynomial], count: int, x) -> bool:
 def progression_max_roots(first: list[IntPolynomial], count: int) -> list[float]:
     """`[max_real_root(p_k) for k < count]`, the progression given as
     `progression_below` takes it: each coefficient of p_k is the quadratic in
-    k through those of `first`, zero-padded. When the Newton seeds are finite
-    and `_progression_signs` shows that every shifted p_k(t + u), t =
-    floor(min seed) - 1, has one sign pattern with one change, Descartes' rule
-    leaves each p_k one root above t, and `_straddles` certifies its seed. A
-    refused progression or seed goes to `max_real_root`, which seeds it again."""
+    k through those of `first`, zero-padded. Each distinct coefficient tuple
+    is seeded and certified once: when the Newton seeds are finite and
+    `_progression_signs` shows that every shifted p_k(t + u), t = floor(min
+    seed) - 1, has one sign pattern with one change, Descartes' rule leaves
+    each p_k one root above t, and `_straddles` certifies its seed. A refused
+    progression or seed goes to `max_real_root`, which seeds it again."""
     columns = list(zip_longest(*(p.coeffs for p in first), fillvalue=0))
-    family = first[:count] + [
-        IntPolynomial(tuple(a + k * (b - a) + k * (k - 1) // 2 * (c - 2 * b + a) for a, b, c in columns))
+    family = [p.coeffs for p in first[:count]] + [
+        _trimmed(tuple([a + k * (b - a) + k * (k - 1) // 2 * (c - 2 * b + a) for a, b, c in columns]))
         for k in range(3, count)
     ]
-    if any(p.degree < 1 for p in family):
+    if any(len(c) < 2 for c in family):
         raise ValueError("polynomial must be nonconstant")
-    seeds = [_newton_seed(p.coeffs) for p in family]
+    seeds = {c: _newton_seed(c) for c in dict.fromkeys(family)}
     signs = None
-    if count > 2 and all(map(isfinite, seeds)):
-        signs = _progression_signs(first, count, (floor(min(seeds)) - 1, 1))
+    if count > 2 and all(map(isfinite, seeds.values())):
+        signs = _progression_signs(first, count, (floor(min(seeds.values())) - 1, 1))
     single = signs is not None and sum(a != b for a, b in zip(signs, signs[1:])) == 1
-    return [r if single and _straddles(p.coeffs, r) else max_real_root(p) for p, r in zip(family, seeds)]
+    roots = {c: r if single and _straddles(c, r) else max_real_root(IntPolynomial(c)) for c, r in seeds.items()}
+    return [roots[c] for c in family]
 
 
 def compare_max_real_roots(p: IntPolynomial, q: IntPolynomial) -> int:

@@ -9,7 +9,11 @@ decision behind the order-n quotient tables, at n = 59, 300, 1000 and
 and 20000, and `suites.family_table` (a correctly rounded root per named
 quotient) at the same orders as `ordering`. `roots` is `family_table` at
 those orders again, and `intpoly.max_real_root` over every closed form of
-the n = 300 tables, one row at a time, as one call. A sample is `timeit`'s
+the n = 300 tables, one row at a time, as one call. `charpoly` is
+`intpoly.char_poly` on the matrix of every named quotient (`_FORMS`) at
+each delta the n = 300 tables list, as one call, and on the adjacency
+matrices (symmetric, 0/1, zero diagonal) of 50 G(n, 1/2) of order 8 and
+of order 12, seeded by the order, as one call per order. A sample is `timeit`'s
 autorange, at least 0.2 s of back-to-back calls, and each figure is the
 median over k samples of the time per call, in microseconds. The record
 names the machine: its platform, the cores this process may run on, and
@@ -21,6 +25,7 @@ Run it from the repository root, on the tree whose `src` is on the path:
     PYTHONPATH=src python tests/bench_layers.py --layer ordering --label change --out BENCH_ordering.json
     PYTHONPATH=src python tests/bench_layers.py --layer signs --label change --out BENCH_signs.json
     PYTHONPATH=src python tests/bench_layers.py --layer roots --label change --out BENCH_roots.json
+    PYTHONPATH=src python tests/bench_layers.py --layer charpoly --label change --out BENCH_charpoly.json
 
 The record is stored under its label, and the other labels in the file are
 kept, so two trees can be timed into one file.
@@ -39,18 +44,20 @@ from pathlib import Path
 
 import numpy as np
 
-from specmax.families import admissible_deltas, named_quotient
+from specmax.families import _FORMS, admissible_deltas, named_quotient
 from specmax.graphs import Graph, _ordered_code, graph6_decode, graph6_encode
-from specmax.intpoly import max_real_root
+from specmax.intpoly import char_poly, max_real_root
 from specmax.suites import check_family_ordering, family_table, run_verify_signs
 
 ORDERS = (9, 17, 40, 120, 300, 1999)
 TABLE_ORDERS = (59, 300, 1000, 5000)
 SIGN_MAXES = (80, 500, 2000, 20000)
+RANDOM_MATRIX_ORDERS = (8, 12)
 
 
-def gnp_half(n: int) -> Graph:
-    rng = random.Random(n)
+def gnp_half(n: int, rng: random.Random | None = None) -> Graph:
+    """G(n, 1/2) drawn from rng, by default one seeded by n."""
+    rng = rng or random.Random(n)
     return Graph.build(n, [(u, v) for v in range(1, n) for u in range(v) if rng.random() < 0.5])
 
 
@@ -95,11 +102,24 @@ def roots_calls():
     yield "max_real_root", 300, lambda: [max_real_root(p) for p in polys]
 
 
+def charpoly_calls():
+    """(name, n, call) of `char_poly` on every named quotient matrix of the
+    n = 300 tables, and on the adjacency matrices of 50 G(n, 1/2) of each order."""
+    matrices = [_FORMS[name](300, d)[0] for name in _FORMS for d in admissible_deltas(name, 300)]
+    yield "char_poly_forms", 300, lambda: [char_poly(m) for m in matrices]
+    for n in RANDOM_MATRIX_ORDERS:
+        rng = random.Random(n)
+        graphs = [gnp_half(n, rng) for _ in range(50)]
+        batch = [[[int(g.has_edge(u, v)) for v in range(n)] for u in range(n)] for g in graphs]
+        yield "char_poly_random", n, lambda batch=batch: [char_poly(m) for m in batch]
+
+
 LAYERS = {
     "graph6": (graph6_calls, "G(n, 1/2), seeded by n"),
     "ordering": (ordering_calls, "the order-n quotient tables"),
     "signs": (signs_calls, "the sign table on 59..n and the order-n quotient tables"),
     "roots": (roots_calls, "the order-n quotient tables"),
+    "charpoly": (charpoly_calls, "the n = 300 quotient matrices, and G(n, 1/2) seeded by n"),
 }
 
 

@@ -272,6 +272,37 @@ class TestNamedQuotients:
         with pytest.raises(ValueError):
             named_quotient("nope", 10, 3)
 
+    def test_fixed_delta_names_refuse_another_delta(self):
+        assert named_quotient("B1", 60, 1) == named_quotient("B1", 60)
+        assert named_quotient("B_n5", 60, 55) == named_quotient("B_n5", 60)
+        with pytest.raises(ValueError, match=r"B1 at n=60 takes delta in \{1\}, got 7"):
+            named_quotient("B1", 60, 7)
+        with pytest.raises(ValueError, match=r"B_n5 at n=60 takes delta in \{55\}, got 3"):
+            named_quotient("B_n5", 60, 3)
+        with pytest.raises(ValueError, match=r"B_n5 at n=8 takes delta in \{\}, got 3"):
+            named_quotient("B_n5", 8)
+
+    def test_one_admissibility_test(self):
+        # named_quotient takes exactly the deltas of `_admissible`, and each
+        # table lists a progression within them
+        for n in (8, 9, 10, 59, 60, 61):
+            for which in families._FORMS:
+                allowed = families._admissible(which, n)
+                for d in range(-1, n + 2):
+                    try:
+                        named_quotient(which, n, d)
+                    except ValueError:
+                        assert d not in allowed, (which, n, d)
+                    else:
+                        assert d in allowed, (which, n, d)
+                assert set(admissible_deltas(which, n)) <= set(allowed), (which, n)
+
+    def test_named_quotient_has_no_order_cap(self):
+        n = families.QUOTIENT_MAX_N + 2
+        assert named_quotient("A_delta", n, 2).degree == 3
+        with pytest.raises(families.CapabilityError):
+            admissible_deltas("A_delta", n)
+
     def test_closed_forms_sample_grid(self):
         for n in (8, 13, 20, 47, 101, 200):
             for which in families._FORMS:

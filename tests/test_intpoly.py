@@ -1,7 +1,9 @@
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import inf, nextafter
+from math import inf, isfinite, nextafter
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from specmax.intpoly import (
     scaled_value,
 )
 from specmax.intpoly import (
+    _midpoints,
     _newton_seed,
     _progression_signs,
     _rounds_to,
@@ -353,6 +356,25 @@ def _rounded_root(p: IntPolynomial) -> float:
     return float(_sympy_max_root(p).evalf(60))
 
 
+# where the spacing of the doubles changes: zero, the powers of two (the
+# least normal among them) and the largest finite double; each with either sign
+SPACING_EDGES = [s * r for s in (1.0, -1.0) for r in [0.0, sys.float_info.max, *(2.0**k for k in range(-1074, 1024))]]
+
+
+def _halfway(r: float):
+    """The midpoints from r to its `nextafter` neighbours, as Fractions;
+    None when a neighbour is not finite."""
+    up, down = nextafter(r, inf), nextafter(r, -inf)
+    if not (isfinite(up) and isfinite(down)):
+        return None
+    return (Fraction(down) + Fraction(r)) / 2, (Fraction(r) + Fraction(up)) / 2
+
+
+def _as_fractions(mids):
+    assert mids is None or all(b > 0 for _, b in mids)
+    return mids and tuple(Fraction(a, b) for a, b in mids)
+
+
 class TestCertificates:
     @SETTINGS
     @given(POLY | RANGED_QUARTIC, POINT)
@@ -406,6 +428,16 @@ class TestCertificates:
             dips += not want and roots_below(family[0], Fraction(0)) and roots_below(family[-1], Fraction(0))
             assert progression_below(family[:3], count, Fraction(0)) == want, (e, c, m, count)
         assert dips > 50
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPACING_EDGES))
+    def test_midpoints_are_halfway_to_the_neighbours(self, r):
+        assert _as_fractions(_midpoints(r)) == _halfway(r)
+
+    def test_midpoints_at_every_spacing_edge(self):
+        assert sys.float_info.min in SPACING_EDGES
+        assert [_as_fractions(_midpoints(r)) for r in SPACING_EDGES] == [_halfway(r) for r in SPACING_EDGES]
+        assert _midpoints(sys.float_info.max) is None and _midpoints(inf) is None
 
     def test_rounding_certificate_decides_the_family_quartics(self):
         # B_n5 at n = 60 and 1000, B1 at n = 60: the seed is certified
@@ -546,3 +578,33 @@ class TestProgressionRoots:
         family = [member(k) for k in range(count)]
         assert [p.degree for p in family[:3]] == [3, 3, 2][:count]
         assert progression_max_roots(family[:3], count) == [max_real_root(p) for p in family]
+
+    def test_symmetric_progression_certifies_each_form_once(self):
+        # (x - 30 - k(6 - k))(x + 1)(x + 3): p_k = p_{6-k}, so the seven
+        # members are four distinct forms, each seeded and certified once
+        family = [_mul([-30 - k * (6 - k), 1], [1, 1], [3, 1]) for k in range(7)]
+        forms = {p.coeffs for p in family}
+        calls = Counter()
+
+        def spy(real):
+            def counted(c, *args):
+                calls[real.__name__, c] += 1
+                return real(c, *args)
+
+            return counted
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intpoly, "_newton_seed", spy(_newton_seed))
+            mp.setattr(intpoly, "_straddles", spy(_straddles))
+            values = progression_max_roots(family[:3], len(family))
+        assert values == [max_real_root(p) for p in family] == [30.0, 35.0, 38.0, 39.0, 38.0, 35.0, 30.0]
+        assert len(forms) == 4
+        assert calls == Counter({(name, c): 1 for name in ("_newton_seed", "_straddles") for c in forms})
+
+    def test_members_that_lose_their_top_coefficient_are_trimmed(self):
+        # k(k - 3) x^3 + x^2 - (k + 1)^2: p_0 is a quadratic, p_1 and p_2
+        # cubics, and of the members built from the zero-padded columns p_3
+        # is a quadratic again; a kept zero lead would divide by zero
+        family = [IntPolynomial((-((k + 1) ** 2), 0, 1, k * (k - 3))) for k in range(7)]
+        assert [p.degree for p in family] == [2, 3, 3, 2, 3, 3, 3]
+        assert progression_max_roots(family[:3], len(family)) == [max_real_root(p) for p in family]
