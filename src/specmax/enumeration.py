@@ -110,11 +110,16 @@ def _level_up(level, cap: int, last: bool) -> Iterator[tuple]:
     cap, every mask of an orbit passes the tests or none does.
 
     Each parent's tables decide the degree and cut-vertex tests before a
-    child is built: its degrees are g's plus the mask bits, and v is not
-    its cut vertex iff every component of g - v meets the mask.  A non-cut
-    vertex of g stays deletable, its degree not lower, in every child whose
-    mask has two vertices or more, so such a mask smaller than the largest
-    degree of one is rejected at once.
+    child is built, as bitmasks over g's vertices, with no degree list per
+    child.  The child's degrees are g's plus the mask bits, so with at[j]
+    the vertices of degree j in g and above[j] those of degree > j, the
+    child's vertices of degree d are at[d] off the mask and at[d - 1] on
+    it, and those of degree > d are above[d] and at[d] on the mask.  v is
+    not the child's cut vertex iff every component of g - v meets the
+    mask: for a non-cut vertex of g, iff the mask holds another vertex.  So
+    a non-cut vertex of g stays deletable, its degree not lower, in every
+    child whose mask has two vertices or more, and such a mask smaller than
+    the largest degree of one is rejected at once.
 
     The `last` level holds only the classes that are emitted: a child whose
     maximum degree is below `cap` or which is regular is rejected before its
@@ -129,25 +134,38 @@ def _level_up(level, cap: int, last: bool) -> Iterator[tuple]:
         # per generator, the image of every mask: entry m is the image of m
         tables = [reduce(lambda t, w: t + [m | 1 << w for m in t], perm, [0]) for perm in gens]
         degs = [row.bit_count() for row in rows]
+        # at[j]: the vertices of degree j (j <= cap), above[j]: those of degree > j
+        at, above = [0] * (cap + 1), [0] * (cap + 1)
+        for v, a in enumerate(degs):
+            at[a] |= 1 << v
+        for j in range(cap - 1, -1, -1):
+            above[j] = above[j + 1] | at[j + 1]
         comps = [components(rows, ((1 << k) - 1) & ~(1 << v)) for v in range(k)]  # the components of g - v
-        least = max([degs[v] for v in range(k) if len(comps[v]) == 1], default=0)
-        # subsets that keep every degree within the cap
-        blocked = sum(1 << v for v in range(k) if degs[v] + 1 > cap)
+        # v is deletable in a child iff the mask meets every component of g - v:
+        # for a non-cut vertex of g, iff the mask holds a vertex other than v
+        noncut = sum(1 << v for v in range(k) if len(comps[v]) == 1)
+        cuts = [(1 << v, comps[v]) for v in range(k) if len(comps[v]) != 1]
+        least = max([degs[v] for v in range(k) if noncut >> v & 1], default=0)
+        blocked = at[cap]  # a mask must miss them to keep every degree within the cap
         for mask in range(1, 1 << k):
             d = mask.bit_count()
             if mask & blocked or d > cap or 2 <= d < least or mask in done:
                 continue
-            cdeg = [a + (mask >> v & 1) for v, a in enumerate(degs)]  # the child's degrees
-            if last and (max(cdeg) < cap and d < cap or cdeg.count(d) == k):
+            # the vertices of degree d in the child: degree d off the mask, d - 1 on it
+            same = at[d] & ~mask | at[d - 1] & mask
+            # not emitted: every degree below the cap (none at cap in g, none at
+            # cap - 1 on the mask, d < cap), or regular (all of g at degree d)
+            if last and (d < cap and not blocked and not at[cap - 1] & mask or same == (1 << k) - 1):
                 continue
-            if any(cdeg[v] > d and all(c & mask for c in comps[v]) for v in range(k)):
+            deletable = noncut if d > 1 else noncut & ~mask
+            deletable |= sum([b for b, cs in cuts if all(c & mask for c in cs)])
+            if deletable & (above[d] | at[d] & mask):  # one of degree > d in the child
                 continue
             done |= orbit(mask, tables)
             child = Graph(k + 1, tuple([r | (mask >> v & 1) << k for v, r in enumerate(rows)] + [mask]))
             colors = _refined_colors(child)
             # the deletable vertices of k's colour or a higher one
-            rivals = [v for v in range(k)
-                      if cdeg[v] == d and colors[v] >= colors[k] and all(c & mask for c in comps[v])]
+            rivals = [v for v in range(k) if (deletable & same) >> v & 1 and colors[v] >= colors[k]]
             if any(colors[v] > colors[k] for v in rivals):
                 continue
             found = _search(child, colors) if rivals or not last else None
@@ -198,7 +216,7 @@ def enumerate_graphs(spec: EnumSpec, checkpoint: str | None = None) -> Iterator[
     # the generator is the only holder of the level below, freed when it ends
     for g, colors, found in _level_up(_parents(spec), spec.max_degree, not checkpoint):
         codes.append(_ordered_code(g, (found or _search(g, colors))[0]))
-        if not checkpoint or min(degs := g.degrees()) < max(degs) == spec.max_degree:
+        if not checkpoint or min(degs := [row.bit_count() for row in g.rows]) < max(degs) == spec.max_degree:
             emitted.append(codes[-1])
     if checkpoint:
         _write_checkpoint(Path(checkpoint), spec, codes)

@@ -327,25 +327,39 @@ def _refined_colors(g: Graph) -> list[int]:
     A vertex's signature is its color and then, per class, the negated count
     of its neighbours there, as the digits of one integer in base n + 1 that
     sorts as their tuple. Each round refines the last, so the partition, and
-    with it every id, is stable once the class count stops growing."""
+    with it every id, is stable once the class count stops growing, or once
+    every class is a single vertex.
+
+    With k classes, a vertex of color c has its signature in the band
+    ((c - 1)(n + 1)^k, c(n + 1)^k], since the counts are digits below
+    n + 1, and the bands of the colors are disjoint and in their order. So
+    a vertex alone in its class ranks above the signatures of every lower
+    color and below those of every higher one, wherever it lies in its
+    band: it is given the band's top, c(n + 1)^k, with no count."""
     n, rows = g.n, g.rows
     degs = [row.bit_count() for row in rows]
     palette = {d: i for i, d in enumerate(sorted(set(degs)))}
     colors = [palette[d] for d in degs]
-    while True:
+    while len(palette) < n:
         cells = [0] * len(palette)
         for v, c in enumerate(colors):
             cells[c] |= 1 << v
+        top = (n + 1) ** len(cells)
         sigs = []
-        for sig, row in zip(colors, rows):
-            for cell in cells:
-                sig = sig * (n + 1) - (row & cell).bit_count()
-            sigs.append(sig)
-        count = len(palette)
-        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        if len(palette) == count:
-            return colors
+        for c, row in zip(colors, rows):
+            if cells[c] & cells[c] - 1:
+                sig = c
+                for cell in cells:
+                    sig = sig * (n + 1) - (row & cell).bit_count()
+                sigs.append(sig)
+            else:  # alone in its class
+                sigs.append(c * top)
+        distinct = set(sigs)
+        if len(distinct) == len(palette):
+            break
+        palette = {s: i for i, s in enumerate(sorted(distinct))}
         colors = [palette[s] for s in sigs]
+    return colors
 
 
 def _search(g: Graph, colors: list[int] | None = None) -> tuple[list[int], list[list[int]]]:
@@ -370,7 +384,9 @@ def _search(g: Graph, colors: list[int] | None = None) -> tuple[list[int], list[
     if len(set(colors)) == n:  # discrete: the search would follow one path
         return sorted(range(n), key=colors.__getitem__), []
     pos_color = sorted(colors)
-    cells = [[v for v in range(n) if colors[v] == c] for c in range(max(colors) + 1)]
+    cells: list[list[int]] = [[] for _ in range(pos_color[-1] + 1)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
     best: list[int] = []
     best_path: list[int] = []
     path: list[int] = []
@@ -379,7 +395,9 @@ def _search(g: Graph, colors: list[int] | None = None) -> tuple[list[int], list[
     for v, row in enumerate(rows):
         for key in (row, row | 1 << v):  # twins share an open or a closed neighbourhood
             if key in twin:
-                gens.append([{v: twin[key], twin[key]: v}.get(u, u) for u in range(n)])
+                swap = list(range(n))
+                swap[v], swap[twin[key]] = twin[key], v
+                gens.append(swap)
             twin[key] = v
     changes = 0  # appends to, and decreases of, `best`
     # a leaf's string equals the best leaf's iff `best` has not changed

@@ -13,7 +13,14 @@ the n = 300 tables, one row at a time, as one call. `charpoly` is
 `intpoly.char_poly` on the matrix of every named quotient (`_FORMS`) at
 each delta the n = 300 tables list, as one call, and on the adjacency
 matrices (symmetric, 0/1, zero diagonal) of 50 G(n, 1/2) of order 8 and
-of order 12, seeded by the order, as one call per order. A sample is `timeit`'s
+of order 12, seeded by the order, as one call per order. `canon` is
+`graphs.canonical_form` and `graphs._refined_colors` on 50 G(8, 1/2), seeded
+by the order, and on six symmetric graphs of order 12 (edgeless, K6,6, 6K2,
+3K4, C12 and the icosahedron), each set as one call. `levelup` is one
+`enumeration._level_up` step at (8, 6), from the 7-vertex classes to the
+8-vertex ones, with `last` true (only the emitted classes) and false (every
+class, as a checkpoint keeps them), and `enumeration.extremal_search` at
+(7, 5). A sample is `timeit`'s
 autorange, at least 0.2 s of back-to-back calls, and each figure is the
 median over k samples of the time per call, in microseconds. The record
 names the machine: its platform, the cores this process may run on, and
@@ -26,6 +33,8 @@ Run it from the repository root, on the tree whose `src` is on the path:
     PYTHONPATH=src python tests/bench_layers.py --layer signs --label change --out BENCH_signs.json
     PYTHONPATH=src python tests/bench_layers.py --layer roots --label change --out BENCH_roots.json
     PYTHONPATH=src python tests/bench_layers.py --layer charpoly --label change --out BENCH_charpoly.json
+    PYTHONPATH=src python tests/bench_layers.py --layer canon --label change --out BENCH_canon.json
+    PYTHONPATH=src python tests/bench_layers.py --layer levelup --label change --out BENCH_levelup.json
 
 The record is stored under its label, and the other labels in the file are
 kept, so two trees can be timed into one file.
@@ -44,8 +53,9 @@ from pathlib import Path
 
 import numpy as np
 
+from specmax.enumeration import EnumSpec, _level_up, _parents, extremal_search
 from specmax.families import _FORMS, admissible_deltas, named_quotient
-from specmax.graphs import Graph, _ordered_code, graph6_decode, graph6_encode
+from specmax.graphs import Graph, _ordered_code, _refined_colors, canonical_form, graph6_decode, graph6_encode
 from specmax.intpoly import char_poly, max_real_root
 from specmax.suites import check_family_ordering, family_table, run_verify_signs
 
@@ -53,6 +63,24 @@ ORDERS = (9, 17, 40, 120, 300, 1999)
 TABLE_ORDERS = (59, 300, 1000, 5000)
 SIGN_MAXES = (80, 500, 2000, 20000)
 RANDOM_MATRIX_ORDERS = (8, 12)
+
+
+def symmetric_12() -> list[Graph]:
+    """Edgeless, K6,6, 6K2, 3K4, C12 and the icosahedron (two 5-cycles of an
+    antiprism, each capped by a vertex), on 12 vertices each."""
+    ring = [(v, (v + 1) % 5) for v in range(5)]
+    icosahedron = ([(0, 1 + v) for v in range(5)] + [(1 + u, 1 + v) for u, v in ring]
+                   + [(1 + v, 6 + v) for v in range(5)] + [(1 + v, 6 + (v + 1) % 5) for v in range(5)]
+                   + [(6 + u, 6 + v) for u, v in ring] + [(6 + v, 11) for v in range(5)])
+    edges = [
+        [],
+        [(u, v) for u in range(6) for v in range(6, 12)],
+        [(2 * i, 2 * i + 1) for i in range(6)],
+        [(u, v) for b in range(0, 12, 4) for u in range(b, b + 4) for v in range(u + 1, b + 4)],
+        [(v, (v + 1) % 12) for v in range(12)],
+        icosahedron,
+    ]
+    return [Graph.build(12, e) for e in edges]
 
 
 def gnp_half(n: int, rng: random.Random | None = None) -> Graph:
@@ -114,12 +142,33 @@ def charpoly_calls():
         yield "char_poly_random", n, lambda batch=batch: [char_poly(m) for m in batch]
 
 
+def canon_calls():
+    """(name, n, call) of `canonical_form` and `_refined_colors` on 50
+    G(8, 1/2) and on the six symmetric graphs of order 12."""
+    rng = random.Random(8)
+    for kind, graphs in (("random", [gnp_half(8, rng) for _ in range(50)]), ("symmetric", symmetric_12())):
+        n = graphs[0].n
+        yield f"canonical_form_{kind}", n, lambda graphs=graphs: [canonical_form(g) for g in graphs]
+        yield f"_refined_colors_{kind}", n, lambda graphs=graphs: [_refined_colors(g) for g in graphs]
+
+
+def levelup_calls():
+    """(name, n, call) of one `_level_up` step to the 8-vertex classes of
+    max degree <= 6, and of `extremal_search` at (7, 5)."""
+    parents = _parents(EnumSpec(8, 6))
+    for last in (True, False):
+        yield f"_level_up_last_{str(last).lower()}", 8, lambda last=last: list(_level_up(parents, 6, last))
+    yield "extremal_search", 7, lambda: extremal_search(EnumSpec(7, 5))
+
+
 LAYERS = {
     "graph6": (graph6_calls, "G(n, 1/2), seeded by n"),
     "ordering": (ordering_calls, "the order-n quotient tables"),
     "signs": (signs_calls, "the sign table on 59..n and the order-n quotient tables"),
     "roots": (roots_calls, "the order-n quotient tables"),
     "charpoly": (charpoly_calls, "the n = 300 quotient matrices, and G(n, 1/2) seeded by n"),
+    "canon": (canon_calls, "50 G(8, 1/2) seeded by 8, and six symmetric graphs of order 12"),
+    "levelup": (levelup_calls, "the classes of order 7 and max degree <= 6, and EnumSpec(7, 5)"),
 }
 
 

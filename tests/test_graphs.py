@@ -365,20 +365,23 @@ class TestGraph6:
         assert back.degree_sequence() == [3, 3, 3, 3, 2]
 
 
-def tuple_refined_colors(g):
+def tuple_refined_colors(g, rounds=None):
     """Colour refinement with each signature a tuple: the colour, then the
-    negated count of neighbours in each class, ids by sorted signature."""
+    negated count of neighbours in each class, ids by sorted signature.
+    Every signature is counted, and rounds go on until one adds no class;
+    with `rounds`, the colours after at most that many rounds."""
     degs = [row.bit_count() for row in g.rows]
     palette = {d: i for i, d in enumerate(sorted(set(degs)))}
     colors = [palette[d] for d in degs]
-    while True:
+    for _ in itertools.count() if rounds is None else range(rounds):
         cells = [sum(1 << v for v in range(g.n) if colors[v] == c) for c in range(len(palette))]
         sigs = [(c, tuple(-(row & cell).bit_count() for cell in cells)) for c, row in zip(colors, g.rows)]
         count = len(palette)
         palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
         if len(palette) == count:
-            return colors
+            break
         colors = [palette[s] for s in sigs]
+    return colors
 
 
 def test_refined_colors_match_tuple_signatures():
@@ -387,6 +390,30 @@ def test_refined_colors_match_tuple_signatures():
     graphs += [from_nx(h) for h in SYMMETRIC_12.values()] + list(TWIN_RICH.values())
     for g in graphs:
         assert _refined_colors(g) == tuple_refined_colors(g), graph6_encode(g)
+
+
+class TestRefinementShortcuts:
+    """`_refined_colors` stops at a discrete partition and gives a vertex
+    alone in its class its colour's top signature without counting its
+    neighbours; neither may change an id, whatever round the partition
+    becomes discrete in."""
+
+    def test_discrete_after_one_round(self):
+        # degrees tie, and the first round separates every vertex
+        graphs = [g for g in _random_graphs(38, 3000)
+                  if len(set(tuple_refined_colors(g, rounds=0))) < g.n == len(set(tuple_refined_colors(g, rounds=1)))]
+        assert len(graphs) > 300
+        for g in graphs:
+            assert _refined_colors(g) == tuple_refined_colors(g), graph6_encode(g)
+
+    def test_one_class_short_of_discrete_is_refined_on(self):
+        # a partition with n - 1 classes may still split its last pair
+        graphs = [g for g in _random_graphs(39, 3000)
+                  if any(len(set(tuple_refined_colors(g, rounds=r))) == g.n - 1 for r in range(3))
+                  and len(set(tuple_refined_colors(g))) == g.n]
+        assert len(graphs) > 100
+        for g in graphs:
+            assert _refined_colors(g) == tuple_refined_colors(g), graph6_encode(g)
 
 
 class TestCanonicalForm:
