@@ -17,7 +17,7 @@ from .enumeration import EnumSpec, enumerate_graphs
 from .families import FAMILY_TAGS, ComplementProfile, build_family
 from .graphs import CapabilityError, Graph, graph6_decode, graph6_encode
 from .partition import quotient
-from .spectral import ConvergenceError, perron
+from .spectral import ConvergenceError, perron, quotient_radii
 from .suites import (
     run_compare_families,
     run_lemmas,
@@ -86,7 +86,7 @@ def cmd_quotient(args) -> int:
             "matrix": spec.to_json(),
             "equitable": spec.equitable,
             "rho_graph": perron(g).rho if g.is_connected() else None,
-            "rho_quotient": spec.rho(),
+            "rho_quotient": quotient_radii([spec])[0],
         }
     )
     return 0

@@ -255,7 +255,7 @@ def extremal_search(spec: EnumSpec) -> ExtremalReport:
     top = None
     maximizers = []
     for _, g in best:
-        poly = char_poly(g.to_numpy().astype(int))
+        poly = char_poly([[row >> j & 1 for j in range(g.n)] for row in g.rows])
         order = 1 if top is None else compare_max_real_roots(poly, top)
         if order > 0:
             top, maximizers = poly, [g]

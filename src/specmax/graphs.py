@@ -160,12 +160,7 @@ class Graph:
             raise ValueError("graph already has loops")
         return Graph(self.n, self.rows, (1 << self.n) - 1)
 
-    # -- matrices and serialization -----------------------------------
-
-    def to_numpy(self) -> np.ndarray:
-        """The n x n float adjacency matrix, unpacked from the row bitmasks;
-        loop diagonal entries are 2."""
-        return adjacency_stack([self])[0]
+    # -- serialization -------------------------------------------------
 
     def to_json(self) -> str:
         return json.dumps(

@@ -344,12 +344,6 @@ def max_real_root(p: IntPolynomial) -> float:
         lo, hi = _bisect(s, lo, hi)
 
 
-def roots_below(p: IntPolynomial, x) -> bool:
-    """True when a Descartes certificate shows every real root of p lies
-    below x (a float or Fraction); False means undecided."""
-    return _clear_from(p.coeffs, x.as_integer_ratio())
-
-
 def _progression_signs(first: list[IntPolynomial], count: int, x) -> list[int] | None:
     """The sign that each coefficient of b^d * p_k(t + a/b) times the leading
     coefficient keeps for every k < count, constant term first, for x =
@@ -373,12 +367,14 @@ def _progression_signs(first: list[IntPolynomial], count: int, x) -> list[int] |
 
 
 def progression_below(first: list[IntPolynomial], count: int, x) -> bool:
-    """`roots_below(p_k, x)` for every k < count at once, where `first` is
+    """True when a Descartes certificate shows that every real root of every
+    p_k, k < count, lies below x (a float or Fraction), where `first` is
     p_0, p_1, p_2 (all of them when count < 3) and each coefficient of p_k
     is a quadratic in k: every shifted coefficient keeps the leading sign
-    (`_progression_signs`). False means undecided."""
+    (`_progression_signs`). False means undecided. One polynomial p is
+    `progression_below([p], 1, x)`."""
     if count < 3:
-        return all(roots_below(p, x) for p in first)
+        return all(_clear_from(p.coeffs, x.as_integer_ratio()) for p in first)
     signs = _progression_signs(first, count, x.as_integer_ratio())
     return signs is not None and min(signs) > 0
 

@@ -1,7 +1,7 @@
 """Vertex partitions and their quotient matrices, kept as integer edge counts
 between cells, with the equitability flag the quotient-bound checks in
 `specmax.suites` rest on. The radii of quotient matrices are solved in
-`specmax.spectral`, by `quotient_radii`."""
+`specmax.spectral`, by `quotient_radii`, one quotient as a list of one."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, strict_int
-from .spectral import quotient_radii
 
 
 @dataclass(frozen=True)
@@ -27,10 +26,6 @@ class QuotientSpec:
     @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(Fraction(c, s) for c in row) for row, s in zip(self.counts, self.sizes))
-
-    def rho(self) -> float:
-        """Spectral radius of the matrix: `quotient_radii([self])[0]`."""
-        return quotient_radii([self])[0]
 
     def to_json(self) -> list[list[list[int]]]:
         return [[[x.numerator, x.denominator] for x in row] for row in self.matrix]

@@ -40,7 +40,7 @@ from .families import (
 )
 from .graphs import Graph, canonical_form, graph6_encode, random_connected_graph
 from .intpoly import IntPolynomial, compare_max_real_roots, max_real_root, progression_below, progression_max_roots
-from .intpoly import roots_below, scaled_value
+from .intpoly import scaled_value
 from .partition import quotient
 from .spectral import ROUND, PerronPair, perron, perron_all, quotient_radii, spectral_radii
 from .switching import SwitchMove, apply
@@ -75,10 +75,9 @@ def _assert_strictly_larger(n: int, winner: IntPolynomial, families: list[tuple[
     progression of delta that `progression_below` puts below the separator
     from its first three closed forms loses (each coefficient is quadratic
     in delta, as `named_quotient` proves); one it does not is halved, down
-    to three members. Each member of those that the Descartes certificate
-    puts below the separator loses, and any other is compared with the
-    winner exactly. Returns the names of violators (empty when all pass),
-    in delta order, a fixed-delta name bare.
+    to one delta, and a lone closed form it leaves is compared with the
+    winner exactly, a tie counting as a violation. Returns the names of
+    violators (empty when all pass), in delta order, a fixed-delta name bare.
     """
     winner_root = max_real_root(winner)
     sep = nextafter(winner_root, -inf)
@@ -86,17 +85,15 @@ def _assert_strictly_larger(n: int, winner: IntPolynomial, families: list[tuple[
     todo = families[::-1]
     while todo:
         family, deltas = todo.pop()
-        if progression_below([named_quotient(family, n, d) for d in deltas[:3]], len(deltas), sep):
+        first = [named_quotient(family, n, d) for d in deltas[:3]]
+        if progression_below(first, len(deltas), sep):
             continue
-        if len(deltas) > 3:
+        if len(deltas) > 1:
             todo += [(family, deltas[len(deltas) // 2 :]), (family, deltas[: len(deltas) // 2])]
             continue
-        for d in deltas:
-            poly = named_quotient(family, n, d)
-            if roots_below(poly, sep) or compare_max_real_roots(poly, winner) < 0:
-                continue
-            name = family if family in FIXED_DELTA else f"{family}({d})"
-            bad.append(f"{name}: root {max_real_root(poly):.12f} !< {winner_root:.12f}")
+        if compare_max_real_roots(first[0], winner) >= 0:
+            name = family if family in FIXED_DELTA else f"{family}({deltas[0]})"
+            bad.append(f"{name}: root {max_real_root(first[0]):.12f} !< {winner_root:.12f}")
     return bad
 
 

@@ -20,7 +20,9 @@ by the order, and on six symmetric graphs of order 12 (edgeless, K6,6, 6K2,
 `enumeration._level_up` step at (8, 6), from the 7-vertex classes to the
 8-vertex ones, with `last` true (only the emitted classes) and false (every
 class, as a checkpoint keeps them), and `enumeration.extremal_search` at
-(7, 5). A sample is `timeit`'s
+(7, 5). `perron` is `spectral.perron` on one connected G(n, 0.1), drawn
+by `graphs.random_connected_graph` seeded by n, and on H1(n), at n = 100
+and 300, one graph per call. A sample is `timeit`'s
 autorange, at least 0.2 s of back-to-back calls, and each figure is the
 median over k samples of the time per call, in microseconds. The record
 names the machine: its platform, the cores this process may run on, and
@@ -35,6 +37,7 @@ Run it from the repository root, on the tree whose `src` is on the path:
     PYTHONPATH=src python tests/bench_layers.py --layer charpoly --label change --out BENCH_charpoly.json
     PYTHONPATH=src python tests/bench_layers.py --layer canon --label change --out BENCH_canon.json
     PYTHONPATH=src python tests/bench_layers.py --layer levelup --label change --out BENCH_levelup.json
+    PYTHONPATH=src python tests/bench_layers.py --layer perron --label change --out BENCH_perron.json
 
 The record is stored under its label, and the other labels in the file are
 kept, so two trees can be timed into one file.
@@ -51,18 +54,22 @@ import statistics
 import timeit
 from pathlib import Path
 
+import specmax  # noqa: F401  one BLAS thread, as the CLI has, set before numpy loads
 import numpy as np
 
 from specmax.enumeration import EnumSpec, _level_up, _parents, extremal_search
-from specmax.families import _FORMS, admissible_deltas, named_quotient
+from specmax.families import _FORMS, admissible_deltas, build_family, named_quotient
 from specmax.graphs import Graph, _ordered_code, _refined_colors, canonical_form, graph6_decode, graph6_encode
+from specmax.graphs import random_connected_graph
 from specmax.intpoly import char_poly, max_real_root
+from specmax.spectral import perron
 from specmax.suites import check_family_ordering, family_table, run_verify_signs
 
 ORDERS = (9, 17, 40, 120, 300, 1999)
 TABLE_ORDERS = (59, 300, 1000, 5000)
 SIGN_MAXES = (80, 500, 2000, 20000)
 RANDOM_MATRIX_ORDERS = (8, 12)
+PERRON_ORDERS = (100, 300)
 
 
 def symmetric_12() -> list[Graph]:
@@ -161,6 +168,13 @@ def levelup_calls():
     yield "extremal_search", 7, lambda: extremal_search(EnumSpec(7, 5))
 
 
+def perron_calls():
+    """(name, n, call) of `perron` on one connected G(n, 0.1) and on H1(n)."""
+    for n in PERRON_ORDERS:
+        for kind, g in (("gnp", random_connected_graph(random.Random(n), n, 0.1)), ("h1", build_family("h1", n))):
+            yield f"perron_{kind}", n, lambda g=g: perron(g)
+
+
 LAYERS = {
     "graph6": (graph6_calls, "G(n, 1/2), seeded by n"),
     "ordering": (ordering_calls, "the order-n quotient tables"),
@@ -169,6 +183,7 @@ LAYERS = {
     "charpoly": (charpoly_calls, "the n = 300 quotient matrices, and G(n, 1/2) seeded by n"),
     "canon": (canon_calls, "50 G(8, 1/2) seeded by 8, and six symmetric graphs of order 12"),
     "levelup": (levelup_calls, "the classes of order 7 and max degree <= 6, and EnumSpec(7, 5)"),
+    "perron": (perron_calls, "one connected G(n, 0.1) seeded by n, and H1(n)"),
 }
 
 

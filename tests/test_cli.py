@@ -34,7 +34,6 @@ from specmax.intpoly import (
     compare_max_real_roots,
     max_real_root,
     progression_below,
-    roots_below,
     scaled_value,
 )
 from specmax.spectral import perron
@@ -475,8 +474,9 @@ TABLE_DELTAS = {
 def per_delta_ordering(n, quotient=named_quotient):
     """`check_family_ordering(n)` decided one delta at a time, with the
     closed forms of `quotient(which, n, delta)`: a member loses when
-    `roots_below` puts it under the double below the winner's root, or else
-    when `compare_max_real_roots` puts its root below the winner's."""
+    `progression_below` of it alone puts it under the double below the
+    winner's root, or else when `compare_max_real_roots` puts its root below
+    the winner's."""
 
     def closed_form(which, d):
         return quotient(which, n, d)
@@ -487,7 +487,7 @@ def per_delta_ordering(n, quotient=named_quotient):
         bad = []
         for name, d in members:
             poly = closed_form(name, d)
-            if not roots_below(poly, sep) and compare_max_real_roots(poly, winner) >= 0:
+            if not progression_below([poly], 1, sep) and compare_max_real_roots(poly, winner) >= 0:
                 label = name if d is None else f"{name}({d})"
                 bad.append(f"{label}: root {max_real_root(poly):.12f} !< {root:.12f}")
         return bad
@@ -534,13 +534,38 @@ class TestProgressionCertificate:
 
         sep = nextafter(max_real_root(named_quotient("B1", n)), -inf)
         first = [dipped("B_dd", n, d) for d in (lo, lo + 1, lo + 2)]
-        assert roots_below(dipped("B_dd", n, lo), sep)
-        assert roots_below(dipped("B_dd", n, hi), sep)
+        assert progression_below([dipped("B_dd", n, lo)], 1, sep)
+        assert progression_below([dipped("B_dd", n, hi)], 1, sep)
         assert not progression_below(first, hi - lo + 1, sep)
         monkeypatch.setattr(suites, "named_quotient", dipped)
         bad = check_family_ordering(n)
         assert bad == per_delta_ordering(n, dipped)
         assert [v.split("(")[0] for v in bad] == ["n3:B_dd"] * (hi - lo - 1)
+
+    def test_a_tie_with_the_winner_is_a_violation(self, monkeypatch):
+        # B_n5 given B1's closed form at n = 60 has the winner's root
+        # exactly: no certificate puts it below the separator, and the exact
+        # comparison, which returns 0, must count the tie against it
+        real = suites.named_quotient
+
+        def tied(which, order, delta=None):
+            return real("B1", order) if which == "B_n5" else real(which, order, delta)
+
+        monkeypatch.setattr(suites, "named_quotient", tied)
+        root = f"{max_real_root(real('B1', 60)):.12f}"
+        assert check_family_ordering(60) == [f"n3:B_n5: root {root} !< {root}"]
+
+    @pytest.mark.parametrize("n", range(10, 59))
+    def test_n3_ordering_below_the_papers_range(self, monkeypatch, n):
+        # a finding of this tool, not a claim of the paper, which proves the
+        # Delta = n - 3 ordering for n >= 59 only: at every n from 10 to 58
+        # the certificates put each competitor, at each admissible delta,
+        # strictly below the winner, with no exact comparison needed
+        monkeypatch.setattr(suites, "compare_max_real_roots", lambda *_: pytest.fail("an exact comparison ran"))
+        winner = named_quotient("B1" if n % 2 == 0 else "B2", n)
+        rivals = [(name, admissible_deltas(name, n)) for name in ("B_n5", "B_delta", "B_dd", "B_d1")]
+        assert all(deltas for _, deltas in rivals)
+        assert suites._assert_strictly_larger(n, winner, rivals) == []
 
 
 class TestMistypedProfile:

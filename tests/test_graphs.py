@@ -15,6 +15,7 @@ from specmax.graphs import (
     CapabilityError,
     Graph,
     Graph6ParseError,
+    adjacency_stack,
     canonical_form,
     _ordered_code,
     _refined_colors,
@@ -196,7 +197,7 @@ class TestLoops:
     def test_add_loops_degrees(self):
         g = complete(3).add_loops()
         assert g.degree_sequence() == [4, 4, 4]
-        assert g.to_numpy()[0, 0] == 2
+        assert adjacency_stack([g])[0][0, 0] == 2
 
     def test_double_add_rejected(self):
         with pytest.raises(ValueError):
@@ -208,15 +209,19 @@ class TestLoops:
 
 
 class TestToNumpy:
+    """`adjacency_stack` unpacks each graph of a stack, loops included, to
+    the float matrix its adjacency lists give."""
+
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 300])
     def test_matches_adjacency(self, n):
         rng = random.Random(n)
         g = Graph.build(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
         loops = Graph(n, g.rows, sum(1 << v for v in range(n) if rng.random() < 0.5))
-        for h in (g, g.add_loops(), loops):
-            got = h.to_numpy()
-            assert got.dtype == np.float64 and got.shape == (n, n)
-            assert np.array_equal(got, np.array(adjacency_lists(h), dtype=float))
+        graphs = [g, g.add_loops(), loops]
+        got = adjacency_stack(graphs)
+        assert got.dtype == np.float64 and got.shape == (3, n, n)
+        for mat, h in zip(got, graphs):
+            assert np.array_equal(mat, np.array(adjacency_lists(h), dtype=float))
 
 
 G6_ORDERS = [*range(1, 25), 40, 62, 63, 120, 300]

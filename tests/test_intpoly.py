@@ -19,7 +19,6 @@ from specmax.intpoly import (
     max_real_root,
     progression_below,
     progression_max_roots,
-    roots_below,
     scaled_value,
 )
 from specmax.intpoly import (
@@ -182,8 +181,9 @@ def moved_up(p: IntPolynomial, k) -> IntPolynomial:
 
 class TestPolyDominates:
     """Pairs with p2 >= p1 from 0 on, so that p2's maximum root is at most
-    p1's, decided by the routes the ordering suites use: `roots_below` at
-    the separator just under the larger root, and `compare_max_real_roots`."""
+    p1's, decided by the routes the ordering suites use: `progression_below`
+    of one polynomial at the separator just under the larger root, and
+    `compare_max_real_roots`."""
 
     def test_constant_gap(self):
         assert compare_max_real_roots(IntPolynomial((-1, 1)), IntPolynomial((-2, 1))) == -1
@@ -193,7 +193,7 @@ class TestPolyDominates:
         f2 = IntPolynomial((18, 13, -15, -5, 1))
         assert compare_max_real_roots(f2, f1) == -1
         assert compare_max_real_roots(f1, f2) == 1
-        assert roots_below(f2, nextafter(max_real_root(f1), -inf))
+        assert progression_below([f2], 1, nextafter(max_real_root(f1), -inf))
 
     def test_family_cubics_order9(self):
         # even low degrees at odd order 9: delta = 6 beats smaller ones
@@ -201,7 +201,7 @@ class TestPolyDominates:
             return IntPolynomial((-(d * d + 2 * d - n * d), 4 - 2 * n, 4 - n, 1))
 
         assert compare_max_real_roots(f(6), f(2)) == 1
-        assert roots_below(f(2), nextafter(max_real_root(f(6)), -inf))
+        assert progression_below([f(2)], 1, nextafter(max_real_root(f(6)), -inf))
 
     def test_touching_counts_as_domination(self):
         # p2 - p1 = (x - 1)^2 touches 0 at the common root 1, which is the
@@ -209,7 +209,7 @@ class TestPolyDominates:
         p1 = IntPolynomial((3, -4, 1))  # (x - 1)(x - 3)
         p2 = IntPolynomial((4, -6, 2))  # 2(x - 1)(x - 2)
         assert compare_max_real_roots(p2, p1) == -1
-        assert roots_below(p2, nextafter(3.0, -inf))
+        assert progression_below([p2], 1, nextafter(3.0, -inf))
 
     def test_identical(self):
         p = IntPolynomial((-6, 1, 1))  # (x + 3)(x - 2)
@@ -378,14 +378,14 @@ def _as_fractions(mids):
 class TestCertificates:
     @SETTINGS
     @given(POLY | RANGED_QUARTIC, POINT)
-    def test_roots_below_agrees_with_sympy(self, p, x):
+    def test_one_polynomial_below_agrees_with_sympy(self, p, x):
         assume(p.degree >= 1)
-        if roots_below(p, x):
+        if progression_below([p], 1, x):
             assert _sympy(p).count_roots(x, None) == 0
         # at the Cauchy bound every derivative has the leading sign too
         # (Gauss-Lucas), so the certificate always decides there
         bound = 1 + Fraction(max(abs(c) for c in p.coeffs[:-1]), abs(p.coeffs[-1]))
-        assert roots_below(p, bound)
+        assert progression_below([p], 1, bound)
 
     @SETTINGS
     @given(RANGED_QUARTIC | REAL_POLY)
@@ -409,13 +409,13 @@ class TestCertificates:
         st.integers(1, 12),
         st.just(Fraction(0)) | POINT,
     )
-    def test_progression_below_is_roots_below_at_every_k(self, quadratics, count, x):
+    def test_progression_below_is_each_member_alone(self, quadratics, count, x):
         # p_k(t) = t^d + sum_i (e_i + b_i k + c_i (k - m_i)(k - m_i - 1)) t^i
         family = [
             IntPolynomial(tuple(e + b * k + c * (k - m) * (k - m - 1) for e, b, c, m in quadratics) + (1,))
             for k in range(count)
         ]
-        assert progression_below(family[:3], count, x) == all(roots_below(p, x) for p in family)
+        assert progression_below(family[:3], count, x) == all(progression_below([p], 1, x) for p in family)
 
     def test_progression_below_sees_a_dip_between_the_ends(self):
         # constant term e + c (k - m)(k - m - 1) at x = 0, least at k = m and
@@ -424,8 +424,8 @@ class TestCertificates:
         dips = 0
         for e, c, m, count in product(range(-3, 4), range(3), range(7), range(1, 9)):
             family = [IntPolynomial((e + c * (k - m) * (k - m - 1), 1, 1)) for k in range(count)]
-            want = all(roots_below(p, Fraction(0)) for p in family)
-            dips += not want and roots_below(family[0], Fraction(0)) and roots_below(family[-1], Fraction(0))
+            want = all(progression_below([p], 1, Fraction(0)) for p in family)
+            dips += not want and all(progression_below([p], 1, Fraction(0)) for p in (family[0], family[-1]))
             assert progression_below(family[:3], count, Fraction(0)) == want, (e, c, m, count)
         assert dips > 50
 
@@ -465,7 +465,7 @@ class TestCertificates:
         # (x - 1)((x - 100)^2 + 1): the complex pair leaves sign variations
         # after every shift below 100, so Descartes stays undecided
         p = _mul([-1, 1], [10001, -200, 1])
-        assert not roots_below(p, Fraction(3, 2))
+        assert not progression_below([p], 1, Fraction(3, 2))
         assert _sympy(p).count_roots(Fraction(3, 2), None) == 0
         assert not _rounds_to(p.coeffs, 1.0)
         # Newton from the Laguerre-Samuelson start does not reach the real

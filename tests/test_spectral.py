@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import specmax
 from specmax.enumeration import EnumSpec, enumerate_graphs
 from specmax.families import build_family
-from specmax.graphs import Graph, graph6_decode, random_connected_graph
+from specmax.graphs import Graph, adjacency_stack, graph6_decode, random_connected_graph
 from specmax.intpoly import char_poly, max_real_root
 from specmax.spectral import ConvergenceError, perron, perron_all, spectral_radii
 from specmax.suites import component_bound_verdicts
@@ -252,7 +252,7 @@ class TestBottleneck:
         t0 = time.perf_counter()
         pair = perron(g)
         elapsed = time.perf_counter() - t0
-        a = g.to_numpy()
+        a = adjacency_stack([g])[0]
         nx_graph = nx.Graph(list(g.edges()))
         assert pair.rho == pytest.approx(float(np.linalg.eigvalsh(a)[-1]), abs=1e-9)
         assert pair.rho == pytest.approx(
@@ -347,7 +347,7 @@ class TestRayleigh:
     def test_random_unit_vectors_below_rho(self):
         rng = np.random.default_rng(99)
         g = random_connected_graph(random.Random(3), 8, 0.5)
-        a = g.to_numpy()
+        a = adjacency_stack([g])[0]
         rho = perron(g, 1e-12).rho
         for _ in range(100):
             y = rng.normal(size=8)

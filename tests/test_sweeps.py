@@ -16,7 +16,7 @@ import pytest
 
 from specmax import suites
 from specmax.cli import main
-from specmax.graphs import graph6_encode, random_connected_graph
+from specmax.graphs import adjacency_stack, graph6_encode, random_connected_graph
 from specmax.spectral import PerronPair, perron, perron_all, quotient_radii, spectral_radii
 from specmax.suites import component_bound_verdicts, ls_hypothesis, ls_verdicts, quotient_bound_verdicts
 from specmax.switching import SwitchMove, apply
@@ -36,7 +36,7 @@ def serial_local_switching(rng, trials):
         pair = perron(g)
         if ls_hypothesis(pair, move):
             # the switched graph, which may be disconnected, solved on its own
-            rho_after = float(np.linalg.eigvalsh(apply(g, SwitchMove("LS", move)).to_numpy())[-1])
+            rho_after = float(np.linalg.eigvalsh(adjacency_stack([apply(g, SwitchMove("LS", move))])[0])[-1])
             done += 1
             checked.append((graph6_encode(g), (move, rho_after), ls_verdicts(g, pair, move, rho_after)))
     return checked

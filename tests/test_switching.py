@@ -15,7 +15,7 @@ from specmax.families import (
     build_family,
     build_from_profile,
 )
-from specmax.graphs import Graph, canonical_form, random_connected_graph
+from specmax.graphs import Graph, adjacency_stack, canonical_form, random_connected_graph
 from specmax.partition import quotient
 from specmax.spectral import perron, perron_all, spectral_radii
 from specmax.suites import (
@@ -60,7 +60,7 @@ def op_verdicts(gl, move):
 
 def switched_rho(g, move):
     """rho of g after local switching on move, solved on its own by numpy."""
-    return float(np.linalg.eigvalsh(apply(g, SwitchMove("LS", move)).to_numpy())[-1])
+    return float(np.linalg.eigvalsh(adjacency_stack([apply(g, SwitchMove("LS", move))])[0])[-1])
 
 
 def case2_solved(g):
